@@ -8,6 +8,11 @@ equality is component-wise.  Everything is exact; floating point enters
 only through the complex embedding, which serves as an independent
 numeric oracle.
 
+Vectors over Q(q) also have an array form, `CycArray`: an (N, phi(n))
+integer numpy array of numerators over one common denominator.  Products
+with integer matrices and with a fixed scalar then run as integer matrix
+products, and exact equality is `array_equal`.
+
 Only odd n >= 3 are accepted: the whole construction downstream (the
 Drinfeld double of the Taft algebra and its McKay spectral theory)
 assumes that hypothesis, and 2 must be invertible mod n.
@@ -18,17 +23,30 @@ from __future__ import annotations
 import cmath
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import chain
+from math import gcd, lcm
 
 import mpmath
+import numpy as np
 
 __all__ = [
     "cyclotomic_polynomial",
     "make_context",
     "CyclotomicContext",
     "CycNum",
+    "CycArray",
+    "int_array",
     "complex_embed",
 ]
+
+# int64 arithmetic is used only when a bound on every intermediate value
+# stays below this; otherwise the same code runs on Python ints (dtype=object)
+INT64_LIMIT = 1 << 62
+
+
+def int_array(a, bound: int) -> np.ndarray:
+    """Integer rows or array as int64 when `bound`, a bound on what the caller computes, allows; else as Python ints."""
+    return np.asarray(a, dtype=np.int64 if bound < INT64_LIMIT else object)
 
 
 def _divexact(num, den):
@@ -100,6 +118,13 @@ class CyclotomicContext:
         self._one = CycNum(self, (1,) + (0,) * (d - 1), 1)
         self._qtable = tuple(CycNum(self, self._qpow_rows[e], 1) for e in range(n))
         self._unit = [cmath.exp(2j * cmath.pi * e / n) for e in range(d)]
+        self._unit_array = np.array(self._unit)
+        # _mul_tensor[k, e] holds the coefficients of q^(k+e), so a numerator
+        # vector contracted against it gives the rows of a multiplication matrix
+        self._mul_tensor = np.array(
+            [[self._qpow_rows[(k + e) % n] for e in range(d)] for k in range(d)], dtype=np.int64
+        )
+        self._mul_tensor_max = int(np.abs(self._mul_tensor).max())
         self._inv_cache: dict[tuple, CycNum] = {}
 
     def __repr__(self):
@@ -162,6 +187,14 @@ class CyclotomicContext:
     def quantum_integer(self, m: int) -> "CycNum":
         """[m] = 1 + q + ... + q^{m-1}."""
         return self.from_qpowers((1, e) for e in range(m))
+
+    def mul_matrix(self, c: "CycNum") -> np.ndarray:
+        """phi x phi integer matrix whose row e holds the numerators of c * q^e (over c.den).
+
+        A numerator row vector x times this matrix is the numerator of x * c.
+        """
+        bound = _max_abs(c.num) * self.degree * self._mul_tensor_max
+        return np.tensordot(int_array(c.num, bound), self._mul_tensor, axes=1)
 
 
 @lru_cache(maxsize=None)
@@ -368,6 +401,71 @@ class CycNum:
             else:
                 terms.append(f"{c}*q^{e}" if c != 1 else f"q^{e}")
         return " + ".join(terms) if terms else "0"
+
+
+def _max_abs(values) -> int:
+    return max(map(abs, values), default=0)
+
+
+class CycArray:
+    """A length-N vector over Q(q): an (N, phi(n)) integer array of numerators over one denominator.
+
+    Row i holds the power-basis numerators of entry i, all over the common
+    positive denominator `den`.  Rows are not normalized, so two arrays of
+    the same vector may differ by a common factor; `to_list` returns the
+    canonical `CycNum` entries.  The array is int64 when every operation's
+    bound stays below INT64_LIMIT, and holds Python ints (dtype=object)
+    otherwise; each operation checks its own bound.
+    """
+
+    __slots__ = ("ctx", "nums", "den")
+
+    def __init__(self, ctx: CyclotomicContext, nums: np.ndarray, den: int):
+        self.ctx = ctx
+        self.nums = nums
+        self.den = den
+
+    @staticmethod
+    def from_list(ctx: CyclotomicContext, vec) -> "CycArray":
+        """Array form of a list of CycNum (ints and Fractions are accepted as rationals)."""
+        entries = [x if isinstance(x, CycNum) else ctx.from_rational(x) for x in vec]
+        den = lcm(*(x.den for x in entries)) if entries else 1
+        rows = [x.num if x.den == den else [a * (den // x.den) for a in x.num] for x in entries]
+        nums = int_array(rows, _max_abs(chain.from_iterable(rows)))
+        return CycArray(ctx, nums.reshape(len(entries), ctx.degree), den)
+
+    def __len__(self):
+        return len(self.nums)
+
+    def max_abs(self) -> int:
+        return int(np.abs(self.nums).max()) if self.nums.size else 0
+
+    def to_list(self) -> list:
+        """The entries as canonical CycNum."""
+        ctx, den = self.ctx, self.den
+        return [_norm(ctx, row, den) for row in self.nums.tolist()]
+
+    def embed(self) -> np.ndarray:
+        """Complex images of the entries under q -> exp(2*pi*i/n), one product with (1, zeta, ...)."""
+        return (self.nums.astype(float) @ self.ctx._unit_array) / self.den
+
+    def scaled(self, c: "CycNum") -> "CycArray":
+        """Every entry times the scalar c."""
+        L = self.ctx.mul_matrix(c)
+        bound = self.max_abs() * self.ctx.degree * int(np.abs(L).max())
+        nums = int_array(self.nums, bound) @ int_array(L, bound)
+        return CycArray(self.ctx, nums, self.den * c.den)
+
+    def left_mul(self, A: np.ndarray) -> "CycArray":
+        """The integer matrix A times this column vector."""
+        bound = self.max_abs() * int(np.abs(A).sum(axis=1).max(initial=0))
+        return CycArray(self.ctx, int_array(A, bound) @ int_array(self.nums, bound), self.den)
+
+    def __add__(self, other: "CycArray") -> "CycArray":
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        bound = self.max_abs() * fa + other.max_abs() * fb
+        return CycArray(self.ctx, int_array(self.nums, bound) * fa + int_array(other.nums, bound) * fb, den)
 
 
 def _polydivmod(a, b):

@@ -3,15 +3,30 @@
 Entries may be Python ints, Fractions, or CycNum; the element objects
 carry the arithmetic.  Rank and kernel computations require field
 entries (exact division).  Everything is exact, no floating point.
+
+`relation` is the one statement of the eigen and Jordan relations of an
+integer matrix against a vector over Q(q): it certifies them exactly on
+integer coefficient arrays and re-evaluates them under the complex
+embedding as a numeric oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import CycNum
+import numpy as np
 
-__all__ = ["RingPoly", "RingMatrix", "field_inverse"]
+from .cyclotomic import CycArray, CycNum, int_array
+
+__all__ = ["RingPoly", "RingMatrix", "field_inverse", "CheckFailure", "relation"]
+
+
+class CheckFailure(AssertionError):
+    """A claimed exact identity does not hold.
+
+    Raised with an explicit `raise`, never by `assert`, so that running
+    under `python -O` cannot remove the certification.
+    """
 
 
 def field_inverse(x):
@@ -349,5 +364,64 @@ class RingMatrix:
     def to_lists(self):
         return [list(r) for r in self.rows]
 
+    def int_array(self) -> np.ndarray:
+        """The entries as an integer numpy array (int64 when they fit, Python ints otherwise)."""
+        if not all(type(a) is int for r in self.rows for a in r):
+            raise TypeError("int_array needs a matrix of Python ints")
+        return int_array(self.rows, max((abs(a) for r in self.rows for a in r), default=0))
+
     def __repr__(self):
         return f"RingMatrix({self.nrows}x{self.ncols})"
+
+
+def relation(M, vec, lam: CycNum, side: str, chain=None, what: str = "relation") -> float:
+    """Certify M v = lam v + chain (side "right") or v M = lam v + chain (side "left").
+
+    M is an integer matrix (a RingMatrix of ints, or an integer numpy array);
+    vec and chain are lists over Q(q) or CycArrays; chain None means zero, an
+    eigenvector relation, and a chain vector makes it a Jordan relation.
+    With the numerators V, C over denominators dv, dc and the multiplication
+    matrix L of lam over dl, the identity is checked as the integer equation
+
+        dl*dc * (A V) == dc * (V L) + dv*dl * C,    A = M (right) or M^T (left),
+
+    in int64 when max(R mV dl dc, phi mV mL dc + mC dv dl) < 2^62 (R the
+    largest absolute row sum of A, mV, mL, mC the largest absolute
+    numerators), and in Python ints otherwise.  A mismatch raises
+    CheckFailure naming `what` and the first failing coordinate.
+
+    Returns the numeric oracle residual of the same identity:
+    max |A_num v_num - lam.embed() v_num - c_num| / max(1, max |v_num|),
+    with A embedded as a complex matrix and the vectors embedded from the
+    same numerator arrays.
+    """
+    if side not in ("right", "left"):
+        raise ValueError("side must be 'right' or 'left'")
+    ctx = lam.ctx
+    A = M if isinstance(M, np.ndarray) else M.int_array()
+    if side == "left":
+        A = A.T
+    v = vec if isinstance(vec, CycArray) else CycArray.from_list(ctx, vec)
+    c = None if chain is None else chain if isinstance(chain, CycArray) else CycArray.from_list(ctx, chain)
+    if A.shape != (len(v), len(v)) or (c is not None and len(c) != len(v)):
+        raise ValueError(f"{what}: shapes do not match")
+    L, dl, dv = ctx.mul_matrix(lam), lam.den, v.den
+    dc, mC = (1, 0) if c is None else (c.den, c.max_abs())
+    R = int(np.abs(A).sum(axis=1).max(initial=0))
+    mV, mL = v.max_abs(), int(np.abs(L).max())
+    bound = max(R * mV * dl * dc, ctx.degree * mV * mL * dc + mC * dv * dl)
+    A, V = int_array(A, bound), int_array(v.nums, bound)
+    lhs = (A @ V) * (dl * dc)
+    rhs = (V @ int_array(L, bound)) * dc
+    if c is not None:
+        rhs = rhs + int_array(c.nums, bound) * (dv * dl)
+    if not np.array_equal(lhs, rhs):
+        bad = int(np.flatnonzero((lhs != rhs).any(axis=1))[0])
+        raise CheckFailure(f"{what}: {side} relation fails at coordinate {bad}")
+    if not len(v):
+        return 0.0
+    vn = v.embed()
+    resid = A.astype(complex) @ vn - lam.embed() * vn
+    if c is not None:
+        resid = resid - c.embed()
+    return float(np.max(np.abs(resid)) / max(1.0, float(np.max(np.abs(vn)))))

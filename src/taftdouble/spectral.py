@@ -22,11 +22,13 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .chebyshev import bivariate_to_poly, p_n_bivariate
-from .cyclotomic import CycNum, make_context
+from .cyclotomic import CycArray, CycNum, make_context
 from .dnrep import Monomial, all_labels, double_rep
 from .grring import GrothRing, PolyPres, groth_ring
-from .polymat import RingMatrix, RingPoly
+from .polymat import CheckFailure, RingMatrix, RingPoly, relation
 
 __all__ = [
     "EigIndex",
@@ -210,27 +212,26 @@ class SpectralCertificate:
     gen_right: Optional[list]
     gen_left: Optional[list]
     exact: bool = False
+    oracle_residual: float = float("inf")
 
     def verify(self, M: RingMatrix) -> bool:
-        lam = self.lam
-        ok = all((a - lam * b).is_zero() for a, b in zip(M.mat_vec(self.right), self.right))
-        ok = ok and all(
-            (a - lam * b).is_zero() for a, b in zip(M.vec_mat(self.left), self.left)
-        )
-        if self.gen_right is not None:
-            mx = M.mat_vec(self.gen_right)
-            ok = ok and all(
-                (a - lam * b - v).is_zero()
-                for a, b, v in zip(mx, self.gen_right, self.right)
-            )
-        if self.gen_left is not None:
-            ym = M.vec_mat(self.gen_left)
-            ok = ok and all(
-                (a - lam * b - w).is_zero()
-                for a, b, w in zip(ym, self.gen_left, self.left)
-            )
-        self.exact = ok
-        return ok
+        """Certify M v = lam v, w M = lam w and the Jordan relations exactly; record the oracle residual."""
+        A = M if isinstance(M, np.ndarray) else M.int_array()
+        ctx, lam = self.lam.ctx, self.lam
+        right, left = CycArray.from_list(ctx, self.right), CycArray.from_list(ctx, self.left)
+        try:
+            residuals = [relation(A, right, lam, "right"), relation(A, left, lam, "left")]
+            if self.gen_right is not None:
+                residuals.append(relation(A, self.gen_right, lam, "right", chain=right))
+            if self.gen_left is not None:
+                residuals.append(relation(A, self.gen_left, lam, "left", chain=left))
+        except CheckFailure:
+            self.exact = False
+            self.oracle_residual = float("inf")
+            return False
+        self.exact = True
+        self.oracle_residual = max(residuals)
+        return True
 
 
 def certificates(n: int) -> list[SpectralCertificate]:
@@ -302,11 +303,11 @@ def gen_trace_combination(n: int, i: int, k: int):
     for l in range(s - 1, 0, -1):
         g = qint[l + 1] * qint[l + 1] * inv_qint[l] * inv_qint[s - l] * inv_qm1
         gammas[l] = (g * gammas[l + 1]).mul_qpow(s - 1 - l)
-    vec = [ctx.zero()] * (n * n)
+    acc = None
     for l in range(1, s + 1):
-        tv = rep.trace_vector_S(Monomial(i, k, l))
-        gl = gammas[l]
-        vec = [a + gl * b for a, b in zip(vec, tv)]
+        term = CycArray.from_list(ctx, rep.trace_vector_S(Monomial(i, k, l))).scaled(gammas[l])
+        acc = term if acc is None else acc + term
+    vec = acc.to_list()
     lam = ctx.root_power(i) + ctx.root_power(-k)
     return vec, [gammas[l] for l in range(1, s + 1)], lam
 

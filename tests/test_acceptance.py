@@ -10,7 +10,7 @@ whole gate stays within a few minutes for the default n set.
 
 import pytest
 
-from taftdouble.verify import CHECKS, ORACLE_TOL, get_workspace
+from taftdouble.verify import CHECKS, ORACLE_TOL, run_suite
 
 DEFAULT_NS = (3, 5, 7, 9, 11, 13)
 
@@ -18,13 +18,14 @@ _RESULTS: dict = {}
 
 
 def outcome(n: int, cid: str):
+    """(passed, residual, detail, failure detail) of one check, run exactly as the CLI runs it."""
     key = (n, cid)
     if key not in _RESULTS:
-        try:
-            residual, detail = CHECKS[cid](get_workspace(n))
-            _RESULTS[key] = (True, residual, detail, None)
-        except AssertionError as exc:
-            _RESULTS[key] = (False, float("inf"), None, str(exc))
+        result = run_suite(n, [cid]).checks[0]
+        if result.status == "pass":
+            _RESULTS[key] = (True, result.oracle_residual, result.detail, None)
+        else:
+            _RESULTS[key] = (False, float("inf"), None, (result.status, result.detail))
     return _RESULTS[key]
 
 

@@ -1,11 +1,13 @@
 import cmath
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taftdouble.cyclotomic import CycNum, complex_embed, cyclotomic_polynomial, make_context
+from taftdouble.cyclotomic import CycArray, CycNum, complex_embed, cyclotomic_polynomial, make_context
 
 
 def test_cyclotomic_polynomials():
@@ -145,3 +147,69 @@ def test_embedding_is_ring_hom(n, data):
     x, y = vec(), vec()
     assert abs((x + y).embed() - (x.embed() + y.embed())) < 1e-12
     assert abs((x * y).embed() - x.embed() * y.embed()) < 1e-10
+
+
+def _random_vector(ctx, size, seed):
+    """Entries with mixed denominators, some zero, some integral."""
+    rnd = random.Random(seed)
+    out = []
+    for t in range(size):
+        coeffs = [Fraction(rnd.randrange(-9, 10), rnd.choice([1, 1, 2, 3, 7, 12])) for _ in range(ctx.degree)]
+        out.append(ctx.zero() if t % 5 == 0 else ctx.from_coeffs(coeffs))
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 5, 11])
+def test_array_round_trip(n):
+    ctx = make_context(n)
+    vec = _random_vector(ctx, 3 * n, seed=n)
+    assert any(x.den > 1 for x in vec)
+    arr = CycArray.from_list(ctx, vec)
+    assert arr.nums.shape == (3 * n, ctx.degree) and arr.nums.dtype == np.int64
+    back = arr.to_list()
+    assert back == vec
+    assert all(a.num == b.num and a.den == b.den for a, b in zip(back, vec))
+    # ints and Fractions enter as rationals
+    assert CycArray.from_list(ctx, [2, Fraction(-1, 3)]).to_list() == [
+        ctx.from_rational(2), ctx.from_rational(Fraction(-1, 3))
+    ]
+    assert CycArray.from_list(ctx, []).to_list() == []
+
+
+@pytest.mark.parametrize("n", [3, 5, 11])
+def test_array_embedding_matches_entrywise(n):
+    ctx = make_context(n)
+    vec = _random_vector(ctx, 4 * n, seed=100 + n)
+    got = CycArray.from_list(ctx, vec).embed()
+    want = np.array([x.embed() for x in vec])
+    assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [3, 5, 11])
+def test_array_scaling_and_sum(n):
+    ctx = make_context(n)
+    vec = _random_vector(ctx, 2 * n, seed=200 + n)
+    other = _random_vector(ctx, 2 * n, seed=300 + n)
+    c = ctx.from_coeffs([Fraction(1, 2)] + [Fraction(-3, 5)] * (ctx.degree - 1))
+    arr = CycArray.from_list(ctx, vec)
+    assert arr.scaled(c).to_list() == [x * c for x in vec]
+    assert (arr + CycArray.from_list(ctx, other)).to_list() == [a + b for a, b in zip(vec, other)]
+    # row e of the multiplication matrix is c * q^e
+    L = ctx.mul_matrix(c)
+    for e in range(ctx.degree):
+        assert ctx.from_coeffs([Fraction(int(a), c.den) for a in L[e]]) == c * ctx.root_power(e)
+
+
+def test_array_falls_back_to_python_ints():
+    ctx = make_context(5)
+    big = 3**45  # beyond int64
+    vec = [ctx.from_coeffs([big, 1, 0, -big]), ctx.from_rational(Fraction(1, big)), ctx.one()]
+    arr = CycArray.from_list(ctx, vec)
+    assert arr.nums.dtype == object
+    assert arr.to_list() == vec
+    c = ctx.root_power(2) * (2**40)
+    assert arr.scaled(c).to_list() == [x * c for x in vec]
+    assert (arr + arr).to_list() == [x + x for x in vec]
+    small = CycArray.from_list(ctx, [ctx.root_power(1)] * 3)
+    assert small.nums.dtype == np.int64
+    assert (small + arr).to_list() == [ctx.root_power(1) + x for x in vec]

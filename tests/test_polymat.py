@@ -4,8 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from taftdouble.cyclotomic import make_context
-from taftdouble.polymat import RingMatrix, RingPoly
+from taftdouble.cyclotomic import CycArray, make_context
+from taftdouble.grring import groth_ring
+from taftdouble.polymat import CheckFailure, RingMatrix, RingPoly, relation
+from taftdouble.spectral import EigIndex, certificates, groth_decomposition, spectral_tables
 
 
 def test_poly_arithmetic():
@@ -124,3 +126,84 @@ def test_char_poly_over_cyclotomic_entries():
     cp = m.char_poly_small()
     # (t - q)(t - q^2) = t^2 + t + 1 since q + q^2 = -1, q^3 = 1
     assert cp == RingPoly([ctx.one(), ctx.one(), ctx.one()], ctx.zero())
+
+
+def _bump(vec, pos, amount=1):
+    """vec with one power-basis coefficient of entry pos changed."""
+    out = list(vec)
+    out[pos] = out[pos] + amount
+    return out
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_relation_certifies_and_rejects_one_coefficient(side):
+    n = 5
+    M = groth_ring(n).mckay_v20()
+    ctx = make_context(n)
+    cert = next(c for c in certificates(n) if c.index == EigIndex(2, 3))
+    vec, gen = (cert.right, cert.gen_right) if side == "right" else (cert.left, cert.gen_left)
+    assert relation(M, vec, cert.lam, side) < 1e-12
+    assert relation(M.int_array(), gen, cert.lam, side, chain=vec) < 1e-12
+    q = ctx.root_power(1)
+    for pos in (0, len(vec) // 2, len(vec) - 1):
+        with pytest.raises(CheckFailure, match="fails at coordinate"):
+            relation(M, _bump(vec, pos, q), cert.lam, side)
+        with pytest.raises(CheckFailure):
+            relation(M, _bump(gen, pos), cert.lam, side, chain=vec)
+        with pytest.raises(CheckFailure):
+            relation(M, gen, cert.lam, side, chain=_bump(vec, pos, q))
+    with pytest.raises(CheckFailure, match="my claim"):
+        relation(M, vec, cert.lam + q, side, what="my claim")
+    with pytest.raises(CheckFailure):
+        relation(M, gen, cert.lam + 1, side, chain=vec)
+
+
+def test_relation_with_denominators():
+    n = 3
+    dec = groth_decomposition(n)
+    M = groth_ring(n).mckay_v20()
+    idx = EigIndex(1, 2)
+    lam = spectral_tables(n).lam(idx)
+    f, g = dec.f_coords(idx), dec.g_coords(idx)
+    assert any(x.den > 1 for x in f + g)
+    relation(M, f, lam, "left")
+    relation(M, g, lam, "left", chain=CycArray.from_list(dec.ctx, f))
+    with pytest.raises(CheckFailure):
+        relation(M, g, lam, "left", chain=_bump(f, 4, dec.ctx.from_rational(Fraction(1, 3))))
+
+
+@pytest.mark.parametrize("scale", [2**61, 3**45])
+def test_relation_beyond_int64_uses_python_ints(scale):
+    """Scaled eigen pairs break the int64 bound (3^45 does not even fit); both verdicts stay right."""
+    n = 5
+    M = groth_ring(n).mckay_v20()
+    cert = next(c for c in certificates(n) if c.index == EigIndex(1, 2))
+    right = [x * scale for x in cert.right]
+    gen = [x * scale for x in cert.gen_right]
+    assert max(abs(a) for x in right for a in x.num) * 4 >= 2**62
+    relation(M, right, cert.lam, "right")
+    relation(M, gen, cert.lam, "right", chain=right)
+    with pytest.raises(CheckFailure):
+        relation(M, _bump(right, 7), cert.lam, "right")
+    with pytest.raises(CheckFailure):
+        relation(M, gen, cert.lam, "right", chain=_bump(right, 7))
+
+
+def test_relation_input_errors():
+    M = groth_ring(3).mckay_v20()
+    lam = make_context(3).one()
+    with pytest.raises(ValueError):
+        relation(M, [lam] * 9, lam, "up")
+    with pytest.raises(ValueError):
+        relation(M, [lam] * 8, lam, "right")
+    with pytest.raises(TypeError):
+        relation(RingMatrix([[lam]]), [lam], lam, "right")
+
+
+def test_int_array():
+    m = RingMatrix([[1, -2], [3, 2**70]])
+    a = m.int_array()
+    assert a.dtype == object and a[1, 1] == 2**70
+    assert RingMatrix([[1, 2], [3, 4]]).int_array().dtype == np.int64
+    with pytest.raises(TypeError):
+        RingMatrix([[Fraction(1, 2)]]).int_array()

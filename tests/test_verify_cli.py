@@ -1,9 +1,17 @@
 import json
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 
+import taftdouble.verify as verify_mod
 from taftdouble.cli import main
-from taftdouble.verify import check_ids, emit_report, run_suite
+from taftdouble.dnrep import DoubleRep
+from taftdouble.grring import GrothRing
+from taftdouble.spectral import GrothDecomposition, SpectralTables
+from taftdouble.verify import Oracle, check_ids, emit_report, run_suite
 
 
 def test_run_suite_single_selection():
@@ -84,6 +92,111 @@ def test_failing_check_reports_and_exits_nonzero(capsys, monkeypatch):
     assert main(["verify", "--n", "3", "--suite", "charpoly-table"]) == 1
     out = capsys.readouterr().out
     assert "✗" in out and "FAILURES" in out
+
+
+def test_oracle_treats_non_finite_as_failure():
+    oracle = Oracle()
+    oracle.vec_residual(np.array([1e-3, float("nan")]))
+    assert oracle.residual == float("inf")
+    oracle = Oracle()
+    oracle.see(float("nan"))
+    assert oracle.residual == float("inf")
+    oracle = Oracle()
+    oracle.see(1e-12)
+    oracle.see(-float("inf"))
+    assert oracle.residual == float("inf")
+
+
+def test_crashing_check_is_reported_as_error(capsys, monkeypatch):
+    def crash(ws):
+        return 1 // 0
+
+    monkeypatch.setitem(verify_mod.CHECKS, "charpoly-table", crash)
+    report = run_suite(3, ["charpoly-table", "fusion-matrix", "oracle-concordance"])
+    crashed, fusion, _concordance = report.checks
+    assert crashed.status == "error" and not crashed.exact
+    assert crashed.detail["error"].startswith("ZeroDivisionError")
+    assert fusion.status == "pass"  # the suite went on after the crash
+    assert not report.all_pass
+    assert json.loads(emit_report(report, "json"))["checks"][0]["status"] == "error"
+    assert main(["verify", "--n", "3", "--suite", "charpoly-table,fusion-matrix"]) == 1
+    out = capsys.readouterr().out
+    assert "FAILURES" in out and "fusion-matrix" in out
+
+
+def _bumped(vec, pos):
+    """vec with entry pos raised by 1 in one coefficient."""
+    out = list(vec)
+    out[pos] = out[pos] + 1
+    return out
+
+
+def _bump_entry(pos):
+    """Wrap a vector-returning function so that its entry pos is corrupted."""
+    def wrap(fn):
+        return lambda *args: _bumped(fn(*args), pos)
+    return wrap
+
+
+def _bump_scalar(fn):
+    return lambda *args: fn(*args) + 1
+
+
+def _bump_gen_trace_vector(fn):
+    def corrupted(n, i, k):
+        vec, gammas, lam = fn(n, i, k)
+        return _bumped(vec, 3), gammas, lam
+    return corrupted
+
+
+# check id, owner, attribute, corruption, text the counterexample must carry
+CORRUPTIONS = [
+    ("spectral-certificates", SpectralTables, "gen_left_coeffs", _bump_entry(2), "exact eigen or Jordan"),
+    ("spectral-certificates", SpectralTables, "right_coeffs", _bump_entry(1), "exact eigen or Jordan"),
+    ("grouplike-traces", SpectralTables, "lam", _bump_scalar, "eigen"),
+    ("generalized-traces", verify_mod, "gen_trace_combination", _bump_gen_trace_vector, "eigenline"),
+    ("projective-trace-table", DoubleRep, "trace_vector_P", _bump_entry(4), "Tr_P eigen"),
+    ("general-eigenvalues", SpectralTables, "general_eigenvalue", _bump_scalar, "right eigenvalue"),
+    ("general-eigenvalues", SpectralTables, "projective_eigenvalue", _bump_scalar, "projective"),
+    ("grothendieck-idempotents", GrothDecomposition, "g_coords", _bump_entry(5), "Jordan pair"),
+    ("fusion-matrix", verify_mod, "fusion_left_eigvec", _bump_entry(0), "fusion"),
+    ("dual-pairing", SpectralTables, "right_coeffs", _bump_entry(2), "projective-side"),
+    ("mckay-closed-form", GrothRing, "dim_simple_vector", _bump_entry(6), "dimension vector"),
+]
+
+
+@pytest.mark.parametrize("cid,owner,attr,corrupt,text", CORRUPTIONS)
+def test_ported_checks_fail_on_one_corrupted_coefficient(monkeypatch, cid, owner, attr, corrupt, text):
+    monkeypatch.setattr(verify_mod, "_WORKSPACES", {})
+    monkeypatch.setattr(owner, attr, corrupt(getattr(owner, attr)))
+    result = run_suite(3, [cid]).checks[0]
+    assert result.status == "fail", result
+    assert text in result.detail["counterexample"]
+
+
+def test_relations_survive_python_O():
+    """Under -O every assert is gone; the exact relations must still reject a wrong eigenvalue."""
+    script = """
+import sys
+assert sys.flags.optimize == 1
+from taftdouble.spectral import SpectralTables
+from taftdouble.verify import run_suite
+original = SpectralTables.general_eigenvalue
+def wrong(self, idx, ell, s):
+    val = original(self, idx, ell, s)
+    return val + 1 if (idx.j, idx.r, ell, s) == (1, 1, 2, 0) else val
+SpectralTables.general_eigenvalue = wrong
+result = run_suite(3, ["general-eigenvalues"]).checks[0]
+print(result.status, result.detail)
+"""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("fail"), proc.stdout
+    assert "right eigenvalue for V(2,0), EigIndex(j=1, r=1)" in proc.stdout
 
 
 def test_cli_verify_json(capsys):
