@@ -270,17 +270,24 @@ class RingMatrix:
         return RingMatrix(list(map(list, zip(*self.rows)))) if self.rows else self
 
     def __pow__(self, k: int) -> "RingMatrix":
+        """k-th power by square-and-multiply (about 2 log2 k products)."""
         if self.nrows != self.ncols:
             raise ValueError("pow of a non-square matrix")
+        if k < 0:
+            raise ValueError(f"negative matrix power: {k}")
         if k == 0:
             sample = self.rows[0][0]
             one = sample - sample + 1 if not isinstance(sample, int) else 1
             zero = sample * 0
             return RingMatrix.identity(self.nrows, one, zero)
-        out = self
-        for _ in range(k - 1):
-            out = out * self
-        return out
+        out, base = None, self
+        while True:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if not k:
+                return out
+            base = base * base
 
     def trace(self):
         acc = self.rows[0][0]

@@ -221,6 +221,12 @@ def _rng(check_id: str, n: int) -> random.Random:
     return random.Random(f"{check_id}:{n}")
 
 
+def _require(ok: bool, message: str):
+    """Fail the running check; unlike `assert`, this survives `python -O`."""
+    if not ok:
+        raise CheckFailure(message)
+
+
 def _line_coefficient(M: RingMatrix, vec, lam: CycNum, side: str, line) -> CycNum:
     """The only c for which (M - lam) v = c * line can hold (side as in `relation`).
 
@@ -295,12 +301,13 @@ def check_charpoly_factorization(ws: Workspace):
 
 
 def check_hopf_axioms(ws: Workspace):
-    """Defining relations on every simple module; coassociativity and counit on a sample."""
+    """Defining relations on every simple module; counit, coassociativity and
+    multiplicativity of the coproduct on a sample."""
     n, rep, ctx = ws.n, ws.rep, ws.ctx
     oracle = Oracle()
     for lab in all_labels(n):
         fails = rep.verify_relations(lab)
-        assert not fails, f"relations {fails} fail on {lab}"
+        _require(not fails, f"relations {fails} fail on {lab}")
     # numeric re-check of the mixed relation on the largest module
     acts = rep.action_set(SimpleLabel(n, 1))
     na, nb, nc, nd = (embed_mat(m) for m in (acts.mat_a, acts.mat_b, acts.mat_c, acts.mat_d))
@@ -313,6 +320,8 @@ def check_hopf_axioms(ws: Workspace):
         (rnd.randrange(n), rnd.randrange(n), rnd.randrange(n), rnd.randrange(n))
         for _ in range(20)
     ]
+    gens = {g: rep.pbw_generator(g) for g in "abcd"}
+    pairs = 0
     for mono in monos:
         x = rep.pbw_monomial(*mono)
         delta = x.coproduct()
@@ -322,8 +331,8 @@ def check_hopf_axioms(ws: Workspace):
                 left[m2] = left.get(m2, ctx.zero()) + coeff
             if m2[0] == 0 and m2[3] == 0:
                 right[m1] = right.get(m1, ctx.zero()) + coeff
-        assert {k: v for k, v in left.items() if v} == x.terms, f"(eps x id) failed on {mono}"
-        assert {k: v for k, v in right.items() if v} == x.terms, f"(id x eps) failed on {mono}"
+        _require({k: v for k, v in left.items() if v} == x.terms, f"(eps x id) failed on {mono}")
+        _require({k: v for k, v in right.items() if v} == x.terms, f"(id x eps) failed on {mono}")
         lhs, rhs = {}, {}
         for (m1, m2), coeff in delta.terms.items():
             for (m1a, m1b), c1 in rep.coproduct_monomial(m1).items():
@@ -335,8 +344,12 @@ def check_hopf_axioms(ws: Workspace):
         diff = dict(lhs)
         for k, v in rhs.items():
             diff[k] = diff.get(k, ctx.zero()) - v
-        assert not any(diff.values()), f"coassociativity failed on {mono}"
-    return oracle.residual, {"labels": n * n, "sampled_monomials": len(monos)}
+        _require(not any(diff.values()), f"coassociativity failed on {mono}")
+        for g, gx in gens.items():
+            _require((x * gx).coproduct() == delta * gx.coproduct(), f"D(x{g}) != D(x) D({g}) at x = {mono}")
+            pairs += 1
+    detail = {"labels": n * n, "sampled_monomials": len(monos), "multiplicativity_pairs": pairs}
+    return oracle.residual, detail
 
 
 def check_coproduct_trace(ws: Workspace):
@@ -353,8 +366,9 @@ def check_coproduct_trace(ws: Workspace):
         Mv = M if vlabel == SimpleLabel(2, 0) else ws.mckay(vlabel.ell, vlabel.r)
         for mono in monos:
             lhs, rhs = coproduct_trace_identity(rep, Mv, mono, vlabel)
-            assert all((a - b).is_zero() for a, b in zip(lhs, rhs)), (
-                f"trace identity failed for {mono} against V{tuple(vlabel)}"
+            _require(
+                all((a - b).is_zero() for a, b in zip(lhs, rhs)),
+                f"trace identity failed for {mono} against V{tuple(vlabel)}",
             )
             oracle.vec_residual(np.abs(embed_vec(lhs) - embed_vec(rhs)))
     return oracle.residual, {"sampled_monomials": len(monos), "modules": len(vlabels)}

@@ -96,6 +96,46 @@ def test_coproducts():
     assert a2.coproduct().terms == expected
 
 
+def _coproduct_multiply_out(rep, mono):
+    """D(a)^al D(b)^be D(c)^ga D(d)^de multiplied out in the tensor square.
+
+    The independent cross-check of the closed form in `coproduct_monomial`:
+    it is an algebra map by construction and uses no binomial coefficient.
+    """
+    al, be, ga, de = mono
+    unit = (0, 0, 0, 0)
+    terms = {(unit, unit): rep.ctx.one()}
+    factors = (
+        (al, [((1, 0, 0, 0), (0, 1, 0, 0)), (unit, (1, 0, 0, 0))]),  # D(a)
+        (1, [((0, be, 0, 0), (0, be, 0, 0))]),                       # D(b)^be
+        (1, [((0, 0, ga, 0), (0, 0, ga, 0))]),                       # D(c)^ga
+        (de, [((0, 0, 0, 1), (0, 0, 1, 0)), (unit, (0, 0, 0, 1))]),  # D(d)
+    )
+    for rep_count, factor in factors:
+        for _ in range(rep_count):
+            new = {}
+            for (x1, x2), coeff in terms.items():
+                for f1, f2 in factor:
+                    for k1, c1 in rep._mono_mul(x1, f1).items():
+                        for k2, c2 in rep._mono_mul(x2, f2).items():
+                            key = (k1, k2)
+                            val = coeff * c1 * c2
+                            prev = new.get(key)
+                            new[key] = val if prev is None else prev + val
+            terms = {k: v for k, v in new.items() if v}
+    return terms
+
+
+@pytest.mark.parametrize("n,sample", [(3, None), (5, None), (7, 60)])
+def test_closed_form_coproduct_matches_multiply_out(n, sample):
+    rep = double_rep(n)
+    monos = [(al, be, ga, de) for al in range(n) for be in range(n) for ga in range(n) for de in range(n)]
+    if sample is not None:
+        monos = random.Random(n).sample(monos, sample)
+    for mono in monos:
+        assert rep.coproduct_monomial(mono) == _coproduct_multiply_out(rep, mono), mono
+
+
 def test_coproduct_is_algebra_map():
     rep = double_rep(5)
     rnd = random.Random(9)

@@ -75,6 +75,18 @@ def test_matrix_identities():
     assert z.char_poly_small() == RingPoly([Fraction(-1), 0, 0, Fraction(1)], Fraction(0))
 
 
+def test_pow_matches_repeated_products():
+    ctx = make_context(7)
+    q = ctx.root_power
+    m = RingMatrix([[q(1), q(3) + 2, ctx.zero()], [ctx.one(), q(5), q(2) - 1], [q(6), ctx.zero(), q(4) * 3]])
+    expect = RingMatrix.identity(3, ctx.one(), ctx.zero())
+    for k in range(10):
+        assert m**k == expect, k
+        expect = expect * m
+    with pytest.raises(ValueError):
+        m ** -1
+
+
 def test_rank_and_kernel():
     ones = RingMatrix([[1, 1], [1, 1]])
     assert ones.rank_over_field() == 1

@@ -174,6 +174,17 @@ def test_ported_checks_fail_on_one_corrupted_coefficient(monkeypatch, cid, owner
     assert text in result.detail["counterexample"]
 
 
+def _run_optimized(script: str) -> str:
+    """Run script under `python -O` against the package in src/; return its stdout."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_relations_survive_python_O():
     """Under -O every assert is gone; the exact relations must still reject a wrong eigenvalue."""
     script = """
@@ -189,14 +200,32 @@ SpectralTables.general_eigenvalue = wrong
 result = run_suite(3, ["general-eigenvalues"]).checks[0]
 print(result.status, result.detail)
 """
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("fail"), proc.stdout
-    assert "right eigenvalue for V(2,0), EigIndex(j=1, r=1)" in proc.stdout
+    stdout = _run_optimized(script)
+    assert stdout.startswith("fail"), stdout
+    assert "right eigenvalue for V(2,0), EigIndex(j=1, r=1)" in stdout
+
+
+def test_hopf_axioms_survive_python_O():
+    """Under -O the coproduct checks must still reject one wrong coefficient of D(a)."""
+    script = """
+import sys
+assert sys.flags.optimize == 1
+from taftdouble.dnrep import DoubleRep
+from taftdouble.verify import run_suite
+original = DoubleRep.coproduct_monomial
+def wrong(self, mono):
+    out = dict(original(self, mono))
+    if mono == (1, 0, 0, 0):
+        key = ((1, 0, 0, 0), (0, 1, 0, 0))
+        out[key] = out[key] + 1
+    return out
+DoubleRep.coproduct_monomial = wrong
+result = run_suite(3, ["hopf-axioms"]).checks[0]
+print(result.status, result.detail)
+"""
+    stdout = _run_optimized(script)
+    assert stdout.startswith("fail"), stdout
+    assert "D(xa) != D(x) D(a)" in stdout, stdout
 
 
 def test_cli_verify_json(capsys):
