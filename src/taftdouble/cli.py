@@ -211,11 +211,11 @@ def _idempotent_payload(n: int) -> dict:
                 "theta": [_encode(t) for t in comp.thetas[1:]],
                 "nu": [_encode(v) for v in comp.nus[1:]],
                 "radical_coords": [
-                    _encode_vec(comp.to_groth(comp.f_polys[j]))
+                    _encode_vec(comp.to_groth(comp.f_polys[j]).to_list())
                     for j in range(1, (n - 1) // 2 + 1)
                 ],
                 "idempotent_coords": [
-                    _encode_vec(comp.to_groth(p)) for p in comp.idempotent_polys()
+                    _encode_vec(comp.to_groth(p).to_list()) for p in comp.idempotent_polys()
                 ],
             }
         )

@@ -11,7 +11,12 @@ numeric oracle.
 Vectors over Q(q) also have an array form, `CycArray`: an (N, phi(n))
 integer numpy array of numerators over one common denominator.  Products
 with integer matrices and with a fixed scalar then run as integer matrix
-products, and exact equality is `array_equal`.
+products, and exact equality is `array_equal` on cross-multiplied
+numerators.  `gather_products` multiplies every row of one such array with
+every row of another through the multiplication tensor of the power basis
+in one batched contraction; the Grothendieck-algebra products are built on
+it.  `split_prime(n)` gives a prime p = 1 (mod n) with an element of order
+n in F_p, so q -> omega maps Z[q] onto F_p; ranks are certified there.
 
 Only odd n >= 3 are accepted: the whole construction downstream (the
 Drinfeld double of the Taft algebra and its McKay spectral theory)
@@ -24,7 +29,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import mpmath
 import numpy as np
@@ -36,6 +41,10 @@ __all__ = [
     "CycNum",
     "CycArray",
     "int_array",
+    "same_fractions",
+    "reduce_fraction",
+    "gather_products",
+    "split_prime",
     "complex_embed",
 ]
 
@@ -47,6 +56,66 @@ INT64_LIMIT = 1 << 62
 def int_array(a, bound: int) -> np.ndarray:
     """Integer rows or array as int64 when `bound`, a bound on what the caller computes, allows; else as Python ints."""
     return np.asarray(a, dtype=np.int64 if bound < INT64_LIMIT else object)
+
+
+def _array_max(a: np.ndarray) -> int:
+    return int(np.abs(a).max()) if a.size else 0
+
+
+def same_fractions(a: np.ndarray, da: int, b: np.ndarray, db: int) -> bool:
+    """Whether the integer arrays a / da and b / db are equal, by cross-multiplied numerators."""
+    bound = max(_array_max(a) * db, _array_max(b) * da)
+    return a.shape == b.shape and np.array_equal(int_array(a, bound) * db, int_array(b, bound) * da)
+
+
+def reduce_fraction(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """(nums / g, den / g) for g the gcd of den and every numerator."""
+    g = gcd(den, int(np.gcd.reduce(nums, axis=None))) if nums.size else den
+    return (nums // g, den // g) if g > 1 else (nums, den)
+
+
+# the multiplication tensor of Z: integer coefficient arrays are arrays with one column
+INT_TENSOR = np.ones((1, 1, 1), dtype=np.int64)
+
+
+def gather_products(a: np.ndarray, b: np.ndarray, tensor: np.ndarray, target: np.ndarray, size: int, fold_norm: int = 1):
+    """Sums of the products a_i b_j of every row pair, gathered into row target[i, j] of a (size, d) array.
+
+    a (Na, d) and b (Nb, d) are integer coordinate rows and tensor[k, e] holds
+    the coordinates of basis element k times basis element e: ctx._mul_tensor
+    for Q(q), INT_TENSOR for Z.  The products are one batched contraction and
+    the gather one unbuffered add.  The result is int64 when a bound on it
+    times fold_norm (the largest absolute row sum of whatever the caller
+    applies to it next) stays below INT64_LIMIT, and Python ints otherwise.
+    """
+    d = tensor.shape[0]
+    hits = int(np.bincount(target.ravel(), minlength=1).max()) if target.size else 0
+    bound = hits * d * d * _array_max(a) * _array_max(b) * _array_max(tensor) * fold_norm
+    a, b, tensor = (int_array(x, bound) for x in (a, b, tensor))
+    by_basis = np.tensordot(b, tensor, axes=([1], [1]))  # [j, k] = b_j times basis element k
+    pairs = np.tensordot(a, by_basis, axes=([1], [1]))  # [i, j] = a_i b_j
+    out = np.zeros((size, d), dtype=pairs.dtype)
+    np.add.at(out, target.ravel(), pairs.reshape(-1, d))
+    return out
+
+
+@lru_cache(maxsize=None)
+def split_prime(n: int) -> tuple[int, int]:
+    """(p, omega): the least prime p = 1 (mod 2n) above 2^30 and an element of order exactly n in F_p.
+
+    The elements of order n are the roots of Phi_n modulo p, so q -> omega is
+    a ring map Z[q]/Phi_n -> F_p (for n = 1, Z -> F_p).  Residues stay below
+    2^31, so products of two fit in int64.
+    """
+    p = (1 << 30) // (2 * n) * (2 * n) + 1
+    while p <= 1 << 30 or not all(p % f for f in range(3, isqrt(p) + 1, 2)):
+        p += 2 * n
+    factors = {f for f in range(2, n + 1) if n % f == 0 and all(f % e for e in range(2, f))}
+    for a in range(2, p):
+        omega = pow(a, (p - 1) // n, p)
+        if all(pow(omega, n // f, p) != 1 for f in factors):
+            return p, omega
+    raise ArithmeticError(f"no element of order {n} modulo {p}")
 
 
 def _divexact(num, den):
@@ -437,8 +506,26 @@ class CycArray:
     def __len__(self):
         return len(self.nums)
 
+    def __getitem__(self, i: int) -> CycNum:
+        """Entry i as a canonical CycNum."""
+        return _norm(self.ctx, self.nums[i].tolist(), self.den)
+
+    def __eq__(self, other):
+        if not isinstance(other, CycArray):
+            return NotImplemented
+        return self.ctx is other.ctx and same_fractions(self.nums, self.den, other.nums, other.den)
+
+    __hash__ = None
+
+    def is_zero(self) -> bool:
+        return not self.nums.any()
+
+    def reduced(self) -> "CycArray":
+        """The same vector with the common factor of the numerators and the denominator divided out."""
+        return CycArray(self.ctx, *reduce_fraction(self.nums, self.den))
+
     def max_abs(self) -> int:
-        return int(np.abs(self.nums).max()) if self.nums.size else 0
+        return _array_max(self.nums)
 
     def to_list(self) -> list:
         """The entries as canonical CycNum."""

@@ -6,6 +6,16 @@ one monic relation of degree n in x.  The class of V(ell, 0) is the
 bivariate Chebyshev-type polynomial f_{ell-1}(x, g), and [V(ell, r)] =
 g^r f_{ell-1}(x, g), so the n^2 monomials g^i x^k form a basis.
 
+An element is an integer coefficient array: row i*n + k holds the
+coefficient of g^i x^k, as phi(n) power-basis numerators over one common
+denominator for elements over Q(q), or as one integer column for integer
+classes.  A product is one batched pairwise product of the nonzero rows
+through the multiplication tensor (`cyclotomic.gather_products`; integer
+classes use the 1x1x1 tensor), gathered by (i1 + i2 mod n, k1 + k2), and
+one integer fold that rewrites x^m, m >= n, through the relation.  The
+conversions to and from the basis of simple classes are fixed integer
+n^2 x n^2 matrices.
+
 All tensor-product multiplicities (McKay matrices, Cartan data, fusion
 rows) are computed by multiplying in this presentation and converting
 back to the basis of simple classes; the explicit tensor decomposition
@@ -17,9 +27,21 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .cyclotomic import CyclotomicContext, make_context
+import numpy as np
+
+from .cyclotomic import (
+    INT_TENSOR,
+    CycArray,
+    CyclotomicContext,
+    CycNum,
+    gather_products,
+    int_array,
+    make_context,
+    reduce_fraction,
+    same_fractions,
+)
 from .dnrep import SimpleLabel, all_labels, label_index
-from .polymat import RingMatrix, RingPoly
+from .polymat import RingMatrix
 
 __all__ = ["PolyPres", "GrothRing", "groth_ring"]
 
@@ -39,38 +61,40 @@ def _wide_sub(d1, d2):
     return {k: v for k, v in out.items() if v}
 
 
+def _row_norm(m: np.ndarray) -> int:
+    """Largest absolute row sum of an integer matrix."""
+    return int(np.abs(m).sum(axis=1).max(initial=0))
+
+
 class PolyPres:
-    """Element of the presentation: an n x n coefficient grid, grid[g_power][x_power]."""
+    """Element of the presentation: nums[i*n + k] / den is the coefficient of g^i x^k.
 
-    __slots__ = ("ring", "grid")
+    Over Q(q) (ctx given) a row holds phi(n) power-basis numerators; an
+    integer class (ctx None) has one column and den 1.
+    """
 
-    def __init__(self, ring: "GrothRing", grid):
+    __slots__ = ("ring", "nums", "den", "ctx")
+
+    def __init__(self, ring: "GrothRing", nums: np.ndarray, den: int = 1, ctx: CyclotomicContext | None = None):
         self.ring = ring
-        self.grid = [list(row) for row in grid]
+        self.nums = nums
+        self.den = den
+        self.ctx = ctx
 
     def __eq__(self, other):
-        return isinstance(other, PolyPres) and self.grid == other.grid
+        return (
+            isinstance(other, PolyPres)
+            and self.ctx is other.ctx
+            and same_fractions(self.nums, self.den, other.nums, other.den)
+        )
 
     def is_zero(self):
-        return not any(any(row) for row in self.grid)
+        return not self.nums.any()
 
-    def __add__(self, other):
-        return PolyPres(
-            self.ring,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.grid, other.grid)],
-        )
-
-    def __sub__(self, other):
-        return PolyPres(
-            self.ring,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.grid, other.grid)],
-        )
-
-    def __neg__(self):
-        return PolyPres(self.ring, [[-a for a in row] for row in self.grid])
-
-    def scalar_mul(self, c):
-        return PolyPres(self.ring, [[a * c for a in row] for row in self.grid])
+    def scalar_mul(self, c: CycNum) -> "PolyPres":
+        """Every coefficient (over Q(q)) times the scalar c."""
+        scaled = CycArray(self.ctx, self.nums, self.den).scaled(c).reduced()
+        return PolyPres(self.ring, scaled.nums, scaled.den, self.ctx)
 
     def __mul__(self, other):
         return self.ring.mul(self, other)
@@ -78,23 +102,15 @@ class PolyPres:
     def to_simple(self):
         return self.ring.poly_to_simple(self)
 
-    def substitute_g(self, value, zero=0) -> RingPoly:
-        """Collapse g to a scalar, leaving a polynomial in x."""
-        n = self.ring.n
-        coeffs = [zero] * n
-        for gp, row in enumerate(self.grid):
-            for xp, v in enumerate(row):
-                if v:
-                    coeffs[xp] = coeffs[xp] + v * value**gp
-        return RingPoly(coeffs, zero)
+    def coefficients(self) -> list:
+        """The n^2 coefficients in row order: ints for an integer class, canonical CycNum otherwise."""
+        if self.ctx is None:
+            return [int(c) for c in self.nums[:, 0]]
+        return CycArray(self.ctx, self.nums, self.den).to_list()
 
     def __repr__(self):
-        bits = [
-            f"{v}*g^{gp}*x^{xp}"
-            for gp, row in enumerate(self.grid)
-            for xp, v in enumerate(row)
-            if v
-        ]
+        n = self.ring.n
+        bits = [f"{c}*g^{pos // n}*x^{pos % n}" for pos, c in enumerate(self.coefficients()) if c]
         return "PolyPres(" + " + ".join(bits) + ")" if bits else "PolyPres(0)"
 
 
@@ -125,9 +141,30 @@ class GrothRing:
                         nxt[key] = nxt.get(key, 0) + v * r
             xred[m] = {k: v for k, v in nxt.items() if v}
         self._xred = xred
-        # expansion of x^k in the basis {g^j f_{ell-1}}: list over k of
-        # [(ell, g_coeff_vector)] with integer g-vectors
-        self._xk_in_f = [self._expand_xk(k) for k in range(n)]
+        # the fold as an integer matrix: column g*(n-1) + m-n holds g^g x^m, m >= n, in the basis
+        xfold = np.zeros((n * n, n * (n - 1)), dtype=np.int64)
+        for m in range(n, 2 * n - 1):
+            for g in range(n):
+                for (g2, x2), r in xred[m].items():
+                    xfold[(g + g2) % n * n + x2, g * (n - 1) + m - n] += r
+        self._xfold = xfold
+        self._fold_norm = 1 + _row_norm(xfold)
+        # basis conversions as integer matrices: column (ell-1)*n + r of to_poly_matrix is
+        # g^r f_{ell-1}; column i*n + k of to_simple_matrix is g^i x^k over the simple classes
+        to_poly = np.zeros((n * n, n * n), dtype=np.int64)
+        for idx in range(n * n):
+            ell, r = idx // n + 1, idx % n
+            for (g, x), v in fs[ell - 1].items():
+                to_poly[(g + r) % n * n + x, idx] += v
+        to_simple = np.zeros((n * n, n * n), dtype=np.int64)
+        for k in range(n):
+            for ell, gvec in self._expand_xk(k):
+                for gi in range(n):
+                    for gj, c in enumerate(gvec):
+                        to_simple[(ell - 1) * n + (gi + gj) % n, gi * n + k] += c
+        self.to_poly_matrix = to_poly
+        self.to_simple_matrix = to_simple
+        self._f_seq = [self.from_wide(fs[ell - 1]) for ell in range(1, n + 1)]
         self._base_products: dict[tuple[int, int], list[int]] = {}
         self._mpow: list[RingMatrix] = []
         self._cartan = None
@@ -135,44 +172,34 @@ class GrothRing:
     # ------------------------------------------------------------------
     # presentation arithmetic
 
-    def zero(self, zero=0) -> PolyPres:
-        return PolyPres(self, [[zero] * self.n for _ in range(self.n)])
-
-    def from_wide(self, d, zero=0) -> PolyPres:
-        """Reduce an unrestricted {(g_pow, x_pow): coeff} dict into the presentation."""
+    def from_wide(self, d) -> PolyPres:
+        """Reduce an unrestricted {(g_pow, x_pow): int} dict into the presentation."""
         n = self.n
-        tmp = [[zero] * n for _ in range(2 * n - 1)]  # tmp[x][g]
+        wide = [[0] for _ in range(n * (2 * n - 1))]
         for (g, x), v in d.items():
-            tmp[x][g % n] = tmp[x][g % n] + v
-        return self._fold(tmp, zero)
+            wide[g % n * (2 * n - 1) + x][0] += v
+        bound = max((abs(v) for v in d.values()), default=0) * len(d) * self._fold_norm
+        return PolyPres(self, self._fold(int_array(wide, bound)))
 
-    def _fold(self, tmp, zero) -> PolyPres:
+    def _fold(self, wide: np.ndarray) -> np.ndarray:
+        """Rows g*(2n-1) + m, m < 2n - 1, reduced to the basis rows g*n + x by the relation."""
         n = self.n
-        for x in range(2 * n - 2, n - 1, -1):
-            row = tmp[x]
-            red = self._xred[x]
-            for g in range(n):
-                v = row[g]
-                if v:
-                    for (g2, x2), r in red.items():
-                        tmp[x2][(g + g2) % n] = tmp[x2][(g + g2) % n] + v * r
-        return PolyPres(self, [[tmp[x][g] for x in range(n)] for g in range(n)])
+        wide = wide.reshape(n, 2 * n - 1, -1)
+        low = wide[:, :n].reshape(n * n, -1)
+        high = wide[:, n:].reshape(n * (n - 1), -1)
+        return low + self._xfold @ high if high.any() else low
 
     def mul(self, a: PolyPres, b: PolyPres) -> PolyPres:
+        """The product in the presentation, on the nonzero rows of both factors."""
+        if a.ctx is not b.ctx:
+            raise ValueError("factors over different coefficient rings")
         n = self.n
-        zero = a.grid[0][0] * 0
-        tmp = [[zero] * n for _ in range(2 * n - 1)]
-        bg = b.grid
-        for ga, rowa in enumerate(a.grid):
-            for xa, va in enumerate(rowa):
-                if va:
-                    for gb, rowb in enumerate(bg):
-                        gi = (ga + gb) % n
-                        for xb, vb in enumerate(rowb):
-                            if vb:
-                                x = xa + xb
-                                tmp[x][gi] = tmp[x][gi] + va * vb
-        return self._fold(tmp, zero)
+        ia, ib = np.flatnonzero(a.nums.any(axis=1)), np.flatnonzero(b.nums.any(axis=1))
+        target = (np.add.outer(ia // n, ib // n) % n) * (2 * n - 1) + np.add.outer(ia % n, ib % n)
+        tensor = INT_TENSOR if a.ctx is None else a.ctx._mul_tensor
+        wide = gather_products(a.nums[ia], b.nums[ib], tensor, target, n * (2 * n - 1), self._fold_norm)
+        nums, den = reduce_fraction(self._fold(wide), a.den * b.den)
+        return PolyPres(self, nums, den, a.ctx)
 
     def _expand_xk(self, k: int):
         """Back-substitute x^k through the monic-in-x basis polynomials f_0..f_{n-1}."""
@@ -189,7 +216,8 @@ class GrothRing:
                         c = gvec[g]
                         if c:
                             resid[x2][(g + g2) % n] -= c * r
-        assert not any(any(row) for row in resid), "x^k expansion left a residue"
+        if any(any(row) for row in resid):
+            raise ArithmeticError("x^k expansion left a residue")
         return out
 
     # ------------------------------------------------------------------
@@ -199,7 +227,7 @@ class GrothRing:
         """The class of V(ell, 0) as the presentation polynomial f_{ell-1}(x, g)."""
         if not 1 <= ell <= self.n:
             raise ValueError(f"ell must lie in 1..{self.n}")
-        return self.from_wide(self._f_wide[ell - 1])
+        return self._f_seq[ell - 1]
 
     @staticmethod
     def f_closed_wide(ell: int) -> dict:
@@ -220,39 +248,31 @@ class GrothRing:
         out[(0, 0)] = out.get((0, 0), 0) - 2
         return {k: v for k, v in out.items() if v}
 
-    def label_poly(self, label: SimpleLabel) -> PolyPres:
-        """[V(ell, r)] = g^r f_{ell-1}(x, g)."""
-        wide = {((g + label.r) % self.n, x): v for (g, x), v in self._f_wide[label.ell - 1].items()}
-        return self.from_wide(wide)
-
     def simple_to_poly(self, coeffs) -> PolyPres:
-        """Linear map from a length-n^2 coefficient vector over the simple basis."""
-        n = self.n
-        zero = coeffs[0] * 0
-        grid = [[zero] * n for _ in range(n)]
-        for idx, c in enumerate(coeffs):
-            if c:
-                ell, r = idx // n + 1, idx % n
-                for (g, x), v in self._f_wide[ell - 1].items():
-                    gi = (g + r) % n
-                    grid[gi][x] = grid[gi][x] + c * v
-        return PolyPres(self, grid)
+        """Linear map from a length-n^2 coefficient vector over the simple basis.
+
+        A list of ints gives an integer class; a CycArray, or a list with
+        entries in Q(q), gives an element over Q(q).
+        """
+        if isinstance(coeffs, CycArray):
+            vec, den, ctx = coeffs.nums, coeffs.den, coeffs.ctx
+        elif all(type(c) is int for c in coeffs):
+            vec, den, ctx = np.array(coeffs, dtype=object).reshape(-1, 1), 1, None
+        else:
+            return self.simple_to_poly(CycArray.from_list(self.ctx, coeffs))
+        bound = int(np.abs(vec).max(initial=0)) * _row_norm(self.to_poly_matrix)
+        return PolyPres(self, int_array(self.to_poly_matrix, bound) @ int_array(vec, bound), den, ctx)
 
     def poly_to_simple(self, p: PolyPres):
-        """Inverse linear map, length-n^2 vector over lexicographically ordered labels."""
-        n = self.n
-        zero = p.grid[0][0] * 0
-        out = [zero] * (n * n)
-        for gi, row in enumerate(p.grid):
-            for xk, c in enumerate(row):
-                if c:
-                    for ell, gvec in self._xk_in_f[xk]:
-                        base = (ell - 1) * n
-                        for gj, r in enumerate(gvec):
-                            if r:
-                                pos = base + (gi + gj) % n
-                                out[pos] = out[pos] + c * r
-        return out
+        """Inverse linear map onto the lexicographically ordered simple labels.
+
+        An integer class gives a list of ints, an element over Q(q) a CycArray.
+        """
+        bound = int(np.abs(p.nums).max(initial=0)) * _row_norm(self.to_simple_matrix)
+        nums = int_array(self.to_simple_matrix, bound) @ p.nums
+        if p.ctx is None:
+            return [int(c) for c in nums[:, 0]]
+        return CycArray(p.ctx, nums, p.den).reduced()
 
     # ------------------------------------------------------------------
     # products of simples and McKay matrices

@@ -2,7 +2,9 @@
 
 Entries may be Python ints, Fractions, or CycNum; the element objects
 carry the arithmetic.  Rank and kernel computations require field
-entries (exact division).  Everything is exact, no floating point.
+entries (exact division).  Everything is exact, no floating point; a
+rank is first certified full modulo a prime that splits Q(q), and only
+a matrix that is not found full there is eliminated over the field.
 
 `relation` is the one statement of the eigen and Jordan relations of an
 integer matrix against a vector over Q(q): it certifies them exactly on
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycArray, CycNum, int_array
+from .cyclotomic import CycArray, CycNum, int_array, split_prime
 
 __all__ = ["RingPoly", "RingMatrix", "field_inverse", "CheckFailure", "relation"]
 
@@ -302,8 +304,52 @@ class RingMatrix:
         return not any(any(r) for r in self.rows)
 
     def rank_over_field(self) -> int:
-        """Exact rank; entries must support exact division."""
+        """Exact rank; entries must support exact division.
+
+        The rank is first taken modulo the prime p of `split_prime(n)` under
+        q -> omega, a ring map Z[q]/Phi_n -> F_p (n = 1 when no entry is a
+        CycNum).  A nonzero minor modulo p is a nonzero minor over Q(q), so
+        full rank there is full rank here; any other outcome, or a
+        denominator divisible by p, falls back to exact elimination.
+        """
+        full = min(self.nrows, self.ncols)
+        if full and self._rank_mod_p() == full:
+            return full
         return len(self._echelon()[0])
+
+    def _rank_mod_p(self):
+        """Rank of the image over F_p, or None when p divides a denominator."""
+        ctx = next((a.ctx for r in self.rows for a in r if isinstance(a, CycNum)), None)
+        p, omega = split_prime(ctx.n if ctx else 1)
+        powers = [pow(omega, k, p) for k in range(ctx.degree if ctx else 1)]
+        image = []
+        for row in self.rows:
+            for a in row:
+                if type(a) is int:
+                    num, den = a, 1
+                elif isinstance(a, CycNum):
+                    num, den = sum(c * w for c, w in zip(a.num, powers)), a.den
+                else:
+                    a = Fraction(a)
+                    num, den = a.numerator, a.denominator
+                if den % p == 0:
+                    return None
+                image.append(num * pow(den, -1, p) % p)
+        m = np.array(image, dtype=np.int64).reshape(self.nrows, self.ncols)
+        rank = 0
+        for col in range(self.ncols):
+            nonzero = np.flatnonzero(m[rank:, col])
+            if not nonzero.size:
+                continue
+            pivot = rank + int(nonzero[0])
+            m[[rank, pivot]] = m[[pivot, rank]]
+            m[rank] = m[rank] * pow(int(m[rank, col]), -1, p) % p
+            # entries stay below p < 2^31, so each product fits in int64
+            m[rank + 1:] = (m[rank + 1:] - np.outer(m[rank + 1:, col], m[rank])) % p
+            rank += 1
+            if rank == self.nrows:
+                break
+        return rank
 
     def _echelon(self):
         """Row echelon form by exact elimination; returns (pivot columns, rows)."""

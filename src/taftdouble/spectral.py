@@ -12,20 +12,25 @@ The second half constructs the idempotent decomposition of the
 complexified Grothendieck algebra (components cut out by the grouplike
 idempotents E_u, then polynomial arithmetic modulo the block
 characteristic polynomial) and the fusion matrix on a maximal
-independent family of projectives.
+independent family of projectives.  Component elements are integer
+coefficient arrays (`CycArray`, one row per power of x): a product is one
+batched pairwise product of the rows, gathered by degree, and one integer
+fold of x^n .. x^{2n-2} through the block polynomial, whose reductions
+have coefficients in Z[q]; the map to coordinates over the simple classes
+is a twist by the powers of q in E_{2r} and the ring's integer basis
+conversion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .chebyshev import bivariate_to_poly, p_n_bivariate
-from .cyclotomic import CycArray, CycNum, make_context
+from .cyclotomic import CycArray, CycNum, gather_products, int_array, make_context
 from .dnrep import Monomial, all_labels, double_rep
 from .grring import GrothRing, PolyPres, groth_ring
 from .polymat import CheckFailure, RingMatrix, RingPoly, relation
@@ -326,7 +331,12 @@ def in_span_of(vec, spanner):
 
 
 class GrothComponent:
-    """The r-th component: Q(q)[x] modulo the block polynomial at q^{2r}."""
+    """The r-th component: Q(q)[x] modulo the block polynomial p_r at q^{2r}.
+
+    The defining polynomials (modulus, F_j, G_j) are RingPolys; the
+    arithmetic runs on component arrays, CycArrays of length n whose row t
+    holds the coefficient of x^t.
+    """
 
     def __init__(self, tab: SpectralTables, ring: GrothRing, r: int):
         self.tab = tab
@@ -338,6 +348,23 @@ class GrothComponent:
         zero = ctx.zero()
         self.zero = zero
         self.modulus = bivariate_to_poly(p_n_bivariate(n), ctx.root_power(2 * r), zero)
+        # x^m mod p_r for m = n .. 2n-2, with coefficients in Z[q] because p_r is monic,
+        # as one integer matrix: row (m-n)*phi + e maps coordinate e of x^m onto the x^t
+        top = [-self.modulus[t] for t in range(n)]
+        powers = [top]
+        for _m in range(n + 1, 2 * n - 1):
+            prev = powers[-1]
+            powers.append([prev[n - 1] * top[0]] + [prev[t - 1] + prev[n - 1] * top[t] for t in range(1, n)])
+        table = CycArray.from_list(ctx, [c for row in powers for c in row])
+        if table.den != 1:
+            raise ArithmeticError(f"p_{r} is not monic over Z[q]")
+        d = ctx.degree
+        fold = np.tensordot(table.nums.reshape(n - 1, n, d), ctx._mul_tensor, axes=([2], [0]))
+        self._fold = fold.transpose(0, 2, 1, 3).reshape((n - 1) * d, n * d)
+        self._fold_norm = 1 + int(np.abs(self._fold).sum(axis=0).max())
+        self._degrees = np.add.outer(np.arange(n), np.arange(n))
+        # row v: multiplication by q^{-2rv}, the g^v coefficient of E_{2r} up to 1/n
+        self._twist = np.array([ctx.mul_matrix(ctx.root_power(-2 * r * v)) for v in range(n)])
         self.lams = [tab.lam(EigIndex(j, r)) for j in range(tab.h + 1)]
         lin = lambda lam: RingPoly([-lam, ctx.one()], zero)
         self.f_polys = []
@@ -372,43 +399,55 @@ class GrothComponent:
             acc = acc * it
         return acc
 
-    def mul(self, p1: RingPoly, p2: RingPoly) -> RingPoly:
-        return (p1 * p2).divmod(self.modulus)[1]
+    def array(self, poly: RingPoly) -> CycArray:
+        """The component array of a polynomial of degree < n."""
+        n = self.tab.n
+        if poly.degree() >= n:
+            raise ValueError(f"degree {poly.degree()} is not below {n}")
+        return CycArray.from_list(self.ctx, [poly[t] for t in range(n)])
+
+    def mul(self, a: CycArray, b: CycArray) -> CycArray:
+        """The product in the component: all pairwise coefficient products, gathered by degree, folded through p_r."""
+        n, d = self.tab.n, self.ctx.degree
+        wide = gather_products(a.nums, b.nums, self.ctx._mul_tensor, self._degrees, 2 * n - 1, self._fold_norm)
+        nums = wide[:n] + (wide[n:].reshape(1, -1) @ self._fold).reshape(n, d)
+        return CycArray(self.ctx, nums, a.den * b.den).reduced()
 
     def _solve_nu(self, j: int, theta: CycNum) -> CycNum:
         """nu with G^2 = theta G + nu F, found by exact expansion against F."""
-        g = self.g_polys[j]
-        rem = self.mul(g, g) - g * theta
+        g = self.array(self.g_polys[j])
+        rem = self.mul(g, g) + g.scaled(-theta)
         f = self.f_polys[j]
-        size = self.tab.n
-        nu = in_span_of([rem[t] for t in range(size)], [f[t] for t in range(size)])
+        nu = in_span_of(rem.to_list(), [f[t] for t in range(self.tab.n)])
         if nu is None:
             raise ArithmeticError("G^2 - theta G is not a multiple of F")
         return nu if isinstance(nu, CycNum) else self.ctx.zero()
 
-    def g_prime(self, j: int) -> RingPoly:
+    def g_prime(self, j: int) -> CycArray:
+        """G'_j = (G_j - (nu_j / theta_j) F_j) / theta_j, as a component array."""
         th_inv = self.thetas[j].inverse()
-        correction = self.f_polys[j] * (self.nus[j] * th_inv)
-        return (self.g_polys[j] - correction) * th_inv
+        g, f = self.array(self.g_polys[j]), self.array(self.f_polys[j])
+        return (g.scaled(th_inv) + f.scaled(-(self.nus[j] * th_inv * th_inv))).reduced()
 
-    def idempotent_polys(self) -> list[RingPoly]:
-        """xi^{-1} F_0 followed by G'_j, all idempotent in this component."""
-        out = [self.f_polys[0] * self.xi.inverse()]
+    def idempotent_polys(self) -> list[CycArray]:
+        """xi^{-1} F_0 followed by G'_j, all idempotent in this component, as component arrays."""
+        out = [self.array(self.f_polys[0]).scaled(self.xi.inverse()).reduced()]
         out.extend(self.g_prime(j) for j in range(1, self.tab.h + 1))
         return out
 
-    def to_groth(self, poly: RingPoly) -> list[CycNum]:
-        """Coordinates over the simple classes of poly(x) * E_{2r}."""
-        n = self.tab.n
-        ctx = self.ctx
-        inv_n = Fraction(1, n)
-        grid = [[ctx.zero()] * n for _ in range(n)]
-        for xk, c in enumerate(poly.coeffs):
-            if c:
-                scaled = c * inv_n
-                for v in range(n):
-                    grid[v][xk] = scaled.mul_qpow(-2 * self.r * v)
-        return self.ring.poly_to_simple(PolyPres(self.ring, grid))
+    def to_groth(self, elem) -> CycArray:
+        """Coordinates over the simple classes of elem(x) * E_{2r}; elem is a RingPoly or a component array.
+
+        E_{2r} = (1/n) sum_v q^{-2rv} g^v, so the presentation row v*n + t is
+        the coefficient of x^t times q^{-2rv} / n: one twist, then the
+        integer basis conversion.
+        """
+        a = self.array(elem) if isinstance(elem, RingPoly) else elem
+        n, d = self.tab.n, self.ctx.degree
+        bound = a.max_abs() * d * int(np.abs(self._twist).max())
+        grid = np.tensordot(int_array(a.nums, bound), int_array(self._twist, bound), axes=([1], [1]))
+        rows = grid.transpose(1, 0, 2).reshape(n * n, d)
+        return self.ring.poly_to_simple(PolyPres(self.ring, rows, a.den * n, self.ctx))
 
 
 class GrothDecomposition:
@@ -424,42 +463,42 @@ class GrothDecomposition:
     def e_idempotent(self, u: int) -> PolyPres:
         """E_u = (1/n) sum of q^{-uv} g^v, as a presentation element over Q(q)."""
         ctx, n = self.ctx, self.n
-        inv_n = Fraction(1, n)
-        grid = [[ctx.zero()] * n for _ in range(n)]
+        nums = np.zeros((n * n, ctx.degree), dtype=np.int64)
         for v in range(n):
-            grid[v][0] = ctx.root_power(-u * v) * inv_n
-        return PolyPres(self.ring, grid)
+            nums[v * n] = ctx.root_power(-u * v).num
+        return PolyPres(self.ring, nums, n, ctx)
 
     def f_coords(self, idx: EigIndex) -> list[CycNum]:
         comp = self.components[idx.r]
-        return comp.to_groth(comp.f_polys[idx.j])
+        return comp.to_groth(comp.f_polys[idx.j]).to_list()
 
     def g_coords(self, idx: EigIndex) -> list[CycNum]:
         comp = self.components[idx.r]
-        return comp.to_groth(comp.g_polys[idx.j])
+        return comp.to_groth(comp.g_polys[idx.j]).to_list()
 
-    def idempotent_coords(self) -> list[tuple[EigIndex, list[CycNum]]]:
+    def idempotent_coords(self) -> list[tuple[EigIndex, CycArray]]:
         out = []
         for r, comp in enumerate(self.components):
-            for j, poly in enumerate(comp.idempotent_polys()):
-                out.append((EigIndex(j, r), comp.to_groth(poly)))
+            for j, elem in enumerate(comp.idempotent_polys()):
+                out.append((EigIndex(j, r), comp.to_groth(elem)))
         return out
 
-    def eigenidem_certificate(self, idx: EigIndex, coords: list[CycNum]):
+    def eigenidem_certificate(self, idx: EigIndex, coords):
         """(c_u, exact) for e = sum coords_i [S_i]: e^2 must equal c_u e under the ring product.
 
         c_u is the sum over labels of the common-eigenvalue beta_j times the
         coordinate, and the square is computed by the full presentation
-        product, independent of the component arithmetic.
+        product, independent of the component arithmetic.  coords is a list
+        over Q(q) or a CycArray.
         """
         ring, tab = self.ring, self.tab
+        e = coords if isinstance(coords, CycArray) else CycArray.from_list(self.ctx, coords)
         c_u = self.ctx.zero()
-        for pos, lab in enumerate(all_labels(self.n)):
-            if coords[pos]:
-                c_u = c_u + tab.general_eigenvalue(idx, lab.ell, lab.r) * coords[pos]
-        square = ring.poly_to_simple(ring.mul(ring.simple_to_poly(coords), ring.simple_to_poly(coords)))
-        ok = all((a - c_u * b).is_zero() for a, b in zip(square, coords))
-        return c_u, ok
+        for lab, x in zip(all_labels(self.n), e.to_list()):
+            if x:
+                c_u = c_u + tab.general_eigenvalue(idx, lab.ell, lab.r) * x
+        elem = ring.simple_to_poly(e)
+        return c_u, ring.poly_to_simple(ring.mul(elem, elem)) == e.scaled(c_u)
 
 
 @lru_cache(maxsize=None)

@@ -227,18 +227,36 @@ def _require(ok: bool, message: str):
         raise CheckFailure(message)
 
 
-def _line_coefficient(M: RingMatrix, vec, lam: CycNum, side: str, line) -> CycNum:
-    """The only c for which (M - lam) v = c * line can hold (side as in `relation`).
+def _line_coefficient(A: np.ndarray, vec, lam: CycNum, side: str, line) -> CycNum:
+    """The only c for which (A - lam) v = c * line can hold (side as in `relation`).
 
-    It is read off at the first nonzero coordinate of the line; `relation`
+    A is an integer matrix and vec, line are lists over Q(q) or CycArrays.
+    c is read off at the first nonzero coordinate of the line; `relation`
     with the chain c * line then certifies the identity at every coordinate.
     """
-    p = next((t for t, x in enumerate(line) if x), None)
+    p = next((t for t in range(len(line)) if line[t]), None)
     if p is None:
         raise CheckFailure("the spanning vector of the line is zero")
-    weights = M.rows[p] if side == "right" else [row[p] for row in M.rows]
-    image = sum((vec[t] * a for t, a in enumerate(weights) if a), lam.ctx.zero())
+    weights = (A if side == "right" else A.T)[p]
+    image = sum((vec[t] * int(weights[t]) for t in np.flatnonzero(weights)), lam.ctx.zero())
     return (image - lam * vec[p]) / line[p]
+
+
+def _block_charpoly_values(t: np.ndarray, qk: complex, n: int):
+    """The k-th block polynomial and its derivative at the points t, numerically.
+
+    Evaluated through the recurrence that defines it, u_0 = 1, u_1 = t,
+    u_m = t u_{m-1} - q^k u_{m-2}, p = t u_{n-1} - 2 q^k u_{n-2} - 2, whose
+    terms stay of the size of Chebyshev values at |t| <= 2; the monomial
+    coefficients grow like binomials and cancel in floating point.
+    """
+    u_prev, u_cur = np.ones_like(t), t
+    du_prev, du_cur = np.zeros_like(t), np.ones_like(t)
+    for _ in range(2, n):
+        u_prev, u_cur, du_prev, du_cur = (
+            u_cur, t * u_cur - qk * u_prev, du_cur, u_cur + t * du_cur - qk * du_prev,
+        )
+    return t * u_cur - 2 * qk * u_prev - 2, u_cur + t * du_cur - 2 * qk * du_prev
 
 
 def check_charpoly_table(ws: Workspace):
@@ -257,10 +275,9 @@ def check_charpoly_table(ws: Workspace):
         if n <= 7 or k <= 1:
             assert blk.char_poly_small() == bp, f"generic determinant route disagrees at block {k}"
         # numeric oracle: eigenvalues of the embedded block solve the embedded polynomial
-        coeffs = embed_vec(bp.coeffs)
-        eigs = np.linalg.eigvals(embed_mat(blk))
-        vals = np.polyval(coeffs[::-1], eigs)
-        oracle.vec_residual(np.abs(vals) / max(1.0, float(np.max(np.abs(coeffs)))))
+        scale = max(1.0, float(np.max(np.abs(embed_vec(bp.coeffs)))))
+        vals, _ = _block_charpoly_values(np.linalg.eigvals(embed_mat(blk)), ctx.root_power(k).embed(), n)
+        oracle.vec_residual(np.abs(vals) / scale)
     return oracle.residual, {"blocks": n}
 
 
@@ -292,11 +309,11 @@ def check_charpoly_factorization(ws: Workspace):
         assert g == expect, f"gcd multiplicity structure wrong in block {k}"
         # numeric oracle: the embedded polynomial and its derivative vanish at the roots
         # (eigensolvers are sqrt(eps)-accurate on defective matrices, so evaluate instead)
-        coeffs = embed_vec(bp.coeffs)[::-1]
-        dcoeffs = embed_vec(bp.derivative().coeffs)[::-1]
-        scale = max(1.0, float(np.max(np.abs(coeffs))))
-        oracle.vec_residual(np.abs(np.polyval(coeffs, embed_vec([simple] + doubles))) / scale)
-        oracle.vec_residual(np.abs(np.polyval(dcoeffs, embed_vec(doubles))) / scale)
+        scale = max(1.0, float(np.max(np.abs(embed_vec(bp.coeffs)))))
+        vals, _ = _block_charpoly_values(embed_vec([simple] + doubles), ctx.root_power(k).embed(), n)
+        _, slopes = _block_charpoly_values(embed_vec(doubles), ctx.root_power(k).embed(), n)
+        oracle.vec_residual(np.abs(vals) / scale)
+        oracle.vec_residual(np.abs(slopes) / scale)
     return oracle.residual, {"blocks": n}
 
 
@@ -452,7 +469,7 @@ def check_spectral_certificates(ws: Workspace):
 
 def check_generalized_traces(ws: Workspace):
     """Trace combinations of b^i c^k d^l a^l land in the right generalized eigenspace."""
-    n, rep, M, Mi, ctx = ws.n, ws.rep, ws.M, ws.M_int, ws.ctx
+    n, rep, Mi, ctx = ws.n, ws.rep, ws.M_int, ws.ctx
     oracle = Oracle()
     rnd = _rng("generalized-traces", n)
     bcda_samples = {(rnd.randrange(n), rnd.randrange(n)) for _ in range(4)}
@@ -464,7 +481,7 @@ def check_generalized_traces(ws: Workspace):
             assert gammas[-1] == ctx.one(), "the top coefficient must be 1"
             # (M - lam) v = c t for the eigenvector t, and (M - lam) t = 0
             t = ws.grouplike_traces[(i, k)]
-            c = _line_coefficient(M, vec, lam, "right", t)
+            c = _line_coefficient(Mi, vec, lam, "right", t)
             ta = CycArray.from_list(ctx, t)
             where = f"({i},{k})"
             oracle.see(relation(
@@ -498,7 +515,7 @@ def check_projective_trace_table(ws: Workspace):
         oracle.see(relation(ws.M_int, w, lam, "left", what=f"Tr_P eigen at i={i}"))
         r = (-i) % n
         comp = dec.components[r]
-        coords = comp.to_groth(comp.f_polys[0] * comp.xi.inverse())
+        coords = comp.to_groth(comp.f_polys[0] * comp.xi.inverse()).to_list()
         scal = in_span_of(w, coords)
         assert scal is not None and scal, f"Tr_P(b^{i}c^-{i}) not proportional to the idempotent"
     for i in range(n):
@@ -511,7 +528,7 @@ def check_projective_trace_table(ws: Workspace):
             assert rows[i] == expect, f"frozen n=3 row {i} mismatch"
         for r in range(3):
             comp = dec.components[r]
-            coords = comp.to_groth(comp.f_polys[0] * comp.xi.inverse())
+            coords = comp.to_groth(comp.f_polys[0] * comp.xi.inverse()).to_list()
             scaled = [c * 81 for c in coords]
             assert scaled == rows[(-r) % 3], f"81 xi^-1 F_0,{r} does not match the table row"
     return oracle.residual, {"rows": n}
@@ -633,14 +650,13 @@ def check_general_eigenvalues(ws: Workspace):
 
 def _g_shift(p):
     """g * p in the presentation: a cyclic shift of the g-index."""
-    grid = p.grid
-    n = len(grid)
-    return type(p)(p.ring, [grid[(g - 1) % n] for g in range(n)])
+    n = p.ring.n
+    return type(p)(p.ring, np.roll(p.nums.reshape(n, n, -1), 1, axis=0).reshape(p.nums.shape), p.den, p.ctx)
 
 
 def check_grothendieck_idempotents(ws: Workspace):
     """Radical basis, orthogonal idempotents, and their eigenvector coordinates."""
-    n, dec, ring, tab, ctx, M = ws.n, ws.dec, ws.ring, ws.tab, ws.ctx, ws.M
+    n, dec, ring, tab, ctx = ws.n, ws.dec, ws.ring, ws.tab, ws.ctx
     oracle = Oracle()
     h = (n - 1) // 2
     # grouplike idempotents: full-product orthogonality in the presentation
@@ -649,57 +665,52 @@ def check_grothendieck_idempotents(ws: Workspace):
         for v in range(u + 1):
             prod = ring.mul(e_elems[u], e_elems[v])
             if u == v:
-                assert prod == e_elems[u], f"E_{u} is not idempotent"
+                _require(prod == e_elems[u], f"E_{u} is not idempotent")
             else:
-                assert prod.is_zero(), f"E_{u} E_{v} != 0"
-        assert _g_shift(e_elems[u]) == e_elems[u].scalar_mul(ctx.root_power(u)), (
-            f"g E_{u} != q^{u} E_{u}"
-        )
+                _require(prod.is_zero(), f"E_{u} E_{v} != 0")
+        _require(_g_shift(e_elems[u]) == e_elems[u].scalar_mul(ctx.root_power(u)), f"g E_{u} != q^{u} E_{u}")
 
     for r in range(n):
         comp = dec.components[r]
+        F = [comp.array(f) for f in comp.f_polys]
+        G = [None] + [comp.array(g) for g in comp.g_polys[1:]]
         for j in range(1, h + 1):
             for k in range(1, j + 1):
-                assert comp.mul(comp.f_polys[j], comp.f_polys[k]).is_zero(), (
-                    f"F({j},{r}) F({k},{r}) != 0"
-                )
-        sq0 = comp.mul(comp.f_polys[0], comp.f_polys[0])
-        assert sq0 == comp.f_polys[0] * comp.xi, f"F(0,{r})^2 != xi F(0,{r})"
+                _require(comp.mul(F[j], F[k]).is_zero(), f"F({j},{r}) F({k},{r}) != 0")
+        _require(comp.mul(F[0], F[0]) == F[0].scaled(comp.xi), f"F(0,{r})^2 != xi F(0,{r})")
         for j in range(1, h + 1):
-            gf = comp.mul(comp.g_polys[j], comp.f_polys[j])
-            assert gf == comp.f_polys[j] * comp.thetas[j], f"G F != theta F at ({j},{r})"
-            gg = comp.mul(comp.g_polys[j], comp.g_polys[j])
-            expect = comp.g_polys[j] * comp.thetas[j] + comp.f_polys[j] * comp.nus[j]
-            assert gg == expect, f"G^2 != theta G + nu F at ({j},{r})"
+            theta, nu = comp.thetas[j], comp.nus[j]
+            _require(comp.mul(G[j], F[j]) == F[j].scaled(theta), f"G F != theta F at ({j},{r})")
+            _require(
+                comp.mul(G[j], G[j]) == G[j].scaled(theta) + F[j].scaled(nu), f"G^2 != theta G + nu F at ({j},{r})"
+            )
         idems = comp.idempotent_polys()
         for a in range(len(idems)):
             for b in range(a + 1):
                 prod = comp.mul(idems[a], idems[b])
                 if a == b:
-                    assert prod == idems[a], f"idempotency fails at ({a},{r})"
+                    _require(prod == idems[a], f"idempotency fails at ({a},{r})")
                 else:
-                    assert prod.is_zero(), f"orthogonality fails at ({a},{b},{r})"
-        basis_rows = [[poly[t] for t in range(n)] for poly in idems]
-        basis_rows += [[comp.f_polys[j][t] for t in range(n)] for j in range(1, h + 1)]
-        assert RingMatrix(basis_rows).rank_over_field() == n, f"component {r} basis degenerate"
+                    _require(prod.is_zero(), f"orthogonality fails at ({a},{b},{r})")
+        basis_rows = [e.to_list() for e in idems + F[1:]]
+        _require(RingMatrix(basis_rows).rank_over_field() == n, f"component {r} basis degenerate")
 
     # coordinate vectors: exact left (generalized) eigenvectors of the McKay matrix
     radical = {}
     for r in range(n):
+        comp = dec.components[r]
         for j in range(1, h + 1):
             idx = EigIndex(j, r)
             lam = tab.lam(idx)
-            f = dec.f_coords(idx)
-            fa = CycArray.from_list(ctx, f)
-            radical[idx] = (f, fa)
-            oracle.see(relation(ws.M_int, fa, lam, "left", what=f"radical F{tuple(idx)} eigen"))
+            f = radical[idx] = comp.to_groth(comp.f_polys[j])
+            oracle.see(relation(ws.M_int, f, lam, "left", what=f"radical F{tuple(idx)} eigen"))
             oracle.see(relation(
-                ws.M_int, dec.g_coords(idx), lam, "left", chain=fa, what=f"Jordan pair G{tuple(idx)}",
+                ws.M_int, dec.g_coords(idx), lam, "left", chain=f, what=f"Jordan pair G{tuple(idx)}",
             ))
     rad_count = len(radical)
-    assert rad_count == n * (n - 1) // 2
+    _require(rad_count == n * (n - 1) // 2, f"{rad_count} radical elements")
     idem_coords = dec.idempotent_coords()
-    assert len(idem_coords) == n * (n + 1) // 2
+    _require(len(idem_coords) == n * (n + 1) // 2, f"{len(idem_coords)} idempotents")
     for idx, coords in idem_coords:
         lam = tab.lam(idx)
         what = f"idempotent at {tuple(idx)} leaves the generalized eigenspace"
@@ -707,52 +718,51 @@ def check_grothendieck_idempotents(ws: Workspace):
             oracle.see(relation(ws.M_int, coords, lam, "left", what=what))
         else:
             # corrected idempotents mix the Jordan pair: (M - lam) lands on the radical line
-            f, fa = radical[idx]
-            c = _line_coefficient(M, coords, lam, "left", f)
-            oracle.see(relation(ws.M_int, coords, lam, "left", chain=fa.scaled(c), what=what))
+            f = radical[idx]
+            c = _line_coefficient(ws.M_int, coords, lam, "left", f)
+            oracle.see(relation(ws.M_int, coords, lam, "left", chain=f.scaled(c), what=what))
 
-    # round-trip bijectivity of the basis conversion certifies independence transfer
-    rnd = _rng("grothendieck-idempotents", n)
-    for _ in range(6):
-        vec = [ctx.from_rational(rnd.randrange(-3, 4)) for _ in range(n * n)]
-        assert ring.poly_to_simple(ring.simple_to_poly(vec)) == vec
+    # the two integer basis conversions are inverse to each other, so both are bijective
+    _require(
+        np.array_equal(ring.to_simple_matrix @ ring.to_poly_matrix, np.eye(n * n, dtype=np.int64)),
+        "the basis conversions are not inverse to each other",
+    )
 
     # eigen-idempotent certificates through the full presentation product
+    idem_at = dict(idem_coords)
     sample_r = range(n) if n <= 7 else [0]
     for r in sample_r:
-        comp = dec.components[r]
-        c_u, ok = dec.eigenidem_certificate(
-            EigIndex(0, r), comp.to_groth(comp.f_polys[0] * comp.xi.inverse())
-        )
-        assert ok and c_u == ctx.one(), f"unit certificate fails at r={r}"
-        c_u, ok = dec.eigenidem_certificate(EigIndex(1, r), dec.f_coords(EigIndex(1, r)))
-        assert ok and c_u.is_zero(), f"radical certificate fails at r={r}"
-        c_u, ok = dec.eigenidem_certificate(EigIndex(1, r), comp.to_groth(comp.g_prime(1)))
-        assert ok and c_u == ctx.one(), f"corrected idempotent certificate fails at r={r}"
+        c_u, ok = dec.eigenidem_certificate(EigIndex(0, r), idem_at[EigIndex(0, r)])
+        _require(ok and c_u == ctx.one(), f"unit certificate fails at r={r}")
+        c_u, ok = dec.eigenidem_certificate(EigIndex(1, r), radical[EigIndex(1, r)])
+        _require(ok and c_u.is_zero(), f"radical certificate fails at r={r}")
+        c_u, ok = dec.eigenidem_certificate(EigIndex(1, r), idem_at[EigIndex(1, r)])
+        _require(ok and c_u == ctx.one(), f"corrected idempotent certificate fails at r={r}")
     # cross-component radical products through the full presentation
     rnd2 = _rng("radical-cross", n)
     for _ in range(2):
         j1, j2 = rnd2.randrange(1, h + 1), rnd2.randrange(1, h + 1)
         r1 = rnd2.randrange(n)
         r2 = (r1 + rnd2.randrange(1, n)) % n
-        p1 = ring.simple_to_poly(dec.f_coords(EigIndex(j1, r1)))
-        p2 = ring.simple_to_poly(dec.f_coords(EigIndex(j2, r2)))
-        assert ring.mul(p1, p2).is_zero(), "cross-component radical product not zero"
+        p1 = ring.simple_to_poly(radical[EigIndex(j1, r1)])
+        p2 = ring.simple_to_poly(radical[EigIndex(j2, r2)])
+        _require(ring.mul(p1, p2).is_zero(), "cross-component radical product not zero")
 
     if n == 3:
         for r in range(3):
             comp = dec.components[r]
-            assert comp.xi == ctx.root_power(2 * r) * 9, "xi != 9 q^{2r} at n=3"
-            assert comp.thetas[1] == ctx.root_power(r) * (-3), "theta != -3 q^r at n=3"
-            assert comp.nus[1] == ctx.one(), "nu != 1 at n=3"
+            _require(comp.xi == ctx.root_power(2 * r) * 9, "xi != 9 q^{2r} at n=3")
+            _require(comp.thetas[1] == ctx.root_power(r) * (-3), "theta != -3 q^r at n=3")
+            _require(comp.nus[1] == ctx.one(), "nu != 1 at n=3")
 
     # numeric oracle on the algebra level: e^2 - e for one idempotent
     _, coords = idem_coords[0]
-    un = embed_vec(coords)
+    un = coords.embed()
     square = np.zeros(n * n, dtype=complex)
-    for pos, lab in enumerate(all_labels(n)):
-        if coords[pos]:
-            square += un[pos] * (un @ embed_mat(ws.mckay(lab.ell, lab.r)))
+    labels = all_labels(n)
+    for pos in np.flatnonzero(coords.nums.any(axis=1)):
+        lab = labels[pos]
+        square += un[pos] * (un @ embed_mat(ws.mckay(lab.ell, lab.r)))
     oracle.vec_residual(np.abs(square - un))
     return oracle.residual, {"radical": rad_count, "idempotents": len(idem_coords)}
 

@@ -213,3 +213,23 @@ def test_array_falls_back_to_python_ints():
     small = CycArray.from_list(ctx, [ctx.root_power(1)] * 3)
     assert small.nums.dtype == np.int64
     assert (small + arr).to_list() == [ctx.root_power(1) + x for x in vec]
+
+
+@pytest.mark.parametrize("n", [3, 5, 11])
+def test_array_equality_indexing_and_reduction(n):
+    ctx = make_context(n)
+    vec = _random_vector(ctx, 2 * n, seed=400 + n)
+    arr = CycArray.from_list(ctx, vec)
+    assert [arr[i] for i in range(len(arr))] == vec
+    # the same vector over a multiple of the denominator, and past the int64 bound
+    assert CycArray(ctx, arr.nums * 6, arr.den * 6) == arr
+    assert CycArray(ctx, arr.nums.astype(object) * 2**70, arr.den * 2**70) == arr
+    assert CycArray(ctx, arr.nums * 6, arr.den * 6).reduced().den == arr.reduced().den
+    assert arr != CycArray.from_list(ctx, _bumped_first(vec))
+    assert CycArray(ctx, arr.nums * 0, 5).is_zero() and not arr.is_zero()
+    ones = [1] * len(vec)
+    assert CycArray.from_list(ctx, ones) != CycArray.from_list(make_context(n + 2), ones)
+
+
+def _bumped_first(vec):
+    return [vec[0] + 1] + list(vec[1:])

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from taftdouble.cyclotomic import CycArray, make_context
+from taftdouble.cyclotomic import CycArray, make_context, split_prime
 from taftdouble.grring import groth_ring
 from taftdouble.polymat import CheckFailure, RingMatrix, RingPoly, relation
 from taftdouble.spectral import EigIndex, certificates, groth_decomposition, spectral_tables
@@ -219,3 +219,63 @@ def test_int_array():
     assert RingMatrix([[1, 2], [3, 4]]).int_array().dtype == np.int64
     with pytest.raises(TypeError):
         RingMatrix([[Fraction(1, 2)]]).int_array()
+
+
+def _random_cyc(ctx, rnd, den=1):
+    return ctx.from_coeffs([Fraction(rnd.randint(-3, 3), den) for _ in range(ctx.degree)])
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_rank_mod_p_agrees_with_exact_elimination(n):
+    """Full rank over F_p certifies full rank; deficient matrices fall back to the exact rank."""
+    ctx = make_context(n)
+    rnd = random.Random(n)
+    for trial in range(8):
+        rows = [[_random_cyc(ctx, rnd, rnd.choice((1, 2, 9))) for _ in range(5)] for _ in range(3 + trial % 3)]
+        if trial % 2:
+            # a dependent row: a Q(q)-combination of two others
+            c = _random_cyc(ctx, rnd)
+            rows[-1] = [a * c + b for a, b in zip(rows[0], rows[1])]
+        for m in (RingMatrix(rows), RingMatrix(rows).transpose()):
+            exact = len(m._echelon()[0])
+            assert m.rank_over_field() == exact
+            assert m._rank_mod_p() <= exact
+            assert (exact < min(m.nrows, m.ncols)) == bool(trial % 2)
+
+
+def test_split_prime_maps_q_to_an_element_of_order_n():
+    for n in (1, 3, 5, 7, 9, 11, 13, 15):
+        p, omega = split_prime(n)
+        assert p % (2 * n) == 1 and p > 2**30 and p < 2**31
+        assert all(p % f for f in range(2, 2**16))
+        assert pow(omega, n, p) == 1
+        assert all(pow(omega, k, p) != 1 for k in range(1, n))
+        # omega is a root of Phi_n modulo p
+        phi = make_context(n).phi_n if n > 1 else (-1, 1)
+        assert sum(c * pow(omega, e, p) for e, c in enumerate(phi)) % p == 0
+
+
+def test_rank_singular_mod_p_only_takes_the_exact_route(monkeypatch):
+    """An entry equal to p makes the determinant p: singular over F_p, invertible over Q."""
+    p, _ = split_prime(1)
+    m = RingMatrix([[1, 1, 0], [1, 1 + p, 0], [0, 0, 1]])
+    assert m._rank_mod_p() == 2
+    calls = []
+    exact = RingMatrix._echelon
+    monkeypatch.setattr(RingMatrix, "_echelon", lambda self: calls.append(1) or exact(self))
+    assert m.rank_over_field() == 3 and calls
+    calls.clear()
+    assert RingMatrix([[1, 1], [1, 2]]).rank_over_field() == 2 and not calls
+
+
+def test_rank_denominator_divisible_by_p_falls_back(monkeypatch):
+    n = 5
+    ctx = make_context(n)
+    p, _ = split_prime(n)
+    q = ctx.root_power(1)
+    m = RingMatrix([[q * Fraction(1, p), ctx.one()], [ctx.one(), q]])
+    assert m._rank_mod_p() is None
+    calls = []
+    exact = RingMatrix._echelon
+    monkeypatch.setattr(RingMatrix, "_echelon", lambda self: calls.append(1) or exact(self))
+    assert m.rank_over_field() == 2 and calls

@@ -10,8 +10,8 @@ import taftdouble.verify as verify_mod
 from taftdouble.cli import main
 from taftdouble.dnrep import DoubleRep
 from taftdouble.grring import GrothRing
-from taftdouble.spectral import GrothDecomposition, SpectralTables
-from taftdouble.verify import Oracle, check_ids, emit_report, run_suite
+from taftdouble.spectral import GrothDecomposition, SpectralTables, spectral_tables
+from taftdouble.verify import Oracle, _block_charpoly_values, check_ids, embed_vec, emit_report, run_suite
 
 
 def test_run_suite_single_selection():
@@ -105,6 +105,27 @@ def test_oracle_treats_non_finite_as_failure():
     oracle.see(1e-12)
     oracle.see(-float("inf"))
     assert oracle.residual == float("inf")
+
+
+def test_block_charpoly_recurrence_matches_the_polynomial():
+    for n in (3, 5, 7):
+        tab = spectral_tables(n)
+        points = np.array([0.3 + 0.1j, -1.7, 2.0, 1j, 1.9 - 0.4j])
+        for k in range(n):
+            bp = tab.block_charpoly(k)
+            vals, slopes = _block_charpoly_values(points, tab.ctx.root_power(k).embed(), n)
+            np.testing.assert_allclose(vals, np.polyval(embed_vec(bp.coeffs)[::-1], points), atol=1e-10)
+            np.testing.assert_allclose(
+                slopes, np.polyval(embed_vec(bp.derivative().coeffs)[::-1], points), atol=1e-10
+            )
+
+
+def test_charpoly_oracles_stay_small_past_the_default_bound(monkeypatch):
+    """Through the recurrence the residual does not grow with n (np.polyval gave 8e-12 at n = 17)."""
+    monkeypatch.setenv("TAFTDOUBLE_MAX_N", "17")
+    report = run_suite(17, ["charpoly-table", "charpoly-factorization"])
+    assert report.all_pass
+    assert all(c.oracle_residual < 1e-13 for c in report.checks)
 
 
 def test_crashing_check_is_reported_as_error(capsys, monkeypatch):
@@ -226,6 +247,31 @@ print(result.status, result.detail)
     stdout = _run_optimized(script)
     assert stdout.startswith("fail"), stdout
     assert "D(xa) != D(x) D(a)" in stdout, stdout
+
+
+def test_grothendieck_idempotents_survive_python_O():
+    """Under -O the idempotent checks must still reject one wrong coefficient of one idempotent."""
+    script = """
+import sys
+assert sys.flags.optimize == 1
+from taftdouble.cyclotomic import CycArray
+from taftdouble.spectral import GrothComponent
+from taftdouble.verify import run_suite
+original = GrothComponent.idempotent_polys
+def wrong(self):
+    out = original(self)
+    if self.r == 1:
+        nums = out[1].nums.copy()
+        nums[0, 0] += 1
+        out[1] = CycArray(out[1].ctx, nums, out[1].den)
+    return out
+GrothComponent.idempotent_polys = wrong
+result = run_suite(3, ["grothendieck-idempotents"]).checks[0]
+print(result.status, result.detail)
+"""
+    stdout = _run_optimized(script)
+    assert stdout.startswith("fail"), stdout
+    assert "orthogonality fails at (1,0,1)" in stdout, stdout
 
 
 def test_cli_verify_json(capsys):
