@@ -1,6 +1,6 @@
 """Exact spectral theory of McKay matrices for the Drinfeld double of the Taft algebra."""
 
-from .cyclotomic import CycNum, CyclotomicContext, complex_embed, cyclotomic_polynomial, make_context
+from .cyclotomic import CycNum, CyclotomicContext, cyclotomic_polynomial, make_context
 from .polymat import RingMatrix, RingPoly
 from .chebyshev import cheb_eval, cheb_poly, p_n_bivariate, p_n_factor_check, u_bivariate
 from .dnrep import DoubleRep, Monomial, PbwElement, SimpleLabel, all_labels, double_rep, label_index
@@ -24,7 +24,6 @@ from .verify import SuiteReport, emit_report, run_suite
 __all__ = [
     "CycNum",
     "CyclotomicContext",
-    "complex_embed",
     "cyclotomic_polynomial",
     "make_context",
     "RingMatrix",

@@ -11,7 +11,7 @@ import json
 import sys
 
 from .chebyshev import CHEB_KINDS, cheb_poly
-from .cyclotomic import CycNum
+from .cyclotomic import CycArray, CycNum
 from .dnrep import Monomial, all_labels, double_rep
 from .grring import groth_ring
 from .spectral import (
@@ -39,8 +39,9 @@ def _encode(x):
     return str(x)
 
 
-def _encode_vec(vec):
-    return [_encode(x) for x in vec]
+def _encode_vec(vec: CycArray):
+    """The entries of an array vector, as canonical CycNum, in JSON-ready form."""
+    return [_encode(x) for x in vec.to_list()]
 
 
 def _parse_pair(text, what):
@@ -131,7 +132,7 @@ def cmd_chartable(args) -> int:
     else:
         i, k, t = 0, 0, 0
     mono = Monomial(i % n, k % n, t)
-    values = rep.trace_vector_S(mono)
+    values = rep.trace_vector_S(mono).to_list()
     labels = all_labels(n)
     if args.format == "csv":
         print("ell,r,value")
@@ -163,13 +164,14 @@ def _certificate_payload(n: int) -> list[dict]:
     Mn = ws.M_numeric
     for cert in ws.certs:
         lamn = cert.lam.embed()
-        vr = embed_vec(cert.right)
+        right = cert.right.to_list()
+        vr = embed_vec(right)
         residual = float(np.max(np.abs(Mn @ vr - lamn * vr)))
         entry = {
             "j": cert.index.j,
             "r": cert.index.r,
             "lambda": _encode(cert.lam),
-            "right": _encode_vec(cert.right),
+            "right": [_encode(x) for x in right],
             "left": _encode_vec(cert.left),
             "exact": cert.exact,
             "oracle_residual": residual,
@@ -211,11 +213,11 @@ def _idempotent_payload(n: int) -> dict:
                 "theta": [_encode(t) for t in comp.thetas[1:]],
                 "nu": [_encode(v) for v in comp.nus[1:]],
                 "radical_coords": [
-                    _encode_vec(comp.to_groth(comp.f_polys[j]).to_list())
+                    _encode_vec(comp.to_groth(comp.f_polys[j]))
                     for j in range(1, (n - 1) // 2 + 1)
                 ],
                 "idempotent_coords": [
-                    _encode_vec(comp.to_groth(p).to_list()) for p in comp.idempotent_polys()
+                    _encode_vec(comp.to_groth(p)) for p in comp.idempotent_polys()
                 ],
             }
         )

@@ -8,14 +8,15 @@ equality is component-wise.  Everything is exact; floating point enters
 only through the complex embedding, which serves as an independent
 numeric oracle.
 
-Vectors over Q(q) also have an array form, `CycArray`: an (N, phi(n))
-integer numpy array of numerators over one common denominator.  Products
-with integer matrices and with a fixed scalar then run as integer matrix
-products, and exact equality is `array_equal` on cross-multiplied
-numerators.  `gather_products` multiplies every row of one such array with
-every row of another through the multiplication tensor of the power basis
-in one batched contraction; the Grothendieck-algebra products are built on
-it.  `split_prime(n)` gives a prime p = 1 (mod n) with an element of order
+Vectors over Q(q) are `CycArray`s: an (N, phi(n)) integer numpy array of
+numerators over one common denominator.  Products with integer matrices
+and with a fixed scalar run as integer matrix products, and exact equality
+is `array_equal` on cross-multiplied numerators.  `CycArray.qpow_blocks`
+stacks a column of coefficients over powers of q, the shape of every
+eigenvector and trace vector downstream.  `gather_products` multiplies
+every row of one such array with every row of another through the
+multiplication tensor of the power basis in one batched contraction; the
+Grothendieck-algebra products are built on it.  `split_prime(n)` gives a prime p = 1 (mod n) with an element of order
 n in F_p, so q -> omega maps Z[q] onto F_p; ranks are certified there.
 
 Only odd n >= 3 are accepted: the whole construction downstream (the
@@ -31,7 +32,6 @@ from functools import lru_cache
 from itertools import chain
 from math import gcd, isqrt, lcm
 
-import mpmath
 import numpy as np
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "reduce_fraction",
     "gather_products",
     "split_prime",
-    "complex_embed",
 ]
 
 # int64 arithmetic is used only when a bound on every intermediate value
@@ -188,12 +187,15 @@ class CyclotomicContext:
         self._qtable = tuple(CycNum(self, self._qpow_rows[e], 1) for e in range(n))
         self._unit = [cmath.exp(2j * cmath.pi * e / n) for e in range(d)]
         self._unit_array = np.array(self._unit)
-        # _mul_tensor[k, e] holds the coefficients of q^(k+e), so a numerator
-        # vector contracted against it gives the rows of a multiplication matrix
-        self._mul_tensor = np.array(
-            [[self._qpow_rows[(k + e) % n] for e in range(d)] for k in range(d)], dtype=np.int64
+        # _qpow_mul[e] = mul_matrix(q^e), row k holding the coefficients of q^(e+k);
+        # its first phi slices are the multiplication tensor of the power basis,
+        # _mul_tensor[k, e] = coefficients of q^(k+e), so a numerator vector
+        # contracted against it gives the rows of a multiplication matrix
+        self._qpow_mul = np.array(
+            [[self._qpow_rows[(e + k) % n] for k in range(d)] for e in range(n)], dtype=np.int64
         )
-        self._mul_tensor_max = int(np.abs(self._mul_tensor).max())
+        self._qpow_mul_max = int(np.abs(self._qpow_mul).max())
+        self._mul_tensor = self._qpow_mul[:d]
         self._inv_cache: dict[tuple, CycNum] = {}
 
     def __repr__(self):
@@ -262,7 +264,7 @@ class CyclotomicContext:
 
         A numerator row vector x times this matrix is the numerator of x * c.
         """
-        bound = _max_abs(c.num) * self.degree * self._mul_tensor_max
+        bound = _max_abs(c.num) * self.degree * self._qpow_mul_max
         return np.tensordot(int_array(c.num, bound), self._mul_tensor, axes=1)
 
 
@@ -495,6 +497,10 @@ class CycArray:
         self.den = den
 
     @staticmethod
+    def zeros(ctx: CyclotomicContext, size: int) -> "CycArray":
+        return CycArray(ctx, np.zeros((size, ctx.degree), dtype=np.int64), 1)
+
+    @staticmethod
     def from_list(ctx: CyclotomicContext, vec) -> "CycArray":
         """Array form of a list of CycNum (ints and Fractions are accepted as rationals)."""
         entries = [x if isinstance(x, CycNum) else ctx.from_rational(x) for x in vec]
@@ -543,6 +549,25 @@ class CycArray:
         nums = int_array(self.nums, bound) @ int_array(L, bound)
         return CycArray(self.ctx, nums, self.den * c.den)
 
+    def qpow_blocks(self, exps) -> "CycArray":
+        """Row l * m + s is row l times q^{exps[s]}, for m = len(exps): each entry stacked over the powers of q.
+
+        One contraction with the slices ctx._qpow_mul[e] = mul_matrix(q^e).
+        """
+        ctx = self.ctx
+        tables = ctx._qpow_mul[np.asarray(exps, dtype=np.int64) % ctx.n]
+        bound = self.max_abs() * ctx.degree * ctx._qpow_mul_max
+        nums = np.tensordot(int_array(self.nums, bound), int_array(tables, bound), axes=([1], [1]))
+        return CycArray(ctx, nums.reshape(-1, ctx.degree), self.den)
+
+    def line_coefficient(self, line: "CycArray"):
+        """The c with self = c * line, or None when self is off the line through `line` (or line is zero)."""
+        rows = np.flatnonzero(line.nums.any(axis=1))
+        if not rows.size:
+            return None
+        c = self[int(rows[0])] / line[int(rows[0])]
+        return c if self == line.scaled(c) else None
+
     def left_mul(self, A: np.ndarray) -> "CycArray":
         """The integer matrix A times this column vector."""
         bound = self.max_abs() * int(np.abs(A).sum(axis=1).max(initial=0))
@@ -585,17 +610,3 @@ def _polysub(a, b):
         out[j] -= bj
     return out
 
-
-def complex_embed(x: CycNum, digits: int = 15):
-    """Image of x under q -> exp(2*pi*i/n) to the requested decimal precision.
-
-    Returns a Python complex for double precision, an mpmath.mpc beyond it.
-    """
-    if digits <= 15:
-        return x.embed()
-    with mpmath.workdps(digits + 10):
-        q = mpmath.expjpi(mpmath.mpf(2) / x.ctx.n)
-        acc = mpmath.mpc(0)
-        for a in reversed(x.num):
-            acc = acc * q + a
-        return mpmath.mpc(acc / x.den)

@@ -21,7 +21,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .cyclotomic import CyclotomicContext, CycNum, make_context
+import numpy as np
+
+from .cyclotomic import CyclotomicContext, CycArray, CycNum, make_context
 from .polymat import RingMatrix
 
 __all__ = [
@@ -211,44 +213,35 @@ class DoubleRep:
     # ------------------------------------------------------------------
     # trace vectors
 
-    def trace_vector_S(self, mono: Monomial) -> list[CycNum]:
+    def trace_vector_S(self, mono: Monomial) -> CycArray:
         """Simple-module trace vector of b^i c^k d^t a^t, in lexicographic label order.
 
         The twist s enters every term of the trace through the same factor
-        q^{s(i-k)}, so each dimension block is filled by shifting the s = 0
-        value instead of resumming.
+        q^{s(i-k)}, so block ell is the s = 0 value stacked over those powers
+        instead of resummed.
         """
         n = self.n
-        shift = (mono.i - mono.k) % n
-        out = []
-        for ell in range(1, n + 1):
-            val = self.character(SimpleLabel(ell, 0), mono)
-            out.append(val)
-            for _s in range(1, n):
-                val = val.mul_qpow(shift)
-                out.append(val)
-        return out
+        values = [self.character(SimpleLabel(ell, 0), mono) for ell in range(1, n + 1)]
+        return CycArray.from_list(self.ctx, values).qpow_blocks([s * (mono.i - mono.k) for s in range(n)])
 
-    def trace_vector_S_pbw(self, pbw_mono: tuple) -> list[CycNum]:
+    def trace_vector_S_pbw(self, pbw_mono: tuple) -> CycArray:
         al, be, ga, de = pbw_mono
         if al != de:
-            return [self.ctx.zero()] * (self.n * self.n)
+            return CycArray.zeros(self.ctx, self.n * self.n)
         return self.trace_vector_S(Monomial(be, ga, al))
 
-    def trace_vector_P(self, i: int, k: int) -> list[CycNum]:
+    def trace_vector_P(self, i: int, k: int) -> CycArray:
         """Projective trace vector of b^i c^k, ordered P(1,.), ..., P(n-1,.), then V(n,.).
 
         Zero unless i + k = 0 mod n; otherwise block ell has entries
-        2n q^{(2r + ell - 1)i} and the final block has n q^{(2r-1)i}.
+        2n q^{(2r + ell - 1)i} and the final block has n q^{(2r-1)i}: the
+        values at r = 0 stacked over (q^{2ri})_r.
         """
         n, ctx = self.n, self.ctx
         if (i + k) % n:
-            return [ctx.zero()] * (n * n)
-        out = []
-        for ell in range(1, n):
-            out.extend(ctx.root_power((2 * r + ell - 1) * i) * (2 * n) for r in range(n))
-        out.extend(ctx.root_power((2 * r - 1) * i) * n for r in range(n))
-        return out
+            return CycArray.zeros(ctx, n * n)
+        values = [ctx.root_power((ell - 1) * i) * (2 * n) for ell in range(1, n)] + [ctx.root_power(-i) * n]
+        return CycArray.from_list(ctx, values).qpow_blocks([2 * r * i for r in range(n)])
 
     # ------------------------------------------------------------------
     # quantum binomials and the PBW algebra
@@ -390,13 +383,14 @@ def bckt_to_pbw(rep: DoubleRep, mono: Monomial) -> "PbwElement":
     return PbwElement(rep, rep._mono_mul((0, mono.i % n, mono.k % n, mono.t), (mono.t, 0, 0, 0)))
 
 
-def coproduct_trace_identity(rep: DoubleRep, mckay: RingMatrix, x, vlabel: SimpleLabel):
+def coproduct_trace_identity(rep: DoubleRep, mckay: np.ndarray, x, vlabel: SimpleLabel):
     """Both sides of the trace identity M_V Tr_S(x) = sum tr_V(x_(2)) Tr_S(x_(1)).
 
-    The left side multiplies the simple trace vector by the McKay matrix of
-    V(vlabel); the right side expands the coproduct of x and weighs each
-    tensor factor by its trace on V(vlabel).  Accepts a normal-ordered
-    exponent tuple, a Monomial (b^i c^k d^t a^t), or a PbwElement.
+    The left side multiplies the simple trace vector by mckay, the integer
+    McKay array of V(vlabel); the right side expands the coproduct of x and
+    weighs each tensor factor by its trace on V(vlabel).  Accepts a
+    normal-ordered exponent tuple, a Monomial (b^i c^k d^t a^t), or a
+    PbwElement.
     """
     if isinstance(x, Monomial):
         elem = bckt_to_pbw(rep, x)
@@ -404,21 +398,15 @@ def coproduct_trace_identity(rep: DoubleRep, mckay: RingMatrix, x, vlabel: Simpl
         elem = rep.pbw_monomial(*x)
     else:
         elem = x
-    ctx = rep.ctx
     size = rep.n * rep.n
-    tr_x = [ctx.zero()] * size
-    rhs = [ctx.zero()] * size
+    tr_x = rhs = CycArray.zeros(rep.ctx, size)
     for mono, coeff in elem.terms.items():
-        tv = rep.trace_vector_S_pbw(mono)
-        tr_x = [a + coeff * b for a, b in zip(tr_x, tv)]
+        tr_x = tr_x + rep.trace_vector_S_pbw(mono).scaled(coeff)
         for (m1, m2), c in rep.coproduct_monomial(mono).items():
             weight = rep.character_pbw(vlabel, m2)
             if weight:
-                scal = coeff * c * weight
-                tv1 = rep.trace_vector_S_pbw(m1)
-                rhs = [a + scal * b for a, b in zip(rhs, tv1)]
-    lhs = mckay.mat_vec(tr_x)
-    return lhs, rhs
+                rhs = rhs + rep.trace_vector_S_pbw(m1).scaled(coeff * c * weight)
+    return tr_x.left_mul(mckay), rhs
 
 
 class PbwElement:

@@ -251,15 +251,14 @@ class GrothRing:
     def simple_to_poly(self, coeffs) -> PolyPres:
         """Linear map from a length-n^2 coefficient vector over the simple basis.
 
-        A list of ints gives an integer class; a CycArray, or a list with
-        entries in Q(q), gives an element over Q(q).
+        A list of ints gives an integer class, a CycArray an element over Q(q).
         """
         if isinstance(coeffs, CycArray):
             vec, den, ctx = coeffs.nums, coeffs.den, coeffs.ctx
         elif all(type(c) is int for c in coeffs):
             vec, den, ctx = np.array(coeffs, dtype=object).reshape(-1, 1), 1, None
         else:
-            return self.simple_to_poly(CycArray.from_list(self.ctx, coeffs))
+            raise TypeError("simple_to_poly takes a list of ints or a CycArray")
         bound = int(np.abs(vec).max(initial=0)) * _row_norm(self.to_poly_matrix)
         return PolyPres(self, int_array(self.to_poly_matrix, bound) @ int_array(vec, bound), den, ctx)
 

@@ -427,12 +427,14 @@ class RingMatrix:
         return f"RingMatrix({self.nrows}x{self.ncols})"
 
 
-def relation(M, vec, lam: CycNum, side: str, chain=None, what: str = "relation") -> float:
+def relation(
+    M, vec: CycArray, lam: CycNum, side: str, chain: CycArray | None = None, what: str = "relation"
+) -> float:
     """Certify M v = lam v + chain (side "right") or v M = lam v + chain (side "left").
 
     M is an integer matrix (a RingMatrix of ints, or an integer numpy array);
-    vec and chain are lists over Q(q) or CycArrays; chain None means zero, an
-    eigenvector relation, and a chain vector makes it a Jordan relation.
+    vec and chain are CycArrays; chain None means zero, an eigenvector
+    relation, and a chain vector makes it a Jordan relation.
     With the numerators V, C over denominators dv, dc and the multiplication
     matrix L of lam over dl, the identity is checked as the integer equation
 
@@ -454,27 +456,25 @@ def relation(M, vec, lam: CycNum, side: str, chain=None, what: str = "relation")
     A = M if isinstance(M, np.ndarray) else M.int_array()
     if side == "left":
         A = A.T
-    v = vec if isinstance(vec, CycArray) else CycArray.from_list(ctx, vec)
-    c = None if chain is None else chain if isinstance(chain, CycArray) else CycArray.from_list(ctx, chain)
-    if A.shape != (len(v), len(v)) or (c is not None and len(c) != len(v)):
+    if A.shape != (len(vec), len(vec)) or (chain is not None and len(chain) != len(vec)):
         raise ValueError(f"{what}: shapes do not match")
-    L, dl, dv = ctx.mul_matrix(lam), lam.den, v.den
-    dc, mC = (1, 0) if c is None else (c.den, c.max_abs())
+    L, dl, dv = ctx.mul_matrix(lam), lam.den, vec.den
+    dc, mC = (1, 0) if chain is None else (chain.den, chain.max_abs())
     R = int(np.abs(A).sum(axis=1).max(initial=0))
-    mV, mL = v.max_abs(), int(np.abs(L).max())
+    mV, mL = vec.max_abs(), int(np.abs(L).max())
     bound = max(R * mV * dl * dc, ctx.degree * mV * mL * dc + mC * dv * dl)
-    A, V = int_array(A, bound), int_array(v.nums, bound)
+    A, V = int_array(A, bound), int_array(vec.nums, bound)
     lhs = (A @ V) * (dl * dc)
     rhs = (V @ int_array(L, bound)) * dc
-    if c is not None:
-        rhs = rhs + int_array(c.nums, bound) * (dv * dl)
+    if chain is not None:
+        rhs = rhs + int_array(chain.nums, bound) * (dv * dl)
     if not np.array_equal(lhs, rhs):
         bad = int(np.flatnonzero((lhs != rhs).any(axis=1))[0])
         raise CheckFailure(f"{what}: {side} relation fails at coordinate {bad}")
-    if not len(v):
+    if not len(vec):
         return 0.0
-    vn = v.embed()
+    vn = vec.embed()
     resid = A.astype(complex) @ vn - lam.embed() * vn
-    if c is not None:
-        resid = resid - c.embed()
+    if chain is not None:
+        resid = resid - chain.embed()
     return float(np.max(np.abs(resid)) / max(1.0, float(np.max(np.abs(vn)))))

@@ -5,8 +5,9 @@ Z_n: the eigenvalue is lam_{j,r} = q^r (q^j + q^{-j}), simple for j = 0
 and of multiplicity two otherwise.  Right eigenvectors, left
 eigenvectors, and the rank-one Jordan completions are all built from
 Chebyshev values at q^j + q^{-j} stacked over the eigenvectors of the
-cyclic shift, and every claimed relation is certified by exact residual
-computations against the matrices produced in the ring module.
+cyclic shift (`SpectralTables.shift_stack`, one `CycArray.qpow_blocks`),
+and every claimed relation is certified by exact residual computations
+against the matrices produced in the ring module.
 
 The second half constructs the idempotent decomposition of the
 complexified Grothendieck algebra (components cut out by the grouplike
@@ -45,7 +46,6 @@ __all__ = [
     "build_mckay_blockform",
     "block_matrix",
     "gen_trace_combination",
-    "in_span_of",
     "GrothDecomposition",
     "groth_decomposition",
     "fusion_slots",
@@ -123,7 +123,7 @@ class SpectralTables:
         return out
 
     def left_coeffs(self, idx: EigIndex) -> list[CycNum]:
-        """Block coefficients [w_0, w_1, ..., w_{n-1}]; assembly reverses them."""
+        """Block coefficients [w_0, w_1, ..., w_{n-1}]; the left eigenvector stacks them reversed."""
         lv = self.l_vals[idx.j]
         return [self.ctx.one()] + [lv[k].mul_qpow(k * idx.r) for k in range(1, self.n)]
 
@@ -139,32 +139,24 @@ class SpectralTables:
             )
         return out
 
-    def assemble_right(self, coeffs: list[CycNum], r: int) -> list[CycNum]:
-        """Stack coeff_l * v0 over blocks l, where v0 = (q^{2sr})_s is the shift eigenvector."""
-        out = []
-        for c in coeffs:
-            out.extend(c.mul_qpow(2 * s * r) for s in range(self.n))
-        return out
+    def shift_stack(self, coeffs: list[CycNum], r: int) -> CycArray:
+        """Stack coeffs[l] * v0 over blocks l, where v0 = (q^{2sr})_s is the shift eigenvector.
 
-    def assemble_left(self, coeffs: list[CycNum], r: int) -> list[CycNum]:
-        """Blocks in reversed order over w0 = (q^{-2sr})_s, matching the left conventions."""
-        out = []
-        for b in range(self.n):
-            c = coeffs[self.n - 1 - b]
-            out.extend(c.mul_qpow(-2 * s * r) for s in range(self.n))
-        return out
+        Left families pass their coefficients reversed and -r, for w0 = (q^{-2sr})_s.
+        """
+        return CycArray.from_list(self.ctx, coeffs).qpow_blocks([2 * s * r for s in range(self.n)])
 
-    def right_eigvec(self, idx: EigIndex) -> list[CycNum]:
-        return self.assemble_right(self.right_coeffs(idx), idx.r)
+    def right_eigvec(self, idx: EigIndex) -> CycArray:
+        return self.shift_stack(self.right_coeffs(idx), idx.r)
 
-    def gen_right_eigvec(self, idx: EigIndex) -> list[CycNum]:
-        return self.assemble_right(self.gen_right_coeffs(idx), idx.r)
+    def gen_right_eigvec(self, idx: EigIndex) -> CycArray:
+        return self.shift_stack(self.gen_right_coeffs(idx), idx.r)
 
-    def left_eigvec(self, idx: EigIndex) -> list[CycNum]:
-        return self.assemble_left(self.left_coeffs(idx), idx.r)
+    def left_eigvec(self, idx: EigIndex) -> CycArray:
+        return self.shift_stack(self.left_coeffs(idx)[::-1], -idx.r)
 
-    def gen_left_eigvec(self, idx: EigIndex) -> list[CycNum]:
-        return self.assemble_left(self.gen_left_coeffs(idx), idx.r)
+    def gen_left_eigvec(self, idx: EigIndex) -> CycArray:
+        return self.shift_stack(self.gen_left_coeffs(idx)[::-1], -idx.r)
 
     def general_eigenvalue(self, idx: EigIndex, ell: int, s: int) -> CycNum:
         """Eigenvalue of the right family under the McKay matrix of V(ell, s)."""
@@ -212,18 +204,17 @@ class SpectralCertificate:
 
     index: EigIndex
     lam: CycNum
-    right: list
-    left: list
-    gen_right: Optional[list]
-    gen_left: Optional[list]
+    right: CycArray
+    left: CycArray
+    gen_right: Optional[CycArray]
+    gen_left: Optional[CycArray]
     exact: bool = False
     oracle_residual: float = float("inf")
 
     def verify(self, M: RingMatrix) -> bool:
         """Certify M v = lam v, w M = lam w and the Jordan relations exactly; record the oracle residual."""
         A = M if isinstance(M, np.ndarray) else M.int_array()
-        ctx, lam = self.lam.ctx, self.lam
-        right, left = CycArray.from_list(ctx, self.right), CycArray.from_list(ctx, self.left)
+        lam, right, left = self.lam, self.right, self.left
         try:
             residuals = [relation(A, right, lam, "right"), relation(A, left, lam, "left")]
             if self.gen_right is not None:
@@ -308,22 +299,11 @@ def gen_trace_combination(n: int, i: int, k: int):
     for l in range(s - 1, 0, -1):
         g = qint[l + 1] * qint[l + 1] * inv_qint[l] * inv_qint[s - l] * inv_qm1
         gammas[l] = (g * gammas[l + 1]).mul_qpow(s - 1 - l)
-    acc = None
+    vec = CycArray.zeros(ctx, n * n)
     for l in range(1, s + 1):
-        term = CycArray.from_list(ctx, rep.trace_vector_S(Monomial(i, k, l))).scaled(gammas[l])
-        acc = term if acc is None else acc + term
-    vec = acc.to_list()
+        vec = vec + rep.trace_vector_S(Monomial(i, k, l)).scaled(gammas[l])
     lam = ctx.root_power(i) + ctx.root_power(-k)
-    return vec, [gammas[l] for l in range(1, s + 1)], lam
-
-
-def in_span_of(vec, spanner):
-    """Exact membership of vec in the line through spanner; returns the scalar or None."""
-    pivot = next((t for t, v in enumerate(spanner) if v), None)
-    if pivot is None:
-        return None if any(vec) else 0
-    c = vec[pivot] * spanner[pivot].inverse()
-    return c if all((a - c * b).is_zero() for a, b in zip(vec, spanner)) else None
+    return vec.reduced(), [gammas[l] for l in range(1, s + 1)], lam
 
 
 # ----------------------------------------------------------------------
@@ -355,11 +335,11 @@ class GrothComponent:
         for _m in range(n + 1, 2 * n - 1):
             prev = powers[-1]
             powers.append([prev[n - 1] * top[0]] + [prev[t - 1] + prev[n - 1] * top[t] for t in range(1, n)])
-        table = CycArray.from_list(ctx, [c for row in powers for c in row])
-        if table.den != 1:
+        rows = [CycArray.from_list(ctx, row) for row in powers]
+        if any(row.den != 1 for row in rows):
             raise ArithmeticError(f"p_{r} is not monic over Z[q]")
         d = ctx.degree
-        fold = np.tensordot(table.nums.reshape(n - 1, n, d), ctx._mul_tensor, axes=([2], [0]))
+        fold = np.tensordot(np.array([row.nums for row in rows]), ctx._mul_tensor, axes=([2], [0]))
         self._fold = fold.transpose(0, 2, 1, 3).reshape((n - 1) * d, n * d)
         self._fold_norm = 1 + int(np.abs(self._fold).sum(axis=0).max())
         self._degrees = np.add.outer(np.arange(n), np.arange(n))
@@ -416,12 +396,10 @@ class GrothComponent:
     def _solve_nu(self, j: int, theta: CycNum) -> CycNum:
         """nu with G^2 = theta G + nu F, found by exact expansion against F."""
         g = self.array(self.g_polys[j])
-        rem = self.mul(g, g) + g.scaled(-theta)
-        f = self.f_polys[j]
-        nu = in_span_of(rem.to_list(), [f[t] for t in range(self.tab.n)])
+        nu = (self.mul(g, g) + g.scaled(-theta)).line_coefficient(self.array(self.f_polys[j]))
         if nu is None:
             raise ArithmeticError("G^2 - theta G is not a multiple of F")
-        return nu if isinstance(nu, CycNum) else self.ctx.zero()
+        return nu
 
     def g_prime(self, j: int) -> CycArray:
         """G'_j = (G_j - (nu_j / theta_j) F_j) / theta_j, as a component array."""
@@ -468,13 +446,13 @@ class GrothDecomposition:
             nums[v * n] = ctx.root_power(-u * v).num
         return PolyPres(self.ring, nums, n, ctx)
 
-    def f_coords(self, idx: EigIndex) -> list[CycNum]:
+    def f_coords(self, idx: EigIndex) -> CycArray:
         comp = self.components[idx.r]
-        return comp.to_groth(comp.f_polys[idx.j]).to_list()
+        return comp.to_groth(comp.f_polys[idx.j])
 
-    def g_coords(self, idx: EigIndex) -> list[CycNum]:
+    def g_coords(self, idx: EigIndex) -> CycArray:
         comp = self.components[idx.r]
-        return comp.to_groth(comp.g_polys[idx.j]).to_list()
+        return comp.to_groth(comp.g_polys[idx.j])
 
     def idempotent_coords(self) -> list[tuple[EigIndex, CycArray]]:
         out = []
@@ -483,16 +461,14 @@ class GrothDecomposition:
                 out.append((EigIndex(j, r), comp.to_groth(elem)))
         return out
 
-    def eigenidem_certificate(self, idx: EigIndex, coords):
-        """(c_u, exact) for e = sum coords_i [S_i]: e^2 must equal c_u e under the ring product.
+    def eigenidem_certificate(self, idx: EigIndex, e: CycArray):
+        """(c_u, exact) for e = sum e_i [S_i]: e^2 must equal c_u e under the ring product.
 
         c_u is the sum over labels of the common-eigenvalue beta_j times the
         coordinate, and the square is computed by the full presentation
-        product, independent of the component arithmetic.  coords is a list
-        over Q(q) or a CycArray.
+        product, independent of the component arithmetic.
         """
         ring, tab = self.ring, self.tab
-        e = coords if isinstance(coords, CycArray) else CycArray.from_list(self.ctx, coords)
         c_u = self.ctx.zero()
         for lab, x in zip(all_labels(self.n), e.to_list()):
             if x:
@@ -575,24 +551,17 @@ def build_fusion_blockform(n: int) -> RingMatrix:
     return RingMatrix(rows)
 
 
-def fusion_right_eigvec(n: int, idx: EigIndex) -> list[CycNum]:
+def fusion_right_eigvec(n: int, idx: EigIndex) -> CycArray:
     """Blocks [v, q^r L_1 v, ..., q^{hr} L_h v] over the shift eigenvector v."""
     tab = spectral_tables(n)
     lv = tab.l_vals[idx.j]
-    out = []
-    for b in range(tab.h + 1):
-        coeff = tab.ctx.one() if b == 0 else lv[b].mul_qpow(b * idx.r)
-        out.extend(coeff.mul_qpow(2 * s * idx.r) for s in range(n))
-    return out
+    coeffs = [tab.ctx.one()] + [lv[b].mul_qpow(b * idx.r) for b in range(1, tab.h + 1)]
+    return tab.shift_stack(coeffs, idx.r)
 
 
-def fusion_left_eigvec(n: int, idx: EigIndex) -> list[CycNum]:
+def fusion_left_eigvec(n: int, idx: EigIndex) -> CycArray:
     """Blocks [q^{hr} V_h w, ..., q^r V_1 w, w] over the left shift eigenvector w."""
     tab = spectral_tables(n)
     vv = tab.v_vals[idx.j]
-    out = []
-    for b in range(tab.h + 1):
-        k = tab.h - b
-        coeff = tab.ctx.one() if k == 0 else vv[k].mul_qpow(k * idx.r)
-        out.extend(coeff.mul_qpow(-2 * s * idx.r) for s in range(n))
-    return out
+    coeffs = [tab.ctx.one()] + [vv[k].mul_qpow(k * idx.r) for k in range(1, tab.h + 1)]
+    return tab.shift_stack(coeffs[::-1], -idx.r)

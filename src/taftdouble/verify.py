@@ -45,7 +45,6 @@ from .spectral import (
     fusion_right_eigvec,
     gen_trace_combination,
     groth_decomposition,
-    in_span_of,
     spectral_tables,
 )
 
@@ -227,18 +226,18 @@ def _require(ok: bool, message: str):
         raise CheckFailure(message)
 
 
-def _line_coefficient(A: np.ndarray, vec, lam: CycNum, side: str, line) -> CycNum:
+def _line_coefficient(A: np.ndarray, vec: CycArray, lam: CycNum, side: str, line: CycArray) -> CycNum:
     """The only c for which (A - lam) v = c * line can hold (side as in `relation`).
 
-    A is an integer matrix and vec, line are lists over Q(q) or CycArrays.
-    c is read off at the first nonzero coordinate of the line; `relation`
-    with the chain c * line then certifies the identity at every coordinate.
+    A is an integer matrix.  c is read off at the first nonzero coordinate
+    of the line; `relation` with the chain c * line then certifies the
+    identity at every coordinate.
     """
-    p = next((t for t in range(len(line)) if line[t]), None)
-    if p is None:
+    rows = np.flatnonzero(line.nums.any(axis=1))
+    if not rows.size:
         raise CheckFailure("the spanning vector of the line is zero")
-    weights = (A if side == "right" else A.T)[p]
-    image = sum((vec[t] * int(weights[t]) for t in np.flatnonzero(weights)), lam.ctx.zero())
+    p = int(rows[0])
+    image = vec.left_mul((A if side == "right" else A.T)[p:p + 1])[0]
     return (image - lam * vec[p]) / line[p]
 
 
@@ -265,15 +264,15 @@ def check_charpoly_table(ws: Workspace):
     oracle = Oracle()
     p = p_n_bivariate(n)
     if n in P_TABLE:
-        assert p.terms == P_TABLE[n], f"p_{n} differs from the frozen coefficient table"
-    assert p == p_n_bivariate_closed(n), "recursion and closed form disagree"
+        _require(p.terms == P_TABLE[n], f"p_{n} differs from the frozen coefficient table")
+    _require(p == p_n_bivariate_closed(n), "recursion and closed form disagree")
     for k in range(n):
         bp = tab.block_charpoly(k)
         direct = bivariate_to_poly(p, ctx.root_power(k), ctx.zero())
-        assert bp == direct, f"block {k} charpoly differs from the D = q^{k} specialization"
+        _require(bp == direct, f"block {k} charpoly differs from the D = q^{k} specialization")
         blk = block_matrix(n, k)
         if n <= 7 or k <= 1:
-            assert blk.char_poly_small() == bp, f"generic determinant route disagrees at block {k}"
+            _require(blk.char_poly_small() == bp, f"generic determinant route disagrees at block {k}")
         # numeric oracle: eigenvalues of the embedded block solve the embedded polynomial
         scale = max(1.0, float(np.max(np.abs(embed_vec(bp.coeffs)))))
         vals, _ = _block_charpoly_values(np.linalg.eigvals(embed_mat(blk)), ctx.root_power(k).embed(), n)
@@ -286,7 +285,7 @@ def check_charpoly_factorization(ws: Workspace):
     n, tab, ctx = ws.n, ws.tab, ws.ctx
     oracle = Oracle()
     h = (n - 1) // 2
-    assert p_n_factor_check(n), "integer factorization identity failed"
+    _require(p_n_factor_check(n), "integer factorization identity failed")
     w = cheb_poly("W", h)
     for t in (Fraction(3, 10), Fraction(-17, 10), Fraction(5, 2)):
         lhs = bivariate_to_poly(p_n_bivariate(n), 1).eval(t)
@@ -300,13 +299,13 @@ def check_charpoly_factorization(ws: Workspace):
         for lam in doubles:
             lin = RingPoly([-lam, one], zero)
             prod = prod * lin * lin
-        assert prod == bp, f"block {k} does not split as (t - 2q^r) prod (t - lam)^2"
+        _require(prod == bp, f"block {k} does not split as (t - 2q^r) prod (t - lam)^2")
         # gcd with the derivative isolates exactly the double roots
         g = bp.gcd(bp.derivative())
         expect = RingPoly([one], zero)
         for lam in doubles:
             expect = expect * RingPoly([-lam, one], zero)
-        assert g == expect, f"gcd multiplicity structure wrong in block {k}"
+        _require(g == expect, f"gcd multiplicity structure wrong in block {k}")
         # numeric oracle: the embedded polynomial and its derivative vanish at the roots
         # (eigensolvers are sqrt(eps)-accurate on defective matrices, so evaluate instead)
         scale = max(1.0, float(np.max(np.abs(embed_vec(bp.coeffs)))))
@@ -371,7 +370,7 @@ def check_hopf_axioms(ws: Workspace):
 
 def check_coproduct_trace(ws: Workspace):
     """The coproduct trace identity for the McKay matrix on a sample of basis monomials."""
-    n, rep, M = ws.n, ws.rep, ws.M
+    n, rep = ws.n, ws.rep
     oracle = Oracle()
     rnd = _rng("coproduct-trace", n)
     monos = [
@@ -380,14 +379,11 @@ def check_coproduct_trace(ws: Workspace):
     ]
     vlabels = [SimpleLabel(2, 0)] if n >= 11 else [SimpleLabel(2, 0), SimpleLabel(3, 1)]
     for vlabel in vlabels:
-        Mv = M if vlabel == SimpleLabel(2, 0) else ws.mckay(vlabel.ell, vlabel.r)
+        Mv = ws.M_int if vlabel == SimpleLabel(2, 0) else ws.mckay(vlabel.ell, vlabel.r).int_array()
         for mono in monos:
             lhs, rhs = coproduct_trace_identity(rep, Mv, mono, vlabel)
-            _require(
-                all((a - b).is_zero() for a, b in zip(lhs, rhs)),
-                f"trace identity failed for {mono} against V{tuple(vlabel)}",
-            )
-            oracle.vec_residual(np.abs(embed_vec(lhs) - embed_vec(rhs)))
+            _require(lhs == rhs, f"trace identity failed for {mono} against V{tuple(vlabel)}")
+            oracle.vec_residual(np.abs(lhs.embed() - rhs.embed()))
     return oracle.residual, {"sampled_monomials": len(monos), "modules": len(vlabels)}
 
 
@@ -396,22 +392,23 @@ def check_grouplike_traces(ws: Workspace):
     n, tab, ctx = ws.n, ws.tab, ws.ctx
     oracle = Oracle()
     eigvecs = {c.index: c.right for c in ws.certs}
+    labels = all_labels(n)
     for (i, k), tv in ws.grouplike_traces.items():
         idx = tab.index_from_grouplike(i, k)
-        assert tv == eigvecs[idx], f"Tr_S(b^{i} c^{k}) is not the ({idx.j},{idx.r}) eigenvector"
-        assert tv == ws.grouplike_traces[(-k % n, -i % n)], f"symmetry fails at ({i},{k})"
-        for lab in all_labels(n):
-            expect = tab.u_vals[idx.j][lab.ell - 1].mul_qpow((lab.ell - 1 + 2 * lab.r) * idx.r)
-            assert tv[label_index(n, lab)] == expect, (
-                f"character closed form fails at {lab}, ({i},{k})"
-            )
+        _require(tv == eigvecs[idx], f"Tr_S(b^{i} c^{k}) is not the ({idx.j},{idx.r}) eigenvector")
+        _require(tv == ws.grouplike_traces[(-k % n, -i % n)], f"symmetry fails at ({i},{k})")
+        # the character of V(ell, s) is the eigenvalue of its McKay matrix on the family
+        bad = next(
+            (lab for lab, x in zip(labels, tv.to_list()) if x != tab.general_eigenvalue(idx, lab.ell, lab.r)), None
+        )
+        _require(bad is None, f"character closed form fails at {bad}, ({i},{k})")
         oracle.see(relation(ws.M_int, tv, tab.lam(idx), "right", what=f"Tr_S(b^{i} c^{k}) eigen"))
-    assert ws.grouplike_traces[(0, 0)] == [ctx.from_rational(lab.ell) for lab in all_labels(n)]
-    for i in range(n):
-        for k in range(n):
-            if (i + k) % n:
-                for s in range(n):
-                    assert ws.grouplike_traces[(i, k)][label_index(n, SimpleLabel(n, s))].is_zero()
+    dims = CycArray.from_list(ctx, ws.ring.dim_simple_vector())
+    _require(ws.grouplike_traces[(0, 0)] == dims, "Tr_S(1) is not the dimension vector")
+    top = label_index(n, SimpleLabel(n, 0))
+    for (i, k), tv in ws.grouplike_traces.items():
+        if (i + k) % n:
+            _require(not tv.nums[top:].any(), f"Tr_S(b^{i} c^{k}) does not vanish on V(n, .)")
     return oracle.residual, {"pairs": n * n}
 
 
@@ -419,7 +416,7 @@ def check_spectral_certificates(ws: Workspace):
     """Exact eigen and Jordan relations for every (j, r), plus completeness of both families."""
     n, tab, ctx = ws.n, ws.tab, ws.ctx
     oracle = Oracle()
-    assert ws.M == ws.M_blockform, "ring-derived McKay matrix differs from its block pattern"
+    _require(ws.M == ws.M_blockform, "ring-derived McKay matrix differs from its block pattern")
     certs = ws.certs
     inexact = [c.index for c in certs if not c.exact]
     if inexact:
@@ -427,19 +424,20 @@ def check_spectral_certificates(ws: Workspace):
     lams = [c.lam for c in certs]
     for a in range(len(lams)):
         for b in range(a):
-            assert lams[a] != lams[b], f"eigenvalues coincide: {certs[a].index} vs {certs[b].index}"
+            _require(lams[a] != lams[b], f"eigenvalues coincide: {certs[a].index} vs {certs[b].index}")
     try:
         tab.gen_right_eigvec(EigIndex(0, 0))
-        raise AssertionError("j = 0 must reject Jordan completions")
     except ValueError:
         pass
+    else:
+        raise CheckFailure("j = 0 must reject Jordan completions")
 
     # completeness: the stacked families factor through the shift eigenvectors,
     # so full rank reduces to one Vandermonde and per-r coefficient blocks
     vand = RingMatrix([[ctx.root_power(2 * s * r) for r in range(n)] for s in range(n)])
-    assert vand.rank_over_field() == n, "shift eigenvector basis is degenerate"
+    _require(vand.rank_over_field() == n, "shift eigenvector basis is degenerate")
     vand_w = RingMatrix([[ctx.root_power(-2 * s * r) for r in range(n)] for s in range(n)])
-    assert vand_w.rank_over_field() == n, "left shift eigenvector basis is degenerate"
+    _require(vand_w.rank_over_field() == n, "left shift eigenvector basis is degenerate")
     for r in range(n):
         rows, rows_left = [], []
         for j in range((n + 1) // 2):
@@ -451,19 +449,20 @@ def check_spectral_certificates(ws: Workspace):
                 rows.append(tab.gen_right_coeffs(idx))
                 gl = tab.gen_left_coeffs(idx)
                 rows_left.append([gl[n - 1 - b] for b in range(n)])
-        assert RingMatrix(rows).rank_over_field() == n, f"right family degenerate at r={r}"
-        assert RingMatrix(rows_left).rank_over_field() == n, f"left family degenerate at r={r}"
+        _require(RingMatrix(rows).rank_over_field() == n, f"right family degenerate at r={r}")
+        _require(RingMatrix(rows_left).rank_over_field() == n, f"left family degenerate at r={r}")
     if n <= 5:
-        full = RingMatrix([c.right for c in certs] + [c.gen_right for c in certs if c.gen_right])
-        assert full.rank_over_field() == n * n, "dense-route completeness check failed"
+        dense = [c.right for c in certs] + [c.gen_right for c in certs if c.gen_right is not None]
+        full = RingMatrix([v.to_list() for v in dense])
+        _require(full.rank_over_field() == n * n, "dense-route completeness check failed")
 
     rmat, lmat = [], []
     for c in certs:
         oracle.see(c.oracle_residual)
         rmat += [c.right] + ([c.gen_right] if c.gen_right is not None else [])
         lmat += [c.left] + ([c.gen_left] if c.gen_left is not None else [])
-    oracle.rank(np.array([CycArray.from_list(ctx, v).embed() for v in rmat]), n * n)
-    oracle.rank(np.array([CycArray.from_list(ctx, v).embed() for v in lmat]), n * n)
+    oracle.rank(np.array([v.embed() for v in rmat]), n * n)
+    oracle.rank(np.array([v.embed() for v in lmat]), n * n)
     return oracle.residual, {"certificates": len(certs)}
 
 
@@ -478,16 +477,15 @@ def check_generalized_traces(ws: Workspace):
             if (i + k) % n == 0:
                 continue
             vec, gammas, lam = gen_trace_combination(n, i, k)
-            assert gammas[-1] == ctx.one(), "the top coefficient must be 1"
+            _require(gammas[-1] == ctx.one(), "the top coefficient must be 1")
             # (M - lam) v = c t for the eigenvector t, and (M - lam) t = 0
             t = ws.grouplike_traces[(i, k)]
             c = _line_coefficient(Mi, vec, lam, "right", t)
-            ta = CycArray.from_list(ctx, t)
             where = f"({i},{k})"
             oracle.see(relation(
-                Mi, vec, lam, "right", chain=ta.scaled(c), what=f"residual off the eigenline at {where}",
+                Mi, vec, lam, "right", chain=t.scaled(c), what=f"residual off the eigenline at {where}",
             ))
-            oracle.see(relation(Mi, ta, lam, "right", what=f"(M - lam)^2 does not annihilate at {where}"))
+            oracle.see(relation(Mi, t, lam, "right", what=f"(M - lam)^2 does not annihilate at {where}"))
             if (i, k) in bcda_samples:
                 s = (-(i + k)) % n
                 for l in range(1, s + 1):
@@ -495,7 +493,7 @@ def check_generalized_traces(ws: Workspace):
                     lam_l = ctx.root_power(l + i) + ctx.root_power(-l - k)
                     qint = ctx.quantum_integer(l)
                     coeff = (qint * qint * (ctx.one() - ctx.root_power(-1))).mul_qpow(-l - k + 1)
-                    prev = CycArray.from_list(ctx, rep.trace_vector_S(Monomial(i, k, l - 1)))
+                    prev = rep.trace_vector_S(Monomial(i, k, l - 1))
                     oracle.see(relation(
                         Mi, tv, lam_l, "right", chain=prev.scaled(coeff),
                         what=f"stepdown identity at {where}, l={l}",
@@ -515,22 +513,23 @@ def check_projective_trace_table(ws: Workspace):
         oracle.see(relation(ws.M_int, w, lam, "left", what=f"Tr_P eigen at i={i}"))
         r = (-i) % n
         comp = dec.components[r]
-        coords = comp.to_groth(comp.f_polys[0] * comp.xi.inverse()).to_list()
-        scal = in_span_of(w, coords)
-        assert scal is not None and scal, f"Tr_P(b^{i}c^-{i}) not proportional to the idempotent"
+        scal = w.line_coefficient(comp.to_groth(comp.f_polys[0] * comp.xi.inverse()))
+        _require(scal is not None and scal, f"Tr_P(b^{i}c^-{i}) not proportional to the idempotent")
     for i in range(n):
         for k in range(n):
             if (i + k) % n:
-                assert all(x.is_zero() for x in rep.trace_vector_P(i, k))
+                _require(rep.trace_vector_P(i, k).is_zero(), f"Tr_P(b^{i}c^{k}) does not vanish")
     if n == 3:
         for i in range(3):
             expect = [ctx.root_power(e) * c for (c, e) in TABLE_N3_ROWS[i]]
-            assert rows[i] == expect, f"frozen n=3 row {i} mismatch"
+            _require(rows[i].to_list() == expect, f"frozen n=3 row {i} mismatch")
         for r in range(3):
             comp = dec.components[r]
-            coords = comp.to_groth(comp.f_polys[0] * comp.xi.inverse()).to_list()
-            scaled = [c * 81 for c in coords]
-            assert scaled == rows[(-r) % 3], f"81 xi^-1 F_0,{r} does not match the table row"
+            coords = comp.to_groth(comp.f_polys[0] * comp.xi.inverse())
+            _require(
+                coords.scaled(ctx.from_rational(81)) == rows[(-r) % 3],
+                f"81 xi^-1 F_0,{r} does not match the table row",
+            )
     return oracle.residual, {"rows": n}
 
 
@@ -539,25 +538,26 @@ def check_cartan_structure(ws: Workspace):
     n, ring = ws.n, ws.ring
     oracle = Oracle()
     C = ring.cartan_matrix()
-    assert ring.cartan_rank() == n * (n + 1) // 2, "Cartan rank differs from n(n+1)/2"
+    _require(ring.cartan_rank() == n * (n + 1) // 2, "Cartan rank differs from n(n+1)/2")
     kb = ring.cartan_kernel_basis()
-    assert len(kb) == n * (n - 1) // 2
+    _require(len(kb) == n * (n - 1) // 2, f"{len(kb)} Cartan kernel vectors")
     for v in kb:
-        assert not any(ring.cartan_image_of(v)), "stated kernel vector not annihilated"
-    assert RingMatrix(kb).rank_over_field() == len(kb), "kernel vectors are dependent"
+        _require(not any(ring.cartan_image_of(v)), "stated kernel vector not annihilated")
+    _require(RingMatrix(kb).rank_over_field() == len(kb), "kernel vectors are dependent")
     for lab in all_labels(n):
         row = C.rows[label_index(n, lab)]
         if lab.ell == n:
-            assert sum(row) == 1 and row[label_index(n, lab)] == 1
+            _require(sum(row) == 1 and row[label_index(n, lab)] == 1, f"Cartan row of {lab} is not a unit vector")
         else:
-            assert sorted(x for x in row if x) == [2, 2]
+            _require(sorted(x for x in row if x) == [2, 2], f"Cartan row of {lab} is not two entries 2")
     oracle.rank(embed_mat(C).real, n * (n + 1) // 2)
 
     Ct = C.transpose()
     ident = RingMatrix.identity(n * n)
-    assert ring.projective_mckay(1, 0) == ident, "tensoring with the unit must be the identity"
-    assert ring.projective_mckay_v20_rules() == ring.projective_mckay(2, 0), (
-        "rule-built projective McKay matrix differs from the dual-transpose route"
+    _require(ring.projective_mckay(1, 0) == ident, "tensoring with the unit must be the identity")
+    _require(
+        ring.projective_mckay_v20_rules() == ring.projective_mckay(2, 0),
+        "rule-built projective McKay matrix differs from the dual-transpose route",
     )
     rnd = _rng("cartan-structure", n)
     numeric_sample = {(rnd.randrange(1, n + 1), rnd.randrange(n)) for _ in range(3)}
@@ -568,7 +568,7 @@ def check_cartan_structure(ws: Workspace):
             Mdual = ws.mckay(dual.ell, dual.r)
             lhs = (Ct * Mdual).transpose()  # equals M_dual^T C = Q_V C
             rhs = C * Mv
-            assert lhs == rhs, f"QC = CM fails for V({ell},{s})"
+            _require(lhs == rhs, f"QC = CM fails for V({ell},{s})")
             if (ell, s) in numeric_sample:
                 d = np.abs(embed_mat(Mdual).T @ embed_mat(C) - embed_mat(C) @ embed_mat(Mv))
                 oracle.vec_residual(d.ravel())
@@ -586,25 +586,24 @@ def check_mckay_closed_form(ws: Workspace):
         pairs = [(ell, s) for ell in (1, 2, 3, n - 1, n) for s in (0, 1)]
         pairs += [(rnd.randrange(1, n + 1), rnd.randrange(n)) for _ in range(6)]
     for ell, s in pairs:
-        assert ws.mckay(ell, s) == ring.mckay_matrix_closed(ell, s), (
-            f"closed form fails for V({ell},{s})"
-        )
+        _require(ws.mckay(ell, s) == ring.mckay_matrix_closed(ell, s), f"closed form fails for V({ell},{s})")
     for s in range(n):
-        assert ws.mckay(1, s) == ring.z_shift(RingMatrix.identity(n * n), s)
+        _require(ws.mckay(1, s) == ring.z_shift(RingMatrix.identity(n * n), s), f"V(1,{s}) is not the shift Z^{s}")
 
+    ctx = ws.ctx
     svec = ring.dim_simple_vector()
     pvec = ring.dim_projective_vector()
-    two = ws.ctx.from_rational(2)
-    oracle.see(relation(ws.M_int, svec, two, "right", what="dimension vector"))
-    oracle.see(relation(ws.M_int, pvec, two, "left", what="projective dimension vector"))
-    assert sum(a * b for a, b in zip(pvec, svec)) == n**4, "dimension pairing misses the basis count"
+    two = ctx.from_rational(2)
+    oracle.see(relation(ws.M_int, CycArray.from_list(ctx, svec), two, "right", what="dimension vector"))
+    oracle.see(relation(ws.M_int, CycArray.from_list(ctx, pvec), two, "left", what="projective dimension vector"))
+    _require(sum(a * b for a, b in zip(pvec, svec)) == n**4, "dimension pairing misses the basis count")
 
     rnd = _rng("mckay-commute", n)
     for _ in range(4):
         a = (rnd.randrange(1, n + 1), rnd.randrange(n))
         b = (rnd.randrange(1, n + 1), rnd.randrange(n))
         A, B = ws.mckay(*a), ws.mckay(*b)
-        assert A * B == B * A, f"McKay matrices do not commute: {a}, {b}"
+        _require(A * B == B * A, f"McKay matrices do not commute: {a}, {b}")
         oracle.vec_residual(
             np.abs(embed_mat(A) @ embed_mat(B) - embed_mat(B) @ embed_mat(A)).ravel()
         )
@@ -612,7 +611,7 @@ def check_mckay_closed_form(ws: Workspace):
     rnd2 = _rng("ring-commute", n)
     for _ in range(6):
         l1, l2 = rnd2.choice(labs), rnd2.choice(labs)
-        assert ring.multiply_simples(l1, l2) == ring.multiply_simples(l2, l1)
+        _require(ring.multiply_simples(l1, l2) == ring.multiply_simples(l2, l1), f"[{l1}][{l2}] != [{l2}][{l1}]")
     return oracle.residual, {"pairs": len(pairs)}
 
 
@@ -629,10 +628,7 @@ def check_general_eigenvalues(ws: Workspace):
             (rnd.randrange(1, n + 1), rnd.randrange(n)) for _ in range(4)
         ]
         indices = _rng("general-eigenvalues-idx", n).sample(eig_indices(n), 20)
-    vecs = {
-        idx: (CycArray.from_list(ctx, tab.right_eigvec(idx)), CycArray.from_list(ctx, tab.left_eigvec(idx)))
-        for idx in indices
-    }
+    vecs = {idx: (tab.right_eigvec(idx), tab.left_eigvec(idx)) for idx in indices}
     for ell, s in mods:
         Mv = ws.mckay(ell, s % n).int_array()
         Qv = ws.ring.projective_mckay(ell, s % n).int_array()
@@ -773,8 +769,8 @@ def check_fusion_matrix(ws: Workspace):
     oracle = Oracle()
     h = (n - 1) // 2
     Nr = build_fusion_from_rules(n)
-    assert Nr == build_fusion_blockform(n), "rule-built fusion matrix differs from the block pattern"
-    assert Nr.nrows == n * (h + 1) == n * (n + 1) // 2
+    _require(Nr == build_fusion_blockform(n), "rule-built fusion matrix differs from the block pattern")
+    _require(Nr.nrows == n * (h + 1) == n * (n + 1) // 2, f"fusion matrix has {Nr.nrows} rows")
     lams = []
     Ni = Nr.int_array()
     for idx in eig_indices(n):
@@ -784,12 +780,12 @@ def check_fusion_matrix(ws: Workspace):
         oracle.see(relation(Ni, fusion_left_eigvec(n, idx), lam, "left", what=f"fusion {idx}"))
     for a in range(len(lams)):
         for b in range(a):
-            assert lams[a] != lams[b], "fusion eigenvalues are not simple"
+            _require(lams[a] != lams[b], "fusion eigenvalues are not simple")
     # the boundary identities that close the block recursions
     for j in range(h + 1):
-        assert tab.l_vals[j][h] == tab.l_vals[j][h + 1], "L_h != L_{h+1} at an eigenvalue point"
+        _require(tab.l_vals[j][h] == tab.l_vals[j][h + 1], "L_h != L_{h+1} at an eigenvalue point")
         if h >= 1:
-            assert tab.v_vals[j][h + 1] == tab.v_vals[j][h - 1], "V_{h+1} != V_{h-1} at a point"
+            _require(tab.v_vals[j][h + 1] == tab.v_vals[j][h - 1], "V_{h+1} != V_{h-1} at a point")
     # numeric spectrum match, as a two-sided nearest-point comparison
     num = np.linalg.eigvals(embed_mat(Nr))
     exact = embed_vec(lams)
@@ -805,8 +801,9 @@ def check_dual_pairing(ws: Workspace):
     for r1 in range(n):
         for r2 in range(n):
             dot = ctx.from_qpowers((1, 2 * s * (r2 - r1)) for s in range(n))
-            assert dot == (ctx.from_rational(n) if r1 == r2 else ctx.zero()), (
-                "shift eigenvector pairing is not n times a delta"
+            _require(
+                dot == (ctx.from_rational(n) if r1 == r2 else ctx.zero()),
+                "shift eigenvector pairing is not n times a delta",
             )
     # pairing couples block b of the (reversed) left family with block b of the right
     def paired(lc, rc):
@@ -817,10 +814,11 @@ def check_dual_pairing(ws: Workspace):
 
     idx_a, idx_b = EigIndex(0, 0), EigIndex(1, 0)
     full = ctx.zero()
-    for a, b in zip(tab.left_eigvec(idx_a), tab.right_eigvec(idx_b)):
+    for a, b in zip(tab.left_eigvec(idx_a).to_list(), tab.right_eigvec(idx_b).to_list()):
         full = full + a * b
-    assert full == paired(tab.left_coeffs(idx_a), tab.right_coeffs(idx_b)), (
-        "factored pairing disagrees with the dense dot product"
+    _require(
+        full == paired(tab.left_coeffs(idx_a), tab.right_coeffs(idx_b)),
+        "factored pairing disagrees with the dense dot product",
     )
     for r in range(n):
         lrows, rrows = [], []
@@ -832,11 +830,11 @@ def check_dual_pairing(ws: Workspace):
                 lrows.append(tab.gen_left_coeffs(idx))
                 rrows.append(tab.gen_right_coeffs(idx))
         block = [[paired(lc, rc) for rc in rrows] for lc in lrows]
-        assert RingMatrix(block).rank_over_field() == n, f"pairing block degenerate at r={r}"
+        _require(RingMatrix(block).rank_over_field() == n, f"pairing block degenerate at r={r}")
     C = ring.cartan_matrix().int_array()
     Q = ring.projective_mckay(2, 0).int_array()
     for c in ws.certs:
-        cv = CycArray.from_list(ctx, c.right).left_mul(C)
+        cv = c.right.left_mul(C)
         oracle.see(relation(Q, cv, c.lam, "right", what=f"C v projective-side eigen at {c.index}"))
     return oracle.residual, {"blocks": n}
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taftdouble.cyclotomic import CycArray, CycNum, complex_embed, cyclotomic_polynomial, make_context
+from taftdouble.cyclotomic import CycArray, CycNum, cyclotomic_polynomial, make_context
 
 
 def test_cyclotomic_polynomials():
@@ -91,18 +91,6 @@ def test_embed_examples():
     ctx5 = make_context(5)
     golden = ctx5.root_power(1) + ctx5.root_power(4)
     assert abs(golden.embed() - 2 * cmath.cos(2 * cmath.pi / 5).real) < 1e-9
-
-
-def test_complex_embed_high_precision():
-    ctx5 = make_context(5)
-    golden = ctx5.root_power(1) + ctx5.root_power(4)
-    val = complex_embed(golden, 40)
-    import mpmath
-
-    with mpmath.workdps(50):
-        expected = 2 * mpmath.cos(2 * mpmath.pi / 5)
-        assert abs(val.real - expected) < mpmath.mpf(10) ** -38
-        assert abs(val.imag) < mpmath.mpf(10) ** -38
 
 
 def test_json_round_trip():
@@ -233,3 +221,26 @@ def test_array_equality_indexing_and_reduction(n):
 
 def _bumped_first(vec):
     return [vec[0] + 1] + list(vec[1:])
+
+
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_qpow_blocks_multiplies_each_row_by_each_power(n):
+    ctx = make_context(n)
+    vec = _random_vector(ctx, 4, seed=500 + n)
+    exps = [0, 1, -2, n + 3, 5 * n - 1]
+    stacked = CycArray.from_list(ctx, vec).qpow_blocks(exps)
+    assert stacked.to_list() == [x.mul_qpow(e) for x in vec for e in exps]
+    # slice e of the table is mul_matrix(q^e), and the multiplication tensor is its first phi slices
+    for e in range(n):
+        assert np.array_equal(ctx._qpow_mul[e], ctx.mul_matrix(ctx.root_power(e)))
+    assert np.array_equal(ctx._mul_tensor, ctx._qpow_mul[: ctx.degree])
+
+
+def test_line_coefficient():
+    ctx = make_context(7)
+    line = CycArray.from_list(ctx, _random_vector(ctx, 6, seed=600))
+    c = ctx.from_coeffs([Fraction(2, 3), 0, -1, 0, 0, 5])
+    assert line.scaled(c).line_coefficient(line) == c
+    assert CycArray.zeros(ctx, 6).line_coefficient(line) == ctx.zero()
+    assert CycArray.from_list(ctx, _bumped_first(line.scaled(c).to_list())).line_coefficient(line) is None
+    assert line.line_coefficient(CycArray.zeros(ctx, 6)) is None

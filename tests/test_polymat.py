@@ -140,11 +140,11 @@ def test_char_poly_over_cyclotomic_entries():
     assert cp == RingPoly([ctx.one(), ctx.one(), ctx.one()], ctx.zero())
 
 
-def _bump(vec, pos, amount=1):
+def _bump(vec: CycArray, pos, amount=1) -> CycArray:
     """vec with one power-basis coefficient of entry pos changed."""
-    out = list(vec)
+    out = vec.to_list()
     out[pos] = out[pos] + amount
-    return out
+    return CycArray.from_list(vec.ctx, out)
 
 
 @pytest.mark.parametrize("side", ["right", "left"])
@@ -177,9 +177,9 @@ def test_relation_with_denominators():
     idx = EigIndex(1, 2)
     lam = spectral_tables(n).lam(idx)
     f, g = dec.f_coords(idx), dec.g_coords(idx)
-    assert any(x.den > 1 for x in f + g)
+    assert any(x.den > 1 for x in f.to_list() + g.to_list())
     relation(M, f, lam, "left")
-    relation(M, g, lam, "left", chain=CycArray.from_list(dec.ctx, f))
+    relation(M, g, lam, "left", chain=f)
     with pytest.raises(CheckFailure):
         relation(M, g, lam, "left", chain=_bump(f, 4, dec.ctx.from_rational(Fraction(1, 3))))
 
@@ -190,9 +190,9 @@ def test_relation_beyond_int64_uses_python_ints(scale):
     n = 5
     M = groth_ring(n).mckay_v20()
     cert = next(c for c in certificates(n) if c.index == EigIndex(1, 2))
-    right = [x * scale for x in cert.right]
-    gen = [x * scale for x in cert.gen_right]
-    assert max(abs(a) for x in right for a in x.num) * 4 >= 2**62
+    right = CycArray.from_list(cert.lam.ctx, [x * scale for x in cert.right.to_list()])
+    gen = CycArray.from_list(cert.lam.ctx, [x * scale for x in cert.gen_right.to_list()])
+    assert right.max_abs() * 4 >= 2**62
     relation(M, right, cert.lam, "right")
     relation(M, gen, cert.lam, "right", chain=right)
     with pytest.raises(CheckFailure):
@@ -203,13 +203,14 @@ def test_relation_beyond_int64_uses_python_ints(scale):
 
 def test_relation_input_errors():
     M = groth_ring(3).mckay_v20()
-    lam = make_context(3).one()
+    ctx = make_context(3)
+    lam = ctx.one()
     with pytest.raises(ValueError):
-        relation(M, [lam] * 9, lam, "up")
+        relation(M, CycArray.from_list(ctx, [lam] * 9), lam, "up")
     with pytest.raises(ValueError):
-        relation(M, [lam] * 8, lam, "right")
+        relation(M, CycArray.from_list(ctx, [lam] * 8), lam, "right")
     with pytest.raises(TypeError):
-        relation(RingMatrix([[lam]]), [lam], lam, "right")
+        relation(RingMatrix([[lam]]), CycArray.from_list(ctx, [lam]), lam, "right")
 
 
 def test_int_array():

@@ -8,6 +8,7 @@ import pytest
 
 import taftdouble.verify as verify_mod
 from taftdouble.cli import main
+from taftdouble.cyclotomic import CycArray
 from taftdouble.dnrep import DoubleRep
 from taftdouble.grring import GrothRing
 from taftdouble.spectral import GrothDecomposition, SpectralTables, spectral_tables
@@ -146,7 +147,11 @@ def test_crashing_check_is_reported_as_error(capsys, monkeypatch):
 
 
 def _bumped(vec, pos):
-    """vec with entry pos raised by 1 in one coefficient."""
+    """vec with entry pos raised by 1 in one coefficient, of the type it was given (list or CycArray)."""
+    if isinstance(vec, CycArray):
+        nums = vec.nums.copy()
+        nums[pos, 0] += vec.den
+        return CycArray(vec.ctx, nums, vec.den)
     out = list(vec)
     out[pos] = out[pos] + 1
     return out
@@ -272,6 +277,88 @@ print(result.status, result.detail)
     stdout = _run_optimized(script)
     assert stdout.startswith("fail"), stdout
     assert "orthogonality fails at (1,0,1)" in stdout, stdout
+
+
+# one injected defect per check whose claims were `assert` statements before they went
+# through `_require`: check id, the defect, the message the failure must carry
+OPTIMIZED_DEFECTS = {
+    "charpoly-table": "p_3 differs from the frozen coefficient table",
+    "charpoly-factorization": "integer factorization identity failed",
+    "grouplike-traces": "character closed form fails at",
+    "spectral-certificates": "ring-derived McKay matrix differs from its block pattern",
+    "generalized-traces": "the top coefficient must be 1",
+    "projective-trace-table": "frozen n=3 row 0 mismatch",
+    "cartan-structure": "rule-built projective McKay matrix differs from the dual-transpose route",
+    "mckay-closed-form": "closed form fails for V(",
+    "fusion-matrix": "rule-built fusion matrix differs from the block pattern",
+    "dual-pairing": "factored pairing disagrees with the dense dot product",
+}
+
+
+def test_every_check_survives_python_O():
+    """Under -O each of these checks must still reject one injected defect, with its own message."""
+    script = """
+import sys
+assert sys.flags.optimize == 1
+import taftdouble.verify as verify
+from taftdouble.cyclotomic import CycArray
+from taftdouble.grring import GrothRing
+from taftdouble.polymat import RingMatrix
+from taftdouble.spectral import SpectralTables
+
+def bumped_matrix(fn):
+    def wrong(*args):
+        rows = [list(r) for r in fn(*args).rows]
+        rows[0][0] += 1
+        return RingMatrix(rows)
+    return wrong
+
+def bumped_array(fn):
+    def wrong(*args):
+        v = fn(*args)
+        nums = v.nums.copy()
+        nums[0, 0] += v.den
+        return CycArray(v.ctx, nums, v.den)
+    return wrong
+
+def wrong_top_gamma(n, i, k):
+    vec, gammas, lam = gen_trace_combination(n, i, k)
+    return vec, gammas[:-1] + [gammas[-1] + 1], lam
+
+def wrong_value_at_v21(self, idx, ell, s):
+    val = general_eigenvalue(self, idx, ell, s)
+    return val + 1 if (ell, s) == (2, 1) else val
+
+gen_trace_combination = verify.gen_trace_combination
+general_eigenvalue = SpectralTables.general_eigenvalue
+p_table = {**verify.P_TABLE, 3: {**verify.P_TABLE[3], (0, 0): -3}}
+rows_n3 = {**verify.TABLE_N3_ROWS, 0: [(7, 0)] + verify.TABLE_N3_ROWS[0][1:]}
+DEFECTS = {
+    "charpoly-table": (verify, "P_TABLE", p_table),
+    "charpoly-factorization": (verify, "p_n_factor_check", lambda n: False),
+    "grouplike-traces": (SpectralTables, "general_eigenvalue", wrong_value_at_v21),
+    "spectral-certificates": (verify, "build_mckay_blockform", bumped_matrix(verify.build_mckay_blockform)),
+    "generalized-traces": (verify, "gen_trace_combination", wrong_top_gamma),
+    "projective-trace-table": (verify, "TABLE_N3_ROWS", rows_n3),
+    "cartan-structure": (GrothRing, "projective_mckay_v20_rules", bumped_matrix(GrothRing.projective_mckay_v20_rules)),
+    "mckay-closed-form": (GrothRing, "mckay_matrix_closed", bumped_matrix(GrothRing.mckay_matrix_closed)),
+    "fusion-matrix": (verify, "build_fusion_blockform", bumped_matrix(verify.build_fusion_blockform)),
+    "dual-pairing": (SpectralTables, "left_eigvec", bumped_array(SpectralTables.left_eigvec)),
+}
+for cid, (owner, attr, defect) in DEFECTS.items():
+    original = getattr(owner, attr)
+    setattr(owner, attr, defect)
+    verify._WORKSPACES.clear()
+    result = verify.run_suite(3, [cid]).checks[0]
+    setattr(owner, attr, original)
+    print(cid, result.status, (result.detail or {}).get("counterexample"), sep="\t")
+"""
+    lines = _run_optimized(script).splitlines()
+    got = {cid: (status, message) for cid, status, message in (line.split("\t") for line in lines)}
+    assert set(got) == set(OPTIMIZED_DEFECTS)
+    for cid, text in OPTIMIZED_DEFECTS.items():
+        status, message = got[cid]
+        assert status == "fail" and text in message, (cid, status, message)
 
 
 def test_cli_verify_json(capsys):
