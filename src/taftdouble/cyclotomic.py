@@ -10,8 +10,9 @@ numeric oracle.
 
 Vectors over Q(q) are `CycArray`s: an (N, phi(n)) integer numpy array of
 numerators over one common denominator.  Products with integer matrices
-and with a fixed scalar run as integer matrix products, and exact equality
-is `array_equal` on cross-multiplied numerators.  `CycArray.qpow_blocks`
+and with a fixed scalar run as integer matrix products, the entrywise
+product `*` is one batched convolution folded back by the rows of q^m, and
+exact equality is `array_equal` on cross-multiplied numerators.  `CycArray.qpow_blocks`
 stacks a column of coefficients over powers of q, the shape of every
 eigenvector and trace vector downstream.  `gather_products` multiplies
 every row of one such array with every row of another through the
@@ -196,6 +197,10 @@ class CyclotomicContext:
         )
         self._qpow_mul_max = int(np.abs(self._qpow_mul).max())
         self._mul_tensor = self._qpow_mul[:d]
+        # for entrywise products: window m of a row padded by d - 1 zeros on each
+        # side reads its coefficients m - d + 1 .. m, and row m of the fold is q^m
+        self._conv_windows = np.arange(2 * d - 1)[:, None] + np.arange(d)
+        self._conv_fold = self._qpow_mul[np.arange(2 * d - 1) % n, 0]
         self._inv_cache: dict[tuple, CycNum] = {}
 
     def __repr__(self):
@@ -548,6 +553,26 @@ class CycArray:
         bound = self.max_abs() * self.ctx.degree * int(np.abs(L).max())
         nums = int_array(self.nums, bound) @ int_array(L, bound)
         return CycArray(self.ctx, nums, self.den * c.den)
+
+    def __mul__(self, other: "CycArray") -> "CycArray":
+        """The entrywise product: entry i is entry i of self times entry i of other.
+
+        Each entry is one convolution of the two numerator rows, read off
+        windows of the zero-padded rows of other, and its 2 phi - 1
+        coefficients are folded back into the power basis by the rows of q^m.
+        """
+        ctx = self.ctx
+        d = ctx.degree
+        # entry i is bounded through the largest numerators of both rows i (in
+        # floating point, which cannot misjudge the factor of 2 below int64's range)
+        pairs = np.abs(self.nums).max(axis=1, initial=0).astype(float) * np.abs(other.nums).max(axis=1, initial=0)
+        bound = d * (2 * d - 1) * float(pairs.max(initial=0)) * ctx._qpow_mul_max
+        a, b = int_array(self.nums, bound), int_array(other.nums, bound)
+        padded = np.zeros((len(b), 3 * d - 2), dtype=b.dtype)
+        padded[:, d - 1:2 * d - 1] = b
+        # [i, m] = sum over k of a_i[k] b_i[m - k]
+        conv = (padded[:, ctx._conv_windows] @ a[:, ::-1, None])[:, :, 0]
+        return CycArray(ctx, conv @ int_array(ctx._conv_fold, bound), self.den * other.den)
 
     def qpow_blocks(self, exps) -> "CycArray":
         """Row l * m + s is row l times q^{exps[s]}, for m = len(exps): each entry stacked over the powers of q.

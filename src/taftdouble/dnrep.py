@@ -10,26 +10,37 @@ with coproduct D(a) = a (x) b + 1 (x) a, D(d) = d (x) c + 1 (x) d and b, c
 grouplike.  Elements are kept in the normal-ordered basis a^al b^be c^ga d^de
 (exponents of a and d below n, exponents of b and c mod n).
 
-The simple modules V(ell, r), 1 <= ell <= n, r in Z_n, act by shift and
-diagonal matrices; their characters on elements b^i c^k d^t a^t reduce to
-explicit diagonal sums and feed every trace-vector computation downstream.
+On a simple module V(ell, r), 1 <= ell <= n, r in Z_n, every generator
+acts as a weighted shift (`WeightedShift`): a raises the basis index by one,
+d lowers it with the weights alpha_j, and b and c act diagonally by powers
+of q.  `DoubleRep.verify_relations` certifies the defining relations on
+these shifts, where a product of two shifts is an offset and one entrywise
+product of their diagonals, so every relation is an entrywise identity of
+`CycArray`s.  The characters of b^i c^k d^t a^t are sums along the diagonal
+of d^t a^t, whose entries are products of consecutive alphas (the gamma
+table, built once per n by entrywise products); one contraction of that
+table with the powers of q gives the character of every dimension at once,
+and feeds every trace-vector computation downstream.  The dense matrices
+(`action_set`, `character_matrix_route`) are kept as independent
+cross-checks for the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .cyclotomic import CyclotomicContext, CycArray, CycNum, make_context
+from .cyclotomic import CyclotomicContext, CycArray, CycNum, int_array, make_context
 from .polymat import RingMatrix
 
 __all__ = [
     "SimpleLabel",
     "Monomial",
     "ActionSet",
+    "WeightedShift",
     "all_labels",
     "label_index",
     "DoubleRep",
@@ -63,9 +74,95 @@ def label_index(n: int, label: SimpleLabel) -> int:
     return (label.ell - 1) * n + label.r % n
 
 
+def _shift_rows(nums: np.ndarray, offset: int) -> np.ndarray:
+    """Row i of the result is row i - offset of nums, zero where that row does not exist."""
+    out = np.zeros_like(nums)
+    size = len(nums)
+    if offset >= 0:
+        out[offset:] = nums[:max(size - offset, 0)]
+    else:
+        out[:max(size + offset, 0)] = nums[-offset:]
+    return out
+
+
+class WeightedShift:
+    """An operator on a module of dimension len(diag) that sends basis vector i - offset to diag[i] times vector i.
+
+    Its matrix has entry (i, i - offset) = diag[i] and no other.  Entries
+    whose source i - offset lies outside the module are zero, so a product
+    whose offset reaches the dimension has no entry left.
+    """
+
+    __slots__ = ("offset", "diag")
+
+    def __init__(self, offset: int, diag: CycArray):
+        self.offset = offset
+        self.diag = diag
+
+    @staticmethod
+    def diagonal(ctx: CyclotomicContext, exps) -> "WeightedShift":
+        """The diagonal operator with entries q^e, e in exps."""
+        return WeightedShift(0, CycArray(ctx, ctx._qpow_mul[np.asarray(exps, dtype=np.int64) % ctx.n, 0], 1))
+
+    def __mul__(self, other: "WeightedShift") -> "WeightedShift":
+        """The matrix product: offsets add, and entry i is diag[i] times other.diag[i - offset]."""
+        moved = CycArray(other.diag.ctx, _shift_rows(other.diag.nums, self.offset), other.diag.den)
+        return WeightedShift(self.offset + other.offset, self.diag * moved)
+
+    def __pow__(self, k: int) -> "WeightedShift":
+        """k-th power, k >= 1, by square-and-multiply."""
+        out, base = None, self
+        while True:
+            if k & 1:
+                out = base if out is None else out * base
+            k >>= 1
+            if not k:
+                return out
+            base = base * base
+
+    def __add__(self, other: "WeightedShift") -> "WeightedShift":
+        if self.offset != other.offset:
+            raise ValueError(f"shifts by {self.offset} and {other.offset} do not add to a weighted shift")
+        return WeightedShift(self.offset, self.diag + other.diag)
+
+    def scaled(self, c: CycNum) -> "WeightedShift":
+        return WeightedShift(self.offset, self.diag.scaled(c))
+
+    def __eq__(self, other):
+        """Equality of the matrices: same offset and diagonal, or no entry on either side."""
+        if not isinstance(other, WeightedShift):
+            return NotImplemented
+        if self.offset == other.offset:
+            return self.diag == other.diag
+        return self.diag.is_zero() and other.diag.is_zero()
+
+    __hash__ = None
+
+    def _rows(self) -> range:
+        """The rows i whose source i - offset lies in the module."""
+        size = len(self.diag)
+        return range(max(0, self.offset), min(size, size + self.offset))
+
+    def to_matrix(self) -> RingMatrix:
+        ctx = self.diag.ctx
+        mat = RingMatrix.zeros(len(self.diag), len(self.diag), ctx.zero())
+        entries = self.diag.to_list()
+        for i in self._rows():
+            mat.rows[i][i - self.offset] = entries[i]
+        return mat
+
+    def embed(self) -> np.ndarray:
+        """The matrix under q -> exp(2 pi i / n), as a dense complex array."""
+        size = len(self.diag)
+        rows = np.arange(size)[self._rows()]
+        out = np.zeros((size, size), dtype=complex)
+        out[rows, rows - self.offset] = self.diag.embed()[rows]
+        return out
+
+
 @dataclass(frozen=True)
 class ActionSet:
-    """Exact matrices of the four generators on one simple module."""
+    """Exact dense matrices of the four generators on one simple module."""
 
     label: SimpleLabel
     mat_a: RingMatrix
@@ -80,7 +177,6 @@ class DoubleRep:
     def __init__(self, ctx: CyclotomicContext):
         self.ctx = ctx
         self.n = ctx.n
-        self._gamma_cache: dict[tuple[int, int], list[CycNum]] = {}
         self._qbinom_cache: dict[tuple[int, int], CycNum] = {}
         self._da_cache: dict[tuple[int, int], dict] = {}
         self._left_d_a_cache: dict[int, dict] = {}
@@ -93,50 +189,52 @@ class DoubleRep:
         ctx = self.ctx
         return ctx.quantum_integer(i) * (ctx.one() - ctx.root_power(i - ell))
 
-    def action_set(self, label: SimpleLabel) -> ActionSet:
-        ell, r = label.ell, label.r % self.n
+    def _alphas(self, ell: int, size: int) -> CycArray:
+        """alpha_1, ..., alpha_{ell-1} on V(ell, *), then zeros up to length size."""
+        return CycArray.from_list(self.ctx, [self.alpha(j, ell) for j in range(1, ell)] + [0] * (size - ell + 1))
+
+    def action_shifts(self, label: SimpleLabel) -> tuple[WeightedShift, ...]:
+        """The generators a, b, c, d on V(ell, r) as weighted shifts.
+
+        a.v_j = v_{j+1}, d.v_{j+1} = alpha_j v_j, b.v_j = q^{r+j-1} v_j and
+        c.v_j = q^{j-r-ell} v_j, for the basis v_1, ..., v_ell.
+        """
         self._check_label(label)
-        ctx = self.ctx
-        zero, one = ctx.zero(), ctx.one()
-        a = RingMatrix.zeros(ell, ell, zero)
-        d = RingMatrix.zeros(ell, ell, zero)
-        for j in range(1, ell):
-            a.rows[j][j - 1] = one          # a.v_j = v_{j+1}
-            d.rows[j - 1][j] = self.alpha(j, ell)  # d.v_{j+1} = alpha_j v_j
-        b = RingMatrix.zeros(ell, ell, zero)
-        c = RingMatrix.zeros(ell, ell, zero)
-        for j in range(1, ell + 1):
-            b.rows[j - 1][j - 1] = ctx.root_power(r + j - 1)
-            c.rows[j - 1][j - 1] = ctx.root_power(j - (r + ell))
-        return ActionSet(SimpleLabel(ell, r), a, b, c, d)
+        ell, r, ctx = label.ell, label.r % self.n, self.ctx
+        a = WeightedShift(1, CycArray.from_list(ctx, [0] + [1] * (ell - 1)))  # v_1 is no image of a
+        b = WeightedShift.diagonal(ctx, [r + j for j in range(ell)])
+        c = WeightedShift.diagonal(ctx, [j + 1 - r - ell for j in range(ell)])
+        d = WeightedShift(-1, self._alphas(ell, ell))
+        return a, b, c, d
+
+    def action_set(self, label: SimpleLabel) -> ActionSet:
+        """The same generators as dense matrices (for cross-checks)."""
+        a, b, c, d = (x.to_matrix() for x in self.action_shifts(label))
+        return ActionSet(SimpleLabel(label.ell, label.r % self.n), a, b, c, d)
 
     def verify_relations(self, label: SimpleLabel) -> list[str]:
-        """Names of defining relations that fail as matrix identities (empty = all hold)."""
-        acts = self.action_set(label)
-        ctx = self.ctx
-        ell, n = label.ell, self.n
-        q = ctx.root_power(1)
-        a, b, c, d = acts.mat_a, acts.mat_b, acts.mat_c, acts.mat_d
-        ident = RingMatrix.identity(ell, ctx.one(), ctx.zero())
-        zero = RingMatrix.zeros(ell, ell, ctx.zero())
+        """Names of defining relations that fail on V(ell, r) (empty = all hold).
 
-        def diag_pow_is_identity(m):
-            # b and c act diagonally; exponentiate entrywise once that is certified
-            if any(m.rows[i][j] for i in range(ell) for j in range(ell) if i != j):
-                return False
-            return all(m.rows[i][i] ** n == ctx.one() for i in range(ell))
-
+        Each relation is an identity of weighted shifts, so an entrywise
+        identity of their diagonals; the powers are carried out by
+        square-and-multiply.
+        """
+        a, b, c, d = self.action_shifts(label)
+        n, q = self.n, self.ctx.root_power(1)
+        one = WeightedShift.diagonal(self.ctx, [0] * label.ell)
+        zero = WeightedShift(0, CycArray.zeros(self.ctx, label.ell))
+        bc = b * c
         checks = {
-            "ba=q.ab": b * a == (a * b).scalar_mul(q),
-            "ca=q.ac": c * a == (a * c).scalar_mul(q),
-            "db=q.bd": d * b == (b * d).scalar_mul(q),
-            "dc=q.cd": d * c == (c * d).scalar_mul(q),
-            "bc=cb": b * c == c * b,
-            "da-q.ad=1-bc": d * a - (a * d).scalar_mul(q) == ident - b * c,
+            "ba=q.ab": b * a == (a * b).scaled(q),
+            "ca=q.ac": c * a == (a * c).scaled(q),
+            "db=q.bd": d * b == (b * d).scaled(q),
+            "dc=q.cd": d * c == (c * d).scaled(q),
+            "bc=cb": bc == c * b,
+            "da-q.ad=1-bc": d * a + bc == one + (a * d).scaled(q),  # both differences moved across
             "a^n=0": a**n == zero,
             "d^n=0": d**n == zero,
-            "b^n=1": diag_pow_is_identity(b),
-            "c^n=1": diag_pow_is_identity(c),
+            "b^n=1": b**n == one,
+            "c^n=1": c**n == one,
         }
         return [name for name, ok in checks.items() if not ok]
 
@@ -144,34 +242,49 @@ class DoubleRep:
         if not 1 <= label.ell <= self.n:
             raise ValueError(f"label dimension must lie in 1..{self.n}, got {label.ell}")
 
-    def _gamma(self, ell: int, t: int) -> list[CycNum]:
-        """Diagonal of d^t a^t on V(ell, *): entry j-1 is the product of alpha_u, u = j..j+t-1."""
-        key = (ell, t)
-        got = self._gamma_cache.get(key)
-        if got is not None:
-            return got
-        if t == 0:
-            out = [self.ctx.one()] * ell
-        else:
-            prev = self._gamma(ell, t - 1)
-            out = [prev[j - 1] * self.alpha(j + t - 1, ell) for j in range(1, ell - t + 1)]
-        self._gamma_cache[key] = out
-        return out
+    @cached_property
+    def _gamma_table(self) -> CycArray:
+        """Diagonals of d^t a^t: row (t n + ell - 1) n + j - 1 is alpha_j ... alpha_{j+t-1} on V(ell, *).
+
+        Rows with j + t > ell are zero, since alpha_ell vanishes there.  Step t
+        is one entrywise product of step t - 1 with the alphas moved up by t - 1.
+        """
+        n, ctx = self.n, self.ctx
+        alphas = [self._alphas(ell, n) for ell in range(1, n + 1)]
+        if any(a.den != 1 for a in alphas):
+            raise ArithmeticError("the weights alpha_j of d must lie in Z[q]")
+        steps = [CycArray.from_list(ctx, [int(j <= ell) for ell in range(1, n + 1) for j in range(1, n + 1)])]
+        for t in range(1, n):
+            moved = np.concatenate([_shift_rows(a.nums, 1 - t) for a in alphas])
+            steps.append(steps[-1] * CycArray(ctx, moved, 1))
+        bound = max(x.max_abs() for x in steps)
+        return CycArray(ctx, np.concatenate([int_array(x.nums, bound) for x in steps]), 1)
+
+    def _twist_zero_characters(self, i: int, k: int, ts, ells) -> CycArray:
+        """Traces of b^i c^k d^t a^t on V(ell, 0), in row t_index * len(ells) + ell_index.
+
+        Entry j of the diagonal of b^i c^k d^t a^t on V(ell, 0) is
+        gamma_j q^{(j-1)i + (j-ell)k}, with exponents that do not depend on t,
+        so the traces for every t and ell are one contraction of the gamma
+        table with the matrices of multiplication by those powers.
+        """
+        n, ctx = self.n, self.ctx
+        d = ctx.degree
+        ts, ells = np.asarray(ts), np.asarray(ells)
+        gamma = self._gamma_table
+        rows = gamma.nums.reshape(n, n, n * d)[np.ix_(ts, ells - 1)]  # [t, ell, (j, m)]
+        j = np.arange(1, n + 1)
+        tables = ctx._qpow_mul[((j - 1) * i + (j - ells[:, None]) * k) % n].reshape(len(ells), n * d, d)
+        bound = n * d * (int(np.abs(rows).max()) if rows.size else 0) * ctx._qpow_mul_max
+        nums = int_array(rows, bound).transpose(1, 0, 2) @ int_array(tables, bound)  # [ell, t, p]
+        return CycArray(ctx, nums.transpose(1, 0, 2).reshape(-1, d), gamma.den)
 
     def character(self, label: SimpleLabel, mono: Monomial) -> CycNum:
-        """Trace of b^i c^k d^t a^t on V(ell, s), via the diagonal form of d^t a^t."""
+        """Trace of b^i c^k d^t a^t on V(ell, s): the twist-0 value times q^{s(i-k)}."""
         ell, s = label.ell, label.r
-        i, k, t = mono
-        if t >= ell:
+        if mono.t >= ell:
             return self.ctx.zero()
-        if t == 0:
-            return self.grouplike_character_closed(label, i, k)
-        gamma = self._gamma(ell, t)
-        acc = self.ctx.zero()
-        for j in range(1, ell - t + 1):
-            e = (s + j - 1) * i + (j - (s + ell)) * k
-            acc = acc + gamma[j - 1].mul_qpow(e)
-        return acc
+        return self._twist_zero_characters(mono.i, mono.k, [mono.t], [ell])[0].mul_qpow(s * (mono.i - mono.k))
 
     def character_matrix_route(self, label: SimpleLabel, mono: Monomial) -> CycNum:
         """Same trace, by literal matrix products (cross-check path, small sizes only)."""
@@ -188,13 +301,6 @@ class DoubleRep:
         if al != de:
             return self.ctx.zero()
         return self.character(label, Monomial(be, ga, al))
-
-    def grouplike_character_closed(self, label: SimpleLabel, i: int, k: int) -> CycNum:
-        """Trace of b^i c^k on V(ell, s): the sum of q^{(s+t-1)i + (t-(s+ell))k}, t = 1..ell."""
-        ell, s = label.ell, label.r
-        return self.ctx.from_qpowers(
-            (1, (s + t - 1) * i + (t - (s + ell)) * k) for t in range(1, ell + 1)
-        )
 
     def dual_label(self, label: SimpleLabel) -> SimpleLabel:
         """The dual of V(ell, r) is V(ell, 1 - r - ell)."""
@@ -221,8 +327,21 @@ class DoubleRep:
         instead of resummed.
         """
         n = self.n
-        values = [self.character(SimpleLabel(ell, 0), mono) for ell in range(1, n + 1)]
-        return CycArray.from_list(self.ctx, values).qpow_blocks([s * (mono.i - mono.k) for s in range(n)])
+        values = self._twist_zero_characters(mono.i, mono.k, [mono.t], np.arange(1, n + 1))
+        return values.qpow_blocks([s * (mono.i - mono.k) for s in range(n)])
+
+    def trace_vector_S_sum(self, i: int, k: int, coeffs) -> CycArray:
+        """Simple-module trace vector of sum_t coeffs[t-1] b^i c^k d^t a^t, t = 1..len(coeffs).
+
+        The twist factor q^{s(i-k)} does not depend on t, so the sum is taken
+        over the twist-0 values, which come from one contraction for all t.
+        """
+        n, ctx = self.n, self.ctx
+        values = self._twist_zero_characters(i, k, range(1, len(coeffs) + 1), np.arange(1, n + 1))
+        weighted = values * CycArray.from_list(ctx, coeffs).qpow_blocks([0] * n)  # row t n + ell - 1
+        nums = weighted.nums.reshape(len(coeffs), n, ctx.degree)
+        total = int_array(nums, weighted.max_abs() * len(coeffs)).sum(axis=0)
+        return CycArray(ctx, total, weighted.den).qpow_blocks([s * (i - k) for s in range(n)])
 
     def trace_vector_S_pbw(self, pbw_mono: tuple) -> CycArray:
         al, be, ga, de = pbw_mono
@@ -383,12 +502,12 @@ def bckt_to_pbw(rep: DoubleRep, mono: Monomial) -> "PbwElement":
     return PbwElement(rep, rep._mono_mul((0, mono.i % n, mono.k % n, mono.t), (mono.t, 0, 0, 0)))
 
 
-def coproduct_trace_identity(rep: DoubleRep, mckay: np.ndarray, x, vlabel: SimpleLabel):
-    """Both sides of the trace identity M_V Tr_S(x) = sum tr_V(x_(2)) Tr_S(x_(1)).
+def coproduct_trace_terms(rep: DoubleRep, x, vlabel: SimpleLabel):
+    """The terms of both sides of the trace identity M_V Tr_S(x) = sum tr_V(x_(2)) Tr_S(x_(1)).
 
-    The left side multiplies the simple trace vector by mckay, the integer
-    McKay array of V(vlabel); the right side expands the coproduct of x and
-    weighs each tensor factor by its trace on V(vlabel).  Accepts a
+    Returns (left, right): left holds (coeff, Tr_S(mono)) for each term coeff
+    * mono of x; right holds (coeff, c, tr_V(m2), Tr_S(m1)) for each term
+    c m1 (x) m2 of D(mono) whose trace on V(vlabel) is nonzero.  Accepts a
     normal-ordered exponent tuple, a Monomial (b^i c^k d^t a^t), or a
     PbwElement.
     """
@@ -398,15 +517,34 @@ def coproduct_trace_identity(rep: DoubleRep, mckay: np.ndarray, x, vlabel: Simpl
         elem = rep.pbw_monomial(*x)
     else:
         elem = x
-    size = rep.n * rep.n
-    tr_x = rhs = CycArray.zeros(rep.ctx, size)
+    left, right = [], []
     for mono, coeff in elem.terms.items():
-        tr_x = tr_x + rep.trace_vector_S_pbw(mono).scaled(coeff)
+        left.append((coeff, rep.trace_vector_S_pbw(mono)))
         for (m1, m2), c in rep.coproduct_monomial(mono).items():
             weight = rep.character_pbw(vlabel, m2)
             if weight:
-                rhs = rhs + rep.trace_vector_S_pbw(m1).scaled(coeff * c * weight)
+                right.append((coeff, c, weight, rep.trace_vector_S_pbw(m1)))
+    return left, right
+
+
+def coproduct_trace_sides(rep: DoubleRep, mckay: np.ndarray, left, right):
+    """Both sides of the trace identity, exactly, from the terms of `coproduct_trace_terms`.
+
+    The left side multiplies the simple trace vector of x by mckay, the
+    integer McKay array of V; the right side weighs each Tr_S(x_(1)) by the
+    trace of x_(2) on V.
+    """
+    tr_x = rhs = CycArray.zeros(rep.ctx, rep.n * rep.n)
+    for coeff, tv in left:
+        tr_x = tr_x + tv.scaled(coeff)
+    for coeff, c, weight, tv in right:
+        rhs = rhs + tv.scaled(coeff * c * weight)
     return tr_x.left_mul(mckay), rhs
+
+
+def coproduct_trace_identity(rep: DoubleRep, mckay: np.ndarray, x, vlabel: SimpleLabel):
+    """Both sides of M_V Tr_S(x) = sum tr_V(x_(2)) Tr_S(x_(1)) for V = V(vlabel), exactly."""
+    return coproduct_trace_sides(rep, mckay, *coproduct_trace_terms(rep, x, vlabel))
 
 
 class PbwElement:

@@ -9,7 +9,9 @@ a matrix that is not found full there is eliminated over the field.
 `relation` is the one statement of the eigen and Jordan relations of an
 integer matrix against a vector over Q(q): it certifies them exactly on
 integer coefficient arrays and re-evaluates them under the complex
-embedding as a numeric oracle.
+embedding as a numeric oracle.  The integer matrices (McKay, Cartan,
+fusion) have a few nonzeros per row, so their products with arrays are
+gather-adds over those nonzeros (`sparse_rows`, `sparse_product`).
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from .cyclotomic import CycArray, CycNum, int_array, split_prime
 
-__all__ = ["RingPoly", "RingMatrix", "field_inverse", "CheckFailure", "relation"]
+__all__ = ["RingPoly", "RingMatrix", "field_inverse", "CheckFailure", "relation", "sparse_rows", "sparse_product"]
 
 
 class CheckFailure(AssertionError):
@@ -442,7 +444,8 @@ def relation(
 
     in int64 when max(R mV dl dc, phi mV mL dc + mC dv dl) < 2^62 (R the
     largest absolute row sum of A, mV, mL, mC the largest absolute
-    numerators), and in Python ints otherwise.  A mismatch raises
+    numerators), and in Python ints otherwise; A V gathers and adds rows
+    of V over the nonzeros of each row of A.  A mismatch raises
     CheckFailure naming `what` and the first failing coordinate.
 
     Returns the numeric oracle residual of the same identity:
@@ -463,8 +466,9 @@ def relation(
     R = int(np.abs(A).sum(axis=1).max(initial=0))
     mV, mL = vec.max_abs(), int(np.abs(L).max())
     bound = max(R * mV * dl * dc, ctx.degree * mV * mL * dc + mC * dv * dl)
-    A, V = int_array(A, bound), int_array(vec.nums, bound)
-    lhs = (A @ V) * (dl * dc)
+    cols, vals = sparse_rows(A)
+    V = int_array(vec.nums, bound)
+    lhs = sparse_product((cols, int_array(vals, bound)), V) * (dl * dc)
     rhs = (V @ int_array(L, bound)) * dc
     if chain is not None:
         rhs = rhs + int_array(chain.nums, bound) * (dv * dl)
@@ -478,3 +482,24 @@ def relation(
     if chain is not None:
         resid = resid - chain.embed()
     return float(np.max(np.abs(resid)) / max(1.0, float(np.max(np.abs(vn)))))
+
+
+def sparse_rows(A: np.ndarray):
+    """The nonzero entries of each row of the integer matrix A, as (cols, vals) arrays of shape (rows, w).
+
+    w is the most nonzeros any row holds; shorter rows are padded with value 0.
+    """
+    rows, cols = np.divmod(np.flatnonzero(A), A.shape[1])
+    counts = np.bincount(rows, minlength=len(A))
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    out_cols = np.zeros((len(A), counts.max(initial=0)), dtype=np.int64)
+    out_vals = np.zeros(out_cols.shape, dtype=A.dtype)
+    out_cols[rows, slot] = cols
+    out_vals[rows, slot] = A[rows, cols]
+    return out_cols, out_vals
+
+
+def sparse_product(sparse, B: np.ndarray) -> np.ndarray:
+    """A @ B for A given by `sparse_rows`: each row of the product gathers and adds w rows of B."""
+    cols, vals = sparse
+    return (vals[:, :, None] * B[cols]).sum(axis=1)

@@ -32,7 +32,7 @@ import numpy as np
 
 from .chebyshev import bivariate_to_poly, p_n_bivariate
 from .cyclotomic import CycArray, CycNum, gather_products, int_array, make_context
-from .dnrep import Monomial, all_labels, double_rep
+from .dnrep import all_labels, double_rep
 from .grring import GrothRing, PolyPres, groth_ring
 from .polymat import CheckFailure, RingMatrix, RingPoly, relation
 
@@ -290,8 +290,16 @@ def gen_trace_combination(n: int, i: int, k: int):
     if (i + k) % n == 0:
         raise ValueError("requires i + k != 0 mod n (otherwise the trace vector is a plain eigenvector)")
     ctx = make_context(n)
-    rep = double_rep(n)
-    s = (-(i + k)) % n
+    chain = list(_trace_chain(n, (-(i + k)) % n))
+    vec = double_rep(n).trace_vector_S_sum(i, k, chain)
+    lam = ctx.root_power(i) + ctx.root_power(-k)
+    return vec.reduced(), chain, lam
+
+
+@lru_cache(maxsize=None)
+def _trace_chain(n: int, s: int) -> tuple[CycNum, ...]:
+    """gamma_1, ..., gamma_s of `gen_trace_combination`, which depend on (i, k) only through s."""
+    ctx = make_context(n)
     qint = [None] + [ctx.quantum_integer(m) for m in range(1, n)]
     inv_qint = [None] + [qint[m].inverse() for m in range(1, n)]
     inv_qm1 = (ctx.root_power(1) - ctx.one()).inverse()
@@ -299,11 +307,7 @@ def gen_trace_combination(n: int, i: int, k: int):
     for l in range(s - 1, 0, -1):
         g = qint[l + 1] * qint[l + 1] * inv_qint[l] * inv_qint[s - l] * inv_qm1
         gammas[l] = (g * gammas[l + 1]).mul_qpow(s - 1 - l)
-    vec = CycArray.zeros(ctx, n * n)
-    for l in range(1, s + 1):
-        vec = vec + rep.trace_vector_S(Monomial(i, k, l)).scaled(gammas[l])
-    lam = ctx.root_power(i) + ctx.root_power(-k)
-    return vec.reduced(), [gammas[l] for l in range(1, s + 1)], lam
+    return tuple(gammas[l] for l in range(1, s + 1))
 
 
 # ----------------------------------------------------------------------

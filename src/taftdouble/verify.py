@@ -29,10 +29,18 @@ from functools import cached_property
 import numpy as np
 
 from .chebyshev import bivariate_to_poly, cheb_poly, p_n_bivariate, p_n_bivariate_closed, p_n_factor_check
-from .cyclotomic import CycArray, CycNum, make_context
-from .dnrep import Monomial, SimpleLabel, all_labels, coproduct_trace_identity, double_rep, label_index
+from .cyclotomic import CycArray, CycNum, int_array, make_context
+from .dnrep import (
+    Monomial,
+    SimpleLabel,
+    all_labels,
+    coproduct_trace_sides,
+    coproduct_trace_terms,
+    double_rep,
+    label_index,
+)
 from .grring import groth_ring
-from .polymat import CheckFailure, RingMatrix, RingPoly, relation
+from .polymat import CheckFailure, RingMatrix, RingPoly, relation, sparse_product, sparse_rows
 from .spectral import (
     EigIndex,
     block_matrix,
@@ -241,6 +249,13 @@ def _line_coefficient(A: np.ndarray, vec: CycArray, lam: CycNum, side: str, line
     return (image - lam * vec[p]) / line[p]
 
 
+def _first_mismatch(labels, got: CycArray, want: CycArray):
+    """The label of the first entry where got and want differ, or None when they are equal."""
+    if got == want:
+        return None
+    return next(lab for lab, x, y in zip(labels, got.to_list(), want.to_list()) if x != y)
+
+
 def _block_charpoly_values(t: np.ndarray, qk: complex, n: int):
     """The k-th block polynomial and its derivative at the points t, numerically.
 
@@ -325,8 +340,7 @@ def check_hopf_axioms(ws: Workspace):
         fails = rep.verify_relations(lab)
         _require(not fails, f"relations {fails} fail on {lab}")
     # numeric re-check of the mixed relation on the largest module
-    acts = rep.action_set(SimpleLabel(n, 1))
-    na, nb, nc, nd = (embed_mat(m) for m in (acts.mat_a, acts.mat_b, acts.mat_c, acts.mat_d))
+    na, nb, nc, nd = (x.embed() for x in rep.action_shifts(SimpleLabel(n, 1)))
     q = ctx.root_power(1).embed()
     resid = nd @ na - q * (na @ nd) - (np.eye(n) - nb @ nc)
     oracle.vec_residual(np.abs(resid).ravel())
@@ -380,10 +394,18 @@ def check_coproduct_trace(ws: Workspace):
     vlabels = [SimpleLabel(2, 0)] if n >= 11 else [SimpleLabel(2, 0), SimpleLabel(3, 1)]
     for vlabel in vlabels:
         Mv = ws.M_int if vlabel == SimpleLabel(2, 0) else ws.mckay(vlabel.ell, vlabel.r).int_array()
+        Mv_numeric = Mv.astype(complex)
         for mono in monos:
-            lhs, rhs = coproduct_trace_identity(rep, Mv, mono, vlabel)
+            left, right = coproduct_trace_terms(rep, mono, vlabel)
+            lhs, rhs = coproduct_trace_sides(rep, Mv, left, right)
             _require(lhs == rhs, f"trace identity failed for {mono} against V{tuple(vlabel)}")
-            oracle.vec_residual(np.abs(lhs.embed() - rhs.embed()))
+            # the oracle weighs the embedded terms itself, in complex arithmetic,
+            # relative to the largest of them
+            tr_x = sum((coeff.embed() * tv.embed() for coeff, tv in left), np.zeros(n * n, dtype=complex))
+            image = Mv_numeric @ tr_x
+            terms = [coeff.embed() * c.embed() * weight.embed() * tv.embed() for coeff, c, weight, tv in right]
+            scale = max([1.0, float(np.max(np.abs(image)))] + [float(np.max(np.abs(t))) for t in terms])
+            oracle.vec_residual(np.abs(image - sum(terms, np.zeros(n * n, dtype=complex))) / scale)
     return oracle.residual, {"sampled_monomials": len(monos), "modules": len(vlabels)}
 
 
@@ -397,10 +419,10 @@ def check_grouplike_traces(ws: Workspace):
         idx = tab.index_from_grouplike(i, k)
         _require(tv == eigvecs[idx], f"Tr_S(b^{i} c^{k}) is not the ({idx.j},{idx.r}) eigenvector")
         _require(tv == ws.grouplike_traces[(-k % n, -i % n)], f"symmetry fails at ({i},{k})")
-        # the character of V(ell, s) is the eigenvalue of its McKay matrix on the family
-        bad = next(
-            (lab for lab, x in zip(labels, tv.to_list()) if x != tab.general_eigenvalue(idx, lab.ell, lab.r)), None
-        )
+        # the character of V(ell, s) is the eigenvalue of its McKay matrix on the family,
+        # which is its value at s = 0 times q^{2sr}
+        closed = CycArray.from_list(ctx, [tab.general_eigenvalue(idx, ell, 0) for ell in range(1, n + 1)])
+        bad = _first_mismatch(labels, tv, closed.qpow_blocks([2 * s * idx.r for s in range(n)]))
         _require(bad is None, f"character closed form fails at {bad}, ({i},{k})")
         oracle.see(relation(ws.M_int, tv, tab.lam(idx), "right", what=f"Tr_S(b^{i} c^{k}) eigen"))
     dims = CycArray.from_list(ctx, ws.ring.dim_simple_vector())
@@ -552,25 +574,27 @@ def check_cartan_structure(ws: Workspace):
             _require(sorted(x for x in row if x) == [2, 2], f"Cartan row of {lab} is not two entries 2")
     oracle.rank(embed_mat(C).real, n * (n + 1) // 2)
 
-    Ct = C.transpose()
     ident = RingMatrix.identity(n * n)
     _require(ring.projective_mckay(1, 0) == ident, "tensoring with the unit must be the identity")
     _require(
         ring.projective_mckay_v20_rules() == ring.projective_mckay(2, 0),
         "rule-built projective McKay matrix differs from the dual-transpose route",
     )
+    C_int = C.int_array()
+    C_rows, Ct_rows = sparse_rows(C_int), sparse_rows(C_int.T)
+    C_numeric = C_int.astype(float)
     rnd = _rng("cartan-structure", n)
     numeric_sample = {(rnd.randrange(1, n + 1), rnd.randrange(n)) for _ in range(3)}
     for ell in range(1, n + 1):
+        # the dual of V(ell, s) is V(ell, 1 - s - ell): one ell's arrays serve both sides
+        arrays = [np.asarray(ws.mckay(ell, s).rows, dtype=np.int64) for s in range(n)]
         for s in range(n):
-            Mv = ws.mckay(ell, s)
-            dual = SimpleLabel(ell, (1 - s - ell) % n)
-            Mdual = ws.mckay(dual.ell, dual.r)
-            lhs = (Ct * Mdual).transpose()  # equals M_dual^T C = Q_V C
-            rhs = C * Mv
-            _require(lhs == rhs, f"QC = CM fails for V({ell},{s})")
+            Mv, Mdual = arrays[s], arrays[(1 - s - ell) % n]
+            lhs = sparse_product(Ct_rows, Mdual).T  # equals M_dual^T C = Q_V C
+            rhs = sparse_product(C_rows, Mv)
+            _require(np.array_equal(lhs, rhs), f"QC = CM fails for V({ell},{s})")
             if (ell, s) in numeric_sample:
-                d = np.abs(embed_mat(Mdual).T @ embed_mat(C) - embed_mat(C) @ embed_mat(Mv))
+                d = np.abs(Mdual.T @ C_numeric - C_numeric @ Mv)
                 oracle.vec_residual(d.ravel())
     return oracle.residual, {"modules": n * n}
 
@@ -794,6 +818,30 @@ def check_fusion_matrix(ws: Workspace):
     return oracle.residual, {"size": Nr.nrows}
 
 
+def _entrywise_sums(products: CycArray, groups: int) -> CycArray:
+    """The entries of `products` summed over `groups` consecutive runs of equal length."""
+    nums = products.nums.reshape(groups, -1, products.ctx.degree)
+    bound = products.max_abs() * nums.shape[1]
+    return CycArray(products.ctx, int_array(nums, bound).sum(axis=1), products.den)
+
+
+def _pairings(ctx, lrows, rrows) -> list[list[CycNum]]:
+    """n sum_b lc[n-1-b] rc[b] for every lc in lrows and rc in rrows, by one entrywise product.
+
+    The pairing couples block b of the (reversed) left family with block b of the right.
+    """
+    n, d = ctx.n, ctx.degree
+    m_left, m_right = len(lrows), len(rrows)
+    left = CycArray.from_list(ctx, [lc[n - 1 - b] for lc in lrows for b in range(n)])
+    right = CycArray.from_list(ctx, [rc[b] for rc in rrows for b in range(n)])
+    # entry (x, y, b) pairs coefficient b of left row x with coefficient b of right row y
+    shape = (m_left, m_right, n, d)
+    left = CycArray(ctx, np.broadcast_to(left.nums.reshape(m_left, 1, n, d), shape).reshape(-1, d), left.den)
+    right = CycArray(ctx, np.broadcast_to(right.nums.reshape(1, m_right, n, d), shape).reshape(-1, d), right.den)
+    sums = _entrywise_sums(left * right, m_left * m_right).scaled(ctx.from_rational(n)).to_list()
+    return [sums[x * m_right:(x + 1) * m_right] for x in range(m_left)]
+
+
 def check_dual_pairing(ws: Workspace):
     """Left/right family pairing is block diagonal and invertible; Cartan intertwining."""
     n, tab, ctx, ring = ws.n, ws.tab, ws.ctx, ws.ring
@@ -805,19 +853,10 @@ def check_dual_pairing(ws: Workspace):
                 dot == (ctx.from_rational(n) if r1 == r2 else ctx.zero()),
                 "shift eigenvector pairing is not n times a delta",
             )
-    # pairing couples block b of the (reversed) left family with block b of the right
-    def paired(lc, rc):
-        acc = ctx.zero()
-        for b in range(n):
-            acc = acc + lc[n - 1 - b] * rc[b]
-        return acc * n
-
     idx_a, idx_b = EigIndex(0, 0), EigIndex(1, 0)
-    full = ctx.zero()
-    for a, b in zip(tab.left_eigvec(idx_a).to_list(), tab.right_eigvec(idx_b).to_list()):
-        full = full + a * b
+    full = _entrywise_sums(tab.left_eigvec(idx_a) * tab.right_eigvec(idx_b), 1)[0]
     _require(
-        full == paired(tab.left_coeffs(idx_a), tab.right_coeffs(idx_b)),
+        [[full]] == _pairings(ctx, [tab.left_coeffs(idx_a)], [tab.right_coeffs(idx_b)]),
         "factored pairing disagrees with the dense dot product",
     )
     for r in range(n):
@@ -829,8 +868,7 @@ def check_dual_pairing(ws: Workspace):
             if j:
                 lrows.append(tab.gen_left_coeffs(idx))
                 rrows.append(tab.gen_right_coeffs(idx))
-        block = [[paired(lc, rc) for rc in rrows] for lc in lrows]
-        _require(RingMatrix(block).rank_over_field() == n, f"pairing block degenerate at r={r}")
+        _require(RingMatrix(_pairings(ctx, lrows, rrows)).rank_over_field() == n, f"pairing block degenerate at r={r}")
     C = ring.cartan_matrix().int_array()
     Q = ring.projective_mckay(2, 0).int_array()
     for c in ws.certs:

@@ -10,7 +10,7 @@ whole gate stays within a few minutes for the default n set.
 
 import pytest
 
-from taftdouble.verify import CHECKS, ORACLE_TOL, run_suite
+from taftdouble.verify import CHECKS, ORACLE_TOL, check_ids, run_suite
 
 DEFAULT_NS = (3, 5, 7, 9, 11, 13)
 
@@ -117,3 +117,15 @@ def test_criterion_12_oracle_concordance():
     print(f"ACCEPTANCE criterion-12 [oracle-concordance] {status} "
           f"(all checks, all n; worst oracle {worst:.2e})")
     assert not failures, f"criterion 12 failed: {failures}"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [15, 17])
+def test_suite_at_large_n(n, monkeypatch):
+    """Every check passes, exactly and below the oracle tolerance, past the default bound on n."""
+    monkeypatch.setenv("TAFTDOUBLE_MAX_N", str(n))
+    report = run_suite(n)
+    assert [c.id for c in report.checks] == check_ids()
+    bad = [(c.id, c.status, c.exact, c.oracle_residual) for c in report.checks
+           if not (c.status == "pass" and c.exact and c.oracle_residual < ORACLE_TOL)]
+    assert not bad, bad

@@ -236,6 +236,25 @@ def test_qpow_blocks_multiplies_each_row_by_each_power(n):
     assert np.array_equal(ctx._mul_tensor, ctx._qpow_mul[: ctx.degree])
 
 
+@pytest.mark.parametrize("n", [3, 5, 11])
+def test_entrywise_product_matches_the_scalar_product(n):
+    ctx = make_context(n)
+    vec = _random_vector(ctx, 3 * n, seed=700 + n)
+    other = _random_vector(ctx, 3 * n, seed=800 + n)
+    prod = CycArray.from_list(ctx, vec) * CycArray.from_list(ctx, other)
+    assert prod.nums.dtype == np.int64
+    assert prod.to_list() == [a * b for a, b in zip(vec, other)]
+
+
+def test_entrywise_product_past_the_int64_bound_uses_python_ints():
+    ctx = make_context(7)
+    vec = [x * 2**61 for x in _random_vector(ctx, 6, seed=900)]
+    other = _random_vector(ctx, 6, seed=901)
+    prod = CycArray.from_list(ctx, vec) * CycArray.from_list(ctx, other)
+    assert prod.nums.dtype == object
+    assert prod.to_list() == [a * b for a, b in zip(vec, other)]
+
+
 def test_line_coefficient():
     ctx = make_context(7)
     line = CycArray.from_list(ctx, _random_vector(ctx, 6, seed=600))

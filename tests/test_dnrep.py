@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
-from taftdouble.cyclotomic import make_context
+from taftdouble.cyclotomic import CycArray, make_context
 from taftdouble.dnrep import (
+    DoubleRep,
     Monomial,
     SimpleLabel,
+    WeightedShift,
     all_labels,
     bckt_to_pbw,
     coproduct_trace_identity,
@@ -14,6 +17,7 @@ from taftdouble.dnrep import (
     label_index,
 )
 from taftdouble.grring import groth_ring
+from taftdouble.polymat import RingMatrix
 
 
 def test_label_ordering():
@@ -45,6 +49,93 @@ def test_relations_hold_everywhere(n):
     rep = double_rep(n)
     for lab in all_labels(n):
         assert rep.verify_relations(lab) == []
+
+
+def _relations_dense_reference(rep, label):
+    """Names of the defining relations that fail as dense matrix identities over CycNum.
+
+    The independent cross-check of `DoubleRep.verify_relations`, which
+    certifies the same relations on weighted shifts.
+    """
+    acts = rep.action_set(label)
+    ctx = rep.ctx
+    ell, n = label.ell, rep.n
+    q = ctx.root_power(1)
+    a, b, c, d = acts.mat_a, acts.mat_b, acts.mat_c, acts.mat_d
+    ident = RingMatrix.identity(ell, ctx.one(), ctx.zero())
+    zero = RingMatrix.zeros(ell, ell, ctx.zero())
+
+    def diag_pow_is_identity(m):
+        # b and c act diagonally; exponentiate entrywise once that is certified
+        if any(m.rows[i][j] for i in range(ell) for j in range(ell) if i != j):
+            return False
+        return all(m.rows[i][i] ** n == ctx.one() for i in range(ell))
+
+    checks = {
+        "ba=q.ab": b * a == (a * b).scalar_mul(q),
+        "ca=q.ac": c * a == (a * c).scalar_mul(q),
+        "db=q.bd": d * b == (b * d).scalar_mul(q),
+        "dc=q.cd": d * c == (c * d).scalar_mul(q),
+        "bc=cb": b * c == c * b,
+        "da-q.ad=1-bc": d * a - (a * d).scalar_mul(q) == ident - b * c,
+        "a^n=0": a**n == zero,
+        "d^n=0": d**n == zero,
+        "b^n=1": diag_pow_is_identity(b),
+        "c^n=1": diag_pow_is_identity(c),
+    }
+    return [name for name, ok in checks.items() if not ok]
+
+
+def _relation_labels(n):
+    labels = all_labels(n)
+    return labels if n <= 5 else random.Random(n).sample(labels, 12)
+
+
+def _bump_alpha(target):
+    """DoubleRep.alpha with alpha_i on V(ell, *) raised by 1 at target = (i, ell)."""
+    original = DoubleRep.alpha
+
+    def alpha(self, i, ell):
+        val = original(self, i, ell)
+        return val + 1 if (i, ell) == target else val
+    return alpha
+
+
+def _bump_diagonal(which, label, j):
+    """DoubleRep.action_shifts with entry j of the diagonal of b (which = 1) or c (which = 2) raised by 1 on label."""
+    original = DoubleRep.action_shifts
+
+    def action_shifts(self, lab):
+        shifts = list(original(self, lab))
+        if lab == label:
+            diag = shifts[which].diag
+            nums = diag.nums.copy()
+            nums[j, 0] += diag.den
+            shifts[which] = WeightedShift(0, CycArray(diag.ctx, nums, diag.den))
+        return tuple(shifts)
+    return action_shifts
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_shift_relations_match_the_dense_reference(n):
+    rep = DoubleRep(make_context(n))
+    for lab in _relation_labels(n):
+        assert rep.verify_relations(lab) == _relations_dense_reference(rep, lab) == []
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_shift_relations_fail_like_the_dense_reference(n, monkeypatch):
+    rep = DoubleRep(make_context(n))
+    rnd = random.Random(10 + n)
+    for lab in _relation_labels(n):
+        defects = [(DoubleRep, "action_shifts", _bump_diagonal(which, lab, rnd.randrange(lab.ell))) for which in (1, 2)]
+        if lab.ell > 1:
+            defects.append((DoubleRep, "alpha", _bump_alpha((rnd.randrange(1, lab.ell), lab.ell))))
+        for owner, attr, defect in defects:
+            with monkeypatch.context() as m:
+                m.setattr(owner, attr, defect)
+                fails = rep.verify_relations(lab)
+                assert fails and fails == _relations_dense_reference(rep, lab), (lab, attr, fails)
 
 
 def test_label_validation():
@@ -174,20 +265,46 @@ def test_character_examples():
     for s in range(n):
         for i in range(n):
             for k in range(n):
-                assert rep.grouplike_character_closed(
-                    SimpleLabel(1, s), i, k
-                ) == ctx.root_power(s * (i - k))
+                assert rep.character(SimpleLabel(1, s), Monomial(i, k, 0)) == ctx.root_power(s * (i - k))
     for i in range(n):
         for k in range(n):
-            assert rep.grouplike_character_closed(SimpleLabel(2, 0), i, k) == ctx.root_power(
-                i
-            ) + ctx.root_power(-k)
+            assert rep.character(SimpleLabel(2, 0), Monomial(i, k, 0)) == ctx.root_power(i) + ctx.root_power(-k)
     # identity trace is the dimension
     for lab in all_labels(n):
-        assert rep.grouplike_character_closed(lab, 0, 0) == lab.ell
+        assert rep.character(lab, Monomial(0, 0, 0)) == lab.ell
     # nilpotency kills the trace once t reaches the dimension
     assert rep.character(SimpleLabel(2, 1), Monomial(1, 1, 3)).is_zero()
     assert rep.character(SimpleLabel(2, 1), Monomial(1, 1, 2)).is_zero()
+
+
+@lru_cache(maxsize=None)
+def _diagonal_reference(rep, ell, t):
+    """Diagonal of d^t a^t on V(ell, *): entry j - 1 is alpha_j ... alpha_{j+t-1}, j = 1..ell-t."""
+    if t == 0:
+        return [rep.ctx.one()] * ell
+    prev = _diagonal_reference(rep, ell, t - 1)
+    return [prev[j - 1] * rep.alpha(j + t - 1, ell) for j in range(1, ell - t + 1)]
+
+
+def _character_reference(rep, label, mono):
+    """Trace of b^i c^k d^t a^t on V(ell, s), summed entry by entry along the diagonal of d^t a^t."""
+    ell, s = label.ell, label.r
+    i, k, t = mono
+    acc = rep.ctx.zero()
+    for j, gamma in enumerate(_diagonal_reference(rep, ell, t), start=1):
+        acc = acc + gamma.mul_qpow((s + j - 1) * i + (j - (s + ell)) * k)
+    return acc
+
+
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_trace_vectors_match_the_per_entry_characters(n):
+    rep = double_rep(n)
+    labels = all_labels(n)
+    for i in range(n):
+        for k in range(n):
+            for t in range(1, n):
+                mono = Monomial(i, k, t)
+                assert rep.trace_vector_S(mono).to_list() == [_character_reference(rep, lab, mono) for lab in labels]
 
 
 def test_character_matches_matrix_route():

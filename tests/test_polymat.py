@@ -6,7 +6,7 @@ import pytest
 
 from taftdouble.cyclotomic import CycArray, make_context, split_prime
 from taftdouble.grring import groth_ring
-from taftdouble.polymat import CheckFailure, RingMatrix, RingPoly, relation
+from taftdouble.polymat import CheckFailure, RingMatrix, RingPoly, relation, sparse_product, sparse_rows
 from taftdouble.spectral import EigIndex, certificates, groth_decomposition, spectral_tables
 
 
@@ -280,3 +280,13 @@ def test_rank_denominator_divisible_by_p_falls_back(monkeypatch):
     exact = RingMatrix._echelon
     monkeypatch.setattr(RingMatrix, "_echelon", lambda self: calls.append(1) or exact(self))
     assert m.rank_over_field() == 2 and calls
+
+
+def test_sparse_product_matches_the_dense_product():
+    rnd = np.random.default_rng(3)
+    A = rnd.integers(-3, 4, (7, 9)) * (rnd.random((7, 9)) < 0.4)
+    A[2] = 0
+    B = rnd.integers(-5, 6, (9, 4))
+    assert np.array_equal(sparse_product(sparse_rows(A), B), A @ B)
+    big = B.astype(object) * 2**70
+    assert np.array_equal(sparse_product(sparse_rows(A), big), A.astype(object) @ big)

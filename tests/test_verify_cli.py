@@ -10,8 +10,9 @@ import taftdouble.verify as verify_mod
 from taftdouble.cli import main
 from taftdouble.cyclotomic import CycArray
 from taftdouble.dnrep import DoubleRep
-from taftdouble.grring import GrothRing
+from taftdouble.grring import GrothRing, groth_ring
 from taftdouble.spectral import GrothDecomposition, SpectralTables, spectral_tables
+from taftdouble.polymat import sparse_product, sparse_rows
 from taftdouble.verify import Oracle, _block_charpoly_values, check_ids, embed_vec, emit_report, run_suite
 
 
@@ -127,6 +128,33 @@ def test_charpoly_oracles_stay_small_past_the_default_bound(monkeypatch):
     report = run_suite(17, ["charpoly-table", "charpoly-factorization"])
     assert report.all_pass
     assert all(c.oracle_residual < 1e-13 for c in report.checks)
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_cartan_intertwining_dense_cross_check(n):
+    """QC = CM as dense RingMatrix products, against the gather-adds of cartan-structure."""
+    ring = groth_ring(n)
+    C = ring.cartan_matrix()
+    Ct = C.transpose()
+    C_int = C.int_array()
+    C_rows, Ct_rows = sparse_rows(C_int), sparse_rows(C_int.T)
+    assert C_rows[0].shape[1] <= 2 and Ct_rows[0].shape[1] <= 2
+    for ell in range(1, n + 1):
+        for s in range(n):
+            Mv = ring.mckay_matrix(ell, s)
+            Mdual = ring.mckay_matrix(ell, (1 - s - ell) % n)
+            rhs = C * Mv
+            assert (Ct * Mdual).transpose() == rhs
+            assert np.array_equal(sparse_product(C_rows, Mv.int_array()), rhs.int_array())
+            assert np.array_equal(sparse_product(Ct_rows, Mdual.int_array()).T, rhs.int_array())
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_coproduct_trace_oracle_re_evaluates_the_identity(n):
+    """The float route weighs the embedded terms itself, so rounding leaves a small nonzero residual."""
+    result = run_suite(n, ["coproduct-trace"]).checks[0]
+    assert result.status == "pass"
+    assert 0.0 < result.oracle_residual < 1e-12
 
 
 def test_crashing_check_is_reported_as_error(capsys, monkeypatch):
@@ -279,6 +307,26 @@ print(result.status, result.detail)
     assert "orthogonality fails at (1,0,1)" in stdout, stdout
 
 
+def test_module_relations_survive_python_O():
+    """Under -O the relations on the weighted shifts must still reject one wrong weight of d."""
+    script = """
+import sys
+assert sys.flags.optimize == 1
+from taftdouble.dnrep import DoubleRep
+from taftdouble.verify import run_suite
+original = DoubleRep.alpha
+def wrong(self, i, ell):
+    val = original(self, i, ell)
+    return val + 1 if (i, ell) == (1, 2) else val
+DoubleRep.alpha = wrong
+result = run_suite(3, ["hopf-axioms"]).checks[0]
+print(result.status, result.detail)
+"""
+    stdout = _run_optimized(script)
+    assert stdout.startswith("fail"), stdout
+    assert "relations ['da-q.ad=1-bc'] fail on SimpleLabel(ell=2, r=0)" in stdout, stdout
+
+
 # one injected defect per check whose claims were `assert` statements before they went
 # through `_require`: check id, the defect, the message the failure must carry
 OPTIMIZED_DEFECTS = {
@@ -302,7 +350,7 @@ import sys
 assert sys.flags.optimize == 1
 import taftdouble.verify as verify
 from taftdouble.cyclotomic import CycArray
-from taftdouble.grring import GrothRing
+from taftdouble.grring import GrothRing, groth_ring
 from taftdouble.polymat import RingMatrix
 from taftdouble.spectral import SpectralTables
 
@@ -325,9 +373,9 @@ def wrong_top_gamma(n, i, k):
     vec, gammas, lam = gen_trace_combination(n, i, k)
     return vec, gammas[:-1] + [gammas[-1] + 1], lam
 
-def wrong_value_at_v21(self, idx, ell, s):
+def wrong_value_at_v20(self, idx, ell, s):
     val = general_eigenvalue(self, idx, ell, s)
-    return val + 1 if (ell, s) == (2, 1) else val
+    return val + 1 if (ell, s) == (2, 0) else val
 
 gen_trace_combination = verify.gen_trace_combination
 general_eigenvalue = SpectralTables.general_eigenvalue
@@ -336,7 +384,7 @@ rows_n3 = {**verify.TABLE_N3_ROWS, 0: [(7, 0)] + verify.TABLE_N3_ROWS[0][1:]}
 DEFECTS = {
     "charpoly-table": (verify, "P_TABLE", p_table),
     "charpoly-factorization": (verify, "p_n_factor_check", lambda n: False),
-    "grouplike-traces": (SpectralTables, "general_eigenvalue", wrong_value_at_v21),
+    "grouplike-traces": (SpectralTables, "general_eigenvalue", wrong_value_at_v20),
     "spectral-certificates": (verify, "build_mckay_blockform", bumped_matrix(verify.build_mckay_blockform)),
     "generalized-traces": (verify, "gen_trace_combination", wrong_top_gamma),
     "projective-trace-table": (verify, "TABLE_N3_ROWS", rows_n3),
