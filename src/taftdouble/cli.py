@@ -7,6 +7,7 @@ check fails, 2 on invalid input.
 from __future__ import annotations
 
 import argparse
+import cProfile
 import json
 import sys
 
@@ -71,6 +72,16 @@ def _check_n(n: int) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not args.profile:
+        return _verify(args)
+    profiler = cProfile.Profile()
+    try:
+        return profiler.runcall(_verify, args)
+    finally:
+        profiler.dump_stats(args.profile)
+
+
+def _verify(args) -> int:
     selection = args.suite.split(",") if args.suite else None
     ns = [args.n] if not args.all_n else [m for m in range(3, max_n() + 1, 2)]
     status = 0
@@ -278,6 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", help="comma-separated check ids (default: all); known ids: " + ",".join(check_ids()))
     p.add_argument("--all-n", action="store_true", help="run every odd n up to the configured bound")
     p.add_argument("--format", choices=("json", "text"), default="text")
+    p.add_argument("--profile", metavar="PATH", help="write a cProfile dump of the run to PATH (read it with pstats)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("mckay", help="emit a McKay matrix")

@@ -514,8 +514,23 @@ class CycArray:
         nums = int_array(rows, _max_abs(chain.from_iterable(rows)))
         return CycArray(ctx, nums.reshape(len(entries), ctx.degree), den)
 
+    @staticmethod
+    def concat(ctx: CyclotomicContext, parts) -> "CycArray":
+        """The entries of every part, one after another, over the least common denominator."""
+        den = lcm(*(p.den for p in parts)) if parts else 1
+        bound = max((p.max_abs() * (den // p.den) for p in parts), default=0)
+        nums = [int_array(p.nums, bound) * (den // p.den) for p in parts]
+        return CycArray(ctx, np.concatenate(nums) if nums else np.zeros((0, ctx.degree), dtype=np.int64), den)
+
     def __len__(self):
         return len(self.nums)
+
+    def take(self, idx) -> "CycArray":
+        """The entries at the positions (or boolean mask) idx, as an array."""
+        return CycArray(self.ctx, self.nums[idx], self.den)
+
+    def __neg__(self) -> "CycArray":
+        return CycArray(self.ctx, -self.nums, self.den)
 
     def __getitem__(self, i: int) -> CycNum:
         """Entry i as a canonical CycNum."""
@@ -557,9 +572,12 @@ class CycArray:
     def __mul__(self, other: "CycArray") -> "CycArray":
         """The entrywise product: entry i is entry i of self times entry i of other.
 
-        Each entry is one convolution of the two numerator rows, read off
-        windows of the zero-padded rows of other, and its 2 phi - 1
-        coefficients are folded back into the power basis by the rows of q^m.
+        Each entry is one convolution of the two numerator rows, and its
+        2 phi - 1 coefficients are folded back into the power basis by the
+        rows of q^m.  A short array convolves by one batched product with
+        windows of the zero-padded rows of other; a long one by phi
+        multiply-adds of shifted columns, which keeps its temporaries at the
+        size of the result.
         """
         ctx = self.ctx
         d = ctx.degree
@@ -568,10 +586,15 @@ class CycArray:
         pairs = np.abs(self.nums).max(axis=1, initial=0).astype(float) * np.abs(other.nums).max(axis=1, initial=0)
         bound = d * (2 * d - 1) * float(pairs.max(initial=0)) * ctx._qpow_mul_max
         a, b = int_array(self.nums, bound), int_array(other.nums, bound)
-        padded = np.zeros((len(b), 3 * d - 2), dtype=b.dtype)
-        padded[:, d - 1:2 * d - 1] = b
         # [i, m] = sum over k of a_i[k] b_i[m - k]
-        conv = (padded[:, ctx._conv_windows] @ a[:, ::-1, None])[:, :, 0]
+        if len(b) > 32 * d:
+            conv = np.zeros((len(b), 2 * d - 1), dtype=b.dtype)
+            for k in range(d):
+                conv[:, k:k + d] += a[:, k, None] * b
+        else:
+            padded = np.zeros((len(b), 3 * d - 2), dtype=b.dtype)
+            padded[:, d - 1:2 * d - 1] = b
+            conv = (padded[:, ctx._conv_windows] @ a[:, ::-1, None])[:, :, 0]
         return CycArray(ctx, conv @ int_array(ctx._conv_fold, bound), self.den * other.den)
 
     def qpow_blocks(self, exps) -> "CycArray":

@@ -10,6 +10,16 @@ with coproduct D(a) = a (x) b + 1 (x) a, D(d) = d (x) c + 1 (x) d and b, c
 grouplike.  Elements are kept in the normal-ordered basis a^al b^be c^ga d^de
 (exponents of a and d below n, exponents of b and c mod n).
 
+An element of the double (`PbwElement`) or of its tensor square
+(`TensorElement`) is a pair of arrays: sorted, distinct int64 codes, one per
+term, and a `CycArray` of the nonzero coefficients.  a^al b^be c^ga d^de has
+code ((al n + be) n + ga) n + de, and m1 (x) m2 has code(m1) n^4 + code(m2).
+A sum concatenates the terms and adds the coefficients of equal codes (one
+sort and one segment sum), so equality is `array_equal` on the codes and on
+the numerators.  A product gathers the normal-ordered expansion of d^m a^l
+from a ragged table built once per n, and a coproduct gathers its
+coefficients, products of two Gaussian binomials, from another.
+
 On a simple module V(ell, r), 1 <= ell <= n, r in Z_n, every generator
 acts as a weighted shift (`WeightedShift`): a raises the basis index by one,
 d lowers it with the weights alpha_j, and b and c act diagonally by powers
@@ -28,6 +38,7 @@ cross-checks for the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -178,8 +189,6 @@ class DoubleRep:
         self.ctx = ctx
         self.n = ctx.n
         self._qbinom_cache: dict[tuple[int, int], CycNum] = {}
-        self._da_cache: dict[tuple[int, int], dict] = {}
-        self._left_d_a_cache: dict[int, dict] = {}
 
     # ------------------------------------------------------------------
     # module actions and characters
@@ -280,11 +289,25 @@ class DoubleRep:
         return CycArray(ctx, nums.transpose(1, 0, 2).reshape(-1, d), gamma.den)
 
     def character(self, label: SimpleLabel, mono: Monomial) -> CycNum:
-        """Trace of b^i c^k d^t a^t on V(ell, s): the twist-0 value times q^{s(i-k)}."""
-        ell, s = label.ell, label.r
-        if mono.t >= ell:
+        """Trace of b^i c^k d^t a^t on V(ell, s)."""
+        if mono.t >= label.ell:
             return self.ctx.zero()
-        return self._twist_zero_characters(mono.i, mono.k, [mono.t], [ell])[0].mul_qpow(s * (mono.i - mono.k))
+        return self.characters_pbw(label, [self.pbw_code((mono.t, mono.i, mono.k, mono.t))])[0]
+
+    def characters_pbw(self, label: SimpleLabel, codes) -> CycArray:
+        """Traces of the normal-ordered monomials `codes` on V(ell, s), one entry each.
+
+        a^t b^i c^k d^t has the trace of b^i c^k d^t a^t, the twist-0 value
+        times q^{s(i-k)}; a monomial with unequal powers of a and d moves
+        every basis vector, and has trace zero.
+        """
+        self._check_label(label)
+        ell, s, zero = label.ell, label.r, CycArray.zeros(self.ctx, 1)
+        al, be, ga, de = _decode(self.n, np.asarray(codes, dtype=np.int64))
+        return CycArray.concat(self.ctx, [
+            self._twist_zero_characters(i, k, [t], [ell]).qpow_blocks([s * (i - k)]) if t == t2 else zero
+            for t, i, k, t2 in zip(al.tolist(), be.tolist(), ga.tolist(), de.tolist())
+        ])
 
     def character_matrix_route(self, label: SimpleLabel, mono: Monomial) -> CycNum:
         """Same trace, by literal matrix products (cross-check path, small sizes only)."""
@@ -294,13 +317,6 @@ class DoubleRep:
         m = m * acts.mat_d**mono.t
         m = m * acts.mat_a**mono.t
         return m.trace()
-
-    def character_pbw(self, label: SimpleLabel, pbw_mono: tuple) -> CycNum:
-        """Trace of the normal-ordered monomial a^al b^be c^ga d^de (zero unless al = de)."""
-        al, be, ga, de = pbw_mono
-        if al != de:
-            return self.ctx.zero()
-        return self.character(label, Monomial(be, ga, al))
 
     def dual_label(self, label: SimpleLabel) -> SimpleLabel:
         """The dual of V(ell, r) is V(ell, 1 - r - ell)."""
@@ -343,12 +359,6 @@ class DoubleRep:
         total = int_array(nums, weighted.max_abs() * len(coeffs)).sum(axis=0)
         return CycArray(ctx, total, weighted.den).qpow_blocks([s * (i - k) for s in range(n)])
 
-    def trace_vector_S_pbw(self, pbw_mono: tuple) -> CycArray:
-        al, be, ga, de = pbw_mono
-        if al != de:
-            return CycArray.zeros(self.ctx, self.n * self.n)
-        return self.trace_vector_S(Monomial(be, ga, al))
-
     def trace_vector_P(self, i: int, k: int) -> CycArray:
         """Projective trace vector of b^i c^k, ordered P(1,.), ..., P(n-1,.), then V(n,.).
 
@@ -380,90 +390,100 @@ class DoubleRep:
             self._qbinom_cache[key] = got
         return got
 
-    def pbw(self, terms) -> "PbwElement":
-        return PbwElement(self, dict(terms))
+    @cached_property
+    def _qbinom_pairs(self) -> CycArray:
+        """Row _tri(m, j) * n(n+1)/2 + _tri(m2, k) is [m j]_q [m2 k]_q, for j <= m < n and k <= m2 < n.
+
+        Every coefficient of a coproduct is such a product, so the coproduct
+        reads it instead of multiplying.  The Gaussian binomials come from
+        `quantum_binomial`, in the order of `_tri`, and one entrywise product
+        builds the table.
+        """
+        n = self.n
+        binomials = CycArray.from_list(self.ctx, [self.quantum_binomial(m, j) for m in range(n) for j in range(m + 1)])
+        first, second = np.divmod(np.arange(len(binomials) ** 2), len(binomials))
+        return binomials.take(first) * binomials.take(second)
+
+    def pbw_code(self, mono) -> int:
+        """The code ((al n + be) n + ga) n + de of the monomial a^al b^be c^ga d^de."""
+        al, be, ga, de = mono
+        return int(_encode(self.n, al, be % self.n, ga % self.n, de))
 
     def pbw_monomial(self, al=0, be=0, ga=0, de=0, coeff=1) -> "PbwElement":
         n = self.n
         if al >= n or de >= n:
-            return PbwElement(self, {})
-        c = coeff if isinstance(coeff, CycNum) else self.ctx.from_rational(coeff)
-        return PbwElement(self, {(al, be % n, ga % n, de): c})
+            return PbwElement(self, np.zeros(0, dtype=np.int64), CycArray.zeros(self.ctx, 0))
+        return PbwElement(self, np.array([self.pbw_code((al, be, ga, de))]), CycArray.from_list(self.ctx, [coeff]))
 
     def pbw_generator(self, name: str) -> "PbwElement":
         return self.pbw_monomial(**{{"a": "al", "b": "be", "c": "ga", "d": "de"}[name]: 1})
 
-    def _da_expand(self, m: int, l: int) -> dict:
-        """Normal-ordered expansion of d^m a^l as {(al, be, ga, de): CycNum}."""
-        key = (m, l)
-        got = self._da_cache.get(key)
-        if got is not None:
-            return got
+    @cached_property
+    def _da_table(self) -> tuple[np.ndarray, np.ndarray, CycArray]:
+        """Normal-ordered expansions of d^m a^l for m, l < n, as a ragged table (starts, codes, coeffs).
+
+        The terms of d^m a^l are rows starts[m n + l] to starts[m n + l + 1] - 1,
+        each a^aa (bc)^j d^dd with b and c to the same power.  Level m comes
+        from level m - 1 by one more d on the left, through
+
+            d a^aa = q^aa a^aa d + [aa] a^(aa-1) (1 - q^(aa-1) bc),   d (bc)^j = q^(2j) (bc)^j d,
+
+        so each term gives at most three, and terms with equal codes are summed.
+        """
         n, ctx = self.n, self.ctx
-        if m == 0:
-            out = {(l, 0, 0, 0): ctx.one()} if l < n else {}
-        elif l == 0:
-            out = {(0, 0, 0, m): ctx.one()} if m < n else {}
-        else:
-            # d * (d^{m-1} a^l), pushing the extra d through each normal term
-            out = {}
-            for (al, be, ga, de), coeff in self._da_expand(m - 1, l).items():
-                for (aa, bb, cc, dd), c2 in self._left_d_a(al).items():
-                    # d^{dd} b^be c^ga = q^{dd(be+ga)} b^be c^ga d^{dd}
-                    dtot = dd + de
-                    if dtot >= n:
-                        continue
-                    key2 = (aa, (bb + be) % n, (cc + ga) % n, dtot)
-                    val = coeff * c2
-                    if dd:
-                        val = val.mul_qpow(dd * (be + ga))
-                    out[key2] = out.get(key2, ctx.zero()) + val
-            out = {k: v for k, v in out.items() if v}
-        self._da_cache[key] = out
-        return out
+        big = n**4
+        # a level holds the terms of d^m a^l for every l, keyed l n^4 + code
+        ls = np.arange(n, dtype=np.int64)
+        level = (ls * big + _encode(n, ls, 0, 0, 0), CycArray.from_list(ctx, [1] * n))  # d^0 a^l = a^l
+        levels = [level]
+        qint = np.array([ctx.mul_matrix(ctx.quantum_integer(m)) for m in range(n)])
+        qint_max = int(np.abs(qint).max())
+        for _ in range(1, n):
+            keys, coeffs = level
+            l, codes = np.divmod(keys, big)
+            aa, j, _, dd = _decode(n, codes)
+            up, low = dd + 1 < n, aa > 0
+            shifted = _times(coeffs.take(up), ctx._qpow_mul[(aa + 2 * j)[up] % n], ctx._qpow_mul_max)
+            lowered = _times(coeffs.take(low), qint[aa[low]], qint_max)
+            paired = _times(lowered, ctx._qpow_mul[(aa - 1)[low] % n], ctx._qpow_mul_max)
+            keys = np.concatenate([
+                keys[up] + 1,
+                keys[low] - n**3,
+                l[low] * big + _encode(n, aa[low] - 1, (j[low] + 1) % n, (j[low] + 1) % n, dd[low]),
+            ])
+            level = _collect(keys, CycArray.concat(ctx, [shifted, lowered, -paired]))
+            levels.append(level)
+        rows = np.concatenate([m * n + keys // big for m, (keys, _) in enumerate(levels)])
+        codes = np.concatenate([keys % big for keys, _ in levels])
+        starts = np.searchsorted(rows, np.arange(n * n + 1))
+        return starts, codes, CycArray.concat(ctx, [c for _, c in levels])
 
-    def _left_d_a(self, al: int) -> dict:
-        """Expansion of d a^al: d a = q a d + 1 - bc drives the recursion."""
-        got = self._left_d_a_cache.get(al)
-        if got is not None:
-            return got
-        ctx = self.ctx
-        if al == 0:
-            out = {(0, 0, 0, 1): ctx.one()}
-        else:
-            out = {}
-            for (aa, bb, cc, dd), coeff in self._left_d_a(al - 1).items():
-                if aa + 1 < self.n:
-                    key = (aa + 1, bb, cc, dd)
-                    out[key] = out.get(key, ctx.zero()) + coeff.mul_qpow(1)
-            one_term = (al - 1, 0, 0, 0)
-            out[one_term] = out.get(one_term, ctx.zero()) + ctx.one()
-            bc_term = (al - 1, 1, 1, 0)
-            out[bc_term] = out.get(bc_term, ctx.zero()) - ctx.one().mul_qpow(2 * (al - 1))
-            out = {k: v for k, v in out.items() if v}
-        self._left_d_a_cache[al] = out
-        return out
+    def _mono_mul(self, left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray, CycArray]:
+        """The products left[p] * right[p] of normal-ordered monomials (codes), as (p of each term, codes, coeffs).
 
-    def _mono_mul(self, m1: tuple, m2: tuple) -> dict:
-        """Product of two normal-ordered monomials as a normal-ordered dict."""
-        a1, b1, c1, d1 = m1
-        a2, b2, c2, d2 = m2
-        n, ctx = self.n, self.ctx
-        out = {}
-        for (aa, bb, cc, dd), coeff in self._da_expand(d1, a2).items():
-            atot = a1 + aa
-            dtot = dd + d2
-            if atot >= n or dtot >= n:
-                continue
-            # b^b1 c^c1 a^aa = q^{aa(b1+c1)} a^aa b^b1 c^c1 ;  d^dd b^b2 c^c2 = q^{dd(b2+c2)} ...
-            e = aa * (b1 + c1) + dd * (b2 + c2)
-            key = (atot, (b1 + bb + b2) % n, (c1 + cc + c2) % n, dtot)
-            val = coeff.mul_qpow(e) if e % n else coeff
-            out[key] = out.get(key, ctx.zero()) + val
-        return out
+        In a^a1 b^b1 c^c1 d^d1 a^a2 b^b2 c^c2 d^d2 the middle d^d1 a^a2 is a
+        gather from the ragged table, and each of its terms a^aa (bc)^j d^dd
+        moves into place by b^b1 c^c1 a^aa = q^{aa(b1+c1)} a^aa b^b1 c^c1 and
+        d^dd b^b2 c^c2 = q^{dd(b2+c2)} b^b2 c^c2 d^dd.  Terms with a power of a
+        or d of n or more vanish.
+        """
+        n = self.n
+        starts, table_codes, table_coeffs = self._da_table
+        a1, b1, c1, d1 = _decode(n, left)
+        a2, b2, c2, d2 = _decode(n, right)
+        entry = d1 * n + a2
+        src, off = _ragged(starts[entry + 1] - starts[entry])
+        rows = starts[entry][src] + off
+        aa, j, _, dd = _decode(n, table_codes[rows])
+        al, de = a1[src] + aa, dd + d2[src]
+        keep = (al < n) & (de < n)
+        src, rows, aa, j, dd, al, de = (v[keep] for v in (src, rows, aa, j, dd, al, de))
+        codes = _encode(n, al, (b1[src] + j + b2[src]) % n, (c1[src] + j + c2[src]) % n, de)
+        exps = (aa * (b1 + c1)[src] + dd * (b2 + c2)[src]) % n
+        return src, codes, _times(table_coeffs.take(rows), self.ctx._qpow_mul[exps], self.ctx._qpow_mul_max)
 
-    def coproduct_monomial(self, mono: tuple) -> dict:
-        """Coproduct of a normal-ordered monomial, as {(mono, mono): CycNum}.
+    def coproduct_monomial(self, codes) -> tuple[np.ndarray, np.ndarray, CycArray]:
+        """Coproducts of a batch of normal-ordered monomials (codes), as (monomial of each term, pair codes, coeffs).
 
         D(a) = X + Y with X = a (x) b, Y = 1 (x) a and XY = q YX, and
         D(d) = Z + W with Z = d (x) c, W = 1 (x) d and WZ = q ZW.  The
@@ -474,21 +494,81 @@ class DoubleRep:
                 [al j]_q [de k]_q  a^{al-j} b^be c^ga d^k
                                    (x) a^j b^{be+al-j} c^{ga+k} d^{de-k}
 
-        (exponents of b and c mod n).  This is not an algebra map by
+        (exponents of b and c mod n).  Term t belongs to codes[src[t]], its
+        pair code is code(m1) n^4 + code(m2), and its coefficient is a row of
+        the table of binomial products.  This is not an algebra map by
         construction: hopf-axioms certifies multiplicativity on a sample, and
         the tests compare it with D(a)^al D(b)^be D(c)^ga D(d)^de multiplied
         out.
         """
         n = self.n
-        al, be, ga, de = mono
-        out = {}
-        for j in range(al + 1):
-            binom_a = self.quantum_binomial(al, j)
-            right_b = (be + al - j) % n
-            for k in range(de + 1):
-                key = ((al - j, be, ga, k), (j, right_b, (ga + k) % n, de - k))
-                out[key] = binom_a * self.quantum_binomial(de, k)
-        return out
+        al, be, ga, de = _decode(n, np.asarray(codes, dtype=np.int64))
+        src, off = _ragged((al + 1) * (de + 1))
+        al, be, ga, de = al[src], be[src], ga[src], de[src]
+        j, k = np.divmod(off, de + 1)
+        pairs = _encode(n, al - j, be, ga, k) * n**4 + _encode(n, j, (be + al - j) % n, (ga + k) % n, de - k)
+        rows = _tri(al, j) * (n * (n + 1) // 2) + _tri(de, k)
+        return src, pairs, self._qbinom_pairs.take(rows)
+
+    def trace_vectors_S(self, codes) -> CycArray:
+        """Simple-module trace vectors of normal-ordered monomials, n^2 rows each, stacked.
+
+        a^t b^i c^k d^t has the trace of b^i c^k d^t a^t (traces are cyclic),
+        and a monomial with unequal powers of a and d has trace zero.
+        """
+        n = self.n
+        al, be, ga, de = _decode(n, np.asarray(codes, dtype=np.int64))
+        return CycArray.concat(self.ctx, [
+            self.trace_vector_S(Monomial(i, k, t)) if t == t2 else CycArray.zeros(self.ctx, n * n)
+            for t, i, k, t2 in zip(al.tolist(), be.tolist(), ga.tolist(), de.tolist())
+        ])
+
+
+def _encode(n: int, al, be, ga, de):
+    return ((al * n + be) * n + ga) * n + de
+
+
+def _decode(n: int, codes: np.ndarray):
+    """The exponents (al, be, ga, de) of the monomial codes."""
+    rest, de = np.divmod(codes, n)
+    rest, ga = np.divmod(rest, n)
+    al, be = np.divmod(rest, n)
+    return al, be, ga, de
+
+
+def _tri(m, j):
+    """Position of (m, j), j <= m, in the rows of the lower triangle read row by row."""
+    return m * (m + 1) // 2 + j
+
+
+def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(src, off) for a ragged gather: entry t belongs to group src[t] and is its off[t]-th member."""
+    src = np.repeat(np.arange(len(counts)), counts)
+    return src, np.arange(len(src)) - (np.cumsum(counts) - counts)[src]
+
+
+def _times(x: CycArray, mats: np.ndarray, mats_max: int) -> CycArray:
+    """Entry t of x times the scalar whose integer multiplication matrix is mats[t] (as `mul_matrix`)."""
+    bound = x.ctx.degree * x.max_abs() * mats_max
+    nums = (int_array(x.nums, bound)[:, None, :] @ int_array(mats, bound))[:, 0]
+    return CycArray(x.ctx, nums, x.den)
+
+
+def _collect(codes: np.ndarray, coeffs: CycArray) -> tuple[np.ndarray, CycArray]:
+    """Sorted distinct codes with the summed coefficients of each, zero sums dropped.
+
+    One sort and one segment sum; the sum runs in int64 when the number of
+    terms times the largest numerator stays below INT64_LIMIT, and on Python
+    ints otherwise (`int_array`).
+    """
+    if not len(codes):
+        return codes, coeffs
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    nums = np.add.reduceat(int_array(coeffs.nums[order], len(codes) * coeffs.max_abs()), starts, axis=0)
+    keep = nums.astype(bool).any(axis=1)
+    return codes[starts[keep]], CycArray(coeffs.ctx, nums[keep], coeffs.den)
 
 
 @lru_cache(maxsize=None)
@@ -498,18 +578,20 @@ def double_rep(n: int) -> DoubleRep:
 
 def bckt_to_pbw(rep: DoubleRep, mono: Monomial) -> "PbwElement":
     """The element b^i c^k d^t a^t rewritten into the normal-ordered basis."""
-    n = rep.n
-    return PbwElement(rep, rep._mono_mul((0, mono.i % n, mono.k % n, mono.t), (mono.t, 0, 0, 0)))
+    left, right = rep.pbw_code((0, mono.i, mono.k, mono.t)), rep.pbw_code((mono.t, 0, 0, 0))
+    _src, codes, coeffs = rep._mono_mul(np.array([left]), np.array([right]))
+    return PbwElement(rep, codes, coeffs)
 
 
 def coproduct_trace_terms(rep: DoubleRep, x, vlabel: SimpleLabel):
     """The terms of both sides of the trace identity M_V Tr_S(x) = sum tr_V(x_(2)) Tr_S(x_(1)).
 
-    Returns (left, right): left holds (coeff, Tr_S(mono)) for each term coeff
-    * mono of x; right holds (coeff, c, tr_V(m2), Tr_S(m1)) for each term
-    c m1 (x) m2 of D(mono) whose trace on V(vlabel) is nonzero.  Accepts a
-    normal-ordered exponent tuple, a Monomial (b^i c^k d^t a^t), or a
-    PbwElement.
+    Returns (left, right) as arrays.  left = (coeffs, vectors): the
+    coefficient of each term of x whose trace vector can be nonzero, and
+    those trace vectors Tr_S(mono), n^2 rows each.  right = (coeffs, weights,
+    vectors): for each term c m1 (x) m2 of D(x) with tr_V(m2) != 0 and Tr_S(m1)
+    possibly nonzero, c, tr_V(m2) and Tr_S(m1).  Accepts a normal-ordered
+    exponent tuple, a Monomial (b^i c^k d^t a^t), or a PbwElement.
     """
     if isinstance(x, Monomial):
         elem = bckt_to_pbw(rep, x)
@@ -517,14 +599,24 @@ def coproduct_trace_terms(rep: DoubleRep, x, vlabel: SimpleLabel):
         elem = rep.pbw_monomial(*x)
     else:
         elem = x
-    left, right = [], []
-    for mono, coeff in elem.terms.items():
-        left.append((coeff, rep.trace_vector_S_pbw(mono)))
-        for (m1, m2), c in rep.coproduct_monomial(mono).items():
-            weight = rep.character_pbw(vlabel, m2)
-            if weight:
-                right.append((coeff, c, weight, rep.trace_vector_S_pbw(m1)))
+    n = rep.n
+    al, _, _, de = _decode(n, elem.codes)
+    diagonal = al == de
+    left = (elem.coeffs.take(diagonal), rep.trace_vectors_S(elem.codes[diagonal]))
+    delta = elem.coproduct()
+    first, second = delta.legs()
+    weights = rep.characters_pbw(vlabel, second)
+    al, _, _, de = _decode(n, first)
+    keep = weights.nums.astype(bool).any(axis=1) & (al == de)
+    right = (delta.coeffs.take(keep), weights.take(keep), rep.trace_vectors_S(first[keep]))
     return left, right
+
+
+def _weighted_sum(coeffs: CycArray, vectors: CycArray, size: int) -> CycArray:
+    """sum_t coeffs[t] * (rows t size .. (t + 1) size - 1 of vectors), one entrywise product and one sum."""
+    products = coeffs.take(np.repeat(np.arange(len(coeffs)), size)) * vectors
+    nums = products.nums.reshape(len(coeffs), size, coeffs.ctx.degree)
+    return CycArray(coeffs.ctx, int_array(nums, len(coeffs) * products.max_abs()).sum(axis=0), products.den)
 
 
 def coproduct_trace_sides(rep: DoubleRep, mckay: np.ndarray, left, right):
@@ -534,12 +626,11 @@ def coproduct_trace_sides(rep: DoubleRep, mckay: np.ndarray, left, right):
     integer McKay array of V; the right side weighs each Tr_S(x_(1)) by the
     trace of x_(2) on V.
     """
-    tr_x = rhs = CycArray.zeros(rep.ctx, rep.n * rep.n)
-    for coeff, tv in left:
-        tr_x = tr_x + tv.scaled(coeff)
-    for coeff, c, weight, tv in right:
-        rhs = rhs + tv.scaled(coeff * c * weight)
-    return tr_x.left_mul(mckay), rhs
+    size = rep.n * rep.n
+    coeffs, vectors = left
+    tr_x = _weighted_sum(coeffs, vectors, size)
+    coeffs, weights, vectors = right
+    return tr_x.left_mul(mckay), _weighted_sum(coeffs * weights, vectors, size)
 
 
 def coproduct_trace_identity(rep: DoubleRep, mckay: np.ndarray, x, vlabel: SimpleLabel):
@@ -547,69 +638,90 @@ def coproduct_trace_identity(rep: DoubleRep, mckay: np.ndarray, x, vlabel: Simpl
     return coproduct_trace_sides(rep, mckay, *coproduct_trace_terms(rep, x, vlabel))
 
 
-class PbwElement:
-    """An element of the double in the normal-ordered basis."""
+def _all_pairs(na: int, nb: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) over every pair of positions, i major."""
+    return np.divmod(np.arange(na * nb), nb)
 
-    __slots__ = ("rep", "terms")
 
-    def __init__(self, rep: DoubleRep, terms: dict):
+class _Combination:
+    """A finite sum of basis elements with coefficients in Q(q): sorted distinct int64 codes and a CycArray.
+
+    Every coefficient is nonzero, so two equal elements have equal code
+    arrays, and equality is `array_equal` on the codes and on the
+    cross-multiplied numerators.
+    """
+
+    __slots__ = ("rep", "codes", "coeffs")
+
+    def __init__(self, rep: DoubleRep, codes, coeffs: CycArray):
         self.rep = rep
-        self.terms = {k: v for k, v in terms.items() if v}
+        self.codes, self.coeffs = _collect(np.asarray(codes, dtype=np.int64), coeffs)
+
+    def __len__(self):
+        return len(self.codes)
 
     def __eq__(self, other):
-        return isinstance(other, PbwElement) and self.terms == other.terms
+        if type(other) is not type(self):
+            return NotImplemented
+        return np.array_equal(self.codes, other.codes) and self.coeffs == other.coeffs
+
+    __hash__ = None
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            cur = out.get(k)
-            out[k] = v if cur is None else cur + v
-        return PbwElement(self.rep, out)
+        return type(self)(
+            self.rep, np.concatenate([self.codes, other.codes]),
+            CycArray.concat(self.rep.ctx, [self.coeffs, other.coeffs]),
+        )
+
+    def __neg__(self):
+        return type(self)(self.rep, self.codes, -self.coeffs)
 
     def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self):
-        return PbwElement(self.rep, {k: -v for k, v in self.terms.items()})
+    def is_zero(self) -> bool:
+        return not len(self.codes)
+
+    @property
+    def terms(self) -> dict:
+        """The element as {basis key: CycNum}, a view built from the arrays."""
+        return {self._key(code): c for code, c in zip(self.codes.tolist(), self.coeffs.to_list())}
+
+
+class PbwElement(_Combination):
+    """An element of the double in the normal-ordered basis, keyed by monomial codes."""
+
+    __slots__ = ()
+
+    def _key(self, code: int) -> tuple:
+        return tuple(int(e) for e in _decode(self.rep.n, code))
 
     def __mul__(self, other):
-        if isinstance(other, (int,)) or isinstance(other, CycNum):
-            return PbwElement(self.rep, {k: v * other for k, v in self.terms.items()})
-        out = {}
         rep = self.rep
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                c12 = c1 * c2
-                for k, v in rep._mono_mul(m1, m2).items():
-                    cur = out.get(k)
-                    term = v * c12
-                    out[k] = term if cur is None else cur + term
-        return PbwElement(self.rep, out)
+        if isinstance(other, (int, Fraction, CycNum)):
+            scalar = other if isinstance(other, CycNum) else rep.ctx.from_rational(other)
+            return PbwElement(rep, self.codes, self.coeffs.scaled(scalar))
+        i, j = _all_pairs(len(self), len(other))
+        src, codes, coeffs = rep._mono_mul(self.codes[i], other.codes[j])
+        weights = self.coeffs.take(i) * other.coeffs.take(j)
+        return PbwElement(rep, codes, coeffs * weights.take(src))
 
     def coproduct(self) -> "TensorElement":
-        out = {}
-        for mono, coeff in self.terms.items():
-            for pair, c in self.rep.coproduct_monomial(mono).items():
-                cur = out.get(pair)
-                term = c * coeff
-                out[pair] = term if cur is None else cur + term
-        return TensorElement(self.rep, out)
+        src, pairs, coeffs = self.rep.coproduct_monomial(self.codes)
+        return TensorElement(self.rep, pairs, coeffs * self.coeffs.take(src))
 
     def counit(self) -> CycNum:
-        acc = self.rep.ctx.zero()
-        for (al, _be, _ga, de), coeff in self.terms.items():
-            if al == 0 and de == 0:
-                acc = acc + coeff
-        return acc
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        """The sum of the coefficients of the monomials without a and d (b and c are grouplike)."""
+        al, _, _, de = _decode(self.rep.n, self.codes)
+        units = self.coeffs.take((al == 0) & (de == 0))
+        total = int_array(units.nums, len(units) * units.max_abs()).sum(axis=0)
+        return CycArray(self.rep.ctx, total[None], units.den)[0]
 
     def __repr__(self):
-        if not self.terms:
+        if self.is_zero():
             return "PbwElement(0)"
         bits = []
-        for (al, be, ga, de), coeff in sorted(self.terms.items()):
+        for (al, be, ga, de), coeff in self.terms.items():
             mono = "".join(
                 s for s, e in (("a^%d" % al, al), ("b^%d" % be, be), ("c^%d" % ga, ga), ("d^%d" % de, de)) if e
             )
@@ -617,38 +729,58 @@ class PbwElement:
         return "PbwElement(" + " + ".join(bits) + ")"
 
 
-class TensorElement:
-    """An element of the tensor square, keyed by pairs of normal-ordered monomials."""
+class TensorElement(_Combination):
+    """An element of the tensor square, keyed by pair codes code(m1) n^4 + code(m2)."""
 
-    __slots__ = ("rep", "terms")
+    __slots__ = ()
 
-    def __init__(self, rep: DoubleRep, terms: dict):
-        self.rep = rep
-        self.terms = {k: v for k, v in terms.items() if v}
+    def _key(self, code: int) -> tuple:
+        first, second = divmod(code, self.rep.n**4)
+        return tuple(tuple(int(e) for e in _decode(self.rep.n, c)) for c in (first, second))
 
-    def __eq__(self, other):
-        return isinstance(other, TensorElement) and self.terms == other.terms
+    def legs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The monomial codes of the first and second tensor legs of every term."""
+        return np.divmod(self.codes, self.rep.n**4)
 
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            cur = out.get(k)
-            out[k] = -v if cur is None else cur - v
-        return TensorElement(self.rep, out)
-
-    def __mul__(self, other):
-        out = {}
+    def __mul__(self, other: "TensorElement") -> "TensorElement":
+        """Legwise products: every left-leg term of x1 y1 meets every right-leg term of x2 y2."""
         rep = self.rep
-        for (x1, x2), c1 in self.terms.items():
-            for (y1, y2), c2 in other.terms.items():
-                c12 = c1 * c2
-                for k1, v1 in rep._mono_mul(x1, y1).items():
-                    for k2, v2 in rep._mono_mul(x2, y2).items():
-                        key = (k1, k2)
-                        term = v1 * v2 * c12
-                        cur = out.get(key)
-                        out[key] = term if cur is None else cur + term
-        return TensorElement(self.rep, out)
+        (x1, x2), (y1, y2) = self.legs(), other.legs()
+        i, j = _all_pairs(len(self), len(other))
+        src1, codes1, coeffs1 = rep._mono_mul(x1[i], y1[j])
+        src2, codes2, coeffs2 = rep._mono_mul(x2[i], y2[j])
+        weights = self.coeffs.take(i) * other.coeffs.take(j)
+        coeffs1 = coeffs1 * weights.take(src1)
+        counts = np.bincount(src2, minlength=len(i))
+        t1, off = _ragged(counts[src1])
+        t2 = (np.cumsum(counts) - counts)[src1[t1]] + off
+        return TensorElement(rep, codes1[t1] * rep.n**4 + codes2[t2], coeffs1.take(t1) * coeffs2.take(t2))
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def counit_legs(self) -> tuple[PbwElement, PbwElement]:
+        """(eps (x) id) and (id (x) eps) of this element: eps(a^al b^be c^ga d^de) is 1 when al = de = 0, else 0."""
+        first, second = self.legs()
+
+        def apply_counit(leg, other):
+            al, _, _, de = _decode(self.rep.n, leg)
+            unit = (al == 0) & (de == 0)
+            return PbwElement(self.rep, other[unit], self.coeffs.take(unit))
+
+        return apply_counit(first, second), apply_counit(second, first)
+
+    def is_coassociative(self) -> bool:
+        """Whether (D (x) id) and (id (x) D) agree on this element.
+
+        Both sides are coded over three legs, code(m1) n^8 + code(m2) n^4 +
+        code(m3); the right-hand side is negated, and the concatenation must
+        segment-sum to zero.
+        """
+        n, big = self.rep.n, self.rep.n**4
+        if n**12 >= 1 << 63:
+            raise OverflowError(f"three-leg codes at n = {n} do not fit in int64")
+        first, second = self.legs()
+        src, pairs, coeffs = self.rep.coproduct_monomial(first)
+        lhs = (pairs * big + second[src], coeffs * self.coeffs.take(src))
+        src, pairs, coeffs = self.rep.coproduct_monomial(second)
+        rhs = (first[src] * big * big + pairs, coeffs * self.coeffs.take(src))
+        codes, _ = _collect(np.concatenate([lhs[0], rhs[0]]), CycArray.concat(self.rep.ctx, [lhs[1], -rhs[1]]))
+        return not len(codes)

@@ -420,10 +420,19 @@ class RingMatrix:
         return [list(r) for r in self.rows]
 
     def int_array(self) -> np.ndarray:
-        """The entries as an integer numpy array (int64 when they fit, Python ints otherwise)."""
-        if not all(type(a) is int for r in self.rows for a in r):
+        """The entries as an integer numpy array (int64 when they fit, Python ints otherwise).
+
+        One `np.asarray` reads a matrix of integers that fit in int64 (a bool
+        among them is read as 0 or 1).  Anything else, integers past int64
+        (which numpy reads as uint64, float64 or object) or entries that are
+        not integers, is checked entry by entry: only Python ints are accepted.
+        """
+        a = np.asarray(self.rows)
+        if a.dtype == np.int64:
+            return int_array(a, max(int(a.max()), -int(a.min())))
+        if not all(type(x) is int for r in self.rows for x in r):
             raise TypeError("int_array needs a matrix of Python ints")
-        return int_array(self.rows, max((abs(a) for r in self.rows for a in r), default=0))
+        return int_array(self.rows, max((abs(x) for r in self.rows for x in r), default=0))
 
     def __repr__(self):
         return f"RingMatrix({self.nrows}x{self.ncols})"

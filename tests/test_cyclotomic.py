@@ -255,6 +255,33 @@ def test_entrywise_product_past_the_int64_bound_uses_python_ints():
     assert prod.to_list() == [a * b for a, b in zip(vec, other)]
 
 
+@pytest.mark.parametrize("n,big", [(5, 1), (11, 1), (7, 2**61)])
+def test_entrywise_product_of_long_arrays_matches_the_short_route(n, big):
+    """Past 32 phi rows the product convolves by shifted columns; it must agree row by row with short products."""
+    ctx = make_context(n)
+    size = 32 * ctx.degree + 7
+    vec = _random_vector(ctx, size, seed=1000 + n)
+    vec = [x * big for x in vec]
+    other = _random_vector(ctx, size, seed=1100 + n)
+    a, b = CycArray.from_list(ctx, vec), CycArray.from_list(ctx, other)
+    prod = a * b
+    assert prod.nums.dtype == (object if big > 1 else np.int64)
+    for start in range(0, size, 50):
+        rows = slice(start, start + 50)
+        assert (a.take(rows) * b.take(rows)) == prod.take(rows)
+    assert prod.to_list()[:40] == [x * y for x, y in zip(vec[:40], other[:40])]
+
+
+def test_concat_take_and_negation():
+    ctx = make_context(5)
+    vec = _random_vector(ctx, 6, seed=1200)
+    other = _random_vector(ctx, 3, seed=1201)
+    a, b = CycArray.from_list(ctx, vec), CycArray.from_list(ctx, other)
+    assert CycArray.concat(ctx, [a, b]).to_list() == vec + other
+    assert CycArray.concat(ctx, [a.take([4, 1]), -b]).to_list() == [vec[4], vec[1]] + [-x for x in other]
+    assert CycArray.concat(ctx, []).nums.shape == (0, ctx.degree)
+
+
 def test_line_coefficient():
     ctx = make_context(7)
     line = CycArray.from_list(ctx, _random_vector(ctx, 6, seed=600))

@@ -9,6 +9,7 @@ from taftdouble.dnrep import (
     DoubleRep,
     Monomial,
     SimpleLabel,
+    TensorElement,
     WeightedShift,
     all_labels,
     bckt_to_pbw,
@@ -187,6 +188,12 @@ def test_coproducts():
     assert a2.coproduct().terms == expected
 
 
+def _tensor(rep, *pairs):
+    """The sum of the tensors m1 (x) m2 of the given monomial pairs, each with coefficient 1."""
+    codes = [rep.pbw_code(m1) * rep.n**4 + rep.pbw_code(m2) for m1, m2 in pairs]
+    return TensorElement(rep, codes, CycArray.from_list(rep.ctx, [1] * len(codes)))
+
+
 def _coproduct_multiply_out(rep, mono):
     """D(a)^al D(b)^be D(c)^ga D(d)^de multiplied out in the tensor square.
 
@@ -195,26 +202,17 @@ def _coproduct_multiply_out(rep, mono):
     """
     al, be, ga, de = mono
     unit = (0, 0, 0, 0)
-    terms = {(unit, unit): rep.ctx.one()}
+    out = _tensor(rep, (unit, unit))
     factors = (
-        (al, [((1, 0, 0, 0), (0, 1, 0, 0)), (unit, (1, 0, 0, 0))]),  # D(a)
-        (1, [((0, be, 0, 0), (0, be, 0, 0))]),                       # D(b)^be
-        (1, [((0, 0, ga, 0), (0, 0, ga, 0))]),                       # D(c)^ga
-        (de, [((0, 0, 0, 1), (0, 0, 1, 0)), (unit, (0, 0, 0, 1))]),  # D(d)
+        (al, _tensor(rep, ((1, 0, 0, 0), (0, 1, 0, 0)), (unit, (1, 0, 0, 0)))),  # D(a)
+        (1, _tensor(rep, ((0, be, 0, 0), (0, be, 0, 0)))),                       # D(b)^be
+        (1, _tensor(rep, ((0, 0, ga, 0), (0, 0, ga, 0)))),                       # D(c)^ga
+        (de, _tensor(rep, ((0, 0, 0, 1), (0, 0, 1, 0)), (unit, (0, 0, 0, 1)))),  # D(d)
     )
     for rep_count, factor in factors:
         for _ in range(rep_count):
-            new = {}
-            for (x1, x2), coeff in terms.items():
-                for f1, f2 in factor:
-                    for k1, c1 in rep._mono_mul(x1, f1).items():
-                        for k2, c2 in rep._mono_mul(x2, f2).items():
-                            key = (k1, k2)
-                            val = coeff * c1 * c2
-                            prev = new.get(key)
-                            new[key] = val if prev is None else prev + val
-            terms = {k: v for k, v in new.items() if v}
-    return terms
+            out = out * factor
+    return out
 
 
 @pytest.mark.parametrize("n,sample", [(3, None), (5, None), (7, 60)])
@@ -224,7 +222,7 @@ def test_closed_form_coproduct_matches_multiply_out(n, sample):
     if sample is not None:
         monos = random.Random(n).sample(monos, sample)
     for mono in monos:
-        assert rep.coproduct_monomial(mono) == _coproduct_multiply_out(rep, mono), mono
+        assert rep.pbw_monomial(*mono).coproduct() == _coproduct_multiply_out(rep, mono), mono
 
 
 def test_coproduct_is_algebra_map():
@@ -400,6 +398,6 @@ def test_bckt_conversion_round_trip():
     for lab in all_labels(5):
         direct = rep.character(lab, mono)
         via_pbw = rep.ctx.zero()
-        for m, coeff in elem.terms.items():
-            via_pbw = via_pbw + coeff * rep.character_pbw(lab, m)
+        for coeff, value in zip(elem.coeffs.to_list(), rep.characters_pbw(lab, elem.codes).to_list()):
+            via_pbw = via_pbw + coeff * value
         assert direct == via_pbw

@@ -218,8 +218,24 @@ def test_int_array():
     a = m.int_array()
     assert a.dtype == object and a[1, 1] == 2**70
     assert RingMatrix([[1, 2], [3, 4]]).int_array().dtype == np.int64
-    with pytest.raises(TypeError):
-        RingMatrix([[Fraction(1, 2)]]).int_array()
+    # the int64 / Python-int choice follows the same 2^62 bound as every kernel
+    assert RingMatrix([[1, 2**62 - 1]]).int_array().dtype == np.int64
+    for big in (2**62, -(2**62), 2**63 - 1, -(2**63)):
+        got = RingMatrix([[1, big]]).int_array()
+        assert got.dtype == object and got.tolist() == [[1, big]]
+    # numpy reads these as uint64 and float64; they must come back as exact Python ints
+    for rows in ([[2**63]], [[2**63, 1]], [[2**64 + 1, -1]]):
+        got = RingMatrix(rows).int_array()
+        assert got.dtype == object and got.tolist() == rows
+    assert RingMatrix([[]]).int_array().shape == (1, 0)
+
+
+@pytest.mark.parametrize("entry", [True, Fraction(1, 2), Fraction(3), make_context(3).root_power(1), 1.0])
+def test_int_array_rejects_non_integer_entries(entry):
+    with pytest.raises(TypeError, match="matrix of Python ints"):
+        RingMatrix([[entry]]).int_array()
+    with pytest.raises(TypeError, match="matrix of Python ints"):
+        RingMatrix([[2**70, entry]]).int_array()  # beside an integer past int64
 
 
 def _random_cyc(ctx, rnd, den=1):

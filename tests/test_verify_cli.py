@@ -1,5 +1,6 @@
 import json
 import os
+import pstats
 import subprocess
 import sys
 
@@ -149,7 +150,7 @@ def test_cartan_intertwining_dense_cross_check(n):
             assert np.array_equal(sparse_product(Ct_rows, Mdual.int_array()).T, rhs.int_array())
 
 
-@pytest.mark.parametrize("n", [3, 5, 7])
+@pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
 def test_coproduct_trace_oracle_re_evaluates_the_identity(n):
     """The float route weighs the embedded terms itself, so rounding leaves a small nonzero residual."""
     result = run_suite(n, ["coproduct-trace"]).checks[0]
@@ -264,15 +265,17 @@ def test_hopf_axioms_survive_python_O():
     script = """
 import sys
 assert sys.flags.optimize == 1
+import numpy as np
+from taftdouble.cyclotomic import CycArray
 from taftdouble.dnrep import DoubleRep
 from taftdouble.verify import run_suite
 original = DoubleRep.coproduct_monomial
-def wrong(self, mono):
-    out = dict(original(self, mono))
-    if mono == (1, 0, 0, 0):
-        key = ((1, 0, 0, 0), (0, 1, 0, 0))
-        out[key] = out[key] + 1
-    return out
+def wrong(self, codes):
+    src, pairs, coeffs = original(self, codes)
+    a, b = self.pbw_code((1, 0, 0, 0)), self.pbw_code((0, 1, 0, 0))
+    nums = coeffs.nums.copy()
+    nums[(np.asarray(codes)[src] == a) & (pairs == a * self.n**4 + b), 0] += coeffs.den
+    return src, pairs, CycArray(coeffs.ctx, nums, coeffs.den)
 DoubleRep.coproduct_monomial = wrong
 result = run_suite(3, ["hopf-axioms"]).checks[0]
 print(result.status, result.detail)
@@ -413,6 +416,22 @@ def test_cli_verify_json(capsys):
     assert main(["verify", "--n", "3", "--suite", "fusion-matrix", "--format", "json"]) == 0
     parsed = json.loads(capsys.readouterr().out)
     assert parsed["all_pass"] is True
+
+
+def test_cli_verify_profile_writes_a_loadable_dump(capsys, tmp_path):
+    """--profile PATH leaves the report as it is (up to the timings) and writes a pstats dump."""
+    argv = ["verify", "--n", "3", "--suite", "hopf-axioms,coproduct-trace", "--format", "json"]
+    assert main(argv) == 0
+    plain = json.loads(capsys.readouterr().out)
+    path = tmp_path / "verify.prof"
+    assert main(argv + ["--profile", str(path)]) == 0
+    profiled = json.loads(capsys.readouterr().out)
+    for report in (plain, profiled):
+        for check in report["checks"]:
+            check.pop("elapsed")
+    assert profiled == plain
+    stats = pstats.Stats(str(path))
+    assert any(name == "check_hopf_axioms" for _file, _line, name in stats.stats)
 
 
 def test_cli_mckay(capsys):
