@@ -49,8 +49,8 @@ def _parse_pair(text, what):
     try:
         parts = [int(p) for p in text.split(",")]
     except ValueError:
-        raise SystemExit(2)
-    if len(parts) != 2:
+        parts = None
+    if parts is None or len(parts) != 2:
         print(f"error: {what} expects two comma-separated integers", file=sys.stderr)
         raise SystemExit(2)
     return parts
@@ -110,8 +110,9 @@ def cmd_mckay(args) -> int:
         mat = ring.mckay_matrix_closed(ell, s % n)
     else:
         mat = ring.mckay_matrix(ell, s % n)
+    rows = mat.tolist()
     if args.format == "csv":
-        for row in mat.rows:
+        for row in rows:
             print(",".join(str(x) for x in row))
     else:
         print(
@@ -120,7 +121,7 @@ def cmd_mckay(args) -> int:
                     "n": n,
                     "module": [ell, s % n],
                     "projective": bool(args.projective),
-                    "rows": [list(r) for r in mat.rows],
+                    "rows": rows,
                 },
                 sort_keys=True,
             )
@@ -199,7 +200,7 @@ def _fusion_payload(n: int) -> dict:
     N = build_fusion_from_rules(n)
     return {
         "slots": [[ell, r] for ell, r in fusion_slots(n)],
-        "rows": [list(r) for r in N.rows],
+        "rows": N.tolist(),
         "eigen": [
             {
                 "j": idx.j,

@@ -16,10 +16,14 @@ one integer fold that rewrites x^m, m >= n, through the relation.  The
 conversions to and from the basis of simple classes are fixed integer
 n^2 x n^2 matrices.
 
-All tensor-product multiplicities (McKay matrices, Cartan data, fusion
-rows) are computed by multiplying in this presentation and converting
-back to the basis of simple classes; the explicit tensor decomposition
-rules serve as an independent cross-check in the tests.
+All tensor-product multiplicities are computed by multiplying in this
+presentation and converting back to the basis of simple classes; the
+explicit tensor decomposition rules serve as an independent cross-check
+in the tests.  The integer matrices built from them are int64 numpy
+arrays: the ring keeps, per ell, one table of the n products
+[V(l, 0)][V(ell, 0)], and the McKay matrix of V(ell, s) is one gather
+from it; the projective McKay matrix is a transpose, and the powers of
+the McKay matrix of V(2, 0) are gather-add products over its nonzeros.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .cyclotomic import (
     same_fractions,
 )
 from .dnrep import SimpleLabel, all_labels, label_index
-from .polymat import RingMatrix
+from .polymat import RingMatrix, sparse_product, sparse_rows
 
 __all__ = ["PolyPres", "GrothRing", "groth_ring"]
 
@@ -165,8 +169,8 @@ class GrothRing:
         self.to_poly_matrix = to_poly
         self.to_simple_matrix = to_simple
         self._f_seq = [self.from_wide(fs[ell - 1]) for ell in range(1, n + 1)]
-        self._base_products: dict[tuple[int, int], list[int]] = {}
-        self._mpow: list[RingMatrix] = []
+        self._base_products: dict[int, np.ndarray] = {}
+        self._mpow: list[np.ndarray] = []
         self._cartan = None
 
     # ------------------------------------------------------------------
@@ -274,65 +278,65 @@ class GrothRing:
         return CycArray(p.ctx, nums, p.den).reduced()
 
     # ------------------------------------------------------------------
-    # products of simples and McKay matrices
+    # products of simples and McKay matrices (int64 arrays)
 
-    def base_product(self, l1: int, l2: int) -> list[int]:
-        """[V(l1,0)][V(l2,0)] in the simple basis (integer multiplicities)."""
-        key = (l1, l2)
-        got = self._base_products.get(key)
+    def base_products(self, ell: int) -> np.ndarray:
+        """Row l - 1 is [V(l, 0)][V(ell, 0)] in the simple basis, for l = 1..n: one cached, read-only int64 array."""
+        got = self._base_products.get(ell)
         if got is None:
-            got = self.poly_to_simple(self.mul(self.f_seq(l1), self.f_seq(l2)))
-            self._base_products[key] = got
+            f = self.f_seq(ell)
+            got = np.array([self.poly_to_simple(self.mul(g, f)) for g in self._f_seq], dtype=np.int64)
+            got.flags.writeable = False
+            self._base_products[ell] = got
         return got
 
     def multiply_simples(self, lab1: SimpleLabel, lab2: SimpleLabel) -> list[int]:
         """Composition multiplicities of V(lab1) (x) V(lab2) over all simple labels."""
         n = self.n
-        base = self.base_product(lab1.ell, lab2.ell)
-        shift = (lab1.r + lab2.r) % n
-        out = [0] * (n * n)
-        for idx, v in enumerate(base):
-            if v:
-                ell0, r0 = idx // n, idx % n
-                out[ell0 * n + (r0 + shift) % n] = v
-        return out
+        base = self.base_products(lab2.ell)[lab1.ell - 1].reshape(n, n)
+        return np.roll(base, lab1.r + lab2.r, axis=1).ravel().tolist()
 
-    def mckay_matrix(self, ell: int, s: int) -> RingMatrix:
-        """Row L of the matrix is the product [V(L)][V(ell, s)] in the simple basis."""
-        return RingMatrix(
-            [self.multiply_simples(lab, SimpleLabel(ell, s)) for lab in all_labels(self.n)]
-        )
+    def mckay_matrix(self, ell: int, s: int) -> np.ndarray:
+        """Row L of the matrix is the product [V(L)][V(ell, s)] in the simple basis.
 
-    def mckay_v20(self) -> RingMatrix:
-        if not self._mpow:
-            self._mpow.append(RingMatrix.identity(self.n * self.n))
-            self._mpow.append(self.mckay_matrix(2, 0))
-        return self._mpow[1]
-
-    def mpow(self, k: int) -> RingMatrix:
-        """Cached powers of the McKay matrix of V(2, 0)."""
-        self.mckay_v20()
-        while len(self._mpow) <= k:
-            self._mpow.append(self._mpow[-1] * self._mpow[1])
-        return self._mpow[k]
-
-    def z_shift(self, mat: RingMatrix, e: int) -> RingMatrix:
-        """Left-multiply by the block-diagonal cyclic shift: row (block, p) <- row (block, p+e)."""
+        Row (l - 1) n + r is the base product of V(l, 0) and V(ell, 0) with
+        every twist moved by r + s, so the matrix is one gather from
+        `base_products(ell)`: entry (l - 1) n + r, m n + t is entry
+        m n + (t - r - s) mod n of row l - 1.
+        """
         n = self.n
-        e %= n
-        rows = mat.rows
-        return RingMatrix(
-            [rows[blk * n + (p + e) % n] for blk in range(n) for p in range(n)]
-        )
+        r, col = np.arange(n)[:, None], np.arange(n * n)[None, :]
+        cols = col - col % n + (col - r - s) % n  # [r, m n + t]
+        return self.base_products(ell)[:, cols].reshape(n * n, n * n)
 
-    def mckay_matrix_closed(self, ell: int, s: int) -> RingMatrix:
+    def mckay_v20(self) -> np.ndarray:
+        return self.mpow(1)
+
+    def mpow(self, k: int) -> np.ndarray:
+        """Cached, read-only powers of the McKay matrix of V(2, 0), each one gather-add product with it."""
+        if not self._mpow:
+            self._mpow = [np.eye(self.n * self.n, dtype=np.int64), self.mckay_matrix(2, 0)]
+        M = self._mpow[1]
+        while len(self._mpow) <= k:
+            bound = _row_norm(M) * int(np.abs(self._mpow[-1]).max())
+            self._mpow.append(sparse_product(sparse_rows(M), int_array(self._mpow[-1], bound)))
+        power = self._mpow[k]
+        power.flags.writeable = False
+        return power
+
+    def z_shift(self, mat: np.ndarray, e: int) -> np.ndarray:
+        """Left-multiply by the block-diagonal cyclic shift: row (block, p) <- row (block, p+e)."""
+        rows = np.arange(self.n * self.n)
+        return mat[rows - rows % self.n + (rows + e) % self.n]
+
+    def mckay_matrix_closed(self, ell: int, s: int) -> np.ndarray:
         """The alternating-binomial combination of shifted powers of the V(2,0) matrix."""
-        acc = None
-        for i in range((ell - 1) // 2 + 1):
-            coeff = (-1) ** i * comb(ell - 1 - i, i)
-            term = self.z_shift(self.mpow(ell - 1 - 2 * i), i + s).scalar_mul(coeff)
-            acc = term if acc is None else acc + term
-        return acc
+        terms = [
+            ((-1) ** i * comb(ell - 1 - i, i), self.z_shift(self.mpow(ell - 1 - 2 * i), i + s))
+            for i in range((ell - 1) // 2 + 1)
+        ]
+        bound = sum(abs(c) * int(np.abs(m).max()) for c, m in terms)
+        return sum(int_array(m, bound) * c for c, m in terms)
 
     # ------------------------------------------------------------------
     # Cartan data and projective McKay matrices
@@ -348,23 +352,24 @@ class GrothRing:
         n = self.n
         return [2 * n if lab.ell < n else n for lab in all_labels(n)]
 
-    def cartan_matrix(self) -> RingMatrix:
+    def cartan_matrix(self) -> np.ndarray:
+        """Row (ell, r): [P(ell, r)] = 2 [V(ell, r)] + 2 [V(n - ell, r + ell)] for ell < n, [V(n, r)] itself."""
         if self._cartan is None:
             n = self.n
-            rows = []
+            C = np.zeros((n * n, n * n), dtype=np.int64)
             for lab in self.projective_slots():
-                row = [0] * (n * n)
+                i = label_index(n, lab)
                 if lab.ell == n:
-                    row[label_index(n, lab)] = 1
+                    C[i, i] = 1
                 else:
-                    row[label_index(n, lab)] = 2
-                    row[label_index(n, SimpleLabel(n - lab.ell, (lab.r + lab.ell) % n))] = 2
-                rows.append(row)
-            self._cartan = RingMatrix(rows)
+                    C[i, i] = 2
+                    C[i, label_index(n, SimpleLabel(n - lab.ell, (lab.r + lab.ell) % n))] = 2
+            C.flags.writeable = False
+            self._cartan = C
         return self._cartan
 
     def cartan_rank(self) -> int:
-        return self.cartan_matrix().rank_over_field()
+        return RingMatrix(self.cartan_matrix().tolist()).rank_over_field()
 
     def cartan_kernel_basis(self) -> list[list[int]]:
         """[P(ell,r)] - [P(n-ell, ell+r)] for 1 <= ell <= (n-1)/2, r in Z_n."""
@@ -378,23 +383,23 @@ class GrothRing:
                 out.append(v)
         return out
 
-    def cartan_image_of(self, kvec) -> list:
+    def cartan_image_of(self, kvec) -> list[int]:
         """Image in the simple basis of a K0 coordinate vector."""
-        return self.cartan_matrix().vec_mat(kvec)
+        return (np.asarray(kvec, dtype=np.int64) @ self.cartan_matrix()).tolist()
 
-    def projective_mckay(self, ell: int, s: int) -> RingMatrix:
+    def projective_mckay(self, ell: int, s: int) -> np.ndarray:
         """Transpose of the McKay matrix of the dual module."""
         dual = SimpleLabel(ell, (1 - s - ell) % self.n)
-        return self.mckay_matrix(dual.ell, dual.r).transpose()
+        return self.mckay_matrix(dual.ell, dual.r).T
 
-    def projective_mckay_v20_rules(self) -> RingMatrix:
+    def projective_mckay_v20_rules(self) -> np.ndarray:
         """Independent construction for V(2,0) from the explicit projective tensor rules."""
         n = self.n
         idx = lambda ell, r: label_index(n, SimpleLabel(ell, r % n))
-        rows = []
+        Q = np.zeros((n * n, n * n), dtype=np.int64)
         for lab in self.projective_slots():
             ell, r = lab.ell, lab.r
-            row = [0] * (n * n)
+            row = Q[idx(ell, r)]
             if ell == n:
                 row[idx(n - 1, r + 1)] = 1
             elif ell == 1:
@@ -406,8 +411,7 @@ class GrothRing:
             else:
                 row[idx(ell + 1, r)] = 1
                 row[idx(ell - 1, r + 1)] = 1
-            rows.append(row)
-        return RingMatrix(rows)
+        return Q
 
 
 @lru_cache(maxsize=None)

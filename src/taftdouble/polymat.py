@@ -1,17 +1,19 @@
-"""Dense polynomials and matrices over a generic commutative ring.
+"""Dense polynomials over a generic commutative ring, matrices over a field, and the relation kernel.
 
-Entries may be Python ints, Fractions, or CycNum; the element objects
-carry the arithmetic.  Rank and kernel computations require field
-entries (exact division).  Everything is exact, no floating point; a
-rank is first certified full modulo a prime that splits Q(q), and only
-a matrix that is not found full there is eliminated over the field.
+Integer matrices (McKay, Cartan, fusion) are int64 numpy arrays
+throughout; they have a few nonzeros per row, so their products with
+arrays are gather-adds over those nonzeros (`sparse_rows`,
+`sparse_product`).  `RingMatrix` is the dense matrix for elimination over
+a field: entries are Python ints, Fractions, or CycNum, the element
+objects carry the arithmetic, and rank, kernel and characteristic
+polynomial are exact.  A rank is first certified full modulo a prime
+that splits Q(q), and only a matrix that is not found full there is
+eliminated over the field.
 
 `relation` is the one statement of the eigen and Jordan relations of an
 integer matrix against a vector over Q(q): it certifies them exactly on
 integer coefficient arrays and re-evaluates them under the complex
-embedding as a numeric oracle.  The integer matrices (McKay, Cartan,
-fusion) have a few nonzeros per row, so their products with arrays are
-gather-adds over those nonzeros (`sparse_rows`, `sparse_product`).
+embedding as a numeric oracle.
 """
 
 from __future__ import annotations
@@ -155,7 +157,12 @@ class RingPoly:
 
 
 class RingMatrix:
-    """Dense row-major matrix over a commutative ring."""
+    """Dense row-major matrix over a commutative ring, for exact elimination over a field.
+
+    Integer matrices are int64 numpy arrays instead; a RingMatrix holds
+    entries that need field arithmetic (CycNum, Fraction) or a rank,
+    kernel or characteristic polynomial.
+    """
 
     __slots__ = ("rows", "nrows", "ncols")
 
@@ -176,9 +183,6 @@ class RingMatrix:
     def zeros(nrows: int, ncols: int, zero=0) -> "RingMatrix":
         return RingMatrix([[zero] * ncols for _ in range(nrows)])
 
-    def __getitem__(self, ij):
-        return self.rows[ij[0]][ij[1]]
-
     def __eq__(self, other):
         return (
             isinstance(other, RingMatrix)
@@ -198,9 +202,6 @@ class RingMatrix:
         return RingMatrix(
             [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)]
         )
-
-    def __neg__(self):
-        return RingMatrix([[-a for a in r] for r in self.rows])
 
     def _check_shape(self, other, same=False):
         if same:
@@ -416,36 +417,18 @@ class RingMatrix:
                 Mk = AM + ident.scalar_mul(ck)
         return RingPoly(list(reversed(coeffs)), zero)
 
-    def to_lists(self):
-        return [list(r) for r in self.rows]
-
-    def int_array(self) -> np.ndarray:
-        """The entries as an integer numpy array (int64 when they fit, Python ints otherwise).
-
-        One `np.asarray` reads a matrix of integers that fit in int64 (a bool
-        among them is read as 0 or 1).  Anything else, integers past int64
-        (which numpy reads as uint64, float64 or object) or entries that are
-        not integers, is checked entry by entry: only Python ints are accepted.
-        """
-        a = np.asarray(self.rows)
-        if a.dtype == np.int64:
-            return int_array(a, max(int(a.max()), -int(a.min())))
-        if not all(type(x) is int for r in self.rows for x in r):
-            raise TypeError("int_array needs a matrix of Python ints")
-        return int_array(self.rows, max((abs(x) for r in self.rows for x in r), default=0))
-
     def __repr__(self):
         return f"RingMatrix({self.nrows}x{self.ncols})"
 
 
 def relation(
-    M, vec: CycArray, lam: CycNum, side: str, chain: CycArray | None = None, what: str = "relation"
+    M: np.ndarray, vec: CycArray, lam: CycNum, side: str, chain: CycArray | None = None, what: str = "relation"
 ) -> float:
     """Certify M v = lam v + chain (side "right") or v M = lam v + chain (side "left").
 
-    M is an integer matrix (a RingMatrix of ints, or an integer numpy array);
-    vec and chain are CycArrays; chain None means zero, an eigenvector
-    relation, and a chain vector makes it a Jordan relation.
+    M is an integer numpy array (TypeError otherwise); vec and chain are
+    CycArrays; chain None means zero, an eigenvector relation, and a chain
+    vector makes it a Jordan relation.
     With the numerators V, C over denominators dv, dc and the multiplication
     matrix L of lam over dl, the identity is checked as the integer equation
 
@@ -458,16 +441,16 @@ def relation(
     CheckFailure naming `what` and the first failing coordinate.
 
     Returns the numeric oracle residual of the same identity:
-    max |A_num v_num - lam.embed() v_num - c_num| / max(1, max |v_num|),
-    with A embedded as a complex matrix and the vectors embedded from the
-    same numerator arrays.
+    max |A v_num - lam.embed() v_num - c_num| / max(1, max |v_num|),
+    with the vectors embedded from the same numerator arrays and A applied
+    by the same gather-adds over its nonzeros, in complex arithmetic.
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
+    if not isinstance(M, np.ndarray) or M.dtype.kind != "i":
+        raise TypeError(f"{what}: the matrix must be an integer numpy array")
     ctx = lam.ctx
-    A = M if isinstance(M, np.ndarray) else M.int_array()
-    if side == "left":
-        A = A.T
+    A = M.T if side == "left" else M
     if A.shape != (len(vec), len(vec)) or (chain is not None and len(chain) != len(vec)):
         raise ValueError(f"{what}: shapes do not match")
     L, dl, dv = ctx.mul_matrix(lam), lam.den, vec.den
@@ -487,7 +470,7 @@ def relation(
     if not len(vec):
         return 0.0
     vn = vec.embed()
-    resid = A.astype(complex) @ vn - lam.embed() * vn
+    resid = sparse_product((cols, vals), vn[:, None])[:, 0] - lam.embed() * vn
     if chain is not None:
         resid = resid - chain.embed()
     return float(np.max(np.abs(resid)) / max(1.0, float(np.max(np.abs(vn)))))
@@ -509,6 +492,12 @@ def sparse_rows(A: np.ndarray):
 
 
 def sparse_product(sparse, B: np.ndarray) -> np.ndarray:
-    """A @ B for A given by `sparse_rows`: each row of the product gathers and adds w rows of B."""
+    """A @ B for A given by `sparse_rows`: each row of the product gathers and adds w rows of B.
+
+    The w gathers are added one at a time, so no temporary is larger than the product.
+    """
     cols, vals = sparse
-    return (vals[:, :, None] * B[cols]).sum(axis=1)
+    out = np.zeros((len(cols),) + B.shape[1:], dtype=np.result_type(vals, B))
+    for k in range(cols.shape[1]):
+        out += vals[:, k, None] * B[cols[:, k]]
+    return out

@@ -211,16 +211,15 @@ class SpectralCertificate:
     exact: bool = False
     oracle_residual: float = float("inf")
 
-    def verify(self, M: RingMatrix) -> bool:
+    def verify(self, M: np.ndarray) -> bool:
         """Certify M v = lam v, w M = lam w and the Jordan relations exactly; record the oracle residual."""
-        A = M if isinstance(M, np.ndarray) else M.int_array()
         lam, right, left = self.lam, self.right, self.left
         try:
-            residuals = [relation(A, right, lam, "right"), relation(A, left, lam, "left")]
+            residuals = [relation(M, right, lam, "right"), relation(M, left, lam, "left")]
             if self.gen_right is not None:
-                residuals.append(relation(A, self.gen_right, lam, "right", chain=right))
+                residuals.append(relation(M, self.gen_right, lam, "right", chain=right))
             if self.gen_left is not None:
-                residuals.append(relation(A, self.gen_left, lam, "left", chain=left))
+                residuals.append(relation(M, self.gen_left, lam, "left", chain=left))
         except CheckFailure:
             self.exact = False
             self.oracle_residual = float("inf")
@@ -244,21 +243,20 @@ def certificates(n: int) -> list[SpectralCertificate]:
     return out
 
 
-def build_mckay_blockform(n: int) -> RingMatrix:
+def build_mckay_blockform(n: int) -> np.ndarray:
     """The McKay matrix of V(2,0) assembled directly from its block pattern."""
-    rows = []
+    M = np.zeros((n * n, n * n), dtype=np.int64)
     for ell in range(1, n + 1):
         for r in range(n):
-            row = [0] * n * n
+            row = M[(ell - 1) * n + r]
             if ell < n:
                 row[ell * n + r] = 1  # block ell+1, same r
                 if ell >= 2:
                     row[(ell - 2) * n + (r + 1) % n] = 1
             else:
-                row[(r % n)] = 2
+                row[r] = 2
                 row[(n - 2) * n + (r + 1) % n] = 2
-            rows.append(row)
-    return RingMatrix(rows)
+    return M
 
 
 def block_matrix(n: int, k: int) -> RingMatrix:
@@ -514,12 +512,11 @@ def _reduce_projective(n: int, ell: int, r: int) -> tuple[int, int]:
     return n - ell, (ell + r) % n
 
 
-def build_fusion_from_rules(n: int) -> RingMatrix:
+def build_fusion_from_rules(n: int) -> np.ndarray:
     """Rows from the explicit tensor rules, folded into the independent family."""
-    h = (n - 1) // 2
-    rows = []
-    for ell, r in fusion_slots(n):
-        row = [0] * (n * (h + 1))
+    size = n * ((n - 1) // 2 + 1)
+    N = np.zeros((size, size), dtype=np.int64)
+    for row, (ell, r) in zip(N, fusion_slots(n)):
         if ell == n:
             t_ell, t_r = _reduce_projective(n, n - 1, r + 1)
             row[_fusion_index(n, t_ell, t_r)] += 1
@@ -531,19 +528,17 @@ def build_fusion_from_rules(n: int) -> RingMatrix:
                 row[_fusion_index(n, t_ell, t_r)] += 1
             t_ell, t_r = _reduce_projective(n, ell + 1, r)
             row[_fusion_index(n, t_ell, t_r)] += 1
-        rows.append(row)
-    return RingMatrix(rows)
+    return N
 
 
-def build_fusion_blockform(n: int) -> RingMatrix:
+def build_fusion_blockform(n: int) -> np.ndarray:
     """The displayed block pattern: I above the diagonal, Z (2Z in row 1) below, corner Z^{h+1}."""
     h = (n - 1) // 2
-    size = n * (h + 1)
-    rows = [[0] * size for _ in range(size)]
+    N = np.zeros((n * (h + 1), n * (h + 1)), dtype=np.int64)
+    r = np.arange(n)
 
     def put(bi, bj, shift, value):
-        for r in range(n):
-            rows[bi * n + r][bj * n + (r + shift) % n] += value
+        N[bi * n + r, bj * n + (r + shift) % n] += value
 
     put(0, 1, 0, 1)
     for b in range(1, h + 1):
@@ -552,7 +547,7 @@ def build_fusion_blockform(n: int) -> RingMatrix:
             put(b, b + 1, 0, 1)
         else:
             put(h, h, h + 1, 1)
-    return RingMatrix(rows)
+    return N
 
 
 def fusion_right_eigvec(n: int, idx: EigIndex) -> CycArray:

@@ -109,9 +109,7 @@ def embed_vec(vec) -> np.ndarray:
 
 
 def embed_mat(m: RingMatrix) -> np.ndarray:
-    rows = np.array(m.rows)
-    if rows.dtype == np.int64:  # an integer matrix converts in one call
-        return rows.astype(complex)
+    """A matrix over Q(q) under the complex embedding (an integer array embeds by `.astype(complex)`)."""
     return np.array([[_embed(x) for x in row] for row in m.rows], dtype=complex)
 
 
@@ -143,11 +141,13 @@ class Oracle:
 
 
 class Workspace:
-    """Lazily built shared objects for one n, reused by every check."""
+    """Lazily built shared objects for one n, reused by every check.
+
+    McKay matrices come from `ring.mckay_matrix`; the ring owns their state.
+    """
 
     def __init__(self, n: int):
         self.n = n
-        self._mckay_cache: dict[tuple[int, int], RingMatrix] = {}
 
     @cached_property
     def ctx(self):
@@ -166,22 +166,18 @@ class Workspace:
         return spectral_tables(self.n)
 
     @cached_property
-    def M(self) -> RingMatrix:
+    def M(self) -> np.ndarray:
         return self.ring.mckay_v20()
 
     @cached_property
-    def M_blockform(self) -> RingMatrix:
+    def M_blockform(self) -> np.ndarray:
         return build_mckay_blockform(self.n)
-
-    @cached_property
-    def M_int(self) -> np.ndarray:
-        return self.M.int_array()
 
     @cached_property
     def certs(self):
         out = certificates(self.n)
         for c in out:
-            c.verify(self.M_int)
+            c.verify(self.M)
         return out
 
     @cached_property
@@ -197,17 +193,9 @@ class Workspace:
             for k in range(self.n)
         }
 
-    def mckay(self, ell: int, s: int) -> RingMatrix:
-        key = (ell, s % self.n)
-        got = self._mckay_cache.get(key)
-        if got is None:
-            got = self.ring.mckay_matrix(ell, s % self.n)
-            self._mckay_cache[key] = got
-        return got
-
     @cached_property
     def M_numeric(self) -> np.ndarray:
-        return embed_mat(self.M)
+        return self.M.astype(complex)
 
 
 _WORKSPACES: dict[int, Workspace] = {}
@@ -388,7 +376,7 @@ def check_coproduct_trace(ws: Workspace):
         monos.append((t, i, k, t))
     vlabels = [SimpleLabel(2, 0)] if n >= 11 else [SimpleLabel(2, 0), SimpleLabel(3, 1)]
     for vlabel in vlabels:
-        Mv = ws.M_int if vlabel == SimpleLabel(2, 0) else ws.mckay(vlabel.ell, vlabel.r).int_array()
+        Mv = ws.ring.mckay_matrix(vlabel.ell, vlabel.r)
         Mv_rows = sparse_rows(Mv)  # the oracle applies Mv by its nonzeros, without a BLAS call
         for mono in monos:
             left, right = coproduct_trace_terms(rep, mono, vlabel)
@@ -420,7 +408,7 @@ def check_grouplike_traces(ws: Workspace):
         closed = CycArray.from_list(ctx, [tab.general_eigenvalue(idx, ell, 0) for ell in range(1, n + 1)])
         bad = _first_mismatch(labels, tv, closed.qpow_blocks([2 * s * idx.r for s in range(n)]))
         _require(bad is None, f"character closed form fails at {bad}, ({i},{k})")
-        oracle.see(relation(ws.M_int, tv, tab.lam(idx), "right", what=f"Tr_S(b^{i} c^{k}) eigen"))
+        oracle.see(relation(ws.M, tv, tab.lam(idx), "right", what=f"Tr_S(b^{i} c^{k}) eigen"))
     dims = CycArray.from_list(ctx, ws.ring.dim_simple_vector())
     _require(ws.grouplike_traces[(0, 0)] == dims, "Tr_S(1) is not the dimension vector")
     top = label_index(n, SimpleLabel(n, 0))
@@ -434,7 +422,7 @@ def check_spectral_certificates(ws: Workspace):
     """Exact eigen and Jordan relations for every (j, r), plus completeness of both families."""
     n, tab, ctx = ws.n, ws.tab, ws.ctx
     oracle = Oracle()
-    _require(ws.M == ws.M_blockform, "ring-derived McKay matrix differs from its block pattern")
+    _require(np.array_equal(ws.M, ws.M_blockform), "ring-derived McKay matrix differs from its block pattern")
     certs = ws.certs
     inexact = [c.index for c in certs if not c.exact]
     if inexact:
@@ -486,7 +474,7 @@ def check_spectral_certificates(ws: Workspace):
 
 def check_generalized_traces(ws: Workspace):
     """Trace combinations of b^i c^k d^l a^l land in the right generalized eigenspace."""
-    n, rep, Mi, ctx = ws.n, ws.rep, ws.M_int, ws.ctx
+    n, rep, Mi, ctx = ws.n, ws.rep, ws.M, ws.ctx
     oracle = Oracle()
     rnd = _rng("generalized-traces", n)
     bcda_samples = {(rnd.randrange(n), rnd.randrange(n)) for _ in range(4)}
@@ -528,7 +516,7 @@ def check_projective_trace_table(ws: Workspace):
         w = rep.trace_vector_P(i, -i)
         rows[i] = w
         lam = ctx.root_power(-i) * 2  # trace of b^i c^{-i} on the dual of V(2,0)
-        oracle.see(relation(ws.M_int, w, lam, "left", what=f"Tr_P eigen at i={i}"))
+        oracle.see(relation(ws.M, w, lam, "left", what=f"Tr_P eigen at i={i}"))
         r = (-i) % n
         comp = dec.components[r]
         scal = w.line_coefficient(comp.to_groth(comp.f_polys[0] * comp.xi.inverse()))
@@ -563,27 +551,26 @@ def check_cartan_structure(ws: Workspace):
         _require(not any(ring.cartan_image_of(v)), "stated kernel vector not annihilated")
     _require(RingMatrix(kb).rank_over_field() == len(kb), "kernel vectors are dependent")
     for lab in all_labels(n):
-        row = C.rows[label_index(n, lab)]
+        row = C[label_index(n, lab)].tolist()
         if lab.ell == n:
             _require(sum(row) == 1 and row[label_index(n, lab)] == 1, f"Cartan row of {lab} is not a unit vector")
         else:
             _require(sorted(x for x in row if x) == [2, 2], f"Cartan row of {lab} is not two entries 2")
-    oracle.rank(embed_mat(C).real, n * (n + 1) // 2)
+    C_numeric = C.astype(float)
+    oracle.rank(C_numeric, n * (n + 1) // 2)
 
-    ident = RingMatrix.identity(n * n)
-    _require(ring.projective_mckay(1, 0) == ident, "tensoring with the unit must be the identity")
+    ident = np.eye(n * n, dtype=np.int64)
+    _require(np.array_equal(ring.projective_mckay(1, 0), ident), "tensoring with the unit must be the identity")
     _require(
-        ring.projective_mckay_v20_rules() == ring.projective_mckay(2, 0),
+        np.array_equal(ring.projective_mckay_v20_rules(), ring.projective_mckay(2, 0)),
         "rule-built projective McKay matrix differs from the dual-transpose route",
     )
-    C_int = C.int_array()
-    C_rows, Ct_rows = sparse_rows(C_int), sparse_rows(C_int.T)
-    C_numeric = C_int.astype(float)
+    C_rows, Ct_rows = sparse_rows(C), sparse_rows(C.T)
     rnd = _rng("cartan-structure", n)
     numeric_sample = {(rnd.randrange(1, n + 1), rnd.randrange(n)) for _ in range(3)}
     for ell in range(1, n + 1):
         # the dual of V(ell, s) is V(ell, 1 - s - ell): one ell's arrays serve both sides
-        arrays = [np.asarray(ws.mckay(ell, s).rows, dtype=np.int64) for s in range(n)]
+        arrays = [ring.mckay_matrix(ell, s) for s in range(n)]
         for s in range(n):
             Mv, Mdual = arrays[s], arrays[(1 - s - ell) % n]
             lhs = sparse_product(Ct_rows, Mdual).T  # equals M_dual^T C = Q_V C
@@ -606,27 +593,31 @@ def check_mckay_closed_form(ws: Workspace):
         pairs = [(ell, s) for ell in (1, 2, 3, n - 1, n) for s in (0, 1)]
         pairs += [(rnd.randrange(1, n + 1), rnd.randrange(n)) for _ in range(6)]
     for ell, s in pairs:
-        _require(ws.mckay(ell, s) == ring.mckay_matrix_closed(ell, s), f"closed form fails for V({ell},{s})")
+        _require(
+            np.array_equal(ring.mckay_matrix(ell, s), ring.mckay_matrix_closed(ell, s)),
+            f"closed form fails for V({ell},{s})",
+        )
+    ident = np.eye(n * n, dtype=np.int64)
     for s in range(n):
-        _require(ws.mckay(1, s) == ring.z_shift(RingMatrix.identity(n * n), s), f"V(1,{s}) is not the shift Z^{s}")
+        _require(np.array_equal(ring.mckay_matrix(1, s), ring.z_shift(ident, s)), f"V(1,{s}) is not the shift Z^{s}")
 
     ctx = ws.ctx
     svec = ring.dim_simple_vector()
     pvec = ring.dim_projective_vector()
     two = ctx.from_rational(2)
-    oracle.see(relation(ws.M_int, CycArray.from_list(ctx, svec), two, "right", what="dimension vector"))
-    oracle.see(relation(ws.M_int, CycArray.from_list(ctx, pvec), two, "left", what="projective dimension vector"))
+    oracle.see(relation(ws.M, CycArray.from_list(ctx, svec), two, "right", what="dimension vector"))
+    oracle.see(relation(ws.M, CycArray.from_list(ctx, pvec), two, "left", what="projective dimension vector"))
     _require(sum(a * b for a, b in zip(pvec, svec)) == n**4, "dimension pairing misses the basis count")
 
     rnd = _rng("mckay-commute", n)
     for _ in range(4):
         a = (rnd.randrange(1, n + 1), rnd.randrange(n))
         b = (rnd.randrange(1, n + 1), rnd.randrange(n))
-        A, B = ws.mckay(*a), ws.mckay(*b)
-        _require(A * B == B * A, f"McKay matrices do not commute: {a}, {b}")
-        oracle.vec_residual(
-            np.abs(embed_mat(A) @ embed_mat(B) - embed_mat(B) @ embed_mat(A)).ravel()
-        )
+        A, B = ring.mckay_matrix(*a), ring.mckay_matrix(*b)
+        AB, BA = sparse_product(sparse_rows(A), B), sparse_product(sparse_rows(B), A)  # A @ B and B @ A
+        _require(np.array_equal(AB, BA), f"McKay matrices do not commute: {a}, {b}")
+        A, B = A.astype(float), B.astype(float)
+        oracle.vec_residual(np.abs(A @ B - B @ A).ravel())
     labs = all_labels(n)
     rnd2 = _rng("ring-commute", n)
     for _ in range(6):
@@ -650,8 +641,8 @@ def check_general_eigenvalues(ws: Workspace):
         indices = _rng("general-eigenvalues-idx", n).sample(eig_indices(n), 20)
     vecs = {idx: (tab.right_eigvec(idx), tab.left_eigvec(idx)) for idx in indices}
     for ell, s in mods:
-        Mv = ws.mckay(ell, s % n).int_array()
-        Qv = ws.ring.projective_mckay(ell, s % n).int_array()
+        Mv = ws.ring.mckay_matrix(ell, s % n)
+        Qv = ws.ring.projective_mckay(ell, s % n)
         for idx in indices:
             v, w = vecs[idx]
             val = tab.general_eigenvalue(idx, ell, s)
@@ -719,9 +710,9 @@ def check_grothendieck_idempotents(ws: Workspace):
             idx = EigIndex(j, r)
             lam = tab.lam(idx)
             f = radical[idx] = comp.to_groth(comp.f_polys[j])
-            oracle.see(relation(ws.M_int, f, lam, "left", what=f"radical F{tuple(idx)} eigen"))
+            oracle.see(relation(ws.M, f, lam, "left", what=f"radical F{tuple(idx)} eigen"))
             oracle.see(relation(
-                ws.M_int, dec.g_coords(idx), lam, "left", chain=f, what=f"Jordan pair G{tuple(idx)}",
+                ws.M, dec.g_coords(idx), lam, "left", chain=f, what=f"Jordan pair G{tuple(idx)}",
             ))
     rad_count = len(radical)
     _require(rad_count == n * (n - 1) // 2, f"{rad_count} radical elements")
@@ -731,12 +722,12 @@ def check_grothendieck_idempotents(ws: Workspace):
         lam = tab.lam(idx)
         what = f"idempotent at {tuple(idx)} leaves the generalized eigenspace"
         if idx.j == 0:
-            oracle.see(relation(ws.M_int, coords, lam, "left", what=what))
+            oracle.see(relation(ws.M, coords, lam, "left", what=what))
         else:
             # corrected idempotents mix the Jordan pair: (M - lam) lands on the radical line
             f = radical[idx]
-            c = _line_coefficient(ws.M_int, coords, lam, "left", f)
-            oracle.see(relation(ws.M_int, coords, lam, "left", chain=f.scaled(c), what=what))
+            c = _line_coefficient(ws.M, coords, lam, "left", f)
+            oracle.see(relation(ws.M, coords, lam, "left", chain=f.scaled(c), what=what))
 
     # the two integer basis conversions are inverse to each other, so both are bijective
     _require(
@@ -778,7 +769,7 @@ def check_grothendieck_idempotents(ws: Workspace):
     labels = all_labels(n)
     for pos in np.flatnonzero(coords.nums.any(axis=1)):
         lab = labels[pos]
-        square += un[pos] * (un @ embed_mat(ws.mckay(lab.ell, lab.r)))
+        square += un[pos] * (un @ ring.mckay_matrix(lab.ell, lab.r).astype(complex))
     oracle.vec_residual(np.abs(square - un))
     return oracle.residual, {"radical": rad_count, "idempotents": len(idem_coords)}
 
@@ -789,15 +780,14 @@ def check_fusion_matrix(ws: Workspace):
     oracle = Oracle()
     h = (n - 1) // 2
     Nr = build_fusion_from_rules(n)
-    _require(Nr == build_fusion_blockform(n), "rule-built fusion matrix differs from the block pattern")
-    _require(Nr.nrows == n * (h + 1) == n * (n + 1) // 2, f"fusion matrix has {Nr.nrows} rows")
+    _require(np.array_equal(Nr, build_fusion_blockform(n)), "rule-built fusion matrix differs from the block pattern")
+    _require(len(Nr) == n * (h + 1) == n * (n + 1) // 2, f"fusion matrix has {len(Nr)} rows")
     lams = []
-    Ni = Nr.int_array()
     for idx in eig_indices(n):
         lam = tab.lam(idx)
         lams.append(lam)
-        oracle.see(relation(Ni, fusion_right_eigvec(n, idx), lam, "right", what=f"fusion {idx}"))
-        oracle.see(relation(Ni, fusion_left_eigvec(n, idx), lam, "left", what=f"fusion {idx}"))
+        oracle.see(relation(Nr, fusion_right_eigvec(n, idx), lam, "right", what=f"fusion {idx}"))
+        oracle.see(relation(Nr, fusion_left_eigvec(n, idx), lam, "left", what=f"fusion {idx}"))
     for a in range(len(lams)):
         for b in range(a):
             _require(lams[a] != lams[b], "fusion eigenvalues are not simple")
@@ -807,11 +797,11 @@ def check_fusion_matrix(ws: Workspace):
         if h >= 1:
             _require(tab.v_vals[j][h + 1] == tab.v_vals[j][h - 1], "V_{h+1} != V_{h-1} at a point")
     # numeric spectrum match, as a two-sided nearest-point comparison
-    num = np.linalg.eigvals(embed_mat(Nr))
+    num = np.linalg.eigvals(Nr.astype(complex))
     exact = embed_vec(lams)
     oracle.see(float(max(np.min(np.abs(exact - e)) for e in num)))
     oracle.see(float(max(np.min(np.abs(num - e)) for e in exact)))
-    return oracle.residual, {"size": Nr.nrows}
+    return oracle.residual, {"size": len(Nr)}
 
 
 def _entrywise_sums(products: CycArray, groups: int) -> CycArray:
@@ -865,8 +855,8 @@ def check_dual_pairing(ws: Workspace):
                 lrows.append(tab.gen_left_coeffs(idx))
                 rrows.append(tab.gen_right_coeffs(idx))
         _require(RingMatrix(_pairings(ctx, lrows, rrows)).rank_over_field() == n, f"pairing block degenerate at r={r}")
-    C = ring.cartan_matrix().int_array()
-    Q = ring.projective_mckay(2, 0).int_array()
+    C = ring.cartan_matrix()
+    Q = ring.projective_mckay(2, 0)
     for c in ws.certs:
         cv = c.right.left_mul(C)
         oracle.see(relation(Q, cv, c.lam, "right", what=f"C v projective-side eigen at {c.index}"))

@@ -372,7 +372,7 @@ def test_coproduct_trace_identity_cases():
     n = 3
     rep = double_rep(n)
     ring = groth_ring(n)
-    M = ring.mckay_v20().int_array()
+    M = ring.mckay_v20()
     v20 = SimpleLabel(2, 0)
     # grouplike: reduces to the eigen equation
     lhs, rhs = coproduct_trace_identity(rep, M, (0, 1, 1, 0), v20)

@@ -155,7 +155,7 @@ def test_relation_certifies_and_rejects_one_coefficient(side):
     cert = next(c for c in certificates(n) if c.index == EigIndex(2, 3))
     vec, gen = (cert.right, cert.gen_right) if side == "right" else (cert.left, cert.gen_left)
     assert relation(M, vec, cert.lam, side) < 1e-12
-    assert relation(M.int_array(), gen, cert.lam, side, chain=vec) < 1e-12
+    assert relation(M, gen, cert.lam, side, chain=vec) < 1e-12
     q = ctx.root_power(1)
     for pos in (0, len(vec) // 2, len(vec) - 1):
         with pytest.raises(CheckFailure, match="fails at coordinate"):
@@ -211,31 +211,18 @@ def test_relation_input_errors():
         relation(M, CycArray.from_list(ctx, [lam] * 8), lam, "right")
     with pytest.raises(TypeError):
         relation(RingMatrix([[lam]]), CycArray.from_list(ctx, [lam]), lam, "right")
-
-
-def test_int_array():
-    m = RingMatrix([[1, -2], [3, 2**70]])
-    a = m.int_array()
-    assert a.dtype == object and a[1, 1] == 2**70
-    assert RingMatrix([[1, 2], [3, 4]]).int_array().dtype == np.int64
-    # the int64 / Python-int choice follows the same 2^62 bound as every kernel
-    assert RingMatrix([[1, 2**62 - 1]]).int_array().dtype == np.int64
-    for big in (2**62, -(2**62), 2**63 - 1, -(2**63)):
-        got = RingMatrix([[1, big]]).int_array()
-        assert got.dtype == object and got.tolist() == [[1, big]]
-    # numpy reads these as uint64 and float64; they must come back as exact Python ints
-    for rows in ([[2**63]], [[2**63, 1]], [[2**64 + 1, -1]]):
-        got = RingMatrix(rows).int_array()
-        assert got.dtype == object and got.tolist() == rows
-    assert RingMatrix([[]]).int_array().shape == (1, 0)
+    with pytest.raises(TypeError):
+        relation(M.astype(float), CycArray.from_list(ctx, [lam] * 9), lam, "right")
 
 
 @pytest.mark.parametrize("entry", [True, Fraction(1, 2), Fraction(3), make_context(3).root_power(1), 1.0])
 def test_int_array_rejects_non_integer_entries(entry):
-    with pytest.raises(TypeError, match="matrix of Python ints"):
-        RingMatrix([[entry]]).int_array()
-    with pytest.raises(TypeError, match="matrix of Python ints"):
-        RingMatrix([[2**70, entry]]).int_array()  # beside an integer past int64
+    """`relation` reads its matrix only as an int64 (integer) array and rejects every other entry type."""
+    ctx = make_context(3)
+    vec = CycArray.from_list(ctx, [1])
+    for matrix in (np.array([[entry]]), np.array([[2**70, entry]], dtype=object)[:, 1:], [[1]]):
+        with pytest.raises(TypeError, match="integer numpy array"):
+            relation(matrix, vec, ctx.one(), "right")
 
 
 def _random_cyc(ctx, rnd, den=1):

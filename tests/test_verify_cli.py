@@ -133,21 +133,19 @@ def test_charpoly_oracles_stay_small_past_the_default_bound(monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_cartan_intertwining_dense_cross_check(n):
-    """QC = CM as dense RingMatrix products, against the gather-adds of cartan-structure."""
+    """QC = CM as dense matrix products, against the gather-adds of cartan-structure."""
     ring = groth_ring(n)
     C = ring.cartan_matrix()
-    Ct = C.transpose()
-    C_int = C.int_array()
-    C_rows, Ct_rows = sparse_rows(C_int), sparse_rows(C_int.T)
+    C_rows, Ct_rows = sparse_rows(C), sparse_rows(C.T)
     assert C_rows[0].shape[1] <= 2 and Ct_rows[0].shape[1] <= 2
     for ell in range(1, n + 1):
         for s in range(n):
             Mv = ring.mckay_matrix(ell, s)
             Mdual = ring.mckay_matrix(ell, (1 - s - ell) % n)
-            rhs = C * Mv
-            assert (Ct * Mdual).transpose() == rhs
-            assert np.array_equal(sparse_product(C_rows, Mv.int_array()), rhs.int_array())
-            assert np.array_equal(sparse_product(Ct_rows, Mdual.int_array()).T, rhs.int_array())
+            rhs = C @ Mv
+            assert np.array_equal((C.T @ Mdual).T, rhs)
+            assert np.array_equal(sparse_product(C_rows, Mv), rhs)
+            assert np.array_equal(sparse_product(Ct_rows, Mdual).T, rhs)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 11])
@@ -354,14 +352,13 @@ assert sys.flags.optimize == 1
 import taftdouble.verify as verify
 from taftdouble.cyclotomic import CycArray
 from taftdouble.grring import GrothRing, groth_ring
-from taftdouble.polymat import RingMatrix
 from taftdouble.spectral import SpectralTables
 
 def bumped_matrix(fn):
     def wrong(*args):
-        rows = [list(r) for r in fn(*args).rows]
-        rows[0][0] += 1
-        return RingMatrix(rows)
+        m = fn(*args).copy()
+        m[0, 0] += 1
+        return m
     return wrong
 
 def bumped_array(fn):
@@ -446,6 +443,17 @@ def test_cli_mckay(capsys):
     closed = json.loads(capsys.readouterr().out)
     assert closed["rows"] == parsed["rows"]
     assert main(["mckay", "--n", "3", "--module", "9,0"]) == 2
+
+
+@pytest.mark.parametrize("module", ["a,b", "1,x", "1", "1,2,3"])
+def test_cli_mckay_rejects_a_malformed_module(capsys, module):
+    """Non-integers and a wrong count both exit 2 with the same message."""
+    with pytest.raises(SystemExit) as exc:
+        main(["mckay", "--n", "5", "--module", module])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --module expects two comma-separated integers\n"
 
 
 def test_cli_chartable(capsys):
