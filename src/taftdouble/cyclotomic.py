@@ -20,6 +20,12 @@ multiplication tensor of the power basis in one batched contraction; the
 Grothendieck-algebra products are built on it.  `split_prime(n)` gives a prime p = 1 (mod n) with an element of order
 n in F_p, so q -> omega maps Z[q] onto F_p; ranks are certified there.
 
+This module is the one place that chooses between int64 and Python ints
+(dtype=object).  Every exact integer computation of the package runs through
+one of its kernels (`int_matmul`, `sparse_product`, `gather_products`,
+`segment_sum`, `int_combination`, `int_rows`), which bounds every partial sum
+from the values of its operands and takes int64 only below INT64_LIMIT = 2^62.
+
 Only odd n >= 3 are accepted: the whole construction downstream (the
 Drinfeld double of the Taft algebra and its McKay spectral theory)
 assumes that hypothesis, and 2 must be invertible mod n.
@@ -41,31 +47,78 @@ __all__ = [
     "CyclotomicContext",
     "CycNum",
     "CycArray",
-    "int_array",
+    "int_matmul",
+    "int_combination",
+    "int_rows",
+    "segment_sum",
     "same_fractions",
     "reduce_fraction",
     "gather_products",
+    "sparse_rows",
+    "sparse_product",
     "split_prime",
 ]
 
-# int64 arithmetic is used only when a bound on every intermediate value
-# stays below this; otherwise the same code runs on Python ints (dtype=object)
+# a kernel runs in int64 only when a bound on every partial sum it forms
+# stays below this; otherwise the same kernel runs on Python ints (dtype=object)
 INT64_LIMIT = 1 << 62
 
 
 def int_array(a, bound: int) -> np.ndarray:
-    """Integer rows or array as int64 when `bound`, a bound on what the caller computes, allows; else as Python ints."""
+    """Integer rows or array as int64 when `bound`, a kernel's bound on what it computes, allows; else as Python ints."""
     return np.asarray(a, dtype=np.int64 if bound < INT64_LIMIT else object)
 
 
 def _array_max(a: np.ndarray) -> int:
+    """max |a| as a Python int (0 for an empty array)."""
     return int(np.abs(a).max()) if a.size else 0
+
+
+def _row_sum_max(a: np.ndarray) -> int:
+    """The largest sum of |a| along the last axis, exactly (0 for an empty array)."""
+    if not a.size:
+        return 0
+    mags = np.abs(a)
+    if a.dtype != object and int(mags.max()) * a.shape[-1] >= 1 << 63:
+        mags = mags.astype(object)  # int64 row sums could wrap
+    return int(mags.sum(axis=-1).max())
+
+
+def int_rows(rows) -> np.ndarray:
+    """Rows of Python ints as an array, int64 when every |entry| < INT64_LIMIT (the dtype is always given, so never uint64 or float64)."""
+    rows = list(rows)
+    return int_array(rows, max(map(abs, chain.from_iterable(rows)), default=0))
+
+
+def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for integer arrays, batch axes allowed; int64 when the largest absolute row sum of a times max |b| < INT64_LIMIT."""
+    bound = _row_sum_max(a) * _array_max(b)
+    return int_array(a, bound) @ int_array(b, bound)
+
+
+def int_combination(terms) -> np.ndarray:
+    """Sum of c * x over pairs of a Python int c and an integer array x; int64 when sum |c| max(1, max |x|) < INT64_LIMIT."""
+    terms = list(terms)
+    bound = sum(abs(c) * max(1, _array_max(x)) for c, x in terms)
+    first, *rest = (int_array(x, bound) * c for c, x in terms)
+    return sum(rest, first)
+
+
+def segment_sum(nums: np.ndarray, starts=None) -> np.ndarray:
+    """Sums along axis 0 of an integer array: of the runs beginning at the increasing `starts` (`np.add.reduceat`), or of all of it.
+
+    Equal-length groups are the second case once reshaped onto axis 0.
+    int64 when the longest run times max |nums| is below INT64_LIMIT.
+    """
+    if starts is None:
+        return int_array(nums, len(nums) * _array_max(nums)).sum(axis=0)
+    longest = int(np.diff(starts, append=len(nums)).max(initial=0))
+    return np.add.reduceat(int_array(nums, longest * _array_max(nums)), starts, axis=0)
 
 
 def same_fractions(a: np.ndarray, da: int, b: np.ndarray, db: int) -> bool:
     """Whether the integer arrays a / da and b / db are equal, by cross-multiplied numerators."""
-    bound = max(_array_max(a) * db, _array_max(b) * da)
-    return a.shape == b.shape and np.array_equal(int_array(a, bound) * db, int_array(b, bound) * da)
+    return a.shape == b.shape and np.array_equal(int_combination([(db, a)]), int_combination([(da, b)]))
 
 
 def reduce_fraction(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
@@ -78,24 +131,57 @@ def reduce_fraction(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
 INT_TENSOR = np.ones((1, 1, 1), dtype=np.int64)
 
 
-def gather_products(a: np.ndarray, b: np.ndarray, tensor: np.ndarray, target: np.ndarray, size: int, fold_norm: int = 1):
+def gather_products(a: np.ndarray, b: np.ndarray, tensor: np.ndarray, target: np.ndarray, size: int):
     """Sums of the products a_i b_j of every row pair, gathered into row target[i, j] of a (size, d) array.
 
     a (Na, d) and b (Nb, d) are integer coordinate rows and tensor[k, e] holds
     the coordinates of basis element k times basis element e: ctx._mul_tensor
     for Q(q), INT_TENSOR for Z.  The products are one batched contraction and
-    the gather one unbuffered add.  The result is int64 when a bound on it
-    times fold_norm (the largest absolute row sum of whatever the caller
-    applies to it next) stays below INT64_LIMIT, and Python ints otherwise.
+    the gather one unbuffered add.  The result is int64 when the most
+    products gathered into one row, times d^2 max |a| max |b| max |tensor|,
+    stays below INT64_LIMIT, and Python ints otherwise.
     """
     d = tensor.shape[0]
     hits = int(np.bincount(target.ravel(), minlength=1).max()) if target.size else 0
-    bound = hits * d * d * _array_max(a) * _array_max(b) * _array_max(tensor) * fold_norm
+    bound = hits * d * d * _array_max(a) * _array_max(b) * _array_max(tensor)
     a, b, tensor = (int_array(x, bound) for x in (a, b, tensor))
     by_basis = np.tensordot(b, tensor, axes=([1], [1]))  # [j, k] = b_j times basis element k
     pairs = np.tensordot(a, by_basis, axes=([1], [1]))  # [i, j] = a_i b_j
     out = np.zeros((size, d), dtype=pairs.dtype)
     np.add.at(out, target.ravel(), pairs.reshape(-1, d))
+    return out
+
+
+def sparse_rows(A: np.ndarray):
+    """The nonzero entries of each row of the integer matrix A, as (cols, vals) arrays of shape (rows, w).
+
+    w is the most nonzeros any row holds; shorter rows are padded with value 0.
+    """
+    rows, cols = np.divmod(np.flatnonzero(A), A.shape[1])
+    counts = np.bincount(rows, minlength=len(A))
+    slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+    out_cols = np.zeros((len(A), counts.max(initial=0)), dtype=np.int64)
+    out_vals = np.zeros(out_cols.shape, dtype=A.dtype)
+    out_cols[rows, slot] = cols
+    out_vals[rows, slot] = A[rows, cols]
+    return out_cols, out_vals
+
+
+def sparse_product(sparse, B: np.ndarray) -> np.ndarray:
+    """A @ B for A given by `sparse_rows`: each row of the product gathers and adds w rows of B.
+
+    The w gathers are added one at a time, so no temporary is larger than the
+    product.  For an integer B the product is int64 when the largest row sum
+    of |vals| times max |B| is below INT64_LIMIT, and Python ints otherwise; a
+    float or complex B is multiplied in its own type.
+    """
+    cols, vals = sparse
+    if B.dtype.kind not in "fc":
+        bound = _row_sum_max(vals) * _array_max(B)
+        vals, B = int_array(vals, bound), int_array(B, bound)
+    out = np.zeros((len(cols),) + B.shape[1:], dtype=np.result_type(vals, B))
+    for k in range(cols.shape[1]):
+        out += vals[:, k, None] * B[cols[:, k]]
     return out
 
 
@@ -195,7 +281,7 @@ class CyclotomicContext:
         self._qpow_mul = np.array(
             [[self._qpow_rows[(e + k) % n] for k in range(d)] for e in range(n)], dtype=np.int64
         )
-        self._qpow_mul_max = int(np.abs(self._qpow_mul).max())
+        self._qpow_mul_max = _array_max(self._qpow_mul)
         self._mul_tensor = self._qpow_mul[:d]
         # for entrywise products: window m of a row padded by d - 1 zeros on each
         # side reads its coefficients m - d + 1 .. m, and row m of the fold is q^m
@@ -269,8 +355,8 @@ class CyclotomicContext:
 
         A numerator row vector x times this matrix is the numerator of x * c.
         """
-        bound = _max_abs(c.num) * self.degree * self._qpow_mul_max
-        return np.tensordot(int_array(c.num, bound), self._mul_tensor, axes=1)
+        d = self.degree
+        return int_matmul(int_rows([c.num]), self._mul_tensor.reshape(d, d * d)).reshape(d, d)
 
 
 @lru_cache(maxsize=None)
@@ -479,19 +565,15 @@ class CycNum:
         return " + ".join(terms) if terms else "0"
 
 
-def _max_abs(values) -> int:
-    return max(map(abs, values), default=0)
-
-
 class CycArray:
     """A length-N vector over Q(q): an (N, phi(n)) integer array of numerators over one denominator.
 
     Row i holds the power-basis numerators of entry i, all over the common
     positive denominator `den`.  Rows are not normalized, so two arrays of
     the same vector may differ by a common factor; `to_list` returns the
-    canonical `CycNum` entries.  The array is int64 when every operation's
-    bound stays below INT64_LIMIT, and holds Python ints (dtype=object)
-    otherwise; each operation checks its own bound.
+    canonical `CycNum` entries.  The array is int64 or holds Python ints
+    (dtype=object), as the kernel that produced it chose from the values;
+    every operation runs through a kernel of this module, which bounds it.
     """
 
     __slots__ = ("ctx", "nums", "den")
@@ -511,15 +593,13 @@ class CycArray:
         entries = [x if isinstance(x, CycNum) else ctx.from_rational(x) for x in vec]
         den = lcm(*(x.den for x in entries)) if entries else 1
         rows = [x.num if x.den == den else [a * (den // x.den) for a in x.num] for x in entries]
-        nums = int_array(rows, _max_abs(chain.from_iterable(rows)))
-        return CycArray(ctx, nums.reshape(len(entries), ctx.degree), den)
+        return CycArray(ctx, int_rows(rows).reshape(len(entries), ctx.degree), den)
 
     @staticmethod
     def concat(ctx: CyclotomicContext, parts) -> "CycArray":
         """The entries of every part, one after another, over the least common denominator."""
         den = lcm(*(p.den for p in parts)) if parts else 1
-        bound = max((p.max_abs() * (den // p.den) for p in parts), default=0)
-        nums = [int_array(p.nums, bound) * (den // p.den) for p in parts]
+        nums = [int_combination([(den // p.den, p.nums)]) for p in parts]
         return CycArray(ctx, np.concatenate(nums) if nums else np.zeros((0, ctx.degree), dtype=np.int64), den)
 
     def __len__(self):
@@ -564,10 +644,11 @@ class CycArray:
 
     def scaled(self, c: "CycNum") -> "CycArray":
         """Every entry times the scalar c."""
-        L = self.ctx.mul_matrix(c)
-        bound = self.max_abs() * self.ctx.degree * int(np.abs(L).max())
-        nums = int_array(self.nums, bound) @ int_array(L, bound)
-        return CycArray(self.ctx, nums, self.den * c.den)
+        return CycArray(self.ctx, int_matmul(self.nums, self.ctx.mul_matrix(c)), self.den * c.den)
+
+    def times(self, mats: np.ndarray) -> "CycArray":
+        """Entry t times the scalar whose multiplication matrix (as `mul_matrix`) is mats[t]."""
+        return CycArray(self.ctx, int_matmul(self.nums[:, None], mats)[:, 0], self.den)
 
     def __mul__(self, other: "CycArray") -> "CycArray":
         """The entrywise product: entry i is entry i of self times entry i of other.
@@ -603,10 +684,14 @@ class CycArray:
         One contraction with the slices ctx._qpow_mul[e] = mul_matrix(q^e).
         """
         ctx = self.ctx
-        tables = ctx._qpow_mul[np.asarray(exps, dtype=np.int64) % ctx.n]
-        bound = self.max_abs() * ctx.degree * ctx._qpow_mul_max
-        nums = np.tensordot(int_array(self.nums, bound), int_array(tables, bound), axes=([1], [1]))
-        return CycArray(ctx, nums.reshape(-1, ctx.degree), self.den)
+        d = ctx.degree
+        tables = ctx._qpow_mul[np.asarray(exps, dtype=np.int64) % ctx.n]  # [s, k, p]
+        nums = int_matmul(self.nums, tables.transpose(1, 0, 2).reshape(d, -1))  # [i, (s, p)]
+        return CycArray(ctx, nums.reshape(-1, d), self.den)
+
+    def block_sum(self, size: int) -> "CycArray":
+        """Entry i is the sum of entry i of every block of `size` consecutive entries (size 1 sums all)."""
+        return CycArray(self.ctx, segment_sum(self.nums.reshape(-1, size, self.ctx.degree)), self.den)
 
     def line_coefficient(self, line: "CycArray"):
         """The c with self = c * line, or None when self is off the line through `line` (or line is zero)."""
@@ -618,14 +703,12 @@ class CycArray:
 
     def left_mul(self, A: np.ndarray) -> "CycArray":
         """The integer matrix A times this column vector."""
-        bound = self.max_abs() * int(np.abs(A).sum(axis=1).max(initial=0))
-        return CycArray(self.ctx, int_array(A, bound) @ int_array(self.nums, bound), self.den)
+        return CycArray(self.ctx, int_matmul(A, self.nums), self.den)
 
     def __add__(self, other: "CycArray") -> "CycArray":
         den = lcm(self.den, other.den)
-        fa, fb = den // self.den, den // other.den
-        bound = self.max_abs() * fa + other.max_abs() * fb
-        return CycArray(self.ctx, int_array(self.nums, bound) * fa + int_array(other.nums, bound) * fb, den)
+        nums = int_combination([(den // self.den, self.nums), (den // other.den, other.nums)])
+        return CycArray(self.ctx, nums, den)
 
 
 def _polydivmod(a, b):

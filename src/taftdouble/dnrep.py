@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclotomic import CyclotomicContext, CycArray, CycNum, int_array, make_context
+from .cyclotomic import CyclotomicContext, CycArray, CycNum, int_matmul, make_context, segment_sum
 from .polymat import RingMatrix
 
 __all__ = [
@@ -266,8 +266,7 @@ class DoubleRep:
         for t in range(1, n):
             moved = np.concatenate([_shift_rows(a.nums, 1 - t) for a in alphas])
             steps.append(steps[-1] * CycArray(ctx, moved, 1))
-        bound = max(x.max_abs() for x in steps)
-        return CycArray(ctx, np.concatenate([int_array(x.nums, bound) for x in steps]), 1)
+        return CycArray.concat(ctx, steps)
 
     def _twist_zero_characters(self, i: int, k: int, ts, ells) -> CycArray:
         """Traces of b^i c^k d^t a^t on V(ell, 0), in row t_index * len(ells) + ell_index.
@@ -284,8 +283,7 @@ class DoubleRep:
         rows = gamma.nums.reshape(n, n, n * d)[np.ix_(ts, ells - 1)]  # [t, ell, (j, m)]
         j = np.arange(1, n + 1)
         tables = ctx._qpow_mul[((j - 1) * i + (j - ells[:, None]) * k) % n].reshape(len(ells), n * d, d)
-        bound = n * d * (int(np.abs(rows).max()) if rows.size else 0) * ctx._qpow_mul_max
-        nums = int_array(rows, bound).transpose(1, 0, 2) @ int_array(tables, bound)  # [ell, t, p]
+        nums = int_matmul(rows.transpose(1, 0, 2), tables)  # [ell, t, p]
         return CycArray(ctx, nums.transpose(1, 0, 2).reshape(-1, d), gamma.den)
 
     def character(self, label: SimpleLabel, mono: Monomial) -> CycNum:
@@ -355,9 +353,7 @@ class DoubleRep:
         n, ctx = self.n, self.ctx
         values = self._twist_zero_characters(i, k, range(1, len(coeffs) + 1), np.arange(1, n + 1))
         weighted = values * CycArray.from_list(ctx, coeffs).qpow_blocks([0] * n)  # row t n + ell - 1
-        nums = weighted.nums.reshape(len(coeffs), n, ctx.degree)
-        total = int_array(nums, weighted.max_abs() * len(coeffs)).sum(axis=0)
-        return CycArray(ctx, total, weighted.den).qpow_blocks([s * (i - k) for s in range(n)])
+        return weighted.block_sum(n).qpow_blocks([s * (i - k) for s in range(n)])
 
     def trace_vector_P(self, i: int, k: int) -> CycArray:
         """Projective trace vector of b^i c^k, ordered P(1,.), ..., P(n-1,.), then V(n,.).
@@ -437,15 +433,14 @@ class DoubleRep:
         level = (ls * big + _encode(n, ls, 0, 0, 0), CycArray.from_list(ctx, [1] * n))  # d^0 a^l = a^l
         levels = [level]
         qint = np.array([ctx.mul_matrix(ctx.quantum_integer(m)) for m in range(n)])
-        qint_max = int(np.abs(qint).max())
         for _ in range(1, n):
             keys, coeffs = level
             l, codes = np.divmod(keys, big)
             aa, j, _, dd = _decode(n, codes)
             up, low = dd + 1 < n, aa > 0
-            shifted = _times(coeffs.take(up), ctx._qpow_mul[(aa + 2 * j)[up] % n], ctx._qpow_mul_max)
-            lowered = _times(coeffs.take(low), qint[aa[low]], qint_max)
-            paired = _times(lowered, ctx._qpow_mul[(aa - 1)[low] % n], ctx._qpow_mul_max)
+            shifted = coeffs.take(up).times(ctx._qpow_mul[(aa + 2 * j)[up] % n])
+            lowered = coeffs.take(low).times(qint[aa[low]])
+            paired = lowered.times(ctx._qpow_mul[(aa - 1)[low] % n])
             keys = np.concatenate([
                 keys[up] + 1,
                 keys[low] - n**3,
@@ -480,7 +475,7 @@ class DoubleRep:
         src, rows, aa, j, dd, al, de = (v[keep] for v in (src, rows, aa, j, dd, al, de))
         codes = _encode(n, al, (b1[src] + j + b2[src]) % n, (c1[src] + j + c2[src]) % n, de)
         exps = (aa * (b1 + c1)[src] + dd * (b2 + c2)[src]) % n
-        return src, codes, _times(table_coeffs.take(rows), self.ctx._qpow_mul[exps], self.ctx._qpow_mul_max)
+        return src, codes, table_coeffs.take(rows).times(self.ctx._qpow_mul[exps])
 
     def coproduct_monomial(self, codes) -> tuple[np.ndarray, np.ndarray, CycArray]:
         """Coproducts of a batch of normal-ordered monomials (codes), as (monomial of each term, pair codes, coeffs).
@@ -547,26 +542,18 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return src, np.arange(len(src)) - (np.cumsum(counts) - counts)[src]
 
 
-def _times(x: CycArray, mats: np.ndarray, mats_max: int) -> CycArray:
-    """Entry t of x times the scalar whose integer multiplication matrix is mats[t] (as `mul_matrix`)."""
-    bound = x.ctx.degree * x.max_abs() * mats_max
-    nums = (int_array(x.nums, bound)[:, None, :] @ int_array(mats, bound))[:, 0]
-    return CycArray(x.ctx, nums, x.den)
-
-
 def _collect(codes: np.ndarray, coeffs: CycArray) -> tuple[np.ndarray, CycArray]:
     """Sorted distinct codes with the summed coefficients of each, zero sums dropped.
 
-    One sort and one segment sum; the sum runs in int64 when the number of
-    terms times the largest numerator stays below INT64_LIMIT, and on Python
-    ints otherwise (`int_array`).
+    One sort and one `segment_sum`, which picks int64 or Python ints from
+    the longest run and the largest numerator.
     """
     if not len(codes):
         return codes, coeffs
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
     starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-    nums = np.add.reduceat(int_array(coeffs.nums[order], len(codes) * coeffs.max_abs()), starts, axis=0)
+    nums = segment_sum(coeffs.nums[order], starts)
     keep = nums.astype(bool).any(axis=1)
     return codes[starts[keep]], CycArray(coeffs.ctx, nums[keep], coeffs.den)
 
@@ -612,13 +599,6 @@ def coproduct_trace_terms(rep: DoubleRep, x, vlabel: SimpleLabel):
     return left, right
 
 
-def _weighted_sum(coeffs: CycArray, vectors: CycArray, size: int) -> CycArray:
-    """sum_t coeffs[t] * (rows t size .. (t + 1) size - 1 of vectors), one entrywise product and one sum."""
-    products = coeffs.take(np.repeat(np.arange(len(coeffs)), size)) * vectors
-    nums = products.nums.reshape(len(coeffs), size, coeffs.ctx.degree)
-    return CycArray(coeffs.ctx, int_array(nums, len(coeffs) * products.max_abs()).sum(axis=0), products.den)
-
-
 def coproduct_trace_sides(rep: DoubleRep, mckay: np.ndarray, left, right):
     """Both sides of the trace identity, exactly, from the terms of `coproduct_trace_terms`.
 
@@ -627,10 +607,10 @@ def coproduct_trace_sides(rep: DoubleRep, mckay: np.ndarray, left, right):
     trace of x_(2) on V.
     """
     size = rep.n * rep.n
-    coeffs, vectors = left
-    tr_x = _weighted_sum(coeffs, vectors, size)
-    coeffs, weights, vectors = right
-    return tr_x.left_mul(mckay), _weighted_sum(coeffs * weights, vectors, size)
+    (coeffs, vectors), (rcoeffs, weights, rvectors) = left, right
+    tr_x = (coeffs.take(np.repeat(np.arange(len(coeffs)), size)) * vectors).block_sum(size)
+    terms = (rcoeffs * weights).take(np.repeat(np.arange(len(rcoeffs)), size)) * rvectors
+    return tr_x.left_mul(mckay), terms.block_sum(size)
 
 
 def coproduct_trace_identity(rep: DoubleRep, mckay: np.ndarray, x, vlabel: SimpleLabel):
@@ -713,9 +693,7 @@ class PbwElement(_Combination):
     def counit(self) -> CycNum:
         """The sum of the coefficients of the monomials without a and d (b and c are grouplike)."""
         al, _, _, de = _decode(self.rep.n, self.codes)
-        units = self.coeffs.take((al == 0) & (de == 0))
-        total = int_array(units.nums, len(units) * units.max_abs()).sum(axis=0)
-        return CycArray(self.rep.ctx, total[None], units.den)[0]
+        return self.coeffs.take((al == 0) & (de == 0)).block_sum(1)[0]
 
     def __repr__(self):
         if self.is_zero():

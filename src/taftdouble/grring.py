@@ -3,8 +3,11 @@
 With g the class of the one-dimensional module V(1,1) and x the class of
 the two-dimensional module V(2,0), the ring is Z[g, x] modulo g^n = 1 and
 one monic relation of degree n in x.  The class of V(ell, 0) is the
-bivariate Chebyshev-type polynomial f_{ell-1}(x, g), and [V(ell, r)] =
-g^r f_{ell-1}(x, g), so the n^2 monomials g^i x^k form a basis.
+bivariate Chebyshev polynomial f_{ell-1}(x, g) = U_{ell-1}(x, g) of
+`chebyshev.u_bivariate` (t = x, D = g), the relation is
+f_n - g f_{n-2} - 2 = p_n(x, g) of `chebyshev.p_n_bivariate`, and
+[V(ell, r)] = g^r f_{ell-1}(x, g), so the n^2 monomials g^i x^k form a
+basis.  Their g-degrees stay below n/2, so g^n = 1 never folds them.
 
 An element is an integer coefficient array: row i*n + k holds the
 coefficient of g^i x^k, as phi(n) power-basis numerators over one common
@@ -12,9 +15,11 @@ denominator for elements over Q(q), or as one integer column for integer
 classes.  A product is one batched pairwise product of the nonzero rows
 through the multiplication tensor (`cyclotomic.gather_products`; integer
 classes use the 1x1x1 tensor), gathered by (i1 + i2 mod n, k1 + k2), and
-one integer fold that rewrites x^m, m >= n, through the relation.  The
-conversions to and from the basis of simple classes are fixed integer
-n^2 x n^2 matrices.
+one integer matrix product that keeps x^m, m < n, and rewrites x^m,
+m >= n, through the relation.  The conversions to and from the basis of
+simple classes are fixed integer n^2 x n^2 matrices.  Every integer
+product here runs through a kernel of `cyclotomic`, which bounds it by
+the operands it receives and chooses int64 or Python ints.
 
 All tensor-product multiplicities are computed by multiplying in this
 presentation and converting back to the basis of simple classes; the
@@ -33,41 +38,31 @@ from math import comb
 
 import numpy as np
 
+from .chebyshev import BivariatePoly, p_n_bivariate, u_bivariate
 from .cyclotomic import (
     INT_TENSOR,
     CycArray,
     CyclotomicContext,
     CycNum,
     gather_products,
-    int_array,
+    int_combination,
+    int_matmul,
+    int_rows,
     make_context,
     reduce_fraction,
     same_fractions,
+    sparse_product,
+    sparse_rows,
 )
 from .dnrep import SimpleLabel, all_labels, label_index
-from .polymat import RingMatrix, sparse_product, sparse_rows
+from .polymat import RingMatrix
 
 __all__ = ["PolyPres", "GrothRing", "groth_ring"]
 
 
-def _wide_x(d):
-    return {(g, x + 1): v for (g, x), v in d.items()}
-
-
-def _wide_g(d, n):
-    return {((g + 1) % n, x): v for (g, x), v in d.items()}
-
-
-def _wide_sub(d1, d2):
-    out = dict(d1)
-    for k, v in d2.items():
-        out[k] = out.get(k, 0) - v
-    return {k: v for k, v in out.items() if v}
-
-
-def _row_norm(m: np.ndarray) -> int:
-    """Largest absolute row sum of an integer matrix."""
-    return int(np.abs(m).sum(axis=1).max(initial=0))
+def _gx_terms(b: BivariatePoly) -> dict:
+    """A polynomial in (t, D) as {(g_pow, x_pow): int}, for t = x and D = g."""
+    return {(dd, td): v for (td, dd), v in b.terms.items()}
 
 
 class PolyPres:
@@ -125,12 +120,10 @@ class GrothRing:
         self.ctx = ctx
         self.n = ctx.n
         n = self.n
-        # f_0 .. f_n as unreduced {(g_pow, x_pow): int} dicts (recursion route)
-        fs = [{(0, 0): 1}, {(0, 1): 1}]
-        for _ell in range(2, n + 1):
-            fs.append(_wide_sub(_wide_x(fs[-1]), _wide_g(fs[-2], n)))
+        # f_0 .. f_{n-1} and the relation as unreduced {(g_pow, x_pow): int} dicts
+        fs = [_gx_terms(u_bivariate(k)) for k in range(n)]
         self._f_wide = fs
-        self._relation = _wide_sub(_wide_sub(fs[n], _wide_g(fs[n - 2], n)), {(0, 0): 2})
+        self._relation = _gx_terms(p_n_bivariate(n))
         # reduction tables: x^m for m = n .. 2n-2 as reduced dicts
         lead = {k: v for k, v in self._relation.items() if k[1] < n}
         xred = {n: {k: -v for k, v in lead.items()}}
@@ -145,14 +138,16 @@ class GrothRing:
                         nxt[key] = nxt.get(key, 0) + v * r
             xred[m] = {k: v for k, v in nxt.items() if v}
         self._xred = xred
-        # the fold as an integer matrix: column g*(n-1) + m-n holds g^g x^m, m >= n, in the basis
-        xfold = np.zeros((n * n, n * (n - 1)), dtype=np.int64)
+        # the fold as one integer matrix on the wide rows g*(2n-1) + m: g^g x^m passes
+        # through for m < n, and column g*(2n-1) + m, m >= n, holds it in the basis
+        fold = np.zeros((n * n, n * (2 * n - 1)), dtype=np.int64)
+        gs, xs = np.divmod(np.arange(n * n), n)
+        fold[gs * n + xs, gs * (2 * n - 1) + xs] = 1
         for m in range(n, 2 * n - 1):
             for g in range(n):
                 for (g2, x2), r in xred[m].items():
-                    xfold[(g + g2) % n * n + x2, g * (n - 1) + m - n] += r
-        self._xfold = xfold
-        self._fold_norm = 1 + _row_norm(xfold)
+                    fold[(g + g2) % n * n + x2, g * (2 * n - 1) + m] += r
+        self._fold_rows = sparse_rows(fold)
         # basis conversions as integer matrices: column (ell-1)*n + r of to_poly_matrix is
         # g^r f_{ell-1}; column i*n + k of to_simple_matrix is g^i x^k over the simple classes
         to_poly = np.zeros((n * n, n * n), dtype=np.int64)
@@ -168,6 +163,7 @@ class GrothRing:
                         to_simple[(ell - 1) * n + (gi + gj) % n, gi * n + k] += c
         self.to_poly_matrix = to_poly
         self.to_simple_matrix = to_simple
+        self._to_poly_rows, self._to_simple_rows = sparse_rows(to_poly), sparse_rows(to_simple)
         self._f_seq = [self.from_wide(fs[ell - 1]) for ell in range(1, n + 1)]
         self._base_products: dict[int, np.ndarray] = {}
         self._mpow: list[np.ndarray] = []
@@ -182,16 +178,7 @@ class GrothRing:
         wide = [[0] for _ in range(n * (2 * n - 1))]
         for (g, x), v in d.items():
             wide[g % n * (2 * n - 1) + x][0] += v
-        bound = max((abs(v) for v in d.values()), default=0) * len(d) * self._fold_norm
-        return PolyPres(self, self._fold(int_array(wide, bound)))
-
-    def _fold(self, wide: np.ndarray) -> np.ndarray:
-        """Rows g*(2n-1) + m, m < 2n - 1, reduced to the basis rows g*n + x by the relation."""
-        n = self.n
-        wide = wide.reshape(n, 2 * n - 1, -1)
-        low = wide[:, :n].reshape(n * n, -1)
-        high = wide[:, n:].reshape(n * (n - 1), -1)
-        return low + self._xfold @ high if high.any() else low
+        return PolyPres(self, sparse_product(self._fold_rows, int_rows(wide)))
 
     def mul(self, a: PolyPres, b: PolyPres) -> PolyPres:
         """The product in the presentation, on the nonzero rows of both factors."""
@@ -201,8 +188,8 @@ class GrothRing:
         ia, ib = np.flatnonzero(a.nums.any(axis=1)), np.flatnonzero(b.nums.any(axis=1))
         target = (np.add.outer(ia // n, ib // n) % n) * (2 * n - 1) + np.add.outer(ia % n, ib % n)
         tensor = INT_TENSOR if a.ctx is None else a.ctx._mul_tensor
-        wide = gather_products(a.nums[ia], b.nums[ib], tensor, target, n * (2 * n - 1), self._fold_norm)
-        nums, den = reduce_fraction(self._fold(wide), a.den * b.den)
+        wide = gather_products(a.nums[ia], b.nums[ib], tensor, target, n * (2 * n - 1))
+        nums, den = reduce_fraction(sparse_product(self._fold_rows, wide), a.den * b.den)
         return PolyPres(self, nums, den, a.ctx)
 
     def _expand_xk(self, k: int):
@@ -233,24 +220,9 @@ class GrothRing:
             raise ValueError(f"ell must lie in 1..{self.n}")
         return self._f_seq[ell - 1]
 
-    @staticmethod
-    def f_closed_wide(ell: int) -> dict:
-        """Closed form of f_{ell-1}: sum of (-1)^i C(ell-1-i, i) g^i x^{ell-1-2i}."""
-        k = ell - 1
-        return {(i, k - 2 * i): (-1) ** i * comb(k - i, i) for i in range(k // 2 + 1)}
-
     def minimal_relation(self) -> dict:
         """The defining relation f_n - g f_{n-2} - 2 as an unreduced dict (monic, x-degree n)."""
         return dict(self._relation)
-
-    @staticmethod
-    def minimal_relation_closed(n: int) -> dict:
-        out = {}
-        for i in range(n // 2 + 1):
-            num = n * comb(n - i, i)
-            out[(i, n - 2 * i)] = (-1) ** i * (num // (n - i))
-        out[(0, 0)] = out.get((0, 0), 0) - 2
-        return {k: v for k, v in out.items() if v}
 
     def simple_to_poly(self, coeffs) -> PolyPres:
         """Linear map from a length-n^2 coefficient vector over the simple basis.
@@ -260,19 +232,17 @@ class GrothRing:
         if isinstance(coeffs, CycArray):
             vec, den, ctx = coeffs.nums, coeffs.den, coeffs.ctx
         elif all(type(c) is int for c in coeffs):
-            vec, den, ctx = np.array(coeffs, dtype=object).reshape(-1, 1), 1, None
+            vec, den, ctx = int_rows([c] for c in coeffs), 1, None
         else:
             raise TypeError("simple_to_poly takes a list of ints or a CycArray")
-        bound = int(np.abs(vec).max(initial=0)) * _row_norm(self.to_poly_matrix)
-        return PolyPres(self, int_array(self.to_poly_matrix, bound) @ int_array(vec, bound), den, ctx)
+        return PolyPres(self, sparse_product(self._to_poly_rows, vec), den, ctx)
 
     def poly_to_simple(self, p: PolyPres):
         """Inverse linear map onto the lexicographically ordered simple labels.
 
         An integer class gives a list of ints, an element over Q(q) a CycArray.
         """
-        bound = int(np.abs(p.nums).max(initial=0)) * _row_norm(self.to_simple_matrix)
-        nums = int_array(self.to_simple_matrix, bound) @ p.nums
+        nums = sparse_product(self._to_simple_rows, p.nums)
         if p.ctx is None:
             return [int(c) for c in nums[:, 0]]
         return CycArray(p.ctx, nums, p.den).reduced()
@@ -318,8 +288,7 @@ class GrothRing:
             self._mpow = [np.eye(self.n * self.n, dtype=np.int64), self.mckay_matrix(2, 0)]
         M = self._mpow[1]
         while len(self._mpow) <= k:
-            bound = _row_norm(M) * int(np.abs(self._mpow[-1]).max())
-            self._mpow.append(sparse_product(sparse_rows(M), int_array(self._mpow[-1], bound)))
+            self._mpow.append(sparse_product(sparse_rows(M), self._mpow[-1]))
         power = self._mpow[k]
         power.flags.writeable = False
         return power
@@ -331,12 +300,10 @@ class GrothRing:
 
     def mckay_matrix_closed(self, ell: int, s: int) -> np.ndarray:
         """The alternating-binomial combination of shifted powers of the V(2,0) matrix."""
-        terms = [
+        return int_combination(
             ((-1) ** i * comb(ell - 1 - i, i), self.z_shift(self.mpow(ell - 1 - 2 * i), i + s))
             for i in range((ell - 1) // 2 + 1)
-        ]
-        bound = sum(abs(c) * int(np.abs(m).max()) for c, m in terms)
-        return sum(int_array(m, bound) * c for c, m in terms)
+        )
 
     # ------------------------------------------------------------------
     # Cartan data and projective McKay matrices
@@ -385,7 +352,7 @@ class GrothRing:
 
     def cartan_image_of(self, kvec) -> list[int]:
         """Image in the simple basis of a K0 coordinate vector."""
-        return (np.asarray(kvec, dtype=np.int64) @ self.cartan_matrix()).tolist()
+        return int_matmul(int_rows([kvec]), self.cartan_matrix())[0].tolist()
 
     def projective_mckay(self, ell: int, s: int) -> np.ndarray:
         """Transpose of the McKay matrix of the dual module."""

@@ -2,8 +2,8 @@
 
 Integer matrices (McKay, Cartan, fusion) are int64 numpy arrays
 throughout; they have a few nonzeros per row, so their products with
-arrays are gather-adds over those nonzeros (`sparse_rows`,
-`sparse_product`).  `RingMatrix` is the dense matrix for elimination over
+arrays are gather-adds over those nonzeros (`cyclotomic.sparse_rows`,
+`cyclotomic.sparse_product`).  `RingMatrix` is the dense matrix for elimination over
 a field: entries are Python ints, Fractions, or CycNum, the element
 objects carry the arithmetic, and rank, kernel and characteristic
 polynomial are exact.  A rank is first certified full modulo a prime
@@ -22,9 +22,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cyclotomic import CycArray, CycNum, int_array, split_prime
+from .cyclotomic import CycArray, CycNum, int_combination, sparse_product, sparse_rows, split_prime
 
-__all__ = ["RingPoly", "RingMatrix", "field_inverse", "CheckFailure", "relation", "sparse_rows", "sparse_product"]
+__all__ = ["RingPoly", "RingMatrix", "field_inverse", "CheckFailure", "relation"]
 
 
 class CheckFailure(AssertionError):
@@ -434,11 +434,11 @@ def relation(
 
         dl*dc * (A V) == dc * (V L) + dv*dl * C,    A = M (right) or M^T (left),
 
-    in int64 when max(R mV dl dc, phi mV mL dc + mC dv dl) < 2^62 (R the
-    largest absolute row sum of A, mV, mL, mC the largest absolute
-    numerators), and in Python ints otherwise; A V gathers and adds rows
-    of V over the nonzeros of each row of A.  A mismatch raises
-    CheckFailure naming `what` and the first failing coordinate.
+    where A V gathers and adds rows of V over the nonzeros of each row of A
+    (`sparse_product`), V L is `vec.scaled(lam)` and each side is one
+    `int_combination`; every one of these kernels picks int64 or Python ints
+    from its own operands.  A mismatch raises CheckFailure naming `what` and
+    the first failing coordinate.
 
     Returns the numeric oracle residual of the same identity:
     max |A v_num - lam.embed() v_num - c_num| / max(1, max |v_num|),
@@ -449,21 +449,17 @@ def relation(
         raise ValueError("side must be 'right' or 'left'")
     if not isinstance(M, np.ndarray) or M.dtype.kind != "i":
         raise TypeError(f"{what}: the matrix must be an integer numpy array")
-    ctx = lam.ctx
     A = M.T if side == "left" else M
     if A.shape != (len(vec), len(vec)) or (chain is not None and len(chain) != len(vec)):
         raise ValueError(f"{what}: shapes do not match")
-    L, dl, dv = ctx.mul_matrix(lam), lam.den, vec.den
-    dc, mC = (1, 0) if chain is None else (chain.den, chain.max_abs())
-    R = int(np.abs(A).sum(axis=1).max(initial=0))
-    mV, mL = vec.max_abs(), int(np.abs(L).max())
-    bound = max(R * mV * dl * dc, ctx.degree * mV * mL * dc + mC * dv * dl)
+    dl, dv = lam.den, vec.den
+    dc = 1 if chain is None else chain.den
     cols, vals = sparse_rows(A)
-    V = int_array(vec.nums, bound)
-    lhs = sparse_product((cols, int_array(vals, bound)), V) * (dl * dc)
-    rhs = (V @ int_array(L, bound)) * dc
+    lhs = int_combination([(dl * dc, sparse_product((cols, vals), vec.nums))])
+    rhs_terms = [(dc, vec.scaled(lam).nums)]
     if chain is not None:
-        rhs = rhs + int_array(chain.nums, bound) * (dv * dl)
+        rhs_terms.append((dv * dl, chain.nums))
+    rhs = int_combination(rhs_terms)
     if not np.array_equal(lhs, rhs):
         bad = int(np.flatnonzero((lhs != rhs).any(axis=1))[0])
         raise CheckFailure(f"{what}: {side} relation fails at coordinate {bad}")
@@ -474,30 +470,3 @@ def relation(
     if chain is not None:
         resid = resid - chain.embed()
     return float(np.max(np.abs(resid)) / max(1.0, float(np.max(np.abs(vn)))))
-
-
-def sparse_rows(A: np.ndarray):
-    """The nonzero entries of each row of the integer matrix A, as (cols, vals) arrays of shape (rows, w).
-
-    w is the most nonzeros any row holds; shorter rows are padded with value 0.
-    """
-    rows, cols = np.divmod(np.flatnonzero(A), A.shape[1])
-    counts = np.bincount(rows, minlength=len(A))
-    slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
-    out_cols = np.zeros((len(A), counts.max(initial=0)), dtype=np.int64)
-    out_vals = np.zeros(out_cols.shape, dtype=A.dtype)
-    out_cols[rows, slot] = cols
-    out_vals[rows, slot] = A[rows, cols]
-    return out_cols, out_vals
-
-
-def sparse_product(sparse, B: np.ndarray) -> np.ndarray:
-    """A @ B for A given by `sparse_rows`: each row of the product gathers and adds w rows of B.
-
-    The w gathers are added one at a time, so no temporary is larger than the product.
-    """
-    cols, vals = sparse
-    out = np.zeros((len(cols),) + B.shape[1:], dtype=np.result_type(vals, B))
-    for k in range(cols.shape[1]):
-        out += vals[:, k, None] * B[cols[:, k]]
-    return out

@@ -16,10 +16,10 @@ characteristic polynomial) and the fusion matrix on a maximal
 independent family of projectives.  Component elements are integer
 coefficient arrays (`CycArray`, one row per power of x): a product is one
 batched pairwise product of the rows, gathered by degree, and one integer
-fold of x^n .. x^{2n-2} through the block polynomial, whose reductions
-have coefficients in Z[q]; the map to coordinates over the simple classes
-is a twist by the powers of q in E_{2r} and the ring's integer basis
-conversion.
+matrix product that folds x^n .. x^{2n-2} through the block polynomial,
+whose reductions have coefficients in Z[q]; the map to coordinates over
+the simple classes stacks each coefficient over the powers of q in E_{2r}
+(`CycArray.qpow_blocks`) and applies the ring's integer basis conversion.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .chebyshev import bivariate_to_poly, p_n_bivariate
-from .cyclotomic import CycArray, CycNum, gather_products, int_array, make_context
+from .cyclotomic import CycArray, CycNum, gather_products, int_matmul, make_context
 from .dnrep import all_labels, double_rep
 from .grring import GrothRing, PolyPres, groth_ring
 from .polymat import CheckFailure, RingMatrix, RingPoly, relation
@@ -331,7 +331,8 @@ class GrothComponent:
         self.zero = zero
         self.modulus = bivariate_to_poly(p_n_bivariate(n), ctx.root_power(2 * r), zero)
         # x^m mod p_r for m = n .. 2n-2, with coefficients in Z[q] because p_r is monic,
-        # as one integer matrix: row (m-n)*phi + e maps coordinate e of x^m onto the x^t
+        # as one integer matrix on the wide coordinates m*phi + e: x^t, t < n, passes
+        # through, and column m*phi + e, m >= n, holds coordinate e of x^m over the x^t
         top = [-self.modulus[t] for t in range(n)]
         powers = [top]
         for _m in range(n + 1, 2 * n - 1):
@@ -341,12 +342,10 @@ class GrothComponent:
         if any(row.den != 1 for row in rows):
             raise ArithmeticError(f"p_{r} is not monic over Z[q]")
         d = ctx.degree
-        fold = np.tensordot(np.array([row.nums for row in rows]), ctx._mul_tensor, axes=([2], [0]))
-        self._fold = fold.transpose(0, 2, 1, 3).reshape((n - 1) * d, n * d)
-        self._fold_norm = 1 + int(np.abs(self._fold).sum(axis=0).max())
+        high = int_matmul(np.array([row.nums for row in rows]), ctx._mul_tensor.reshape(d, d * d))  # [m, t, (e, p)]
+        high = high.reshape(n - 1, n, d, d).transpose(1, 3, 0, 2).reshape(n * d, (n - 1) * d)
+        self._fold = np.hstack([np.eye(n * d, dtype=np.int64), high])
         self._degrees = np.add.outer(np.arange(n), np.arange(n))
-        # row v: multiplication by q^{-2rv}, the g^v coefficient of E_{2r} up to 1/n
-        self._twist = np.array([ctx.mul_matrix(ctx.root_power(-2 * r * v)) for v in range(n)])
         self.lams = [tab.lam(EigIndex(j, r)) for j in range(tab.h + 1)]
         lin = lambda lam: RingPoly([-lam, ctx.one()], zero)
         self.f_polys = []
@@ -391,8 +390,8 @@ class GrothComponent:
     def mul(self, a: CycArray, b: CycArray) -> CycArray:
         """The product in the component: all pairwise coefficient products, gathered by degree, folded through p_r."""
         n, d = self.tab.n, self.ctx.degree
-        wide = gather_products(a.nums, b.nums, self.ctx._mul_tensor, self._degrees, 2 * n - 1, self._fold_norm)
-        nums = wide[:n] + (wide[n:].reshape(1, -1) @ self._fold).reshape(n, d)
+        wide = gather_products(a.nums, b.nums, self.ctx._mul_tensor, self._degrees, 2 * n - 1)
+        nums = int_matmul(self._fold, wide.reshape(-1, 1)).reshape(n, d)
         return CycArray(self.ctx, nums, a.den * b.den).reduced()
 
     def _solve_nu(self, j: int, theta: CycNum) -> CycNum:
@@ -419,14 +418,13 @@ class GrothComponent:
         """Coordinates over the simple classes of elem(x) * E_{2r}; elem is a RingPoly or a component array.
 
         E_{2r} = (1/n) sum_v q^{-2rv} g^v, so the presentation row v*n + t is
-        the coefficient of x^t times q^{-2rv} / n: one twist, then the
-        integer basis conversion.
+        the coefficient of x^t times q^{-2rv} / n: each coefficient stacked
+        over those powers, transposed, then the integer basis conversion.
         """
         a = self.array(elem) if isinstance(elem, RingPoly) else elem
         n, d = self.tab.n, self.ctx.degree
-        bound = a.max_abs() * d * int(np.abs(self._twist).max())
-        grid = np.tensordot(int_array(a.nums, bound), int_array(self._twist, bound), axes=([1], [1]))
-        rows = grid.transpose(1, 0, 2).reshape(n * n, d)
+        grid = a.qpow_blocks([-2 * self.r * v for v in range(n)]).nums  # row t*n + v
+        rows = grid.reshape(n, n, d).transpose(1, 0, 2).reshape(n * n, d)
         return self.ring.poly_to_simple(PolyPres(self.ring, rows, a.den * n, self.ctx))
 
 

@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .chebyshev import bivariate_to_poly, cheb_poly, p_n_bivariate, p_n_bivariate_closed, p_n_factor_check
-from .cyclotomic import CycArray, CycNum, int_array, make_context
+from .cyclotomic import CycArray, CycNum, int_matmul, make_context, sparse_product, sparse_rows
 from .dnrep import (
     Monomial,
     SimpleLabel,
@@ -40,7 +40,7 @@ from .dnrep import (
     label_index,
 )
 from .grring import groth_ring
-from .polymat import CheckFailure, RingMatrix, RingPoly, relation, sparse_product, sparse_rows
+from .polymat import CheckFailure, RingMatrix, RingPoly, relation
 from .spectral import (
     EigIndex,
     block_matrix,
@@ -93,7 +93,11 @@ TABLE_N3_ROWS = {
 
 
 def max_n() -> int:
-    return int(os.environ.get("TAFTDOUBLE_MAX_N", DEFAULT_MAX_N))
+    """TAFTDOUBLE_MAX_N if set, else DEFAULT_MAX_N; ValueError unless an integer >= 3 (below, an empty run would pass)."""
+    raw = os.environ.get("TAFTDOUBLE_MAX_N", str(DEFAULT_MAX_N))
+    if not raw.strip().isdecimal() or int(raw) < 3:
+        raise ValueError(f"TAFTDOUBLE_MAX_N must be an integer >= 3; got {raw!r}")
+    return int(raw)
 
 
 # ----------------------------------------------------------------------
@@ -731,7 +735,7 @@ def check_grothendieck_idempotents(ws: Workspace):
 
     # the two integer basis conversions are inverse to each other, so both are bijective
     _require(
-        np.array_equal(ring.to_simple_matrix @ ring.to_poly_matrix, np.eye(n * n, dtype=np.int64)),
+        np.array_equal(int_matmul(ring.to_simple_matrix, ring.to_poly_matrix), np.eye(n * n, dtype=np.int64)),
         "the basis conversions are not inverse to each other",
     )
 
@@ -804,13 +808,6 @@ def check_fusion_matrix(ws: Workspace):
     return oracle.residual, {"size": len(Nr)}
 
 
-def _entrywise_sums(products: CycArray, groups: int) -> CycArray:
-    """The entries of `products` summed over `groups` consecutive runs of equal length."""
-    nums = products.nums.reshape(groups, -1, products.ctx.degree)
-    bound = products.max_abs() * nums.shape[1]
-    return CycArray(products.ctx, int_array(nums, bound).sum(axis=1), products.den)
-
-
 def _pairings(ctx, lrows, rrows) -> list[list[CycNum]]:
     """n sum_b lc[n-1-b] rc[b] for every lc in lrows and rc in rrows, by one entrywise product.
 
@@ -818,13 +815,13 @@ def _pairings(ctx, lrows, rrows) -> list[list[CycNum]]:
     """
     n, d = ctx.n, ctx.degree
     m_left, m_right = len(lrows), len(rrows)
-    left = CycArray.from_list(ctx, [lc[n - 1 - b] for lc in lrows for b in range(n)])
-    right = CycArray.from_list(ctx, [rc[b] for rc in rrows for b in range(n)])
-    # entry (x, y, b) pairs coefficient b of left row x with coefficient b of right row y
-    shape = (m_left, m_right, n, d)
-    left = CycArray(ctx, np.broadcast_to(left.nums.reshape(m_left, 1, n, d), shape).reshape(-1, d), left.den)
-    right = CycArray(ctx, np.broadcast_to(right.nums.reshape(1, m_right, n, d), shape).reshape(-1, d), right.den)
-    sums = _entrywise_sums(left * right, m_left * m_right).scaled(ctx.from_rational(n)).to_list()
+    left = CycArray.from_list(ctx, [lc[n - 1 - b] for b in range(n) for lc in lrows])
+    right = CycArray.from_list(ctx, [rc[b] for b in range(n) for rc in rrows])
+    # entry (b, x, y) pairs coefficient b of left row x with coefficient b of right row y
+    shape = (n, m_left, m_right, d)
+    left = CycArray(ctx, np.broadcast_to(left.nums.reshape(n, m_left, 1, d), shape).reshape(-1, d), left.den)
+    right = CycArray(ctx, np.broadcast_to(right.nums.reshape(n, 1, m_right, d), shape).reshape(-1, d), right.den)
+    sums = (left * right).block_sum(m_left * m_right).scaled(ctx.from_rational(n)).to_list()
     return [sums[x * m_right:(x + 1) * m_right] for x in range(m_left)]
 
 
@@ -840,7 +837,7 @@ def check_dual_pairing(ws: Workspace):
                 "shift eigenvector pairing is not n times a delta",
             )
     idx_a, idx_b = EigIndex(0, 0), EigIndex(1, 0)
-    full = _entrywise_sums(tab.left_eigvec(idx_a) * tab.right_eigvec(idx_b), 1)[0]
+    full = (tab.left_eigvec(idx_a) * tab.right_eigvec(idx_b)).block_sum(1)[0]
     _require(
         [[full]] == _pairings(ctx, [tab.left_coeffs(idx_a)], [tab.right_coeffs(idx_b)]),
         "factored pairing disagrees with the dense dot product",

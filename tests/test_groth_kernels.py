@@ -16,7 +16,7 @@ import taftdouble.verify as verify_mod
 from taftdouble.cyclotomic import CycArray, make_context
 from taftdouble.grring import GrothRing, PolyPres, groth_ring
 from taftdouble.polymat import RingPoly
-from taftdouble.spectral import GrothComponent, groth_decomposition
+from taftdouble.spectral import GrothComponent, groth_decomposition, spectral_tables
 from taftdouble.verify import run_suite
 
 
@@ -136,3 +136,15 @@ def test_products_past_the_int64_bound_use_python_ints():
     assert out.nums.dtype == object and max(abs(int(v)) for v in out.nums.ravel()) >= 2**62
     assert out == _component_mul_reference(comp, big_a, big_b)
     assert out == comp.mul(a, b).scaled(ctx.from_rational(scale * scale))
+
+
+def test_component_products_of_the_idempotents_stay_int64_at_17():
+    """At n = 17 each fold is bounded by the wide product it receives, so the idempotent products stay int64."""
+    n = 17
+    comp = GrothComponent(spectral_tables(n), groth_ring(n), 3)
+    idempotents = comp.idempotent_polys()
+    for i, e in enumerate(idempotents):
+        for f in idempotents[i:i + 2]:
+            out = comp.mul(e, f)
+            assert out.nums.dtype == np.int64
+            assert out == _component_mul_reference(comp, e, f)

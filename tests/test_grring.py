@@ -3,8 +3,9 @@ import random
 import numpy as np
 import pytest
 
+from taftdouble.chebyshev import p_n_bivariate_closed, u_bivariate_closed
 from taftdouble.dnrep import SimpleLabel, all_labels, label_index
-from taftdouble.grring import groth_ring
+from taftdouble.grring import _gx_terms, groth_ring
 from taftdouble.polymat import RingMatrix
 from taftdouble.spectral import build_mckay_blockform
 
@@ -24,7 +25,7 @@ def test_f_sequence():
     assert ring.f_seq(2) == ring.from_wide({(0, 1): 1})
     assert ring.f_seq(3) == ring.from_wide({(0, 2): 1, (1, 0): -1})
     for ell in range(1, 6):
-        assert ring.f_seq(ell) == ring.from_wide(ring.f_closed_wide(ell))
+        assert ring.f_seq(ell) == ring.from_wide(_gx_terms(u_bivariate_closed(ell - 1)))
     with pytest.raises(ValueError):
         ring.f_seq(6)
 
@@ -39,7 +40,7 @@ def test_minimal_relation():
     }
     for n in (3, 5, 7, 9, 11):
         ring = groth_ring(n)
-        assert ring.minimal_relation() == ring.minimal_relation_closed(n)
+        assert ring.minimal_relation() == _gx_terms(p_n_bivariate_closed(n))
         assert ring.from_wide(ring.minimal_relation()).is_zero()
 
 

@@ -4,9 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from taftdouble.cyclotomic import CycArray, make_context, split_prime
+from taftdouble.cyclotomic import CycArray, make_context, sparse_product, sparse_rows, split_prime
 from taftdouble.grring import groth_ring
-from taftdouble.polymat import CheckFailure, RingMatrix, RingPoly, relation, sparse_product, sparse_rows
+from taftdouble.polymat import CheckFailure, RingMatrix, RingPoly, relation
 from taftdouble.spectral import EigIndex, certificates, groth_decomposition, spectral_tables
 
 

@@ -9,11 +9,10 @@ import pytest
 
 import taftdouble.verify as verify_mod
 from taftdouble.cli import main
-from taftdouble.cyclotomic import CycArray
+from taftdouble.cyclotomic import CycArray, sparse_product, sparse_rows
 from taftdouble.dnrep import DoubleRep
 from taftdouble.grring import GrothRing, groth_ring
 from taftdouble.spectral import GrothDecomposition, SpectralTables, spectral_tables
-from taftdouble.polymat import sparse_product, sparse_rows
 from taftdouble.verify import Oracle, _block_charpoly_values, check_ids, embed_vec, emit_report, run_suite
 
 
@@ -38,6 +37,17 @@ def test_max_n_override(monkeypatch):
         run_suite(7, ["charpoly-table"])
     monkeypatch.delenv("TAFTDOUBLE_MAX_N")
     assert run_suite(7, ["charpoly-table"]).all_pass
+
+
+@pytest.mark.parametrize("value", ["2", "abc", "-7", "13.5", ""])
+def test_max_n_rejects_a_bad_override(value, monkeypatch, capsys):
+    """A bound below 3 would run no n and pass; a non-integer one must name the variable, not int()."""
+    monkeypatch.setenv("TAFTDOUBLE_MAX_N", value)
+    with pytest.raises(ValueError, match="TAFTDOUBLE_MAX_N"):
+        verify_mod.max_n()
+    assert main(["verify", "--all-n"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "TAFTDOUBLE_MAX_N must be an integer >= 3" in err and repr(value) in err
 
 
 def test_report_serialization():
