@@ -224,10 +224,7 @@ def _idempotent_payload(n: int) -> dict:
                 "xi": _encode(comp.xi),
                 "theta": [_encode(t) for t in comp.thetas[1:]],
                 "nu": [_encode(v) for v in comp.nus[1:]],
-                "radical_coords": [
-                    _encode_vec(comp.to_groth(comp.f_polys[j]))
-                    for j in range(1, (n - 1) // 2 + 1)
-                ],
+                "radical_coords": [_encode_vec(comp.to_groth(f)) for f in comp.f_polys[1:]],
                 "idempotent_coords": [
                     _encode_vec(comp.to_groth(p)) for p in comp.idempotent_polys()
                 ],

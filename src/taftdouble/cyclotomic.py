@@ -541,7 +541,10 @@ class CycNum:
         return acc / self.den
 
     def to_json(self) -> dict:
-        return {"n": self.ctx.n, "coeffs": [str(c) for c in self.coeffs]}
+        """n and the coordinates, each written as str(Fraction(a, den))."""
+        den, gs = self.den, [gcd(a, self.den) for a in self.num]
+        coeffs = [str(a // g) if g == den else f"{a // g}/{den // g}" for a, g in zip(self.num, gs)]
+        return {"n": self.ctx.n, "coeffs": coeffs}
 
     @staticmethod
     def from_json(obj) -> "CycNum":
@@ -688,6 +691,10 @@ class CycArray:
         tables = ctx._qpow_mul[np.asarray(exps, dtype=np.int64) % ctx.n]  # [s, k, p]
         nums = int_matmul(self.nums, tables.transpose(1, 0, 2).reshape(d, -1))  # [i, (s, p)]
         return CycArray(ctx, nums.reshape(-1, d), self.den)
+
+    def qpow_rows(self, exps) -> "CycArray":
+        """Entry t times q^{exps[t]}: one batched product with the slices ctx._qpow_mul[e] = mul_matrix(q^e)."""
+        return self.times(self.ctx._qpow_mul[np.asarray(exps, dtype=np.int64) % self.ctx.n])
 
     def block_sum(self, size: int) -> "CycArray":
         """Entry i is the sum of entry i of every block of `size` consecutive entries (size 1 sums all)."""

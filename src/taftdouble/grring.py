@@ -336,7 +336,11 @@ class GrothRing:
         return self._cartan
 
     def cartan_rank(self) -> int:
-        return RingMatrix(self.cartan_matrix().tolist()).rank_over_field()
+        """rank C: the rank mod p from below meets n^2 minus the certified kernel basis from above, else C is eliminated."""
+        C, kb = self.cartan_matrix(), self.cartan_kernel_basis()
+        upper, dense = len(C) - len(kb), RingMatrix(C.tolist())
+        certified = not int_matmul(int_rows(kb), C).any() and RingMatrix(kb).rank_over_field() == len(kb)
+        return upper if certified and dense._rank_mod_p() == upper else dense.rank_over_field()
 
     def cartan_kernel_basis(self) -> list[list[int]]:
         """[P(ell,r)] - [P(n-ell, ell+r)] for 1 <= ell <= (n-1)/2, r in Z_n."""

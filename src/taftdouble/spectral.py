@@ -10,14 +10,15 @@ and every claimed relation is certified by exact residual computations
 against the matrices produced in the ring module.
 
 The second half constructs the idempotent decomposition of the
-complexified Grothendieck algebra (components cut out by the grouplike
-idempotents E_u, then polynomial arithmetic modulo the block
-characteristic polynomial) and the fusion matrix on a maximal
-independent family of projectives.  Component elements are integer
-coefficient arrays (`CycArray`, one row per power of x): a product is one
-batched pairwise product of the rows, gathered by degree, and one integer
-matrix product that folds x^n .. x^{2n-2} through the block polynomial,
-whose reductions have coefficients in Z[q]; the map to coordinates over
+complexified Grothendieck algebra and the fusion matrix on a maximal
+independent family of projectives.  The grouplike idempotents E_u cut the
+algebra into components Q(q)[x]/p_r, p_r(x) = p_n(x, q^{2r}); every
+nonconstant term t^a D^b of p_n has a + 2b = n (certified in
+`GrothDecomposition`), so p_r(q^r y) = p_0(y) and the n components are one
+algebra, Q(q)[y]/p_0, twisted n ways.  Component 0 is built once, with one
+integer fold of y^n .. y^{2n-2}, and each `GrothComponent` carries it to
+x = q^r y by powers of q.  Component elements are integer coefficient
+arrays (`CycArray`, one row per power of x); the map to coordinates over
 the simple classes stacks each coefficient over the powers of q in E_{2r}
 (`CycArray.qpow_blocks`) and applies the ring's integer basis conversion.
 """
@@ -26,14 +27,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .chebyshev import bivariate_to_poly, p_n_bivariate
-from .cyclotomic import CycArray, CycNum, gather_products, int_matmul, make_context
+from .cyclotomic import CycArray, CycNum, gather_products, int_rows, make_context
 from .dnrep import all_labels, double_rep
-from .grring import GrothRing, PolyPres, groth_ring
+from .grring import PolyPres, groth_ring
 from .polymat import CheckFailure, RingMatrix, RingPoly, relation
 
 __all__ = [
@@ -313,130 +315,123 @@ def _trace_chain(n: int, s: int) -> tuple[CycNum, ...]:
 
 
 class GrothComponent:
-    """The r-th component: Q(q)[x] modulo the block polynomial p_r at q^{2r}.
+    """Component r, Q(q)[x] modulo p_r(x) = p_n(x, q^{2r}): a view that twists component 0.
 
-    The defining polynomials (modulus, F_j, G_j) are RingPolys; the
-    arithmetic runs on component arrays, CycArrays of length n whose row t
-    holds the coefficient of x^t.
+    Elements are component arrays, CycArrays of length n whose row t holds
+    the coefficient of x^t.  Under x = q^r y, coefficient t of F_j, G_j and
+    of each idempotent is component 0's times q^{-r(t+1)}, q^{-r(t+2)} and
+    q^{-rt}; xi, theta_j, nu_j are component 0's times q^{-r}, q^{-2r}, q^{-3r}.
     """
 
-    def __init__(self, tab: SpectralTables, ring: GrothRing, r: int):
-        self.tab = tab
-        self.ring = ring
+    def __init__(self, dec: "GrothDecomposition", r: int):
+        self.dec = dec
+        self.ctx = dec.ctx
         self.r = r
-        ctx = tab.ctx
-        n = tab.n
-        self.ctx = ctx
-        zero = ctx.zero()
-        self.zero = zero
-        self.modulus = bivariate_to_poly(p_n_bivariate(n), ctx.root_power(2 * r), zero)
-        # x^m mod p_r for m = n .. 2n-2, with coefficients in Z[q] because p_r is monic,
-        # as one integer matrix on the wide coordinates m*phi + e: x^t, t < n, passes
-        # through, and column m*phi + e, m >= n, holds coordinate e of x^m over the x^t
-        top = [-self.modulus[t] for t in range(n)]
-        powers = [top]
-        for _m in range(n + 1, 2 * n - 1):
-            prev = powers[-1]
-            powers.append([prev[n - 1] * top[0]] + [prev[t - 1] + prev[n - 1] * top[t] for t in range(1, n)])
-        rows = [CycArray.from_list(ctx, row) for row in powers]
-        if any(row.den != 1 for row in rows):
-            raise ArithmeticError(f"p_{r} is not monic over Z[q]")
-        d = ctx.degree
-        high = int_matmul(np.array([row.nums for row in rows]), ctx._mul_tensor.reshape(d, d * d))  # [m, t, (e, p)]
-        high = high.reshape(n - 1, n, d, d).transpose(1, 3, 0, 2).reshape(n * d, (n - 1) * d)
-        self._fold = np.hstack([np.eye(n * d, dtype=np.int64), high])
-        self._degrees = np.add.outer(np.arange(n), np.arange(n))
-        self.lams = [tab.lam(EigIndex(j, r)) for j in range(tab.h + 1)]
-        lin = lambda lam: RingPoly([-lam, ctx.one()], zero)
-        self.f_polys = []
-        self.g_polys = [None]
-        for j in range(tab.h + 1):
-            q, rem = self.modulus.divmod(lin(self.lams[j]))
-            if not rem.is_zero():
-                raise ArithmeticError(
-                    f"lam({j},{r}) is not a root of the block polynomial; eigenvalue table is wrong"
-                )
-            self.f_polys.append(q)
-            if j:
-                q2, rem2 = q.divmod(lin(self.lams[j]))
-                if not rem2.is_zero():
-                    raise ArithmeticError(
-                        f"lam({j},{r}) is not a double root of the block polynomial"
-                    )
-                self.g_polys.append(q2)
-        self.xi = self._product((self.lams[0] - self.lams[j]) for j in range(1, tab.h + 1)) ** 2
-        self.thetas = [None]
-        self.nus = [None]
-        for j in range(1, tab.h + 1):
-            th = (self.lams[j] - self.lams[0]) * self._product(
-                (self.lams[j] - self.lams[k]) for k in range(1, tab.h + 1) if k != j
-            ) ** 2
-            self.thetas.append(th)
-            self.nus.append(self._solve_nu(j, th))
 
-    def _product(self, items) -> CycNum:
-        acc = self.ctx.one()
-        for it in items:
-            acc = acc * it
-        return acc
+    def twist(self, a: CycArray, shift: int) -> CycArray:
+        """The component-0 array a carried here: row t times q^{-r(t + shift)}."""
+        return a.qpow_rows([-self.r * (t + shift) for t in range(len(a))])
+
+    @property
+    def xi(self) -> CycNum:
+        return self.dec.xi.mul_qpow(-self.r)
+
+    @property
+    def thetas(self) -> list:
+        return [None] + [th.mul_qpow(-2 * self.r) for th in self.dec.thetas[1:]]
+
+    @property
+    def nus(self) -> list:
+        return [None] + [nu.mul_qpow(-3 * self.r) for nu in self.dec.nus[1:]]
+
+    @property
+    def f_polys(self) -> list[CycArray]:
+        """F_j = p_r / (x - lam_{j,r}) as component arrays."""
+        return [self.twist(f, 1) for f in self.dec.f_polys]
+
+    @property
+    def g_polys(self) -> list:
+        """G_j = F_j / (x - lam_{j,r}) for j >= 1 as component arrays (None at j = 0)."""
+        return [None] + [self.twist(g, 2) for g in self.dec.g_polys[1:]]
+
+    def idempotent_polys(self) -> list[CycArray]:
+        """xi^{-1} F_0 followed by G'_j = (G_j - (nu_j / theta_j) F_j) / theta_j, idempotent in this component."""
+        return [self.twist(e, 0) for e in self.dec.idempotents]
 
     def array(self, poly: RingPoly) -> CycArray:
         """The component array of a polynomial of degree < n."""
-        n = self.tab.n
+        n = self.dec.n
         if poly.degree() >= n:
             raise ValueError(f"degree {poly.degree()} is not below {n}")
         return CycArray.from_list(self.ctx, [poly[t] for t in range(n)])
 
     def mul(self, a: CycArray, b: CycArray) -> CycArray:
-        """The product in the component: all pairwise coefficient products, gathered by degree, folded through p_r."""
-        n, d = self.tab.n, self.ctx.degree
-        wide = gather_products(a.nums, b.nums, self.ctx._mul_tensor, self._degrees, 2 * n - 1)
-        nums = int_matmul(self._fold, wide.reshape(-1, 1)).reshape(n, d)
-        return CycArray(self.ctx, nums, a.den * b.den).reduced()
+        """The product: pairwise coefficient products gathered by degree; x^m = q^{rm} y^m, folded mod p_0, y^t = q^{-rt} x^t."""
+        dec, n = self.dec, self.dec.n
+        wide = gather_products(a.nums, b.nums, self.ctx._mul_tensor, dec.degrees, 2 * n - 1)
+        folded = CycArray(self.ctx, wide, a.den * b.den).qpow_rows(self.r * np.arange(2 * n - 1)).left_mul(dec.fold)
+        return folded.qpow_rows(-self.r * np.arange(n)).reduced()
 
-    def _solve_nu(self, j: int, theta: CycNum) -> CycNum:
-        """nu with G^2 = theta G + nu F, found by exact expansion against F."""
-        g = self.array(self.g_polys[j])
-        nu = (self.mul(g, g) + g.scaled(-theta)).line_coefficient(self.array(self.f_polys[j]))
-        if nu is None:
-            raise ArithmeticError("G^2 - theta G is not a multiple of F")
-        return nu
-
-    def g_prime(self, j: int) -> CycArray:
-        """G'_j = (G_j - (nu_j / theta_j) F_j) / theta_j, as a component array."""
-        th_inv = self.thetas[j].inverse()
-        g, f = self.array(self.g_polys[j]), self.array(self.f_polys[j])
-        return (g.scaled(th_inv) + f.scaled(-(self.nus[j] * th_inv * th_inv))).reduced()
-
-    def idempotent_polys(self) -> list[CycArray]:
-        """xi^{-1} F_0 followed by G'_j, all idempotent in this component, as component arrays."""
-        out = [self.array(self.f_polys[0]).scaled(self.xi.inverse()).reduced()]
-        out.extend(self.g_prime(j) for j in range(1, self.tab.h + 1))
-        return out
-
-    def to_groth(self, elem) -> CycArray:
-        """Coordinates over the simple classes of elem(x) * E_{2r}; elem is a RingPoly or a component array.
+    def to_groth(self, a: CycArray) -> CycArray:
+        """Coordinates over the simple classes of a(x) * E_{2r}, for a component array a.
 
         E_{2r} = (1/n) sum_v q^{-2rv} g^v, so the presentation row v*n + t is
         the coefficient of x^t times q^{-2rv} / n: each coefficient stacked
         over those powers, transposed, then the integer basis conversion.
         """
-        a = self.array(elem) if isinstance(elem, RingPoly) else elem
-        n, d = self.tab.n, self.ctx.degree
+        n, d, ring = self.dec.n, self.ctx.degree, self.dec.ring
         grid = a.qpow_blocks([-2 * self.r * v for v in range(n)]).nums  # row t*n + v
         rows = grid.reshape(n, n, d).transpose(1, 0, 2).reshape(n * n, d)
-        return self.ring.poly_to_simple(PolyPres(self.ring, rows, a.den * n, self.ctx))
+        return ring.poly_to_simple(PolyPres(ring, rows, a.den * n, self.ctx))
 
 
 class GrothDecomposition:
-    """All components, plus the grouplike idempotents E_u as presentation elements."""
+    """Component 0 with its integer fold, built once; the n components as twists of it; the E_u."""
 
     def __init__(self, n: int):
         self.n = n
-        self.tab = spectral_tables(n)
+        self.tab = tab = spectral_tables(n)
         self.ring = groth_ring(n)
-        self.ctx = self.tab.ctx
-        self.components = [GrothComponent(self.tab, self.ring, r) for r in range(n)]
+        self.ctx = ctx = tab.ctx
+        p_n = p_n_bivariate(n)
+        off = sorted(ab for ab in p_n.terms if ab[0] + 2 * ab[1] not in (0, n))
+        if off:
+            raise ArithmeticError(f"terms t^a D^b of p_{n} with a + 2b not in (0, {n}): {off}")
+        fold = [[int(t == m) for m in range(2 * n - 1)] for t in range(n)]
+        for m in range(n, 2 * n - 1):
+            for (_g, t), c in self.ring._xred[m].items():
+                fold[t][m] += c
+        self.fold = int_rows(fold)
+        self.degrees = np.add.outer(np.arange(n), np.arange(n))
+        self.components = [GrothComponent(self, r) for r in range(n)]
+        base = self.components[0]
+        zero, one = ctx.zero(), ctx.one()
+        self.modulus = bivariate_to_poly(p_n, one, zero)
+        h = tab.h
+        lams = [tab.lam(EigIndex(j, 0)) for j in range(h + 1)]
+        self.f_polys, self.g_polys = [], []
+        for j, lam in enumerate(lams):
+            lin = RingPoly([-lam, one], zero)
+            f, rem = self.modulus.divmod(lin)
+            g, rem2 = f.divmod(lin)
+            if not rem.is_zero() or j and not rem2.is_zero():
+                raise ArithmeticError(f"lam({j},0) is not a {'double ' * (j > 0)}root of the block polynomial")
+            self.f_polys.append(base.array(f))
+            self.g_polys.append(base.array(g) if j else None)
+        self.xi = prod((lams[0] - lams[j] for j in range(1, h + 1)), start=one) ** 2
+        self.thetas, self.nus, self.idempotents = [None], [None], [None]
+        for j in range(1, h + 1):
+            th = (lams[j] - lams[0]) * prod((lams[j] - lams[k] for k in range(1, h + 1) if k != j), start=one) ** 2
+            g, f = self.g_polys[j], self.f_polys[j]
+            # nu with G^2 = theta G + nu F, found by exact expansion against F
+            nu = (base.mul(g, g) + g.scaled(-th)).line_coefficient(f)
+            if nu is None:
+                raise ArithmeticError("G^2 - theta G is not a multiple of F")
+            th_inv = th.inverse()
+            self.thetas.append(th)
+            self.nus.append(nu)
+            self.idempotents.append((g.scaled(th_inv) + f.scaled(-(nu * th_inv * th_inv))).reduced())
+        self.idempotents[0] = self.f_polys[0].scaled(self.xi.inverse()).reduced()
 
     def e_idempotent(self, u: int) -> PolyPres:
         """E_u = (1/n) sum of q^{-uv} g^v, as a presentation element over Q(q)."""
@@ -448,11 +443,11 @@ class GrothDecomposition:
 
     def f_coords(self, idx: EigIndex) -> CycArray:
         comp = self.components[idx.r]
-        return comp.to_groth(comp.f_polys[idx.j])
+        return comp.to_groth(comp.twist(self.f_polys[idx.j], 1))
 
     def g_coords(self, idx: EigIndex) -> CycArray:
         comp = self.components[idx.r]
-        return comp.to_groth(comp.g_polys[idx.j])
+        return comp.to_groth(comp.twist(self.g_polys[idx.j], 2))
 
     def idempotent_coords(self) -> list[tuple[EigIndex, CycArray]]:
         out = []

@@ -515,15 +515,15 @@ def check_projective_trace_table(ws: Workspace):
     """Projective trace vectors: left eigenvectors, vanishing pattern, idempotent match."""
     n, rep, ctx, dec = ws.n, ws.rep, ws.ctx, ws.dec
     oracle = Oracle()
-    rows = {}
+    rows, units = {}, {}
     for i in range(n):
         w = rep.trace_vector_P(i, -i)
         rows[i] = w
         lam = ctx.root_power(-i) * 2  # trace of b^i c^{-i} on the dual of V(2,0)
         oracle.see(relation(ws.M, w, lam, "left", what=f"Tr_P eigen at i={i}"))
-        r = (-i) % n
-        comp = dec.components[r]
-        scal = w.line_coefficient(comp.to_groth(comp.f_polys[0] * comp.xi.inverse()))
+        comp = dec.components[(-i) % n]
+        units[i] = comp.to_groth(comp.idempotent_polys()[0])
+        scal = w.line_coefficient(units[i])
         _require(scal is not None and scal, f"Tr_P(b^{i}c^-{i}) not proportional to the idempotent")
     for i in range(n):
         for k in range(n):
@@ -533,12 +533,8 @@ def check_projective_trace_table(ws: Workspace):
         for i in range(3):
             expect = [ctx.root_power(e) * c for (c, e) in TABLE_N3_ROWS[i]]
             _require(rows[i].to_list() == expect, f"frozen n=3 row {i} mismatch")
-        for r in range(3):
-            comp = dec.components[r]
-            coords = comp.to_groth(comp.f_polys[0] * comp.xi.inverse())
             _require(
-                coords.scaled(ctx.from_rational(81)) == rows[(-r) % 3],
-                f"81 xi^-1 F_0,{r} does not match the table row",
+                units[i].scaled(ctx.from_rational(81)) == rows[i], f"81 xi^-1 F_0,{-i % 3} does not match the table row"
             )
     return oracle.residual, {"rows": n}
 
@@ -683,14 +679,13 @@ def check_grothendieck_idempotents(ws: Workspace):
 
     for r in range(n):
         comp = dec.components[r]
-        F = [comp.array(f) for f in comp.f_polys]
-        G = [None] + [comp.array(g) for g in comp.g_polys[1:]]
+        F, G, thetas, nus = comp.f_polys, comp.g_polys, comp.thetas, comp.nus
         for j in range(1, h + 1):
             for k in range(1, j + 1):
                 _require(comp.mul(F[j], F[k]).is_zero(), f"F({j},{r}) F({k},{r}) != 0")
         _require(comp.mul(F[0], F[0]) == F[0].scaled(comp.xi), f"F(0,{r})^2 != xi F(0,{r})")
         for j in range(1, h + 1):
-            theta, nu = comp.thetas[j], comp.nus[j]
+            theta, nu = thetas[j], nus[j]
             _require(comp.mul(G[j], F[j]) == F[j].scaled(theta), f"G F != theta F at ({j},{r})")
             _require(
                 comp.mul(G[j], G[j]) == G[j].scaled(theta) + F[j].scaled(nu), f"G^2 != theta G + nu F at ({j},{r})"
@@ -710,10 +705,11 @@ def check_grothendieck_idempotents(ws: Workspace):
     radical = {}
     for r in range(n):
         comp = dec.components[r]
+        F = comp.f_polys
         for j in range(1, h + 1):
             idx = EigIndex(j, r)
             lam = tab.lam(idx)
-            f = radical[idx] = comp.to_groth(comp.f_polys[j])
+            f = radical[idx] = comp.to_groth(F[j])
             oracle.see(relation(ws.M, f, lam, "left", what=f"radical F{tuple(idx)} eigen"))
             oracle.see(relation(
                 ws.M, dec.g_coords(idx), lam, "left", chain=f, what=f"Jordan pair G{tuple(idx)}",

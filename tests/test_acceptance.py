@@ -120,7 +120,7 @@ def test_criterion_12_oracle_concordance():
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("n", [15, 17])
+@pytest.mark.parametrize("n", [15, 17, 19])
 def test_suite_at_large_n(n, monkeypatch):
     """Every check passes, exactly and below the oracle tolerance, past the default bound on n."""
     monkeypatch.setenv("TAFTDOUBLE_MAX_N", str(n))

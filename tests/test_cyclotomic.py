@@ -103,6 +103,18 @@ def test_json_round_trip():
         CycNum.from_json({"n": 7, "coeffs": ["1", "2"]})
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    nums=st.lists(st.integers(-10**30, 10**30) | st.sampled_from([0, -1, 1]), min_size=2, max_size=2),
+    den=st.integers(1, 10**12) | st.just(1),
+)
+def test_json_coefficients_are_written_as_fractions(nums, den):
+    """Each coordinate string is str(Fraction(a, den)), zero, negative numerators and den = 1 included."""
+    ctx = make_context(3)
+    x = CycNum(ctx, tuple(nums), den)
+    assert x.to_json() == {"n": 3, "coeffs": [str(Fraction(a, den)) for a in nums]}
+
+
 _coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 

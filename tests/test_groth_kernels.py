@@ -3,7 +3,8 @@
 `_presentation_mul_reference` is the presentation product entry by entry
 (CycNum or int coefficients, x^m folded through the ring's reduction
 table), and `_component_mul_reference` is the RingPoly product followed by
-division with remainder by the block polynomial.  Both are kept here as
+division with remainder by the block polynomial p_n(x, q^{2r}), built
+directly rather than twisted from component 0.  Both are kept here as
 independent cross-checks of `GrothRing.mul` and `GrothComponent.mul`.
 """
 
@@ -13,10 +14,11 @@ import numpy as np
 import pytest
 
 import taftdouble.verify as verify_mod
+from taftdouble.chebyshev import bivariate_to_poly, p_n_bivariate, p_n_monic
 from taftdouble.cyclotomic import CycArray, make_context
 from taftdouble.grring import GrothRing, PolyPres, groth_ring
 from taftdouble.polymat import RingPoly
-from taftdouble.spectral import GrothComponent, groth_decomposition, spectral_tables
+from taftdouble.spectral import GrothComponent, groth_decomposition
 from taftdouble.verify import run_suite
 
 
@@ -50,9 +52,10 @@ def _presentation_mul_reference(ring: GrothRing, a: PolyPres, b: PolyPres):
 
 
 def _component_mul_reference(comp: GrothComponent, a: CycArray, b: CycArray) -> CycArray:
-    """The product by RingPoly multiplication and division with remainder by the modulus."""
-    zero = comp.ctx.zero()
-    rem = (RingPoly(a.to_list(), zero) * RingPoly(b.to_list(), zero)).divmod(comp.modulus)[1]
+    """The product by RingPoly multiplication and division with remainder by p_n(x, q^{2r})."""
+    ctx = comp.ctx
+    modulus = bivariate_to_poly(p_n_bivariate(ctx.n), ctx.root_power(2 * comp.r), ctx.zero())
+    rem = (RingPoly(a.to_list(), ctx.zero()) * RingPoly(b.to_list(), ctx.zero())).divmod(modulus)[1]
     return comp.array(rem)
 
 
@@ -100,18 +103,31 @@ def test_integer_classes_match_the_reference():
 
 
 def test_random_elements_with_denominators_match_the_references():
+    """Presentation products at n = 7, and component products in every component at n = 7 and the composite n = 9."""
     n = 7
     ctx = make_context(n)
-    ring, dec = groth_ring(n), groth_decomposition(n)
+    ring = groth_ring(n)
     rnd = random.Random(7)
     for trial in range(6):
         a = _random_cycarray(ctx, rnd, n * n, sparsity=0.2 * (trial % 4))
         b = _random_cycarray(ctx, rnd, n * n, sparsity=0.5)
         pa, pb = (PolyPres(ring, x.nums, x.den, ctx) for x in (a, b))
         assert _grid(ring.mul(pa, pb)) == _presentation_mul_reference(ring, pa, pb)
-        comp = dec.components[trial % n]
-        a, b = _random_cycarray(ctx, rnd, n), _random_cycarray(ctx, rnd, n)
-        assert comp.mul(a, b) == _component_mul_reference(comp, a, b)
+    for n in (7, 9):
+        ctx = make_context(n)
+        for comp in groth_decomposition(n).components:
+            a, b = _random_cycarray(ctx, rnd, n), _random_cycarray(ctx, rnd, n, sparsity=0.3 * (comp.r % 3))
+            assert comp.mul(a, b) == _component_mul_reference(comp, a, b)
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 11, 15])
+def test_the_shared_fold_reduces_powers_modulo_p_n_at_d_1(n):
+    """Column m of the fold is x^m mod p_n(x, 1) over the x^t, t < n."""
+    fold, p0 = groth_decomposition(n).fold, p_n_monic(n)
+    assert fold.shape == (n, 2 * n - 1)
+    for m in range(2 * n - 1):
+        rem = RingPoly([0] * m + [1]).divmod(p0)[1]
+        assert fold[:, m].tolist() == [rem[t] for t in range(n)]
 
 
 def test_products_past_the_int64_bound_use_python_ints():
@@ -141,7 +157,7 @@ def test_products_past_the_int64_bound_use_python_ints():
 def test_component_products_of_the_idempotents_stay_int64_at_17():
     """At n = 17 each fold is bounded by the wide product it receives, so the idempotent products stay int64."""
     n = 17
-    comp = GrothComponent(spectral_tables(n), groth_ring(n), 3)
+    comp = groth_decomposition(n).components[3]
     idempotents = comp.idempotent_polys()
     for i, e in enumerate(idempotents):
         for f in idempotents[i:i + 2]:

@@ -285,6 +285,16 @@ def test_rank_denominator_divisible_by_p_falls_back(monkeypatch):
     assert m.rank_over_field() == 2 and calls
 
 
+def test_cartan_rank_is_certified_without_elimination(monkeypatch):
+    """The rank mod p and the certified kernel basis meet at n(n+1)/2, so `_echelon` never runs."""
+    def no_elimination(self):
+        raise AssertionError("the Cartan rank eliminated over Q")
+
+    monkeypatch.setattr(RingMatrix, "_echelon", no_elimination)
+    for n in range(3, 12, 2):
+        assert groth_ring(n).cartan_rank() == n * (n + 1) // 2
+
+
 def test_sparse_product_matches_the_dense_product():
     rnd = np.random.default_rng(3)
     A = rnd.integers(-3, 4, (7, 9)) * (rnd.random((7, 9)) < 0.4)

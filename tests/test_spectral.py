@@ -1,10 +1,11 @@
 from fractions import Fraction
+from math import prod
 
 import numpy as np
 import pytest
 
-from taftdouble.chebyshev import bivariate_to_poly, p_n_bivariate
-from taftdouble.cyclotomic import make_context
+from taftdouble.chebyshev import BivariatePoly, bivariate_to_poly, p_n_bivariate
+from taftdouble.cyclotomic import CycNum, make_context
 from taftdouble.dnrep import Monomial, SimpleLabel, double_rep
 from taftdouble.grring import groth_ring
 from taftdouble.polymat import RingPoly
@@ -192,7 +193,6 @@ def test_idempotent_scalars_n3():
         assert comp.thetas[1] == ctx.root_power(r) * (-3)
         assert comp.nus[1] == ctx.one()
         # xi^{-1} F_0 = (1/9)(q^r x^2 + 2 q^{2r} x + 1) in the component
-        poly = comp.f_polys[0] * comp.xi.inverse()
         ninth = Fraction(1, 9)
         expect = RingPoly(
             [
@@ -202,7 +202,8 @@ def test_idempotent_scalars_n3():
             ],
             ctx.zero(),
         )
-        assert poly == expect
+        assert comp.idempotent_polys()[0] == comp.array(expect)
+        assert comp.f_polys[0].scaled(comp.xi.inverse()) == comp.array(expect)
 
 
 def test_groth_coordinates_n3():
@@ -231,22 +232,102 @@ def test_eigenidem_certificates():
     ctx = dec.ctx
     for r in range(3):
         comp = dec.components[r]
-        c_u, ok = dec.eigenidem_certificate(
-            EigIndex(0, r), comp.to_groth(comp.f_polys[0] * comp.xi.inverse())
-        )
+        idempotents = comp.idempotent_polys()
+        c_u, ok = dec.eigenidem_certificate(EigIndex(0, r), comp.to_groth(idempotents[0]))
         assert ok and c_u == ctx.one()
         c_u, ok = dec.eigenidem_certificate(EigIndex(1, r), dec.f_coords(EigIndex(1, r)))
         assert ok and c_u.is_zero()
-        c_u, ok = dec.eigenidem_certificate(EigIndex(1, r), comp.to_groth(comp.g_prime(1)))
+        c_u, ok = dec.eigenidem_certificate(EigIndex(1, r), comp.to_groth(idempotents[1]))
         assert ok and c_u == ctx.one()
 
 
 def test_division_by_wrong_root_is_fatal():
     dec = groth_decomposition(3)
-    comp = dec.components[0]
     bad = RingPoly([dec.ctx.from_rational(7), dec.ctx.one()], dec.ctx.zero())
-    _q, rem = comp.modulus.divmod(bad)
+    _q, rem = dec.modulus.divmod(bad)
     assert not rem.is_zero()  # a wrong eigenvalue leaves a remainder
+
+
+def _direct_component(n: int, r: int):
+    """Component r built from its own block polynomial p_n(x, q^{2r}), without the twist: (F, G, xi, thetas, nus, idempotents).
+
+    F_j and G_j divide p_n(x, q^{2r}) by (x - lam_{j,r}) once and twice, xi
+    and theta_j are the products over the roots, and nu_j comes from
+    G_j^2 - theta_j G_j reduced modulo the block polynomial, all in RingPoly
+    arithmetic over Q(q).
+    """
+    tab = spectral_tables(n)
+    ctx, h = tab.ctx, tab.h
+    zero, one = ctx.zero(), ctx.one()
+    modulus = bivariate_to_poly(p_n_bivariate(n), ctx.root_power(2 * r), zero)
+    lams = [tab.lam(EigIndex(j, r)) for j in range(h + 1)]
+    lin = [RingPoly([-lam, one], zero) for lam in lams]
+    F, G = [], [None]
+    for j in range(h + 1):
+        f, rem = modulus.divmod(lin[j])
+        assert rem.is_zero()
+        F.append(f)
+        if j:
+            g, rem = f.divmod(lin[j])
+            assert rem.is_zero()
+            G.append(g)
+    xi = prod((lams[0] - lams[j] for j in range(1, h + 1)), start=one) ** 2
+    thetas, nus, idempotents = [None], [None], [F[0] * xi.inverse()]
+    for j in range(1, h + 1):
+        th = (lams[j] - lams[0]) * prod((lams[j] - lams[k] for k in range(1, h + 1) if k != j), start=one) ** 2
+        rest = (G[j] * G[j] - G[j] * th).divmod(modulus)[1]
+        lead = F[j].degree()
+        nu = rest[lead] / F[j][lead]
+        assert rest == F[j] * nu
+        thetas.append(th)
+        nus.append(nu)
+        th_inv = th.inverse()
+        idempotents.append(G[j] * th_inv - F[j] * (nu * th_inv * th_inv))
+    return F, G, xi, thetas, nus, idempotents
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
+def test_twisted_components_match_the_direct_construction(n):
+    """Every twisted F, G, xi, theta, nu and idempotent equals the one built from p_n(x, q^{2r})."""
+    dec = groth_decomposition(n)
+    for comp in dec.components:
+        F, G, xi, thetas, nus, idempotents = _direct_component(n, comp.r)
+        assert comp.f_polys == [comp.array(f) for f in F]
+        assert comp.g_polys[1:] == [comp.array(g) for g in G[1:]]
+        assert (comp.xi, comp.thetas, comp.nus) == (xi, thetas, nus)
+        assert comp.idempotent_polys() == [comp.array(e) for e in idempotents]
+
+
+def test_a_term_off_weight_n_makes_the_decomposition_raise(monkeypatch):
+    """The twist rests on a + 2b in (0, n) for every term t^a D^b of p_n; moving one term off breaks it."""
+    import taftdouble.spectral as spectral_mod
+
+    def shifted(n):
+        terms = dict(p_n_bivariate(n).terms)
+        terms[(n - 2, 2)] = terms.pop((n - 2, 1))  # -n t^{n-2} D becomes -n t^{n-2} D^2
+        return BivariatePoly(terms)
+
+    groth_decomposition.__wrapped__(5)
+    monkeypatch.setattr(spectral_mod, "p_n_bivariate", shifted)
+    with pytest.raises(ArithmeticError, match="a \\+ 2b"):
+        groth_decomposition.__wrapped__(5)
+
+
+def test_every_component_reuses_the_inverses_of_component_0(monkeypatch):
+    """Building the decomposition and every component's idempotents inverts no more than component 0 alone."""
+    calls = []
+    inverse = CycNum.inverse
+    monkeypatch.setattr(CycNum, "inverse", lambda self: calls.append(1) or inverse(self))
+
+    def inverses(components):
+        calls.clear()
+        dec = groth_decomposition.__wrapped__(11)
+        for comp in dec.components[components]:
+            comp.idempotent_polys()
+        return len(calls)
+
+    alone = inverses(slice(1))
+    assert alone and inverses(slice(None)) <= alone
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
