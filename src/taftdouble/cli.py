@@ -10,9 +10,10 @@ import argparse
 import cProfile
 import json
 import sys
+from functools import lru_cache
 
 from .chebyshev import CHEB_KINDS, cheb_poly
-from .cyclotomic import CycArray, CycNum
+from .cyclotomic import CycArray
 from .dnrep import Monomial, all_labels, double_rep
 from .grring import groth_ring
 from .spectral import (
@@ -29,20 +30,9 @@ from .verify import check_ids, emit_report, embed_vec, max_n, run_suite
 import numpy as np
 
 
-def _encode(x):
-    """JSON-ready form: plain ints where integral, coefficient objects otherwise."""
-    if isinstance(x, int):
-        return x
-    if isinstance(x, CycNum):
-        if x.den == 1 and not any(x.num[1:]):
-            return x.num[0]
-        return x.to_json()
-    return str(x)
-
-
-def _encode_vec(vec: CycArray):
-    """The entries of an array vector, as canonical CycNum, in JSON-ready form."""
-    return [_encode(x) for x in vec.to_list()]
+def _encode_scalars(xs) -> list:
+    """A nonempty list of CycNum scalars of one field in JSON-ready form, encoded together as one array."""
+    return CycArray.from_list(xs[0].ctx, xs).to_json()
 
 
 def _parse_pair(text, what):
@@ -144,11 +134,11 @@ def cmd_chartable(args) -> int:
     else:
         i, k, t = 0, 0, 0
     mono = Monomial(i % n, k % n, t)
-    values = rep.trace_vector_S(mono).to_list()
+    values = rep.trace_vector_S(mono)
     labels = all_labels(n)
     if args.format == "csv":
         print("ell,r,value")
-        for lab, val in zip(labels, values):
+        for lab, val in zip(labels, values.to_list()):
             coeffs = " ".join(str(c) for c in val.coeffs)
             print(f"{lab.ell},{lab.r},\"{coeffs}\"")
     else:
@@ -158,8 +148,8 @@ def cmd_chartable(args) -> int:
                     "n": n,
                     "monomial": {"i": mono.i, "k": mono.k, "t": mono.t},
                     "values": [
-                        {"ell": lab.ell, "r": lab.r, "value": _encode(val)}
-                        for lab, val in zip(labels, values)
+                        {"ell": lab.ell, "r": lab.r, "value": val}
+                        for lab, val in zip(labels, values.to_json())
                     ],
                 },
                 sort_keys=True,
@@ -174,23 +164,23 @@ def _certificate_payload(n: int) -> list[dict]:
     ws = get_workspace(n)
     out = []
     Mn = ws.M_numeric
-    for cert in ws.certs:
+    lams = _encode_scalars([cert.lam for cert in ws.certs])
+    for cert, lam in zip(ws.certs, lams):
         lamn = cert.lam.embed()
-        right = cert.right.to_list()
-        vr = embed_vec(right)
+        vr = embed_vec(cert.right.to_list())
         residual = float(np.max(np.abs(Mn @ vr - lamn * vr)))
         entry = {
             "j": cert.index.j,
             "r": cert.index.r,
-            "lambda": _encode(cert.lam),
-            "right": [_encode(x) for x in right],
-            "left": _encode_vec(cert.left),
+            "lambda": lam,
+            "right": cert.right.to_json(),
+            "left": cert.left.to_json(),
             "exact": cert.exact,
             "oracle_residual": residual,
         }
         if cert.gen_right is not None:
-            entry["gen_right"] = _encode_vec(cert.gen_right)
-            entry["gen_left"] = _encode_vec(cert.gen_left)
+            entry["gen_right"] = cert.gen_right.to_json()
+            entry["gen_left"] = cert.gen_left.to_json()
         out.append(entry)
     return out
 
@@ -198,6 +188,8 @@ def _certificate_payload(n: int) -> list[dict]:
 def _fusion_payload(n: int) -> dict:
     tab = spectral_tables(n)
     N = build_fusion_from_rules(n)
+    indices = eig_indices(n)
+    lams = _encode_scalars([tab.lam(idx) for idx in indices])
     return {
         "slots": [[ell, r] for ell, r in fusion_slots(n)],
         "rows": N.tolist(),
@@ -205,11 +197,11 @@ def _fusion_payload(n: int) -> dict:
             {
                 "j": idx.j,
                 "r": idx.r,
-                "lambda": _encode(tab.lam(idx)),
-                "right": _encode_vec(fusion_right_eigvec(n, idx)),
-                "left": _encode_vec(fusion_left_eigvec(n, idx)),
+                "lambda": lam,
+                "right": fusion_right_eigvec(n, idx).to_json(),
+                "left": fusion_left_eigvec(n, idx).to_json(),
             }
-            for idx in eig_indices(n)
+            for idx, lam in zip(indices, lams)
         ],
     }
 
@@ -218,16 +210,16 @@ def _idempotent_payload(n: int) -> dict:
     dec = groth_decomposition(n)
     blocks = []
     for r, comp in enumerate(dec.components):
+        thetas, nus = comp.thetas[1:], comp.nus[1:]
+        xi, *scalars = _encode_scalars([comp.xi, *thetas, *nus])
         blocks.append(
             {
                 "r": r,
-                "xi": _encode(comp.xi),
-                "theta": [_encode(t) for t in comp.thetas[1:]],
-                "nu": [_encode(v) for v in comp.nus[1:]],
-                "radical_coords": [_encode_vec(comp.to_groth(f)) for f in comp.f_polys[1:]],
-                "idempotent_coords": [
-                    _encode_vec(comp.to_groth(p)) for p in comp.idempotent_polys()
-                ],
+                "xi": xi,
+                "theta": scalars[: len(thetas)],
+                "nu": scalars[len(thetas):],
+                "radical_coords": [comp.to_groth(f).to_json() for f in comp.f_polys[1:]],
+                "idempotent_coords": [comp.to_groth(p).to_json() for p in comp.idempotent_polys()],
             }
         )
     return {"n": n, "components": blocks}
@@ -274,7 +266,9 @@ def cmd_cheb(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `parse_args` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="taftdouble",
         description="Exact McKay, Cartan, and fusion matrices for the Drinfeld double "

@@ -17,7 +17,13 @@ stacks a column of coefficients over powers of q, the shape of every
 eigenvector and trace vector downstream.  `gather_products` multiplies
 every row of one such array with every row of another through the
 multiplication tensor of the power basis in one batched contraction; the
-Grothendieck-algebra products are built on it.  `split_prime(n)` gives a prime p = 1 (mod n) with an element of order
+Grothendieck-algebra products are built on it.  `CycArray.to_json` writes
+the entries in JSON-ready form in bulk: each row is normalized in numpy,
+an integral entry becomes a plain int, and every other entry
+{"n": n, "coeffs": [...]} with each coordinate as str(Fraction), the
+strings drawn from a table of small integers built on first use
+(`_coeff_strings` is the one statement of that format, and
+`CycNum.to_json` uses it too).  `split_prime(n)` gives a prime p = 1 (mod n) with an element of order
 n in F_p, so q -> omega maps Z[q] onto F_p; ranks are certified there.
 
 This module is the one place that chooses between int64 and Python ints
@@ -542,9 +548,7 @@ class CycNum:
 
     def to_json(self) -> dict:
         """n and the coordinates, each written as str(Fraction(a, den))."""
-        den, gs = self.den, [gcd(a, self.den) for a in self.num]
-        coeffs = [str(a // g) if g == den else f"{a // g}/{den // g}" for a, g in zip(self.num, gs)]
-        return {"n": self.ctx.n, "coeffs": coeffs}
+        return {"n": self.ctx.n, "coeffs": _coeff_strings(int_rows([self.num]), int_array([self.den], self.den))[0]}
 
     @staticmethod
     def from_json(obj) -> "CycNum":
@@ -641,9 +645,31 @@ class CycArray:
         ctx, den = self.ctx, self.den
         return [_norm(ctx, row, den) for row in self.nums.tolist()]
 
+    def to_json(self) -> list:
+        """The entries in JSON-ready form, as `CycNum.to_json` writes them, but a plain int for an integral entry.
+
+        Each row is normalized in numpy (its gcd with den, then each
+        coordinate's gcd with the row's reduced denominator), and the
+        coordinate strings come from `_coeff_strings`, not one Python call per
+        coordinate.
+        """
+        nums, den = self.nums, self.den
+        if den >= INT64_LIMIT:
+            nums = nums.astype(object)
+        g = np.gcd(np.gcd.reduce(nums, axis=1), den)
+        nums, dens = nums // g[:, None], den // g
+        integral = (dens == 1) & ~(nums[:, 1:] != 0).any(axis=1)
+        rows = iter(_coeff_strings(nums[~integral], dens[~integral]))
+        n = self.ctx.n
+        return [c if flag else {"n": n, "coeffs": next(rows)} for c, flag in zip(nums[:, 0].tolist(), integral.tolist())]
+
     def embed(self) -> np.ndarray:
-        """Complex images of the entries under q -> exp(2*pi*i/n), one product with (1, zeta, ...)."""
-        return (self.nums.astype(float) @ self.ctx._unit_array) / self.den
+        """Complex images of the entries under q -> exp(2*pi*i/n), one contraction with (1, zeta, ...).
+
+        `np.einsum` runs its own loops, not BLAS, whose extra threads spin on
+        products this small under OpenBLAS's default thread count.
+        """
+        return np.einsum("ij,j->i", self.nums.astype(float), self.ctx._unit_array) / self.den
 
     def scaled(self, c: "CycNum") -> "CycArray":
         """Every entry times the scalar c."""
@@ -716,6 +742,41 @@ class CycArray:
         den = lcm(self.den, other.den)
         nums = int_combination([(den // self.den, self.nums), (den // other.den, other.nums)])
         return CycArray(self.ctx, nums, den)
+
+
+# |i| up to this is written from one table of strings, built on first use
+SMALL_INT_STR = 1 << 12
+
+
+@lru_cache(maxsize=None)
+def _small_int_strings() -> np.ndarray:
+    """str(i) at index i + SMALL_INT_STR, for |i| <= SMALL_INT_STR, as an object array."""
+    return np.array([str(i) for i in range(-SMALL_INT_STR, SMALL_INT_STR + 1)], dtype=object)
+
+
+def _int_strings(a: np.ndarray) -> np.ndarray:
+    """str of every entry of the integer array a, as an object array: small values from the table, the rest by map(str)."""
+    small = (a >= -SMALL_INT_STR) & (a <= SMALL_INT_STR)
+    out = np.empty(a.shape, dtype=object)
+    out[small] = _small_int_strings()[a[small].astype(np.int64) + SMALL_INT_STR]
+    if not small.all():
+        big = a[~small].tolist()
+        out[~small] = np.fromiter(map(str, big), dtype=object, count=len(big))
+    return out
+
+
+def _coeff_strings(nums: np.ndarray, dens: np.ndarray) -> list:
+    """Row i of nums over dens[i], each coordinate written as str(Fraction(a, den)): "a" or "a/b" in lowest terms.
+
+    The one statement of the coordinate format of the JSON output.
+    """
+    g = np.gcd(nums, dens[:, None])
+    tops, bottoms = nums // g, dens[:, None] // g
+    out = _int_strings(tops)
+    frac = bottoms != 1
+    if frac.any():
+        out[frac] = out[frac] + "/" + _int_strings(bottoms[frac])
+    return out.tolist()
 
 
 def _polydivmod(a, b):

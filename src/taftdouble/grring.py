@@ -53,9 +53,10 @@ from .cyclotomic import (
     same_fractions,
     sparse_product,
     sparse_rows,
+    split_prime,
 )
 from .dnrep import SimpleLabel, all_labels, label_index
-from .polymat import RingMatrix
+from .polymat import RingMatrix, rank_mod_p
 
 __all__ = ["PolyPres", "GrothRing", "groth_ring"]
 
@@ -337,10 +338,11 @@ class GrothRing:
 
     def cartan_rank(self) -> int:
         """rank C: the rank mod p from below meets n^2 minus the certified kernel basis from above, else C is eliminated."""
-        C, kb = self.cartan_matrix(), self.cartan_kernel_basis()
-        upper, dense = len(C) - len(kb), RingMatrix(C.tolist())
-        certified = not int_matmul(int_rows(kb), C).any() and RingMatrix(kb).rank_over_field() == len(kb)
-        return upper if certified and dense._rank_mod_p() == upper else dense.rank_over_field()
+        C, kb = self.cartan_matrix(), int_rows(self.cartan_kernel_basis())
+        p, _ = split_prime(1)
+        upper = len(C) - len(kb)
+        certified = not int_matmul(kb, C).any() and rank_mod_p(kb % p, p) == len(kb)
+        return upper if certified and rank_mod_p(C % p, p) == upper else RingMatrix(C.tolist()).rank_over_field()
 
     def cartan_kernel_basis(self) -> list[list[int]]:
         """[P(ell,r)] - [P(n-ell, ell+r)] for 1 <= ell <= (n-1)/2, r in Z_n."""

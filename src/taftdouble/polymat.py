@@ -24,7 +24,7 @@ import numpy as np
 
 from .cyclotomic import CycArray, CycNum, int_combination, sparse_product, sparse_rows, split_prime
 
-__all__ = ["RingPoly", "RingMatrix", "field_inverse", "CheckFailure", "relation"]
+__all__ = ["RingPoly", "RingMatrix", "rank_mod_p", "field_inverse", "CheckFailure", "relation"]
 
 
 class CheckFailure(AssertionError):
@@ -154,6 +154,25 @@ class RingPoly:
             return "RingPoly(0)"
         parts = [f"({c})*t^{k}" for k, c in enumerate(self.coeffs) if c]
         return "RingPoly(" + " + ".join(parts) + ")"
+
+
+def rank_mod_p(m: np.ndarray, p: int) -> int:
+    """Rank over F_p of an int64 matrix of residues 0 <= m < p < 2^31, by row elimination on a copy."""
+    m = m.copy()
+    rank = 0
+    for col in range(m.shape[1]):
+        nonzero = np.flatnonzero(m[rank:, col])
+        if not nonzero.size:
+            continue
+        pivot = rank + int(nonzero[0])
+        m[[rank, pivot]] = m[[pivot, rank]]
+        m[rank] = m[rank] * pow(int(m[rank, col]), -1, p) % p
+        # entries stay below p < 2^31, so each product fits in int64
+        m[rank + 1:] = (m[rank + 1:] - np.outer(m[rank + 1:, col], m[rank])) % p
+        rank += 1
+        if rank == len(m):
+            break
+    return rank
 
 
 class RingMatrix:
@@ -338,21 +357,7 @@ class RingMatrix:
                 if den % p == 0:
                     return None
                 image.append(num * pow(den, -1, p) % p)
-        m = np.array(image, dtype=np.int64).reshape(self.nrows, self.ncols)
-        rank = 0
-        for col in range(self.ncols):
-            nonzero = np.flatnonzero(m[rank:, col])
-            if not nonzero.size:
-                continue
-            pivot = rank + int(nonzero[0])
-            m[[rank, pivot]] = m[[pivot, rank]]
-            m[rank] = m[rank] * pow(int(m[rank, col]), -1, p) % p
-            # entries stay below p < 2^31, so each product fits in int64
-            m[rank + 1:] = (m[rank + 1:] - np.outer(m[rank + 1:, col], m[rank])) % p
-            rank += 1
-            if rank == self.nrows:
-                break
-        return rank
+        return rank_mod_p(np.array(image, dtype=np.int64).reshape(self.nrows, self.ncols), p)
 
     def _echelon(self):
         """Row echelon form by exact elimination; returns (pivot columns, rows)."""

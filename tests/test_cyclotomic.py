@@ -1,6 +1,8 @@
 import cmath
+import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -113,6 +115,52 @@ def test_json_coefficients_are_written_as_fractions(nums, den):
     ctx = make_context(3)
     x = CycNum(ctx, tuple(nums), den)
     assert x.to_json() == {"n": 3, "coeffs": [str(Fraction(a, den)) for a in nums]}
+
+
+def _encode_reference(x):
+    """The per-entry route of the CLI before `CycArray.to_json`: a plain int where integral, else each coordinate by its own gcd."""
+    if x.den == 1 and not any(x.num[1:]):
+        return x.num[0]
+    den, gs = x.den, [gcd(a, x.den) for a in x.num]
+    coeffs = [str(a // g) if g == den else f"{a // g}/{den // g}" for a, g in zip(x.num, gs)]
+    return {"n": x.ctx.n, "coeffs": coeffs}
+
+
+_ROW_KINDS = ("raw", "zero", "shared", "integral")
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.sampled_from([3, 5, 9, 15]),
+    data=st.data(),
+    factor=st.sampled_from([2, 3, 6, 11]),
+    den=st.integers(1, 1331),
+    scale=st.sampled_from([1, 1, 2**62 + 1, 3**45]),
+    den_scale=st.sampled_from([1, 1, 2**62]),
+)
+def test_array_json_matches_the_entrywise_route(n, data, factor, den, scale, den_scale):
+    """Negative numerators, zero rows, rows sharing a factor with den, integral rows, strings past the table, object arrays."""
+    ctx = make_context(n)
+    d, den = ctx.degree, den * factor
+    coeff = st.integers(-12, 12) | st.integers(-10**6, 10**6)
+    rows = []
+    for kind in data.draw(st.lists(st.sampled_from(_ROW_KINDS), max_size=8)):
+        row = data.draw(st.lists(coeff, min_size=d, max_size=d))
+        if kind == "zero":
+            row = [0] * d
+        elif kind == "shared":
+            row = [factor * a for a in row]
+        elif kind == "integral":
+            row = [den * row[0]] + [0] * (d - 1)
+        rows.append(row)
+    nums = np.array(rows, dtype=np.int64).reshape(len(rows), d)
+    if scale > 1:
+        nums = nums.astype(object) * scale
+    v = CycArray(ctx, nums, den * den_scale)
+    got = v.to_json()
+    want = [_encode_reference(x) for x in v.to_list()]
+    assert got == want
+    assert json.dumps(got) == json.dumps(want)
 
 
 _coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)

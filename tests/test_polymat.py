@@ -6,7 +6,7 @@ import pytest
 
 from taftdouble.cyclotomic import CycArray, make_context, sparse_product, sparse_rows, split_prime
 from taftdouble.grring import groth_ring
-from taftdouble.polymat import CheckFailure, RingMatrix, RingPoly, relation
+from taftdouble.polymat import CheckFailure, RingMatrix, RingPoly, rank_mod_p, relation
 from taftdouble.spectral import EigIndex, certificates, groth_decomposition, spectral_tables
 
 
@@ -293,6 +293,19 @@ def test_cartan_rank_is_certified_without_elimination(monkeypatch):
     monkeypatch.setattr(RingMatrix, "_echelon", no_elimination)
     for n in range(3, 12, 2):
         assert groth_ring(n).cartan_rank() == n * (n + 1) // 2
+
+
+def test_rank_mod_p_of_an_integer_array():
+    """The array elimination behind `_rank_mod_p`, on residues; its input is left as it was."""
+    p, _ = split_prime(1)
+    rnd = np.random.default_rng(5)
+    A = rnd.integers(-4, 5, (6, 8))
+    A[5] = 3 * A[0] - A[2]
+    residues = A % p
+    assert rank_mod_p(residues, p) == RingMatrix(A.tolist())._rank_mod_p() == 5
+    assert np.array_equal(residues, A % p)
+    assert rank_mod_p(np.array([[1, 1], [1, 1 + p]]) % p, p) == 1
+    assert rank_mod_p(np.zeros((3, 0), dtype=np.int64), p) == 0
 
 
 def test_sparse_product_matches_the_dense_product():
