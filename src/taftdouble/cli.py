@@ -11,12 +11,14 @@ import cProfile
 import json
 import sys
 from functools import lru_cache
+from itertools import chain
 
 from .chebyshev import CHEB_KINDS, cheb_poly
-from .cyclotomic import CycArray
+from .cyclotomic import ArrayEntry, CycArray, CycNum, json_texts
 from .dnrep import Monomial, all_labels, double_rep
 from .grring import groth_ring
 from .spectral import (
+    EigIndex,
     build_fusion_from_rules,
     eig_indices,
     fusion_left_eigvec,
@@ -25,14 +27,37 @@ from .spectral import (
     groth_decomposition,
     spectral_tables,
 )
-from .verify import check_ids, emit_report, embed_vec, max_n, run_suite
+from .verify import check_ids, emit_report, max_n, run_suite
 
 import numpy as np
 
 
-def _encode_scalars(xs) -> list:
-    """A nonempty list of CycNum scalars of one field in JSON-ready form, encoded together as one array."""
-    return CycArray.from_list(xs[0].ctx, xs).to_json()
+def _dumps(payload) -> str:
+    """json.dumps(payload, sort_keys=True), with every CycArray (a list of entries), CycNum and ArrayEntry (one entry) in place.
+
+    json writes the skeleton, one placeholder string for each such value in
+    the order it meets them, so it alone decides key order, separators and
+    float format; the placeholders are then replaced by the texts of
+    `json_texts`, which encodes all the values together.  The placeholder is
+    NUL characters, one more each time a string of the payload holds it.
+    The payloads are trees built here, so json skips its check for cycles.
+    """
+    mark = "\0"
+    while True:
+        values = []
+
+        def hole(x):
+            if not isinstance(x, (CycArray, CycNum, ArrayEntry)):
+                raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+            values.append(x)
+            return mark
+
+        pieces = json.dumps(payload, sort_keys=True, default=hole, check_circular=False).split(json.dumps(mark))
+        if len(pieces) == len(values) + 1:
+            break
+        mark += "\0"
+    texts = json_texts(values)
+    return "".join(chain.from_iterable(zip(pieces, texts))) + pieces[-1]
 
 
 def _parse_pair(text, what):
@@ -105,17 +130,7 @@ def cmd_mckay(args) -> int:
         for row in rows:
             print(",".join(str(x) for x in row))
     else:
-        print(
-            json.dumps(
-                {
-                    "n": n,
-                    "module": [ell, s % n],
-                    "projective": bool(args.projective),
-                    "rows": rows,
-                },
-                sort_keys=True,
-            )
-        )
+        print(_dumps({"n": n, "module": [ell, s % n], "projective": bool(args.projective), "rows": rows}))
     return 0
 
 
@@ -143,16 +158,12 @@ def cmd_chartable(args) -> int:
             print(f"{lab.ell},{lab.r},\"{coeffs}\"")
     else:
         print(
-            json.dumps(
+            _dumps(
                 {
                     "n": n,
                     "monomial": {"i": mono.i, "k": mono.k, "t": mono.t},
-                    "values": [
-                        {"ell": lab.ell, "r": lab.r, "value": val}
-                        for lab, val in zip(labels, values.to_json())
-                    ],
-                },
-                sort_keys=True,
+                    "values": [{"ell": lab.ell, "r": lab.r, "value": val} for lab, val in zip(labels, values.entries())],
+                }
             )
         )
     return 0
@@ -164,23 +175,20 @@ def _certificate_payload(n: int) -> list[dict]:
     ws = get_workspace(n)
     out = []
     Mn = ws.M_numeric
-    lams = _encode_scalars([cert.lam for cert in ws.certs])
-    for cert, lam in zip(ws.certs, lams):
-        lamn = cert.lam.embed()
-        vr = embed_vec(cert.right.to_list())
-        residual = float(np.max(np.abs(Mn @ vr - lamn * vr)))
+    for cert in ws.certs:
+        vr = cert.right.embed()
         entry = {
             "j": cert.index.j,
             "r": cert.index.r,
-            "lambda": lam,
-            "right": cert.right.to_json(),
-            "left": cert.left.to_json(),
+            "lambda": cert.lam,
+            "right": cert.right,
+            "left": cert.left,
             "exact": cert.exact,
-            "oracle_residual": residual,
+            "oracle_residual": float(np.max(np.abs(Mn @ vr - cert.lam.embed() * vr))),
         }
         if cert.gen_right is not None:
-            entry["gen_right"] = cert.gen_right.to_json()
-            entry["gen_left"] = cert.gen_left.to_json()
+            entry["gen_right"] = cert.gen_right
+            entry["gen_left"] = cert.gen_left
         out.append(entry)
     return out
 
@@ -188,8 +196,6 @@ def _certificate_payload(n: int) -> list[dict]:
 def _fusion_payload(n: int) -> dict:
     tab = spectral_tables(n)
     N = build_fusion_from_rules(n)
-    indices = eig_indices(n)
-    lams = _encode_scalars([tab.lam(idx) for idx in indices])
     return {
         "slots": [[ell, r] for ell, r in fusion_slots(n)],
         "rows": N.tolist(),
@@ -197,31 +203,29 @@ def _fusion_payload(n: int) -> dict:
             {
                 "j": idx.j,
                 "r": idx.r,
-                "lambda": lam,
-                "right": fusion_right_eigvec(n, idx).to_json(),
-                "left": fusion_left_eigvec(n, idx).to_json(),
+                "lambda": tab.lam(idx),
+                "right": fusion_right_eigvec(n, idx),
+                "left": fusion_left_eigvec(n, idx),
             }
-            for idx, lam in zip(indices, lams)
+            for idx in eig_indices(n)
         ],
     }
 
 
 def _idempotent_payload(n: int) -> dict:
     dec = groth_decomposition(n)
-    blocks = []
-    for r, comp in enumerate(dec.components):
-        thetas, nus = comp.thetas[1:], comp.nus[1:]
-        xi, *scalars = _encode_scalars([comp.xi, *thetas, *nus])
-        blocks.append(
-            {
-                "r": r,
-                "xi": xi,
-                "theta": scalars[: len(thetas)],
-                "nu": scalars[len(thetas):],
-                "radical_coords": [comp.to_groth(f).to_json() for f in comp.f_polys[1:]],
-                "idempotent_coords": [comp.to_groth(p).to_json() for p in comp.idempotent_polys()],
-            }
-        )
+    h = (n - 1) // 2
+    blocks = [
+        {
+            "r": r,
+            "xi": comp.xi,
+            "theta": comp.thetas[1:],
+            "nu": comp.nus[1:],
+            "radical_coords": [dec.radical_coords[EigIndex(j, r)] for j in range(1, h + 1)],
+            "idempotent_coords": [dec.idempotent_coords[EigIndex(j, r)] for j in range(h + 1)],
+        }
+        for r, comp in enumerate(dec.components)
+    ]
     return {"n": n, "components": blocks}
 
 
@@ -232,19 +236,19 @@ def cmd_spectrum(args) -> int:
         payload["fusion"] = _fusion_payload(n)
     if args.idempotents:
         payload["idempotents"] = _idempotent_payload(n)
-    print(json.dumps(payload, sort_keys=True))
+    print(_dumps(payload))
     return 0
 
 
 def cmd_fusion(args) -> int:
     n = _check_n(args.n)
-    print(json.dumps({"n": n, "fusion": _fusion_payload(n)}, sort_keys=True))
+    print(_dumps({"n": n, "fusion": _fusion_payload(n)}))
     return 0
 
 
 def cmd_idempotents(args) -> int:
     n = _check_n(args.n)
-    print(json.dumps(_idempotent_payload(n), sort_keys=True))
+    print(_dumps(_idempotent_payload(n)))
     return 0
 
 

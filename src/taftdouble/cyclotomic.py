@@ -17,14 +17,22 @@ stacks a column of coefficients over powers of q, the shape of every
 eigenvector and trace vector downstream.  `gather_products` multiplies
 every row of one such array with every row of another through the
 multiplication tensor of the power basis in one batched contraction; the
-Grothendieck-algebra products are built on it.  `CycArray.to_json` writes
-the entries in JSON-ready form in bulk: each row is normalized in numpy,
-an integral entry becomes a plain int, and every other entry
-{"n": n, "coeffs": [...]} with each coordinate as str(Fraction), the
-strings drawn from a table of small integers built on first use
-(`_coeff_strings` is the one statement of that format, and
-`CycNum.to_json` uses it too).  `split_prime(n)` gives a prime p = 1 (mod n) with an element of order
-n in F_p, so q -> omega maps Z[q] onto F_p; ranks are certified there.
+Grothendieck-algebra products are built on it.  `split_prime(n)` gives a
+prime p = 1 (mod n) with an element of order n in F_p, so q -> omega maps
+Z[q] onto F_p; ranks are certified there.
+
+`json_texts(values)` is the batch encoder of the JSON output: the text of
+many CycArrays (a list of entries), CycNums and `ArrayEntry`s (one entry
+each) at once.  An integral entry is a plain int, every other one
+{"coeffs": [...], "n": n} with each coordinate as str(Fraction) in lowest
+terms (`_coeff_strings`, the one statement of that format, which
+`CycNum.to_json` uses too), exactly as json.dumps(..., sort_keys=True)
+writes that form.  The rows of all values are stacked with a per-row
+denominator and encoded JSON_BATCH_ROWS at a time: brought to lowest terms
+in numpy, laid out as an object array of string pieces (quotes and
+separators included, the digits drawn from a table of small integers built
+on first use) and joined once per value in each batch.  The fixed row
+budget bounds the strings alive at once.
 
 This module is the one place that chooses between int64 and Python ints
 (dtype=object).  Every exact integer computation of the package runs through
@@ -63,6 +71,8 @@ __all__ = [
     "sparse_rows",
     "sparse_product",
     "split_prime",
+    "ArrayEntry",
+    "json_texts",
 ]
 
 # a kernel runs in int64 only when a bound on every partial sum it forms
@@ -548,7 +558,7 @@ class CycNum:
 
     def to_json(self) -> dict:
         """n and the coordinates, each written as str(Fraction(a, den))."""
-        return {"n": self.ctx.n, "coeffs": _coeff_strings(int_rows([self.num]), int_array([self.den], self.den))[0]}
+        return {"n": self.ctx.n, "coeffs": _coeff_strings(int_rows([self.num]), int_array([self.den], self.den))[0].tolist()}
 
     @staticmethod
     def from_json(obj) -> "CycNum":
@@ -645,31 +655,25 @@ class CycArray:
         ctx, den = self.ctx, self.den
         return [_norm(ctx, row, den) for row in self.nums.tolist()]
 
-    def to_json(self) -> list:
-        """The entries in JSON-ready form, as `CycNum.to_json` writes them, but a plain int for an integral entry.
-
-        Each row is normalized in numpy (its gcd with den, then each
-        coordinate's gcd with the row's reduced denominator), and the
-        coordinate strings come from `_coeff_strings`, not one Python call per
-        coordinate.
-        """
-        nums, den = self.nums, self.den
-        if den >= INT64_LIMIT:
-            nums = nums.astype(object)
-        g = np.gcd(np.gcd.reduce(nums, axis=1), den)
-        nums, dens = nums // g[:, None], den // g
-        integral = (dens == 1) & ~(nums[:, 1:] != 0).any(axis=1)
-        rows = iter(_coeff_strings(nums[~integral], dens[~integral]))
-        n = self.ctx.n
-        return [c if flag else {"n": n, "coeffs": next(rows)} for c, flag in zip(nums[:, 0].tolist(), integral.tolist())]
+    def entries(self) -> list["ArrayEntry"]:
+        """Each entry as an `ArrayEntry`, for output that writes the entries one by one."""
+        return [ArrayEntry(self, i) for i in range(len(self.nums))]
 
     def embed(self) -> np.ndarray:
-        """Complex images of the entries under q -> exp(2*pi*i/n), one contraction with (1, zeta, ...).
+        """Complex images of the entries under q -> exp(2*pi*i/n), bit for bit those of `CycNum.embed`.
 
-        `np.einsum` runs its own loops, not BLAS, whose extra threads spin on
-        products this small under OpenBLAS's default thread count.
+        As there, each entry is in lowest terms (its row divided by the gcd
+        with den), the terms a_k zeta^k are added in power-basis order (a
+        running sum, never numpy's pairwise one), and the sum is divided by
+        the entry's reduced denominator, the real and the imaginary part
+        apart, as Python divides a complex by an int.
         """
-        return np.einsum("ij,j->i", self.nums.astype(float), self.ctx._unit_array) / self.den
+        nums, dens = _lowest_terms(self.nums, int_array([self.den], self.den)) if self.den > 1 else (self.nums, np.ones(1))
+        sums = np.add.accumulate(nums.astype(float) * self.ctx._unit_array, axis=1)[:, -1]
+        dens = dens.astype(float)
+        out = np.empty(len(sums), dtype=complex)
+        out.real, out.imag = sums.real / dens, sums.imag / dens
+        return out
 
     def scaled(self, c: "CycNum") -> "CycArray":
         """Every entry times the scalar c."""
@@ -744,6 +748,16 @@ class CycArray:
         return CycArray(self.ctx, nums, den)
 
 
+class ArrayEntry:
+    """Entry `row` of a CycArray where only its JSON text is wanted: `json_texts` writes it as the CycNum array[row]."""
+
+    __slots__ = ("array", "row")
+
+    def __init__(self, array: CycArray, row: int):
+        self.array = array
+        self.row = row
+
+
 # |i| up to this is written from one table of strings, built on first use
 SMALL_INT_STR = 1 << 12
 
@@ -757,15 +771,22 @@ def _small_int_strings() -> np.ndarray:
 def _int_strings(a: np.ndarray) -> np.ndarray:
     """str of every entry of the integer array a, as an object array: small values from the table, the rest by map(str)."""
     small = (a >= -SMALL_INT_STR) & (a <= SMALL_INT_STR)
+    if small.all():
+        return _small_int_strings()[a.astype(np.int64) + SMALL_INT_STR]
     out = np.empty(a.shape, dtype=object)
     out[small] = _small_int_strings()[a[small].astype(np.int64) + SMALL_INT_STR]
-    if not small.all():
-        big = a[~small].tolist()
-        out[~small] = np.fromiter(map(str, big), dtype=object, count=len(big))
+    big = a[~small].tolist()
+    out[~small] = np.fromiter(map(str, big), dtype=object, count=len(big))
     return out
 
 
-def _coeff_strings(nums: np.ndarray, dens: np.ndarray) -> list:
+def _lowest_terms(nums: np.ndarray, dens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row i of nums over dens[i] (or over dens[0] for every row) with the row and its denominator divided by their gcd."""
+    g = np.gcd(np.gcd.reduce(nums, axis=1), dens)
+    return nums if (g == 1).all() else nums // g[:, None], dens // g
+
+
+def _coeff_strings(nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
     """Row i of nums over dens[i], each coordinate written as str(Fraction(a, den)): "a" or "a/b" in lowest terms.
 
     The one statement of the coordinate format of the JSON output.
@@ -776,7 +797,109 @@ def _coeff_strings(nums: np.ndarray, dens: np.ndarray) -> list:
     frac = bottoms != 1
     if frac.any():
         out[frac] = out[frac] + "/" + _int_strings(bottoms[frac])
-    return out.tolist()
+    return out
+
+
+# rows encoded at once by `json_texts`: bounds the string pieces alive together
+JSON_BATCH_ROWS = 2048
+
+
+def json_texts(values) -> list[str]:
+    """The JSON text of each value of one field: a CycArray as the list of its entries, a CycNum or an ArrayEntry as one entry.
+
+    An entry is written as json.dumps(..., sort_keys=True) writes its
+    JSON-ready form: a plain int when integral, else {"coeffs": [...], "n": n}
+    with each coordinate as str(Fraction) (`_coeff_strings`).  Rows are
+    encoded JSON_BATCH_ROWS at a time: the single entries gathered by the
+    array they belong to (the CycNums stacked into one), and the arrays'
+    rows one after another with a per-row denominator, a value's rows
+    running on into the next batch where they do not fit.
+    """
+    values = list(values)
+    texts = [None] * len(values)
+    arrays, scalars, entries = [], [], {}  # entries: id(array) -> value indices
+    for i, x in enumerate(values):
+        if isinstance(x, CycArray):
+            arrays.append(i)
+        elif isinstance(x, CycNum):
+            scalars.append(i)
+        else:
+            entries.setdefault(id(x.array), []).append(i)
+    sources = [(values[owners[0]].array, owners, [values[i].row for i in owners]) for owners in entries.values()]
+    fields = {values[i].ctx for i in arrays + scalars} | {array.ctx for array, _, _ in sources}
+    if len(fields) > 1:
+        raise ValueError("json_texts writes the values of one field")
+    ctx = fields.pop() if fields else None
+    if scalars:
+        sources.append((CycArray.from_list(ctx, [values[i] for i in scalars]), scalars, list(range(len(scalars)))))
+    for array, owners, rows in sources:
+        for start in range(0, len(rows), JSON_BATCH_ROWS):
+            stop = start + JSON_BATCH_ROWS
+            pieces = _entry_pieces(ctx, array.nums[rows[start:stop]], int_array([array.den], array.den))
+            for i, row in zip(owners[start:stop], pieces.tolist()):
+                texts[i] = "".join(row)
+    parts = {i: [] for i in arrays}
+    batch, room = [], JSON_BATCH_ROWS
+    for i in arrays:
+        nums, start = values[i].nums, 0
+        while start < len(nums):
+            cut = min(len(nums), start + room)
+            batch.append((i, nums[start:cut], values[i].den, cut == len(nums)))
+            room -= cut - start
+            start = cut
+            if not room:
+                _encode_batch(ctx, batch, parts)
+                batch, room = [], JSON_BATCH_ROWS
+    if batch:
+        _encode_batch(ctx, batch, parts)
+    for i in arrays:
+        texts[i] = "[" + "".join(parts[i]) + "]"
+    return texts
+
+
+def _encode_batch(ctx: CyclotomicContext, batch, parts: dict):
+    """Append to parts[i] the text of the rows of each (i, nums, den, whether they end value i) run of a batch.
+
+    Every row is followed by ", " unless it ends its value, and each run is
+    one join of the string pieces.
+    """
+    owners, blocks, dens, ends = zip(*batch)
+    lengths = [len(b) for b in blocks]
+    pieces = _entry_pieces(ctx, np.concatenate(blocks), np.repeat(int_array(dens, max(dens)), lengths))
+    stops = np.cumsum(lengths)
+    pieces[:, -1] = ", "
+    pieces[stops[np.array(ends)] - 1, -1] = ""
+    for i, start, stop in zip(owners, (stops - lengths).tolist(), stops.tolist()):
+        parts[i].append("".join(pieces[start:stop].ravel().tolist()))
+
+
+def _entry_pieces(ctx: CyclotomicContext, nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
+    """Row i of nums over dens[i] as the string pieces of its JSON text, in a row of 2 phi + 2; the last, for a separator after it, is empty.
+
+    The rows are brought to lowest terms in numpy and laid out as
+    {"coeffs": [...], "n": n}, with the quotes and separators inside it as
+    pieces of their own.  An integral entry is then its first coordinate
+    alone, and when every entry is integral a row holds 2 pieces.
+    """
+    nums, dens = _lowest_terms(nums, dens)
+    integral = (dens == 1) & ~(nums[:, 1:] != 0).any(axis=1)
+    if integral.all():
+        pieces = np.empty((len(nums), 2), dtype=object)
+        pieces[:, 0] = _int_strings(nums[:, 0])
+        pieces[:, 1] = ""
+        return pieces
+    d = ctx.degree
+    pieces = np.empty((len(nums), 2 * d + 2), dtype=object)
+    pieces[:, 0] = '{"coeffs": ["'
+    pieces[:, 1:2 * d:2] = _coeff_strings(nums, dens)
+    pieces[:, 2:2 * d - 1:2] = '", "'
+    pieces[:, 2 * d] = f'"], "n": {ctx.n}}}'
+    pieces[:, -1] = ""
+    if integral.any():
+        first = pieces[integral, 1]
+        pieces[integral] = ""
+        pieces[integral, 0] = first
+    return pieces
 
 
 def _polydivmod(a, b):

@@ -169,6 +169,7 @@ class GrothRing:
         self._base_products: dict[int, np.ndarray] = {}
         self._mpow: list[np.ndarray] = []
         self._cartan = None
+        self._cartan_kernel = None
 
     # ------------------------------------------------------------------
     # presentation arithmetic
@@ -336,13 +337,22 @@ class GrothRing:
             self._cartan = C
         return self._cartan
 
+    def cartan_kernel(self) -> tuple[np.ndarray, bool, bool]:
+        """(basis, annihilated, independent), built once: `cartan_kernel_basis` as integer rows, whether C kills every row, and whether the rows have full rank mod p (so over Q)."""
+        if self._cartan_kernel is None:
+            kb = int_rows(self.cartan_kernel_basis())
+            p, _ = split_prime(1)
+            self._cartan_kernel = (kb, not int_matmul(kb, self.cartan_matrix()).any(), rank_mod_p(kb % p, p) == len(kb))
+        return self._cartan_kernel
+
     def cartan_rank(self) -> int:
         """rank C: the rank mod p from below meets n^2 minus the certified kernel basis from above, else C is eliminated."""
-        C, kb = self.cartan_matrix(), int_rows(self.cartan_kernel_basis())
+        C = self.cartan_matrix()
+        kb, annihilated, independent = self.cartan_kernel()
         p, _ = split_prime(1)
         upper = len(C) - len(kb)
-        certified = not int_matmul(kb, C).any() and rank_mod_p(kb % p, p) == len(kb)
-        return upper if certified and rank_mod_p(C % p, p) == upper else RingMatrix(C.tolist()).rank_over_field()
+        certified = annihilated and independent and rank_mod_p(C % p, p) == upper
+        return upper if certified else RingMatrix(C.tolist()).rank_over_field()
 
     def cartan_kernel_basis(self) -> list[list[int]]:
         """[P(ell,r)] - [P(n-ell, ell+r)] for 1 <= ell <= (n-1)/2, r in Z_n."""

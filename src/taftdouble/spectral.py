@@ -26,7 +26,7 @@ the simple classes stacks each coefficient over the powers of q in E_{2r}
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 from typing import NamedTuple, Optional
 
@@ -449,12 +449,20 @@ class GrothDecomposition:
         comp = self.components[idx.r]
         return comp.to_groth(comp.twist(self.g_polys[idx.j], 2))
 
-    def idempotent_coords(self) -> list[tuple[EigIndex, CycArray]]:
-        out = []
-        for r, comp in enumerate(self.components):
-            for j, elem in enumerate(comp.idempotent_polys()):
-                out.append((EigIndex(j, r), comp.to_groth(elem)))
-        return out
+    @cached_property
+    def radical_coords(self) -> dict[EigIndex, CycArray]:
+        """The coordinates of F_{j,r} for j >= 1 over the simple classes, r major; computed once."""
+        h = self.tab.h
+        return {idx: self.f_coords(idx) for idx in (EigIndex(j, r) for r in range(self.n) for j in range(1, h + 1))}
+
+    @cached_property
+    def idempotent_coords(self) -> dict[EigIndex, CycArray]:
+        """The coordinates of the idempotent at (j, r) (`GrothComponent.idempotent_polys`), r major; computed once."""
+        return {
+            EigIndex(j, r): comp.to_groth(elem)
+            for r, comp in enumerate(self.components)
+            for j, elem in enumerate(comp.idempotent_polys())
+        }
 
     def eigenidem_certificate(self, idx: EigIndex, e: CycArray):
         """(c_u, exact) for e = sum e_i [S_i]: e^2 must equal c_u e under the ring product.

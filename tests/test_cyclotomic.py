@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from taftdouble.cyclotomic import CycArray, CycNum, cyclotomic_polynomial, make_context
+import taftdouble.cyclotomic as cyclotomic
+from taftdouble.cyclotomic import CycArray, CycNum, cyclotomic_polynomial, json_texts, make_context
 
 
 def test_cyclotomic_polynomials():
@@ -118,7 +119,7 @@ def test_json_coefficients_are_written_as_fractions(nums, den):
 
 
 def _encode_reference(x):
-    """The per-entry route of the CLI before `CycArray.to_json`: a plain int where integral, else each coordinate by its own gcd."""
+    """The per-entry route of the CLI before the batch encoder: a plain int where integral, else each coordinate by its own gcd."""
     if x.den == 1 and not any(x.num[1:]):
         return x.num[0]
     den, gs = x.den, [gcd(a, x.den) for a in x.num]
@@ -126,7 +127,34 @@ def _encode_reference(x):
     return {"n": x.ctx.n, "coeffs": coeffs}
 
 
+def _reference_text(value):
+    """json.dumps(sort_keys=True) of the per-entry form of a CycArray (a list) or a CycNum (one entry)."""
+    if isinstance(value, CycArray):
+        return json.dumps([_encode_reference(x) for x in value.to_list()], sort_keys=True)
+    return json.dumps(_encode_reference(value), sort_keys=True)
+
+
 _ROW_KINDS = ("raw", "zero", "shared", "integral")
+
+
+def _draw_array(data, ctx, den, factor, scale, den_scale, max_size=8):
+    """Negative numerators, zero rows, rows sharing a factor with den, integral rows, strings past the table, object arrays."""
+    d = ctx.degree
+    coeff = st.integers(-12, 12) | st.integers(-10**6, 10**6)
+    rows = []
+    for kind in data.draw(st.lists(st.sampled_from(_ROW_KINDS), max_size=max_size)):
+        row = data.draw(st.lists(coeff, min_size=d, max_size=d))
+        if kind == "zero":
+            row = [0] * d
+        elif kind == "shared":
+            row = [factor * a for a in row]
+        elif kind == "integral":
+            row = [den * row[0]] + [0] * (d - 1)
+        rows.append(row)
+    nums = np.array(rows, dtype=np.int64).reshape(len(rows), d)
+    if scale > 1:
+        nums = nums.astype(object) * scale
+    return CycArray(ctx, nums, den * den_scale)
 
 
 @settings(max_examples=150, deadline=None)
@@ -139,28 +167,73 @@ _ROW_KINDS = ("raw", "zero", "shared", "integral")
     den_scale=st.sampled_from([1, 1, 2**62]),
 )
 def test_array_json_matches_the_entrywise_route(n, data, factor, den, scale, den_scale):
-    """Negative numerators, zero rows, rows sharing a factor with den, integral rows, strings past the table, object arrays."""
+    """The encoded text of an array, of each of its entries and of each canonical CycNum is json.dumps of the per-entry form."""
     ctx = make_context(n)
-    d, den = ctx.degree, den * factor
-    coeff = st.integers(-12, 12) | st.integers(-10**6, 10**6)
-    rows = []
-    for kind in data.draw(st.lists(st.sampled_from(_ROW_KINDS), max_size=8)):
-        row = data.draw(st.lists(coeff, min_size=d, max_size=d))
-        if kind == "zero":
-            row = [0] * d
-        elif kind == "shared":
-            row = [factor * a for a in row]
-        elif kind == "integral":
-            row = [den * row[0]] + [0] * (d - 1)
-        rows.append(row)
-    nums = np.array(rows, dtype=np.int64).reshape(len(rows), d)
-    if scale > 1:
-        nums = nums.astype(object) * scale
-    v = CycArray(ctx, nums, den * den_scale)
-    got = v.to_json()
-    want = [_encode_reference(x) for x in v.to_list()]
-    assert got == want
-    assert json.dumps(got) == json.dumps(want)
+    v = _draw_array(data, ctx, den * factor, factor, scale, den_scale)
+    entries = v.to_list()
+    got = json_texts([v, *v.entries(), *entries])
+    assert got[0] == _reference_text(v)
+    assert got[1:] == [_reference_text(x) for x in entries] * 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([3, 5, 9]),
+    data=st.data(),
+    budget=st.integers(1, 7),
+    den=st.integers(1, 99),
+    scale=st.sampled_from([1, 2**62 + 1]),
+)
+def test_values_straddling_a_batch_boundary(n, data, budget, den, scale):
+    """With a budget of a few rows, arrays run across batches, mixed with scalars and entries, empty arrays included."""
+    ctx = make_context(n)
+    arrays = [_draw_array(data, ctx, den * 3, 3, scale, 1) for _ in range(data.draw(st.integers(1, 4)))]
+    values = []
+    for v in arrays:
+        values += [v, *v.entries()[:2], *v.to_list()[-2:]]
+    values = data.draw(st.permutations(values))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cyclotomic, "JSON_BATCH_ROWS", budget)
+        got = json_texts(values)
+    assert got == [_reference_text(v.array[v.row] if hasattr(v, "row") else v) for v in values]
+
+
+def test_the_batch_budget_is_crossed_at_its_default():
+    """An array longer than JSON_BATCH_ROWS, one ending on the boundary and short ones around them."""
+    ctx = make_context(3)
+    budget = cyclotomic.JSON_BATCH_ROWS
+    rnd = np.random.default_rng(3)
+    sizes = [5, budget + 17, budget - 22, 0, 1, 3 * budget]
+    values = [CycArray(ctx, rnd.integers(-50, 50, size=(m, ctx.degree)), 6) for m in sizes]
+    values.insert(3, ctx.root_power(1) / 7)
+    assert sum(map(len, values[:3])) == 2 * budget
+    assert json_texts(values) == [_reference_text(v) for v in values]
+
+
+def test_json_texts_writes_one_field():
+    with pytest.raises(ValueError, match="one field"):
+        json_texts([make_context(7).one(), CycArray.zeros(make_context(9), 2)])
+    assert json_texts([]) == []
+
+
+@pytest.mark.parametrize("n", range(3, 12, 2))
+def test_array_embedding_is_bit_identical_to_the_entrywise_route(n):
+    """`CycArray.embed` equals `CycNum.embed` of each canonical entry bit for bit: random arrays and the certificate vectors."""
+    from taftdouble.spectral import certificates
+
+    ctx = make_context(n)
+    rnd = random.Random(n)
+    arrays = []
+    for den in (1, 6, n, n**3, 77, 2**70 + 1):
+        rows = [[rnd.choice([0, 0, rnd.randrange(-10**6, 10**6), rnd.randrange(-5, 5) * den]) for _ in range(ctx.degree)]
+                for _ in range(3 * n)]
+        nums = np.array(rows, dtype=object)
+        arrays.append(CycArray(ctx, nums if den > 2**62 else nums.astype(np.int64), den))
+    for cert in certificates(n):
+        arrays += [v for v in (cert.right, cert.left, cert.gen_right, cert.gen_left) if v is not None]
+    for v in arrays:
+        want = np.array([x.embed() for x in v.to_list()], dtype=complex)
+        assert v.embed().view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 _coeff = st.fractions(min_value=-4, max_value=4, max_denominator=6)

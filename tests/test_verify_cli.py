@@ -9,7 +9,7 @@ import pytest
 
 import taftdouble.verify as verify_mod
 from taftdouble.cli import main
-from taftdouble.cyclotomic import CycArray, sparse_product, sparse_rows
+from taftdouble.cyclotomic import CycArray, make_context, sparse_product, sparse_rows
 from taftdouble.dnrep import DoubleRep
 from taftdouble.grring import GrothRing, groth_ring
 from taftdouble.spectral import GrothDecomposition, SpectralTables, spectral_tables
@@ -235,6 +235,46 @@ def test_ported_checks_fail_on_one_corrupted_coefficient(monkeypatch, cid, owner
     result = run_suite(3, [cid]).checks[0]
     assert result.status == "fail", result
     assert text in result.detail["counterexample"]
+
+
+def _bump_kernel_vector(kb):
+    return [[v[0] + 1] + v[1:] if i == 2 else v for i, v in enumerate(kb)]
+
+
+def _repeat_kernel_vector(kb):
+    return kb[:-1] + [kb[0]]
+
+
+@pytest.mark.parametrize("corrupt,text", [
+    (_bump_kernel_vector, "stated kernel vector not annihilated"),
+    (_repeat_kernel_vector, "kernel vectors are dependent"),
+])
+def test_cartan_structure_fails_on_a_corrupted_kernel_basis(monkeypatch, corrupt, text):
+    """The check reads the ring's kernel certificate; a ring built on a corrupted basis makes it fail."""
+    original = GrothRing.cartan_kernel_basis
+    monkeypatch.setattr(GrothRing, "cartan_kernel_basis", lambda self: corrupt(original(self)))
+    monkeypatch.setattr(verify_mod, "groth_ring", lambda n: GrothRing(make_context(n)))
+    monkeypatch.setattr(verify_mod, "_WORKSPACES", {})
+    result = run_suite(5, ["cartan-structure"]).checks[0]
+    assert result.status == "fail", result
+    assert text in result.detail["counterexample"]
+
+
+def test_cartan_structure_reuses_the_rank_certificate(monkeypatch):
+    """The kernel basis is certified once, by `cartan_rank`: no image per vector, no second rank."""
+    def forbidden(*args):
+        raise AssertionError("the kernel basis was certified again")
+
+    ring = GrothRing(make_context(7))
+    monkeypatch.setattr(verify_mod, "groth_ring", lambda n: ring)
+    monkeypatch.setattr(verify_mod, "_WORKSPACES", {})
+    monkeypatch.setattr(GrothRing, "cartan_image_of", forbidden)
+    built = []
+    certify = GrothRing.cartan_kernel
+    monkeypatch.setattr(GrothRing, "cartan_kernel", lambda self: built.append(self._cartan_kernel is None) or certify(self))
+    assert run_suite(7, ["cartan-structure"]).all_pass
+    assert built[0] and not any(built[1:])
+    assert ring.cartan_kernel()[1:] == (True, True)
 
 
 def _run_optimized(script: str) -> str:
