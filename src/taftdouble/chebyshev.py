@@ -50,7 +50,7 @@ _SEEDS = {
 
 @lru_cache(maxsize=None)
 def cheb_poly(kind: str, k: int) -> RingPoly:
-    """Integer polynomial of the requested family and degree k >= 0."""
+    """Integer polynomial of the requested family and degree k >= 0, by the recursion run upward."""
     if kind not in CHEB_KINDS:
         raise ValueError(f"unknown Chebyshev kind {kind!r}, expected one of {CHEB_KINDS}")
     if k < 0:
@@ -59,13 +59,13 @@ def cheb_poly(kind: str, k: int) -> RingPoly:
         if k == 0:
             return cheb_poly("U", 0)
         return cheb_poly("U", k) + cheb_poly("U", k - 1)
-    c0, c1 = _SEEDS[kind]
+    prev, cur = _SEEDS[kind]
     if k == 0:
-        return RingPoly(c0)
-    if k == 1:
-        return RingPoly(c1)
-    t = RingPoly([0, 1])
-    return t * cheb_poly(kind, k - 1) - cheb_poly(kind, k - 2)
+        return RingPoly(prev)
+    for _ in range(k - 1):
+        # c_{m+1} = t c_m - c_{m-1}: the coefficients of c_m one degree up, minus those of c_{m-1}
+        prev, cur = cur, [a - b for a, b in zip([0] + cur, prev + [0] * (len(cur) + 1 - len(prev)))]
+    return RingPoly(cur)
 
 
 def cheb_eval(kind: str, k: int, point):

@@ -19,7 +19,8 @@ every row of one such array with every row of another through the
 multiplication tensor of the power basis in one batched contraction; the
 Grothendieck-algebra products are built on it.  `split_prime(n)` gives a
 prime p = 1 (mod n) with an element of order n in F_p, so q -> omega maps
-Z[q] onto F_p; ranks are certified there.
+Z[q] onto F_p; `reduce_mod_p` takes a numerator array there in one step, and
+ranks are certified on the residues.
 
 `json_texts(values)` is the batch encoder of the JSON output: the text of
 many CycArrays (a list of entries), CycNums and `ArrayEntry`s (one entry
@@ -71,6 +72,7 @@ __all__ = [
     "sparse_rows",
     "sparse_product",
     "split_prime",
+    "reduce_mod_p",
     "ArrayEntry",
     "json_texts",
 ]
@@ -218,6 +220,20 @@ def split_prime(n: int) -> tuple[int, int]:
         if all(pow(omega, n // f, p) != 1 for f in factors):
             return p, omega
     raise ArithmeticError(f"no element of order {n} modulo {p}")
+
+
+def reduce_mod_p(nums: np.ndarray, den: int, n: int):
+    """The int64 residues in F_p of nums / den under q -> omega of `split_prime(n)`, or None when p | den.
+
+    nums holds power-basis numerators on its last axis; each is reduced mod p
+    before it is weighed by omega^k, so every product stays below 2^62.
+    """
+    p, omega = split_prime(n)
+    if den % p == 0:
+        return None
+    powers = np.array([pow(omega, k, p) for k in range(nums.shape[-1])], dtype=np.int64)
+    residues = np.asarray(nums % p, dtype=np.int64)
+    return (residues * powers % p).sum(axis=-1) % p * pow(den, -1, p) % p
 
 
 def _divexact(num, den):
@@ -611,6 +627,11 @@ class CycArray:
         den = lcm(*(x.den for x in entries)) if entries else 1
         rows = [x.num if x.den == den else [a * (den // x.den) for a in x.num] for x in entries]
         return CycArray(ctx, int_rows(rows).reshape(len(entries), ctx.degree), den)
+
+    @staticmethod
+    def from_qpowers(ctx: CyclotomicContext, counts: np.ndarray) -> "CycArray":
+        """Entry i is sum_e counts[i, e] q^e over the exponents e = 0..n-1 (an integer array)."""
+        return CycArray(ctx, int_matmul(counts, ctx._qpow_mul[:, 0]), 1)
 
     @staticmethod
     def concat(ctx: CyclotomicContext, parts) -> "CycArray":

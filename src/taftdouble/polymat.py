@@ -3,12 +3,11 @@
 Integer matrices (McKay, Cartan, fusion) are int64 numpy arrays
 throughout; they have a few nonzeros per row, so their products with
 arrays are gather-adds over those nonzeros (`cyclotomic.sparse_rows`,
-`cyclotomic.sparse_product`).  `RingMatrix` is the dense matrix for elimination over
-a field: entries are Python ints, Fractions, or CycNum, the element
-objects carry the arithmetic, and rank, kernel and characteristic
-polynomial are exact.  A rank is first certified full modulo a prime
-that splits Q(q), and only a matrix that is not found full there is
-eliminated over the field.
+`cyclotomic.sparse_product`).  A matrix over Q(q) is a `CycArray` of its
+entries; `array_rank` certifies its rank full modulo a prime that splits
+Q(q) (`cyclotomic.reduce_mod_p`, then `rank_mod_p`), and only a matrix not
+found full there is eliminated exactly, as a `RingMatrix` of element
+objects (ints, Fractions, CycNum), which also serves the named cross-checks.
 
 `relation` is the one statement of the eigen and Jordan relations of an
 integer matrix against a vector over Q(q): it certifies them exactly on
@@ -19,12 +18,13 @@ embedding as a numeric oracle.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
-from .cyclotomic import CycArray, CycNum, int_combination, sparse_product, sparse_rows, split_prime
+from .cyclotomic import CycArray, CycNum, int_combination, int_rows, reduce_mod_p, sparse_product, sparse_rows, split_prime
 
-__all__ = ["RingPoly", "RingMatrix", "rank_mod_p", "field_inverse", "CheckFailure", "relation"]
+__all__ = ["RingPoly", "RingMatrix", "rank_mod_p", "array_rank", "field_inverse", "CheckFailure", "relation"]
 
 
 class CheckFailure(AssertionError):
@@ -176,11 +176,9 @@ def rank_mod_p(m: np.ndarray, p: int) -> int:
 
 
 class RingMatrix:
-    """Dense row-major matrix over a commutative ring, for exact elimination over a field.
+    """Dense row-major matrix of ring elements, for exact elimination over a field.
 
-    Integer matrices are int64 numpy arrays instead; a RingMatrix holds
-    entries that need field arithmetic (CycNum, Fraction) or a rank,
-    kernel or characteristic polynomial.
+    It serves the exact fallback of the ranks and the named cross-checks.
     """
 
     __slots__ = ("rows", "nrows", "ncols")
@@ -328,11 +326,8 @@ class RingMatrix:
     def rank_over_field(self) -> int:
         """Exact rank; entries must support exact division.
 
-        The rank is first taken modulo the prime p of `split_prime(n)` under
-        q -> omega, a ring map Z[q]/Phi_n -> F_p (n = 1 when no entry is a
-        CycNum).  A nonzero minor modulo p is a nonzero minor over Q(q), so
-        full rank there is full rank here; any other outcome, or a
-        denominator divisible by p, falls back to exact elimination.
+        Full rank modulo p (`_rank_mod_p`; n = 1 when no entry is a CycNum) is
+        full rank here, as in `array_rank`; anything else is eliminated exactly.
         """
         full = min(self.nrows, self.ncols)
         if full and self._rank_mod_p() == full:
@@ -340,24 +335,18 @@ class RingMatrix:
         return len(self._echelon()[0])
 
     def _rank_mod_p(self):
-        """Rank of the image over F_p, or None when p divides a denominator."""
-        ctx = next((a.ctx for r in self.rows for a in r if isinstance(a, CycNum)), None)
-        p, omega = split_prime(ctx.n if ctx else 1)
-        powers = [pow(omega, k, p) for k in range(ctx.degree if ctx else 1)]
-        image = []
-        for row in self.rows:
-            for a in row:
-                if type(a) is int:
-                    num, den = a, 1
-                elif isinstance(a, CycNum):
-                    num, den = sum(c * w for c, w in zip(a.num, powers)), a.den
-                else:
-                    a = Fraction(a)
-                    num, den = a.numerator, a.denominator
-                if den % p == 0:
-                    return None
-                image.append(num * pow(den, -1, p) % p)
-        return rank_mod_p(np.array(image, dtype=np.int64).reshape(self.nrows, self.ncols), p)
+        """Rank of the image over F_p of `split_prime(n)` (`reduce_mod_p`), or None when p divides a denominator."""
+        entries = [a for row in self.rows for a in row]
+        ctx = next((a.ctx for a in entries if isinstance(a, CycNum)), None)
+        if ctx is None:  # rationals: one coordinate, over n = 1
+            fracs = [Fraction(a) for a in entries]
+            den = lcm(*(f.denominator for f in fracs))
+            nums, n = int_rows([f.numerator * (den // f.denominator)] for f in fracs), 1
+        else:
+            arr = CycArray.from_list(ctx, entries)
+            nums, den, n = arr.nums, arr.den, ctx.n
+        image = reduce_mod_p(nums.reshape(self.nrows, self.ncols, -1), den, n)
+        return None if image is None else rank_mod_p(image, split_prime(n)[0])
 
     def _echelon(self):
         """Row echelon form by exact elimination; returns (pivot columns, rows)."""
@@ -424,6 +413,23 @@ class RingMatrix:
 
     def __repr__(self):
         return f"RingMatrix({self.nrows}x{self.ncols})"
+
+
+def array_rank(a: CycArray, ncols: int) -> int:
+    """Exact rank over Q(q) of the matrix whose entries, row by row, are those of a.
+
+    q -> omega (`reduce_mod_p`) maps Z[q]/Phi_n onto F_p, so a nonzero minor
+    mod p is a nonzero minor over Q(q): full rank there certifies full rank.
+    Any other outcome, or a denominator divisible by p, falls back to exact
+    elimination (`RingMatrix.rank_over_field`).
+    """
+    nrows = len(a) // ncols
+    full = min(nrows, ncols)
+    image = reduce_mod_p(a.nums.reshape(nrows, ncols, -1), a.den, a.ctx.n)
+    if full and image is not None and rank_mod_p(image, split_prime(a.ctx.n)[0]) == full:
+        return full
+    entries = a.to_list()
+    return RingMatrix([entries[i * ncols:(i + 1) * ncols] for i in range(nrows)]).rank_over_field()
 
 
 def relation(

@@ -2,12 +2,15 @@
 
 Everything is indexed by pairs (j, r) with 0 <= j <= (n-1)/2 and r in
 Z_n: the eigenvalue is lam_{j,r} = q^r (q^j + q^{-j}), simple for j = 0
-and of multiplicity two otherwise.  Right eigenvectors, left
-eigenvectors, and the rank-one Jordan completions are all built from
-Chebyshev values at q^j + q^{-j} stacked over the eigenvectors of the
-cyclic shift (`SpectralTables.shift_stack`, one `CycArray.qpow_blocks`),
-and every claimed relation is certified by exact residual computations
-against the matrices produced in the ring module.
+and of multiplicity two otherwise.  The Chebyshev values at the h + 1
+points q^j + q^{-j} are integer counts of powers of q (`SpectralTables`).
+Each family of right or left eigenvectors, Jordan completions or fusion
+eigenvectors is built for every (j, r) at once from those counts: its
+coefficient blocks (`SpectralTables.blocks`) are stacked over the
+eigenvectors of the cyclic shift (one `CycArray.qpow_blocks` per r), and
+`certificates` slices the stacks.  Every claimed relation is certified by
+exact residual computations against the matrices produced in the ring
+module.
 
 The second half constructs the idempotent decomposition of the
 complexified Grothendieck algebra and the fusion matrix on a maximal
@@ -34,7 +37,7 @@ import numpy as np
 
 from .chebyshev import bivariate_to_poly, p_n_bivariate
 from .cyclotomic import CycArray, CycNum, gather_products, int_rows, make_context
-from .dnrep import all_labels, double_rep
+from .dnrep import double_rep
 from .grring import PolyPres, groth_ring
 from .polymat import CheckFailure, RingMatrix, RingPoly, relation
 
@@ -67,106 +70,111 @@ def eig_indices(n: int) -> list[EigIndex]:
     return [EigIndex(j, r) for j in range((n + 1) // 2) for r in range(n)]
 
 
+def _lag(table: np.ndarray, d: int) -> np.ndarray:
+    """table[:, k - d] at degree k, zero for k < d."""
+    return np.pad(table[:, :-d], ((0, 0), (d, 0), (0, 0)))
+
+
 class SpectralTables:
-    """Cached Chebyshev values at the points q^j + q^{-j} and the derived eigendata."""
+    """Chebyshev values at the points q^j + q^{-j}, j = 0..h, and the eigenvector families built from them.
+
+    `counts[kind][j, k, e]` is the multiplicity of q^e in the value of degree
+    k at point j (a product with q^m rolls the last axis): U_k(x + 1/x) =
+    sum_{m <= k} x^{k-2m}, L_k = U_k - U_{k-2} and V_k = U_k - U_{k-1} with
+    U_{-1} = U_{-2} = 0 (so L_0 = 1), A_k = k U_{k-1} and S_k = A_k + S_{k-2}.
+    """
+
+    # side -> (leading, chain table, sign): block l of the vector at (j, r) is
+    # lead_l q^{lr}, of its Jordan completion (j >= 1) also + chain_l q^{(l-1)r};
+    # blocks stack over q^{2sr} (sign 1), or reversed over q^{-2sr} (sign -1)
+    SIDES = {
+        "right": ("U", "S", 1),
+        "left": ("L", "A", -1),
+        "fusion_right": ("L", None, 1),
+        "fusion_left": ("V", None, -1),
+    }
 
     def __init__(self, n: int):
         self.n = n
         self.ctx = make_context(n)
-        ctx = self.ctx
-        h = (n - 1) // 2
-        self.h = h
-        self.points = [ctx.root_power(j) + ctx.root_power(-j) for j in range(h + 1)]
-        self.u_vals = [self._chain(t, ctx.one(), t) for t in self.points]
-        self.l_vals = [self._chain(t, ctx.from_rational(2), t) for t in self.points]
-        self.v_vals = [self._chain(t, ctx.one(), t - 1) for t in self.points]
+        self.h = h = (n - 1) // 2
+        j, k, m = np.broadcast_arrays(*np.ix_(range(h + 1), range(n + 2), range(n + 2)))
+        keep = m <= k
+        U = np.zeros((h + 1, n + 2, n), dtype=np.int64)
+        np.add.at(U, (j[keep], k[keep], (j * (k - 2 * m) % n)[keep]), 1)
+        A = np.arange(n + 2)[:, None] * _lag(U, 1)
+        S = np.zeros_like(A)
+        S[:, 0::2], S[:, 1::2] = np.cumsum(A[:, 0::2], axis=1), np.cumsum(A[:, 1::2], axis=1)
+        self.counts = {"U": U, "L": U - _lag(U, 2), "V": U - _lag(U, 1), "A": A, "S": S}
+        self.values = {kind: CycArray.from_qpowers(self.ctx, self.counts[kind].reshape(-1, n)) for kind in "ULV"}
+        self._stacks: dict[str, list[CycArray]] = {}
 
-    def _chain(self, t: CycNum, c0: CycNum, c1: CycNum) -> list[CycNum]:
-        out = [c0, c1]
-        for _ in range(2, self.n + 2):
-            out.append(t * out[-1] - out[-2])
-        return out
+    def value(self, kind: str, j: int, k: int) -> CycNum:
+        """U_k, L_k or V_k (kind "U", "L", "V") at the point q^j + q^{-j}."""
+        return self.values[kind][j * (self.n + 2) + k]
 
     def lam(self, idx: EigIndex) -> CycNum:
         """The eigenvalue q^r (q^j + q^{-j})."""
-        return self.points[idx.j].mul_qpow(idx.r)
+        return self.value("U", idx.j, 1).mul_qpow(idx.r)
 
     def index_from_grouplike(self, i: int, k: int) -> EigIndex:
         """(j, r) with j = +-(i+k)/2 normalized into 0..(n-1)/2 and r = (i-k)/2 mod n."""
-        n = self.n
-        inv2 = pow(2, -1, n)
+        n, inv2 = self.n, pow(2, -1, self.n)
         j = (i + k) * inv2 % n
-        r = (i - k) * inv2 % n
-        if j > self.h:
-            j = n - j
-        return EigIndex(j, r)
+        return EigIndex(min(j, n - j), (i - k) * inv2 % n)
 
     def grouplike_from_index(self, idx: EigIndex) -> tuple[int, int]:
         return ((idx.j + idx.r) % self.n, (idx.j - idx.r) % self.n)
 
     # ------------------------------------------------------------------
-    # eigenvector families for the McKay matrix of V(2, 0)
+    # eigenvector families, for every (j, r) at once
 
-    def right_coeffs(self, idx: EigIndex) -> list[CycNum]:
-        """Block coefficients of the right eigenvector: q^{l r} U_l at the point, l = 0..n-1."""
-        u = self.u_vals[idx.j]
-        return [u[l].mul_qpow(l * idx.r) for l in range(self.n)]
+    def blocks(self, side: str) -> CycArray:
+        """The coefficient blocks of a side's vectors at every r: row (r, i, l) is block l of vector i at r.
 
-    def gen_right_coeffs(self, idx: EigIndex) -> list[CycNum]:
-        if idx.j == 0:
-            raise ValueError("j = 0 eigenvalues are simple, no Jordan completion exists")
-        u = self.u_vals[idx.j]
-        out = [self.ctx.one()]
-        for k in range(1, self.n):
-            acc = self.ctx.zero()
-            for s in range((k - 1) // 2 + 1):
-                acc = acc + u[k - 1 - 2 * s] * (k - 2 * s)
-            out.append(u[k].mul_qpow(k * idx.r) + acc.mul_qpow((k - 1) * idx.r))
-        return out
-
-    def left_coeffs(self, idx: EigIndex) -> list[CycNum]:
-        """Block coefficients [w_0, w_1, ..., w_{n-1}]; the left eigenvector stacks them reversed."""
-        lv = self.l_vals[idx.j]
-        return [self.ctx.one()] + [lv[k].mul_qpow(k * idx.r) for k in range(1, self.n)]
-
-    def gen_left_coeffs(self, idx: EigIndex) -> list[CycNum]:
-        if idx.j == 0:
-            raise ValueError("j = 0 eigenvalues are simple, no Jordan completion exists")
-        u = self.u_vals[idx.j]
-        r = idx.r
-        out = [self.ctx.one(), u[1].mul_qpow(r) + 1]
-        for k in range(2, self.n):
-            out.append(
-                (u[k] - u[k - 2]).mul_qpow(k * r) + (u[k - 1] * k).mul_qpow((k - 1) * r)
-            )
-        return out
-
-    def shift_stack(self, coeffs: list[CycNum], r: int) -> CycArray:
-        """Stack coeffs[l] * v0 over blocks l, where v0 = (q^{2sr})_s is the shift eigenvector.
-
-        Left families pass their coefficients reversed and -r, for w0 = (q^{-2sr})_s.
+        i = j for the eigenvectors, then h + j for the completions (j >= 1).
         """
-        return CycArray.from_list(self.ctx, coeffs).qpow_blocks([2 * s * r for s in range(self.n)])
+        n = self.n
+        lead, chain, sign = self.SIDES[side]
+        r, l, e = np.ix_(range(n), range(self._size(side)), range(n))
+        counts = self.counts[lead][:, l, (e - l * r) % n]  # [j, r, l, e]
+        if chain:
+            counts = np.concatenate([counts, counts[1:] + self.counts[chain][1:, l, (e - (l - 1) * r) % n]])
+        counts = counts.transpose(1, 0, 2, 3)[:, :, ::sign]
+        return CycArray.from_qpowers(self.ctx, counts.reshape(-1, n))
 
-    def right_eigvec(self, idx: EigIndex) -> CycArray:
-        return self.shift_stack(self.right_coeffs(idx), idx.r)
+    def _size(self, side: str) -> int:  # vectors per r, and blocks per vector (h + 1 for fusion)
+        return self.n if self.SIDES[side][1] else self.h + 1
 
-    def gen_right_eigvec(self, idx: EigIndex) -> CycArray:
-        return self.shift_stack(self.gen_right_coeffs(idx), idx.r)
+    def coefficients(self, side: str) -> list[CycArray]:
+        """Per r, the square coefficient matrix of the side's vectors at r, row by row (`blocks`)."""
+        blocks = self.blocks(side)
+        size = len(blocks) // self.n
+        return [blocks.take(slice(r * size, (r + 1) * size)) for r in range(self.n)]
 
-    def left_eigvec(self, idx: EigIndex) -> CycArray:
-        return self.shift_stack(self.left_coeffs(idx)[::-1], -idx.r)
+    def stack(self, side: str) -> list[CycArray]:
+        """Per r, the side's vectors at r, in the order of `blocks`: each block over q^{+-2sr} (built once)."""
+        if side not in self._stacks:
+            exps = self.SIDES[side][2] * 2 * np.arange(self.n)
+            self._stacks[side] = [c.qpow_blocks(r * exps) for r, c in enumerate(self.coefficients(side))]
+        return self._stacks[side]
 
-    def gen_left_eigvec(self, idx: EigIndex) -> CycArray:
-        return self.shift_stack(self.gen_left_coeffs(idx)[::-1], -idx.r)
+    def eigvec(self, family: str, idx: EigIndex) -> CycArray:
+        """The vector of a side, or of its completions ("gen_right", "gen_left"), at idx: a slice of the stack."""
+        side = family.removeprefix("gen_")
+        if side != family and not idx.j:
+            raise ValueError("j = 0 eigenvalues are simple, no Jordan completion exists")
+        i = idx.j + (self.h if side != family else 0)
+        size = self._size(side) * self.n
+        return self.stack(side)[idx.r].take(slice(i * size, (i + 1) * size))
 
     def general_eigenvalue(self, idx: EigIndex, ell: int, s: int) -> CycNum:
         """Eigenvalue of the right family under the McKay matrix of V(ell, s)."""
-        return self.u_vals[idx.j][ell - 1].mul_qpow((ell - 1 + 2 * s) * idx.r)
+        return self.value("U", idx.j, ell - 1).mul_qpow((ell - 1 + 2 * s) * idx.r)
 
     def projective_eigenvalue(self, idx: EigIndex, ell: int, s: int) -> CycNum:
         """Eigenvalue of the same families under the projective McKay matrix of V(ell, s)."""
-        return self.u_vals[idx.j][ell - 1].mul_qpow((1 - ell - 2 * s) * idx.r)
+        return self.value("U", idx.j, ell - 1).mul_qpow((1 - ell - 2 * s) * idx.r)
 
     # ------------------------------------------------------------------
     # block characteristic polynomial
@@ -232,16 +240,12 @@ class SpectralCertificate:
 
 
 def certificates(n: int) -> list[SpectralCertificate]:
+    """One certificate per (j, r), its vectors sliced from the stacked families."""
     tab = spectral_tables(n)
     out = []
     for idx in eig_indices(n):
-        gen_r = tab.gen_right_eigvec(idx) if idx.j else None
-        gen_l = tab.gen_left_eigvec(idx) if idx.j else None
-        out.append(
-            SpectralCertificate(
-                idx, tab.lam(idx), tab.right_eigvec(idx), tab.left_eigvec(idx), gen_r, gen_l
-            )
-        )
+        gen = [tab.eigvec(family, idx) if idx.j else None for family in ("gen_right", "gen_left")]
+        out.append(SpectralCertificate(idx, tab.lam(idx), tab.eigvec("right", idx), tab.eigvec("left", idx), *gen))
     return out
 
 
@@ -467,15 +471,13 @@ class GrothDecomposition:
     def eigenidem_certificate(self, idx: EigIndex, e: CycArray):
         """(c_u, exact) for e = sum e_i [S_i]: e^2 must equal c_u e under the ring product.
 
-        c_u is the sum over labels of the common-eigenvalue beta_j times the
-        coordinate, and the square is computed by the full presentation
-        product, independent of the component arithmetic.
+        c_u is the sum over labels of the common eigenvalue on V(ell, s), the
+        right eigenvector's entry at idx, times the coordinate; the square is
+        computed by the full presentation product, independent of the
+        component arithmetic.
         """
-        ring, tab = self.ring, self.tab
-        c_u = self.ctx.zero()
-        for lab, x in zip(all_labels(self.n), e.to_list()):
-            if x:
-                c_u = c_u + tab.general_eigenvalue(idx, lab.ell, lab.r) * x
+        ring = self.ring
+        c_u = (e * self.tab.eigvec("right", idx)).block_sum(1)[0]
         elem = ring.simple_to_poly(e)
         return c_u, ring.poly_to_simple(ring.mul(elem, elem)) == e.scaled(c_u)
 
@@ -553,15 +555,9 @@ def build_fusion_blockform(n: int) -> np.ndarray:
 
 def fusion_right_eigvec(n: int, idx: EigIndex) -> CycArray:
     """Blocks [v, q^r L_1 v, ..., q^{hr} L_h v] over the shift eigenvector v."""
-    tab = spectral_tables(n)
-    lv = tab.l_vals[idx.j]
-    coeffs = [tab.ctx.one()] + [lv[b].mul_qpow(b * idx.r) for b in range(1, tab.h + 1)]
-    return tab.shift_stack(coeffs, idx.r)
+    return spectral_tables(n).eigvec("fusion_right", idx)
 
 
 def fusion_left_eigvec(n: int, idx: EigIndex) -> CycArray:
     """Blocks [q^{hr} V_h w, ..., q^r V_1 w, w] over the left shift eigenvector w."""
-    tab = spectral_tables(n)
-    vv = tab.v_vals[idx.j]
-    coeffs = [tab.ctx.one()] + [vv[k].mul_qpow(k * idx.r) for k in range(1, tab.h + 1)]
-    return tab.shift_stack(coeffs[::-1], -idx.r)
+    return spectral_tables(n).eigvec("fusion_left", idx)

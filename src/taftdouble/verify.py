@@ -40,7 +40,7 @@ from .dnrep import (
     label_index,
 )
 from .grring import groth_ring
-from .polymat import CheckFailure, RingMatrix, RingPoly, relation
+from .polymat import CheckFailure, RingMatrix, RingPoly, array_rank, relation
 from .spectral import (
     EigIndex,
     block_matrix,
@@ -436,7 +436,7 @@ def check_spectral_certificates(ws: Workspace):
         for b in range(a):
             _require(lams[a] != lams[b], f"eigenvalues coincide: {certs[a].index} vs {certs[b].index}")
     try:
-        tab.gen_right_eigvec(EigIndex(0, 0))
+        tab.eigvec("gen_right", EigIndex(0, 0))
     except ValueError:
         pass
     else:
@@ -444,35 +444,21 @@ def check_spectral_certificates(ws: Workspace):
 
     # completeness: the stacked families factor through the shift eigenvectors,
     # so full rank reduces to one Vandermonde and per-r coefficient blocks
-    vand = RingMatrix([[ctx.root_power(2 * s * r) for r in range(n)] for s in range(n)])
-    _require(vand.rank_over_field() == n, "shift eigenvector basis is degenerate")
-    vand_w = RingMatrix([[ctx.root_power(-2 * s * r) for r in range(n)] for s in range(n)])
-    _require(vand_w.rank_over_field() == n, "left shift eigenvector basis is degenerate")
-    for r in range(n):
-        rows, rows_left = [], []
-        for j in range((n + 1) // 2):
-            idx = EigIndex(j, r)
-            rows.append(tab.right_coeffs(idx))
-            cl = tab.left_coeffs(idx)
-            rows_left.append([cl[n - 1 - b] for b in range(n)])
-            if j:
-                rows.append(tab.gen_right_coeffs(idx))
-                gl = tab.gen_left_coeffs(idx)
-                rows_left.append([gl[n - 1 - b] for b in range(n)])
-        _require(RingMatrix(rows).rank_over_field() == n, f"right family degenerate at r={r}")
-        _require(RingMatrix(rows_left).rank_over_field() == n, f"left family degenerate at r={r}")
+    exps = 2 * np.outer(np.arange(n), np.arange(n)).ravel()
+    ident = np.eye(n, dtype=np.int64)
+    _require(array_rank(CycArray.from_qpowers(ctx, ident[exps % n]), n) == n, "shift eigenvector basis is degenerate")
+    _require(array_rank(CycArray.from_qpowers(ctx, ident[-exps % n]), n) == n, "left shift eigenvector basis is degenerate")
+    for r, (right, left) in enumerate(zip(tab.coefficients("right"), tab.coefficients("left"))):
+        _require(array_rank(right, n) == n, f"right family degenerate at r={r}")
+        _require(array_rank(left, n) == n, f"left family degenerate at r={r}")
     if n <= 5:
-        dense = [c.right for c in certs] + [c.gen_right for c in certs if c.gen_right is not None]
-        full = RingMatrix([v.to_list() for v in dense])
-        _require(full.rank_over_field() == n * n, "dense-route completeness check failed")
+        dense = CycArray.concat(ctx, tab.stack("right"))
+        _require(array_rank(dense, n * n) == n * n, "dense-route completeness check failed")
 
-    rmat, lmat = [], []
     for c in certs:
         oracle.see(c.oracle_residual)
-        rmat += [c.right] + ([c.gen_right] if c.gen_right is not None else [])
-        lmat += [c.left] + ([c.gen_left] if c.gen_left is not None else [])
-    oracle.rank(np.array([v.embed() for v in rmat]), n * n)
-    oracle.rank(np.array([v.embed() for v in lmat]), n * n)
+    for side in ("right", "left"):  # embedded r by r, which keeps the float temporaries small
+        oracle.rank(np.concatenate([v.embed() for v in tab.stack(side)]).reshape(-1, n * n), n * n)
     return oracle.residual, {"certificates": len(certs)}
 
 
@@ -637,7 +623,7 @@ def check_general_eigenvalues(ws: Workspace):
             (rnd.randrange(1, n + 1), rnd.randrange(n)) for _ in range(4)
         ]
         indices = _rng("general-eigenvalues-idx", n).sample(eig_indices(n), 20)
-    vecs = {idx: (tab.right_eigvec(idx), tab.left_eigvec(idx)) for idx in indices}
+    vecs = {idx: (tab.eigvec("right", idx), tab.eigvec("left", idx)) for idx in indices}
     for ell, s in mods:
         Mv = ws.ring.mckay_matrix(ell, s % n)
         Qv = ws.ring.projective_mckay(ell, s % n)
@@ -696,8 +682,7 @@ def check_grothendieck_idempotents(ws: Workspace):
                     _require(prod == idems[a], f"idempotency fails at ({a},{r})")
                 else:
                     _require(prod.is_zero(), f"orthogonality fails at ({a},{b},{r})")
-        basis_rows = [e.to_list() for e in idems + F[1:]]
-        _require(RingMatrix(basis_rows).rank_over_field() == n, f"component {r} basis degenerate")
+        _require(array_rank(CycArray.concat(ctx, idems + F[1:]), n) == n, f"component {r} basis degenerate")
 
     # coordinate vectors: exact left (generalized) eigenvectors of the McKay matrix
     radical = dec.radical_coords
@@ -785,9 +770,9 @@ def check_fusion_matrix(ws: Workspace):
             _require(lams[a] != lams[b], "fusion eigenvalues are not simple")
     # the boundary identities that close the block recursions
     for j in range(h + 1):
-        _require(tab.l_vals[j][h] == tab.l_vals[j][h + 1], "L_h != L_{h+1} at an eigenvalue point")
+        _require(tab.value("L", j, h) == tab.value("L", j, h + 1), "L_h != L_{h+1} at an eigenvalue point")
         if h >= 1:
-            _require(tab.v_vals[j][h + 1] == tab.v_vals[j][h - 1], "V_{h+1} != V_{h-1} at a point")
+            _require(tab.value("V", j, h + 1) == tab.value("V", j, h - 1), "V_{h+1} != V_{h-1} at a point")
     # numeric spectrum match, as a two-sided nearest-point comparison
     num = np.linalg.eigvals(Nr.astype(complex))
     exact = embed_vec(lams)
@@ -796,21 +781,19 @@ def check_fusion_matrix(ws: Workspace):
     return oracle.residual, {"size": len(Nr)}
 
 
-def _pairings(ctx, lrows, rrows) -> list[list[CycNum]]:
-    """n sum_b lc[n-1-b] rc[b] for every lc in lrows and rc in rrows, by one entrywise product.
+def _pairing(left: CycArray, right: CycArray) -> CycArray:
+    """Entry x * n + y is n sum_b L[x, b] R[y, b], for n x n matrices of `SpectralTables.coefficients`.
 
-    The pairing couples block b of the (reversed) left family with block b of the right.
+    Block b of a left vector pairs with block b of a right one, and the shift
+    eigenvectors at one r pair to n: one entrywise product over (b, x, y).
     """
+    ctx = left.ctx
     n, d = ctx.n, ctx.degree
-    m_left, m_right = len(lrows), len(rrows)
-    left = CycArray.from_list(ctx, [lc[n - 1 - b] for b in range(n) for lc in lrows])
-    right = CycArray.from_list(ctx, [rc[b] for b in range(n) for rc in rrows])
-    # entry (b, x, y) pairs coefficient b of left row x with coefficient b of right row y
-    shape = (n, m_left, m_right, d)
-    left = CycArray(ctx, np.broadcast_to(left.nums.reshape(n, m_left, 1, d), shape).reshape(-1, d), left.den)
-    right = CycArray(ctx, np.broadcast_to(right.nums.reshape(n, 1, m_right, d), shape).reshape(-1, d), right.den)
-    sums = (left * right).block_sum(m_left * m_right).scaled(ctx.from_rational(n)).to_list()
-    return [sums[x * m_right:(x + 1) * m_right] for x in range(m_left)]
+    shape = (n, n, n, d)
+    lb = np.broadcast_to(left.nums.reshape(n, n, 1, d).transpose(1, 0, 2, 3), shape).reshape(-1, d)
+    rb = np.broadcast_to(right.nums.reshape(1, n, n, d).transpose(2, 0, 1, 3), shape).reshape(-1, d)
+    products = CycArray(ctx, lb, left.den) * CycArray(ctx, rb, right.den)
+    return products.block_sum(n * n).scaled(ctx.from_rational(n))
 
 
 def check_dual_pairing(ws: Workspace):
@@ -824,22 +807,12 @@ def check_dual_pairing(ws: Workspace):
                 dot == (ctx.from_rational(n) if r1 == r2 else ctx.zero()),
                 "shift eigenvector pairing is not n times a delta",
             )
-    idx_a, idx_b = EigIndex(0, 0), EigIndex(1, 0)
-    full = (tab.left_eigvec(idx_a) * tab.right_eigvec(idx_b)).block_sum(1)[0]
-    _require(
-        [[full]] == _pairings(ctx, [tab.left_coeffs(idx_a)], [tab.right_coeffs(idx_b)]),
-        "factored pairing disagrees with the dense dot product",
-    )
-    for r in range(n):
-        lrows, rrows = [], []
-        for j in range((n + 1) // 2):
-            idx = EigIndex(j, r)
-            lrows.append(tab.left_coeffs(idx))
-            rrows.append(tab.right_coeffs(idx))
-            if j:
-                lrows.append(tab.gen_left_coeffs(idx))
-                rrows.append(tab.gen_right_coeffs(idx))
-        _require(RingMatrix(_pairings(ctx, lrows, rrows)).rank_over_field() == n, f"pairing block degenerate at r={r}")
+    pairings = [_pairing(left, right) for left, right in zip(tab.coefficients("left"), tab.coefficients("right"))]
+    # row and column 0 at r = 0 are the (0, 0) vectors, whose pairing is not zero
+    full = (tab.eigvec("left", EigIndex(0, 0)) * tab.eigvec("right", EigIndex(0, 0))).block_sum(1)[0]
+    _require(full == pairings[0][0], "factored pairing disagrees with the dense dot product")
+    for r, pairing in enumerate(pairings):
+        _require(array_rank(pairing, n) == n, f"pairing block degenerate at r={r}")
     C = ring.cartan_matrix()
     Q = ring.projective_mckay(2, 0)
     for c in ws.certs:

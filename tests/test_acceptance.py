@@ -6,27 +6,46 @@ stay below 1e-9.  One summary line is printed per criterion.
 
 Results are computed once per (n, check) and shared across criteria, so the
 whole gate stays within a few minutes for the default n set.
+
+`tests/data/suite_reports.json` freezes every check's status, `exact` flag
+and detail at n = 3..19 (written by `tests/record_reports.py`); the same
+cached results, and the full suites at n = 15..19, are replayed against it.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
 from taftdouble.verify import CHECKS, ORACLE_TOL, check_ids, run_suite
 
 DEFAULT_NS = (3, 5, 7, 9, 11, 13)
+LARGE_NS = (15, 17, 19)
+FROZEN = json.loads((Path(__file__).resolve().parent / "data" / "suite_reports.json").read_text())
 
 _RESULTS: dict = {}
+_LARGE: dict = {}
+
+
+def _result(n: int, cid: str):
+    """The CheckResult of one check, run exactly as the CLI runs it (once per (n, check))."""
+    key = (n, cid)
+    if key not in _RESULTS:
+        _RESULTS[key] = run_suite(n, [cid]).checks[0]
+    return _RESULTS[key]
 
 
 def outcome(n: int, cid: str):
-    """(passed, residual, detail, failure detail) of one check, run exactly as the CLI runs it."""
-    key = (n, cid)
-    if key not in _RESULTS:
-        result = run_suite(n, [cid]).checks[0]
-        if result.status == "pass":
-            _RESULTS[key] = (True, result.oracle_residual, result.detail, None)
-        else:
-            _RESULTS[key] = (False, float("inf"), None, (result.status, result.detail))
-    return _RESULTS[key]
+    """(passed, residual, detail, failure detail) of one check."""
+    result = _result(n, cid)
+    if result.status == "pass":
+        return True, result.oracle_residual, result.detail, None
+    return False, float("inf"), None, (result.status, result.detail)
+
+
+def _frozen_entry(result) -> dict:
+    """The fields of a check result that the frozen reports record."""
+    return {"status": result.status, "exact": result.exact, "detail": json.loads(json.dumps(result.detail))}
 
 
 def run_criterion(number: int, cid: str, ns=DEFAULT_NS):
@@ -119,13 +138,35 @@ def test_criterion_12_oracle_concordance():
     assert not failures, f"criterion 12 failed: {failures}"
 
 
+@pytest.mark.parametrize("n", DEFAULT_NS)
+def test_reports_match_the_frozen_record(n):
+    """Each check's status, exact flag and detail are as recorded, from the results the criteria share."""
+    got = {cid: _frozen_entry(_result(n, cid)) for cid in check_ids()}
+    assert got == FROZEN[str(n)]
+
+
+def _large_report(n, monkeypatch):
+    """The full suite at n past the default bound on n, run once for both tests below."""
+    if n not in _LARGE:
+        monkeypatch.setenv("TAFTDOUBLE_MAX_N", str(n))
+        _LARGE[n] = run_suite(n)
+    return _LARGE[n]
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("n", [15, 17, 19])
+@pytest.mark.parametrize("n", LARGE_NS)
 def test_suite_at_large_n(n, monkeypatch):
     """Every check passes, exactly and below the oracle tolerance, past the default bound on n."""
-    monkeypatch.setenv("TAFTDOUBLE_MAX_N", str(n))
-    report = run_suite(n)
+    report = _large_report(n, monkeypatch)
     assert [c.id for c in report.checks] == check_ids()
     bad = [(c.id, c.status, c.exact, c.oracle_residual) for c in report.checks
            if not (c.status == "pass" and c.exact and c.oracle_residual < ORACLE_TOL)]
     assert not bad, bad
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", LARGE_NS)
+def test_large_reports_match_the_frozen_record(n, monkeypatch):
+    """The slow twin of the frozen replay: the full suites at n = 15, 17, 19."""
+    got = {c.id: _frozen_entry(c) for c in _large_report(n, monkeypatch).checks}
+    assert got == FROZEN[str(n)]

@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from taftdouble.chebyshev import (
+    CHEB_KINDS,
     BivariatePoly,
     bivariate_to_poly,
     cheb_eval,
@@ -12,6 +15,7 @@ from taftdouble.chebyshev import (
     u_bivariate,
     u_bivariate_closed,
 )
+from taftdouble.cli import main
 from taftdouble.cyclotomic import make_context
 from taftdouble.polymat import RingPoly
 
@@ -113,3 +117,21 @@ def test_factorization(n):
     h = (n - 1) // 2
     w = cheb_poly("W", h)
     assert p_n_monic(n) == RingPoly([-2, 1]) * w * w
+
+
+def test_cli_cheb_at_large_degree(capsys):
+    """k = 3000 for every kind through the CLI (the recursion runs upward, with no call depth in k).
+
+    U is checked against the closed form at D = 1; W, V and L through
+    W_k = U_k + U_{k-1}, V_k = U_k - U_{k-1} and L_k = U_k - U_{k-2}.
+    """
+    k = 3000
+    got = {}
+    for kind in CHEB_KINDS:
+        assert main(["cheb", "--kind", kind, "--k", str(k), "--format", "json"]) == 0
+        got[kind] = RingPoly(json.loads(capsys.readouterr().out)["coeffs"])
+    u = [bivariate_to_poly(u_bivariate_closed(m), 1) for m in (k, k - 1, k - 2)]
+    assert got["U"] == u[0]
+    assert got["W"] == u[0] + u[1]
+    assert got["V"] == u[0] - u[1]
+    assert got["L"] == u[0] - u[2]

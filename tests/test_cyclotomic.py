@@ -10,7 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import taftdouble.cyclotomic as cyclotomic
-from taftdouble.cyclotomic import CycArray, CycNum, cyclotomic_polynomial, json_texts, make_context
+from taftdouble.cyclotomic import (
+    CycArray,
+    CycNum,
+    cyclotomic_polynomial,
+    json_texts,
+    make_context,
+    reduce_mod_p,
+    split_prime,
+)
 
 
 def test_cyclotomic_polynomials():
@@ -423,3 +431,27 @@ def test_line_coefficient():
     assert CycArray.zeros(ctx, 6).line_coefficient(line) == ctx.zero()
     assert CycArray.from_list(ctx, _bumped_first(line.scaled(c).to_list())).line_coefficient(line) is None
     assert line.line_coefficient(CycArray.zeros(ctx, 6)) is None
+
+
+@pytest.mark.parametrize("n", [3, 5, 9, 15])
+def test_reduce_mod_p_is_the_entrywise_map(n):
+    """q -> omega on a numerator array over one den, as the per-entry sum of c_k omega^k / den mod p."""
+    ctx = make_context(n)
+    p, omega = split_prime(n)
+    rnd = np.random.default_rng(n)
+    small = rnd.integers(-2**40, 2**40, (4, 3, ctx.degree))
+    for nums in (small, small.astype(object) * 2**70 + 1):
+        want = [
+            [sum(int(c) * pow(omega, k, p) for k, c in enumerate(entry)) * pow(9, -1, p) % p for entry in row]
+            for row in nums.tolist()
+        ]
+        got = reduce_mod_p(nums, 9, n)
+        assert got.dtype == np.int64 and got.tolist() == want
+    assert reduce_mod_p(small, 3 * p, n) is None
+
+
+def test_from_qpowers_sums_the_counted_powers():
+    ctx = make_context(9)
+    counts = np.array([[1, 0, 2, 0, 0, 0, 0, 0, -1], [0] * 9, [1] * 9])
+    got = CycArray.from_qpowers(ctx, counts).to_list()
+    assert got == [ctx.from_qpowers([(1, 0), (2, 2), (-1, 8)]), ctx.zero(), ctx.from_qpowers((1, e) for e in range(9))]

@@ -6,7 +6,7 @@ import pytest
 
 from taftdouble.cyclotomic import CycArray, make_context, sparse_product, sparse_rows, split_prime
 from taftdouble.grring import groth_ring
-from taftdouble.polymat import CheckFailure, RingMatrix, RingPoly, rank_mod_p, relation
+from taftdouble.polymat import CheckFailure, RingMatrix, RingPoly, array_rank, rank_mod_p, relation
 from taftdouble.spectral import EigIndex, certificates, groth_decomposition, spectral_tables
 
 
@@ -316,3 +316,75 @@ def test_sparse_product_matches_the_dense_product():
     assert np.array_equal(sparse_product(sparse_rows(A), B), A @ B)
     big = B.astype(object) * 2**70
     assert np.array_equal(sparse_product(sparse_rows(A), big), A.astype(object) @ big)
+
+
+def _echelon_spy(monkeypatch):
+    """A list that grows by one at every exact elimination."""
+    calls = []
+    exact = RingMatrix._echelon
+    monkeypatch.setattr(RingMatrix, "_echelon", lambda self: calls.append(1) or exact(self))
+    return calls
+
+
+def _stack(ctx, m):
+    """The entries of a RingMatrix, row by row, as one CycArray."""
+    return CycArray.from_list(ctx, [a for row in m.rows for a in row])
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_array_rank_agrees_with_the_ring_matrix_route(monkeypatch, n):
+    """The matrices of `test_rank_mod_p_agrees_with_exact_elimination` as stacks: same ranks, same fallbacks."""
+    ctx = make_context(n)
+    rnd = random.Random(n)
+    calls = _echelon_spy(monkeypatch)
+    for trial in range(8):
+        rows = [[_random_cyc(ctx, rnd, rnd.choice((1, 2, 9))) for _ in range(5)] for _ in range(3 + trial % 3)]
+        if trial % 2:
+            c = _random_cyc(ctx, rnd)
+            rows[-1] = [a * c + b for a, b in zip(rows[0], rows[1])]
+        for m in (RingMatrix(rows), RingMatrix(rows).transpose()):
+            calls.clear()
+            want = m.rank_over_field()
+            ring_fell_back = bool(calls)
+            calls.clear()
+            assert array_rank(_stack(ctx, m), m.ncols) == want
+            assert bool(calls) == ring_fell_back == bool(trial % 2)
+
+
+def test_array_rank_singular_mod_p_only_takes_the_exact_route(monkeypatch):
+    """An entry p + 1 makes the determinant p: singular over F_p, invertible over Q(q)."""
+    n = 5
+    ctx = make_context(n)
+    p, _ = split_prime(n)
+    m = RingMatrix([[ctx.from_rational(x) for x in row] for row in ([1, 1, 0], [1, 1 + p, 0], [0, 0, 1])])
+    assert m._rank_mod_p() == 2
+    calls = _echelon_spy(monkeypatch)
+    assert array_rank(_stack(ctx, m), 3) == 3 and calls
+    calls.clear()
+    assert m.rank_over_field() == 3 and calls
+    calls.clear()
+    assert array_rank(CycArray.from_list(ctx, [1, 1, 1, 2]), 2) == 2 and not calls
+
+
+def test_array_rank_denominator_divisible_by_p_falls_back(monkeypatch):
+    n = 5
+    ctx = make_context(n)
+    p, _ = split_prime(n)
+    q = ctx.root_power(1)
+    a = CycArray.from_list(ctx, [q * Fraction(1, p), ctx.one(), ctx.one(), q])
+    assert a.den % p == 0
+    calls = _echelon_spy(monkeypatch)
+    assert array_rank(a, 2) == 2 and calls
+
+
+def test_array_rank_of_a_singular_stack_is_deficient():
+    """A truly dependent stack keeps its exact rank below full, so a full-rank claim on it fails."""
+    n = 7
+    ctx = make_context(n)
+    rnd = random.Random(11)
+    rows = [[_random_cyc(ctx, rnd) for _ in range(4)] for _ in range(3)]
+    c = _random_cyc(ctx, rnd)
+    rows.append([a * c - b for a, b in zip(rows[0], rows[2])])
+    a = CycArray.from_list(ctx, [x for row in rows for x in row])
+    assert array_rank(a, 4) == 3
+    assert array_rank(CycArray.zeros(ctx, 9), 3) == 0

@@ -44,7 +44,7 @@ def test_eigenvalue_examples():
 
 def test_right_eigvec_is_dimension_vector_at_origin():
     tab = spectral_tables(5)
-    v = tab.right_eigvec(EigIndex(0, 0)).to_list()
+    v = tab.eigvec("right", EigIndex(0, 0)).to_list()
     assert v == [make_context(5).from_rational(d) for d in groth_ring(5).dim_simple_vector()]
 
 
@@ -53,14 +53,14 @@ def test_last_block_vanishes_for_nonzero_j():
     tab = spectral_tables(n)
     for j in range(1, 4):
         for r in (0, 2):
-            v = tab.right_eigvec(EigIndex(j, r)).to_list()
+            v = tab.eigvec("right", EigIndex(j, r)).to_list()
             assert all(x.is_zero() for x in v[-n:])
 
 
 def test_left_eigvec_is_projective_dimension_vector():
     n = 5
     tab = spectral_tables(n)
-    w = tab.left_eigvec(EigIndex(0, 0)).to_list()
+    w = tab.eigvec("left", EigIndex(0, 0)).to_list()
     p = groth_ring(n).dim_projective_vector()
     assert w == [make_context(n).from_rational(Fraction(x, n)) for x in p]
 
@@ -69,10 +69,11 @@ def test_left_coefficients_are_power_sums():
     n = 7
     tab = spectral_tables(n)
     ctx = tab.ctx
+    blocks = tab.blocks("left")  # r = 0 first; block k of (j, 0) is row j * n + n - 1 - k
     for j in range(1, 4):
-        coeffs = tab.left_coeffs(EigIndex(j, 0))
+        assert blocks[j * n + n - 1] == ctx.one()
         for k in range(1, n):
-            assert coeffs[k] == ctx.root_power(j * k) + ctx.root_power(-j * k)
+            assert blocks[j * n + n - 1 - k] == ctx.root_power(j * k) + ctx.root_power(-j * k)
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
@@ -93,18 +94,19 @@ def test_certificates_verify(n):
 def test_gen_eigvec_rejects_simple_eigenvalues():
     tab = spectral_tables(5)
     with pytest.raises(ValueError):
-        tab.gen_right_eigvec(EigIndex(0, 3))
+        tab.eigvec("gen_right", EigIndex(0, 3))
     with pytest.raises(ValueError):
-        tab.gen_left_eigvec(EigIndex(0, 0))
+        tab.eigvec("gen_left", EigIndex(0, 0))
 
 
 def test_gen_right_seed_coefficients():
     tab = spectral_tables(7)
     idx = EigIndex(2, 3)
-    coeffs = tab.gen_right_coeffs(idx)
-    u = tab.u_vals[2]
-    assert coeffs[0] == tab.ctx.one()
-    assert coeffs[1] == u[1].mul_qpow(idx.r) + 1
+    n, h = tab.n, tab.h
+    row = (idx.r * n + h + idx.j) * n  # rows (r, i, l), the completion at j is i = h + j
+    blocks = tab.blocks("right")
+    assert blocks[row] == tab.ctx.one()
+    assert blocks[row + 1] == tab.value("U", idx.j, 1).mul_qpow(idx.r) + 1
 
 
 def test_trace_vectors_are_the_right_eigenvectors():
@@ -114,7 +116,7 @@ def test_trace_vectors_are_the_right_eigenvectors():
     for i in range(n):
         for k in range(n):
             idx = tab.index_from_grouplike(i, k)
-            assert rep.trace_vector_S(Monomial(i, k, 0)) == tab.right_eigvec(idx)
+            assert rep.trace_vector_S(Monomial(i, k, 0)) == tab.eigvec("right", idx)
 
 
 def test_block_charpoly():
@@ -155,12 +157,12 @@ def test_general_eigenvalue_formulas():
     Mv = ring.mckay_matrix(3, 2)
     for idx in eig_indices(n):
         val = tab.general_eigenvalue(idx, 3, 2)
-        v = tab.right_eigvec(idx).to_list()
+        v = tab.eigvec("right", idx).to_list()
         assert _apply(Mv, v) == [val * x for x in v]
     Qv = ring.projective_mckay(3, 2)
     for idx in eig_indices(n):
         pval = tab.projective_eigenvalue(idx, 3, 2)
-        v = tab.right_eigvec(idx).to_list()
+        v = tab.eigvec("right", idx).to_list()
         assert _apply(Qv.T, v) == [pval * x for x in v]
 
 
@@ -347,4 +349,4 @@ def test_fusion_matrix(n):
     assert len(lams) == n * (n + 1) // 2
     h = (n - 1) // 2
     for j in range(h + 1):
-        assert tab.l_vals[j][h] == tab.l_vals[j][h + 1]
+        assert tab.value("L", j, h) == tab.value("L", j, h + 1)

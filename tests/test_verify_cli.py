@@ -201,6 +201,13 @@ def _bump_entry(pos):
     return wrap
 
 
+def _bump_side(side, pos):
+    """Wrap `SpectralTables.blocks` so that entry pos of one side's coefficient blocks is corrupted."""
+    def wrap(fn):
+        return lambda self, name: _bumped(fn(self, name), pos) if name == side else fn(self, name)
+    return wrap
+
+
 def _bump_scalar(fn):
     return lambda *args: fn(*args) + 1
 
@@ -214,8 +221,9 @@ def _bump_gen_trace_vector(fn):
 
 # check id, owner, attribute, corruption, text the counterexample must carry
 CORRUPTIONS = [
-    ("spectral-certificates", SpectralTables, "gen_left_coeffs", _bump_entry(2), "exact eigen or Jordan"),
-    ("spectral-certificates", SpectralTables, "right_coeffs", _bump_entry(1), "exact eigen or Jordan"),
+    # at n = 3, row 2 of the left blocks at r = 0 is the Jordan completion at j = 1: entry 8 is its block 2
+    ("spectral-certificates", SpectralTables, "blocks", _bump_side("left", 8), "exact eigen or Jordan"),
+    ("spectral-certificates", SpectralTables, "blocks", _bump_side("right", 1), "exact eigen or Jordan"),
     ("grouplike-traces", SpectralTables, "lam", _bump_scalar, "eigen"),
     ("generalized-traces", verify_mod, "gen_trace_combination", _bump_gen_trace_vector, "eigenline"),
     ("projective-trace-table", DoubleRep, "trace_vector_P", _bump_entry(4), "Tr_P eigen"),
@@ -223,13 +231,21 @@ CORRUPTIONS = [
     ("general-eigenvalues", SpectralTables, "projective_eigenvalue", _bump_scalar, "projective"),
     ("grothendieck-idempotents", GrothDecomposition, "g_coords", _bump_entry(5), "Jordan pair"),
     ("fusion-matrix", verify_mod, "fusion_left_eigvec", _bump_entry(0), "fusion"),
-    ("dual-pairing", SpectralTables, "right_coeffs", _bump_entry(2), "projective-side"),
+    ("dual-pairing", SpectralTables, "blocks", _bump_side("right", 2), "projective-side"),
     ("mckay-closed-form", GrothRing, "dim_simple_vector", _bump_entry(6), "dimension vector"),
 ]
 
 
+@pytest.fixture
+def fresh_tables():
+    """An empty `spectral_tables` cache before and after: each instance builds its families once, from `blocks`."""
+    spectral_tables.cache_clear()
+    yield
+    spectral_tables.cache_clear()
+
+
 @pytest.mark.parametrize("cid,owner,attr,corrupt,text", CORRUPTIONS)
-def test_ported_checks_fail_on_one_corrupted_coefficient(monkeypatch, cid, owner, attr, corrupt, text):
+def test_ported_checks_fail_on_one_corrupted_coefficient(monkeypatch, fresh_tables, cid, owner, attr, corrupt, text):
     monkeypatch.setattr(verify_mod, "_WORKSPACES", {})
     monkeypatch.setattr(owner, attr, corrupt(getattr(owner, attr)))
     result = run_suite(3, [cid]).checks[0]
@@ -441,7 +457,7 @@ DEFECTS = {
     "cartan-structure": (GrothRing, "projective_mckay_v20_rules", bumped_matrix(GrothRing.projective_mckay_v20_rules)),
     "mckay-closed-form": (GrothRing, "mckay_matrix_closed", bumped_matrix(GrothRing.mckay_matrix_closed)),
     "fusion-matrix": (verify, "build_fusion_blockform", bumped_matrix(verify.build_fusion_blockform)),
-    "dual-pairing": (SpectralTables, "left_eigvec", bumped_array(SpectralTables.left_eigvec)),
+    "dual-pairing": (SpectralTables, "eigvec", bumped_array(SpectralTables.eigvec)),
 }
 for cid, (owner, attr, defect) in DEFECTS.items():
     original = getattr(owner, attr)
