@@ -387,8 +387,12 @@ class CyclotomicContext:
 
         A numerator row vector x times this matrix is the numerator of x * c.
         """
+        return self.mul_matrices(int_rows([c.num]))[0]
+
+    def mul_matrices(self, nums: np.ndarray) -> np.ndarray:
+        """The `mul_matrix` of the element with numerators nums[k], for every row k at once (one `int_matmul`)."""
         d = self.degree
-        return int_matmul(int_rows([c.num]), self._mul_tensor.reshape(d, d * d)).reshape(d, d)
+        return int_matmul(nums, self._mul_tensor.reshape(d, d * d)).reshape(-1, d, d)
 
 
 @lru_cache(maxsize=None)

@@ -10,9 +10,9 @@ found full there is eliminated exactly, as a `RingMatrix` of element
 objects (ints, Fractions, CycNum), which also serves the named cross-checks.
 
 `relation` is the one statement of the eigen and Jordan relations of an
-integer matrix against a vector over Q(q): it certifies them exactly on
-integer coefficient arrays and re-evaluates them under the complex
-embedding as a numeric oracle.
+integer matrix against a stack of vectors over Q(q), one eigenvalue each:
+one call certifies A V = V Lambda + C exactly on integer coefficient arrays
+and re-evaluates it under the complex embedding as a numeric oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import lcm
 
 import numpy as np
 
-from .cyclotomic import CycArray, CycNum, int_combination, int_rows, reduce_mod_p, sparse_product, sparse_rows, split_prime
+from .cyclotomic import CycArray, CycNum, int_combination, int_matmul, int_rows, reduce_mod_p, sparse_product, sparse_rows, split_prime
 
 __all__ = ["RingPoly", "RingMatrix", "rank_mod_p", "array_rank", "field_inverse", "CheckFailure", "relation"]
 
@@ -31,8 +31,11 @@ class CheckFailure(AssertionError):
     """A claimed exact identity does not hold.
 
     Raised with an explicit `raise`, never by `assert`, so that running
-    under `python -O` cannot remove the certification.
+    under `python -O` cannot remove the certification.  `vectors` lists the
+    positions in its stack of every vector a `relation` rejected.
     """
+
+    vectors = ()
 
 
 def field_inverse(x):
@@ -324,29 +327,8 @@ class RingMatrix:
         return not any(any(r) for r in self.rows)
 
     def rank_over_field(self) -> int:
-        """Exact rank; entries must support exact division.
-
-        Full rank modulo p (`_rank_mod_p`; n = 1 when no entry is a CycNum) is
-        full rank here, as in `array_rank`; anything else is eliminated exactly.
-        """
-        full = min(self.nrows, self.ncols)
-        if full and self._rank_mod_p() == full:
-            return full
+        """Exact rank by elimination; entries must support exact division."""
         return len(self._echelon()[0])
-
-    def _rank_mod_p(self):
-        """Rank of the image over F_p of `split_prime(n)` (`reduce_mod_p`), or None when p divides a denominator."""
-        entries = [a for row in self.rows for a in row]
-        ctx = next((a.ctx for a in entries if isinstance(a, CycNum)), None)
-        if ctx is None:  # rationals: one coordinate, over n = 1
-            fracs = [Fraction(a) for a in entries]
-            den = lcm(*(f.denominator for f in fracs))
-            nums, n = int_rows([f.numerator * (den // f.denominator)] for f in fracs), 1
-        else:
-            arr = CycArray.from_list(ctx, entries)
-            nums, den, n = arr.nums, arr.den, ctx.n
-        image = reduce_mod_p(nums.reshape(self.nrows, self.ncols, -1), den, n)
-        return None if image is None else rank_mod_p(image, split_prime(n)[0])
 
     def _echelon(self):
         """Row echelon form by exact elimination; returns (pivot columns, rows)."""
@@ -432,52 +414,60 @@ def array_rank(a: CycArray, ncols: int) -> int:
     return RingMatrix([entries[i * ncols:(i + 1) * ncols] for i in range(nrows)]).rank_over_field()
 
 
-def relation(
-    M: np.ndarray, vec: CycArray, lam: CycNum, side: str, chain: CycArray | None = None, what: str = "relation"
-) -> float:
-    """Certify M v = lam v + chain (side "right") or v M = lam v + chain (side "left").
+def relation(M: np.ndarray, vecs: CycArray, lams, side: str, labels, chains: CycArray | None = None) -> float:
+    """Certify M v_k = lam_k v_k + c_k (side "right") or v_k M = lam_k v_k + c_k (side "left") for a stack of m vectors.
 
-    M is an integer numpy array (TypeError otherwise); vec and chain are
-    CycArrays; chain None means zero, an eigenvector relation, and a chain
-    vector makes it a Jordan relation.
-    With the numerators V, C over denominators dv, dc and the multiplication
-    matrix L of lam over dl, the identity is checked as the integer equation
+    M is an integer numpy array of size N (TypeError otherwise).  vecs holds
+    the m vectors one after another (the layout of `SpectralTables.stack`),
+    lams and labels one eigenvalue and one name per vector, and chains is
+    None (zero) or a stack of the same layout: a zero block is an eigen
+    relation, any other a Jordan relation.  With the numerators V, C over dv,
+    dc and those of the multiplication matrices Lambda_k over their common
+    denominator dl, one integer equation is checked for the stack:
 
-        dl*dc * (A V) == dc * (V L) + dv*dl * C,    A = M (right) or M^T (left),
+        dl*dc * (A V) == dc * (V Lambda) + dv*dl * C,    A = M (right) or M^T (left),
 
-    where A V gathers and adds rows of V over the nonzeros of each row of A
-    (`sparse_product`), V L is `vec.scaled(lam)` and each side is one
-    `int_combination`; every one of these kernels picks int64 or Python ints
-    from its own operands.  A mismatch raises CheckFailure naming `what` and
-    the first failing coordinate.
+    A V by one gather-add over the nonzeros of A (`sparse_product`), V Lambda
+    by one batched `int_matmul`, each side by one `int_combination`; each
+    kernel picks int64 or Python ints from its operands.  A mismatch raises
+    CheckFailure with the label of the first failing vector and its first
+    failing coordinate; its `vectors` lists every failing position.
 
-    Returns the numeric oracle residual of the same identity:
-    max |A v_num - lam.embed() v_num - c_num| / max(1, max |v_num|),
-    with the vectors embedded from the same numerator arrays and A applied
-    by the same gather-adds over its nonzeros, in complex arithmetic.
+    Returns the numeric oracle residual, the largest over the vectors of
+    max |A v_num - lam.embed() v_num - c_num| / max(1, max |v_num|), with
+    the vectors embedded from the same numerators and A applied by the same
+    gather-adds in complex arithmetic.
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
     if not isinstance(M, np.ndarray) or M.dtype.kind != "i":
-        raise TypeError(f"{what}: the matrix must be an integer numpy array")
+        raise TypeError("relation: the matrix must be an integer numpy array")
     A = M.T if side == "left" else M
-    if A.shape != (len(vec), len(vec)) or (chain is not None and len(chain) != len(vec)):
-        raise ValueError(f"{what}: shapes do not match")
-    dl, dv = lam.den, vec.den
-    dc = 1 if chain is None else chain.den
-    cols, vals = sparse_rows(A)
-    lhs = int_combination([(dl * dc, sparse_product((cols, vals), vec.nums))])
-    rhs_terms = [(dc, vec.scaled(lam).nums)]
-    if chain is not None:
-        rhs_terms.append((dv * dl, chain.nums))
+    N, m, d = len(A), len(lams), vecs.ctx.degree
+    if A.shape != (N, N) or len(vecs) != m * N or len(labels) != m or (chains is not None and len(chains) != len(vecs)):
+        raise ValueError("relation: shapes do not match")
+    if not len(vecs):
+        return 0.0
+    dl, dv = lcm(*(lam.den for lam in lams)), vecs.den
+    dc = 1 if chains is None else chains.den
+    sparse = sparse_rows(A)
+    V = vecs.nums.reshape(m, N, d)
+    AV = sparse_product(sparse, V.transpose(1, 0, 2).reshape(N, m * d)).reshape(N, m, d).transpose(1, 0, 2)
+    lam_nums = int_rows([a * (dl // lam.den) for a in lam.num] for lam in lams)
+    lhs = int_combination([(dl * dc, AV)])
+    rhs_terms = [(dc, int_matmul(V, vecs.ctx.mul_matrices(lam_nums)))]
+    if chains is not None:
+        rhs_terms.append((dv * dl, chains.nums.reshape(m, N, d)))
     rhs = int_combination(rhs_terms)
     if not np.array_equal(lhs, rhs):
-        bad = int(np.flatnonzero((lhs != rhs).any(axis=1))[0])
-        raise CheckFailure(f"{what}: {side} relation fails at coordinate {bad}")
-    if not len(vec):
-        return 0.0
-    vn = vec.embed()
-    resid = sparse_product((cols, vals), vn[:, None])[:, 0] - lam.embed() * vn
-    if chain is not None:
-        resid = resid - chain.embed()
-    return float(np.max(np.abs(resid)) / max(1.0, float(np.max(np.abs(vn)))))
+        wrong = (lhs != rhs).any(axis=2)
+        failed = np.flatnonzero(wrong.any(axis=1))
+        k = int(failed[0])
+        failure = CheckFailure(f"{labels[k]}: {side} relation fails at coordinate {int(np.flatnonzero(wrong[k])[0])}")
+        failure.vectors = failed.tolist()
+        raise failure
+    vn = vecs.embed().reshape(m, N)
+    resid = sparse_product(sparse, vn.T).T - np.array([lam.embed() for lam in lams])[:, None] * vn
+    if chains is not None:
+        resid = resid - chains.embed().reshape(m, N)
+    return float(np.max(np.max(np.abs(resid), axis=1) / np.maximum(1.0, np.max(np.abs(vn), axis=1))))

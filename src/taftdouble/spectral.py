@@ -8,9 +8,9 @@ Each family of right or left eigenvectors, Jordan completions or fusion
 eigenvectors is built for every (j, r) at once from those counts: its
 coefficient blocks (`SpectralTables.blocks`) are stacked over the
 eigenvectors of the cyclic shift (one `CycArray.qpow_blocks` per r), and
-`certificates` slices the stacks.  Every claimed relation is certified by
-exact residual computations against the matrices produced in the ring
-module.
+`certificates` slices the stacks.  The stacks are what gets certified: one
+`polymat.relation` call states A V = V Lambda + V N for a whole stack,
+against the matrices produced in the ring module.
 
 The second half constructs the idempotent decomposition of the
 complexified Grothendieck algebra and the fusion matrix on a maximal
@@ -39,7 +39,7 @@ from .chebyshev import bivariate_to_poly, p_n_bivariate
 from .cyclotomic import CycArray, CycNum, gather_products, int_rows, make_context
 from .dnrep import double_rep
 from .grring import PolyPres, groth_ring
-from .polymat import CheckFailure, RingMatrix, RingPoly, relation
+from .polymat import RingMatrix, RingPoly
 
 __all__ = [
     "EigIndex",
@@ -210,7 +210,7 @@ def spectral_tables(n: int) -> SpectralTables:
 
 @dataclass
 class SpectralCertificate:
-    """One eigenvalue with its exact (generalized) eigenvectors and residual flags."""
+    """One eigenvalue with its exact (generalized) eigenvectors; `exact` is set where the stacks are certified (`verify.Workspace.certs`)."""
 
     index: EigIndex
     lam: CycNum
@@ -219,24 +219,6 @@ class SpectralCertificate:
     gen_right: Optional[CycArray]
     gen_left: Optional[CycArray]
     exact: bool = False
-    oracle_residual: float = float("inf")
-
-    def verify(self, M: np.ndarray) -> bool:
-        """Certify M v = lam v, w M = lam w and the Jordan relations exactly; record the oracle residual."""
-        lam, right, left = self.lam, self.right, self.left
-        try:
-            residuals = [relation(M, right, lam, "right"), relation(M, left, lam, "left")]
-            if self.gen_right is not None:
-                residuals.append(relation(M, self.gen_right, lam, "right", chain=right))
-            if self.gen_left is not None:
-                residuals.append(relation(M, self.gen_left, lam, "left", chain=left))
-        except CheckFailure:
-            self.exact = False
-            self.oracle_residual = float("inf")
-            return False
-        self.exact = True
-        self.oracle_residual = max(residuals)
-        return True
 
 
 def certificates(n: int) -> list[SpectralCertificate]:
@@ -294,24 +276,27 @@ def gen_trace_combination(n: int, i: int, k: int):
     if (i + k) % n == 0:
         raise ValueError("requires i + k != 0 mod n (otherwise the trace vector is a plain eigenvector)")
     ctx = make_context(n)
-    chain = list(_trace_chain(n, (-(i + k)) % n))
+    chain = list(_trace_chains(n)[(-(i + k)) % n])
     vec = double_rep(n).trace_vector_S_sum(i, k, chain)
     lam = ctx.root_power(i) + ctx.root_power(-k)
     return vec.reduced(), chain, lam
 
 
 @lru_cache(maxsize=None)
-def _trace_chain(n: int, s: int) -> tuple[CycNum, ...]:
-    """gamma_1, ..., gamma_s of `gen_trace_combination`, which depend on (i, k) only through s."""
+def _trace_chains(n: int) -> tuple[tuple[CycNum, ...], ...]:
+    """At s, gamma_1, ..., gamma_s of `gen_trace_combination` (they depend on (i, k) only through s); every s shares the inverses."""
     ctx = make_context(n)
     qint = [None] + [ctx.quantum_integer(m) for m in range(1, n)]
     inv_qint = [None] + [qint[m].inverse() for m in range(1, n)]
     inv_qm1 = (ctx.root_power(1) - ctx.one()).inverse()
-    gammas = {s: ctx.one()}
-    for l in range(s - 1, 0, -1):
-        g = qint[l + 1] * qint[l + 1] * inv_qint[l] * inv_qint[s - l] * inv_qm1
-        gammas[l] = (g * gammas[l + 1]).mul_qpow(s - 1 - l)
-    return tuple(gammas[l] for l in range(1, s + 1))
+    chains = [()]
+    for s in range(1, n):
+        gammas = [ctx.one()]  # gamma_s, gamma_{s-1}, ..., gamma_1
+        for l in range(s - 1, 0, -1):
+            g = qint[l + 1] * qint[l + 1] * inv_qint[l] * inv_qint[s - l] * inv_qm1
+            gammas.append((g * gammas[-1]).mul_qpow(s - 1 - l))
+        chains.append(tuple(reversed(gammas)))
+    return tuple(chains)
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,8 @@ polynomial table, eigenvector residuals, Cartan structure, idempotent
 decomposition, fusion rules, ...) in exact cyclotomic arithmetic, then
 re-evaluates the same identities under the complex embedding q -> e^{2*pi*i/n}
 and records the worst numeric residual.  Every eigen and Jordan relation of
-an integer matrix goes through `polymat.relation`, which runs both routes on
-integer coefficient arrays.  A check passes only through the
+an integer matrix goes through `polymat.relation`, one call per stack of
+vectors (one r, module or i), which runs both routes.  A check passes only through the
 exact route; the oracle exists to guard against a systematically wrong
 embedding, and any disagreement between the two routes is itself a failure
 (the final concordance check).
@@ -49,8 +49,6 @@ from .spectral import (
     build_mckay_blockform,
     certificates,
     eig_indices,
-    fusion_left_eigvec,
-    fusion_right_eigvec,
     gen_trace_combination,
     groth_decomposition,
     spectral_tables,
@@ -179,9 +177,28 @@ class Workspace:
 
     @cached_property
     def certs(self):
-        out = certificates(self.n)
+        """`spectral.certificates`, each exact unless a relation of its vectors fails; sets `cert_residual`, the worst oracle residual.
+
+        One `relation` call per r and side: vector j of the stack is the
+        eigenvector at (j, r), vector h + j its Jordan completion, chained to vector j.
+        """
+        tab, n, h = self.tab, self.n, self.tab.h
+        out = certificates(n)
+        failed, residuals = set(), []
+        for r in range(n):
+            idx = [EigIndex(j, r) for j in range(h + 1)] + [EigIndex(j, r) for j in range(1, h + 1)]
+            lams = [tab.lam(i) for i in idx]
+            for side in ("right", "left"):
+                stack = tab.stack(side)[r]
+                head = stack.nums[:(h + 1) * n * n]
+                chains = CycArray(self.ctx, np.concatenate([np.zeros_like(head), head[n * n:]]), stack.den)
+                try:
+                    residuals.append(relation(self.M, stack, lams, side, [f"{side} {i}" for i in idx], chains))
+                except CheckFailure as failure:
+                    failed.update(idx[k] for k in failure.vectors)
         for c in out:
-            c.verify(self.M)
+            c.exact = c.index not in failed
+        self.cert_residual = float("inf") if failed else max(residuals)
         return out
 
     @cached_property
@@ -226,19 +243,17 @@ def _require(ok: bool, message: str):
         raise CheckFailure(message)
 
 
-def _line_coefficient(A: np.ndarray, vec: CycArray, lam: CycNum, side: str, line: CycArray) -> CycNum:
-    """The only c for which (A - lam) v = c * line can hold (side as in `relation`).
+def _on_line(A: np.ndarray, vec: CycArray, lam: CycNum, side: str, line: CycArray) -> tuple[CycArray, CycArray]:
+    """(t_p v, w_p t) for t = line, p its first nonzero coordinate and w = (A - lam) v (A integer, side as in `relation`).
 
-    A is an integer matrix.  c is read off at the first nonzero coordinate
-    of the line; `relation` with the chain c * line then certifies the
-    identity at every coordinate.
+    `relation` with this vector and chain certifies t_p w = w_p t, which is w = (w_p / t_p) t without a division.
     """
     rows = np.flatnonzero(line.nums.any(axis=1))
     if not rows.size:
         raise CheckFailure("the spanning vector of the line is zero")
     p = int(rows[0])
     image = vec.left_mul((A if side == "right" else A.T)[p:p + 1])[0]
-    return (image - lam * vec[p]) / line[p]
+    return vec.scaled(line[p]), line.scaled(image - lam * vec[p])
 
 
 def _first_mismatch(labels, got: CycArray, want: CycArray):
@@ -412,7 +427,10 @@ def check_grouplike_traces(ws: Workspace):
         closed = CycArray.from_list(ctx, [tab.general_eigenvalue(idx, ell, 0) for ell in range(1, n + 1)])
         bad = _first_mismatch(labels, tv, closed.qpow_blocks([2 * s * idx.r for s in range(n)]))
         _require(bad is None, f"character closed form fails at {bad}, ({i},{k})")
-        oracle.see(relation(ws.M, tv, tab.lam(idx), "right", what=f"Tr_S(b^{i} c^{k}) eigen"))
+    for i in range(n):
+        stack = CycArray.concat(ctx, [ws.grouplike_traces[(i, k)] for k in range(n)])
+        lams = [tab.lam(tab.index_from_grouplike(i, k)) for k in range(n)]
+        oracle.see(relation(ws.M, stack, lams, "right", [f"Tr_S(b^{i} c^{k}) eigen" for k in range(n)]))
     dims = CycArray.from_list(ctx, ws.ring.dim_simple_vector())
     _require(ws.grouplike_traces[(0, 0)] == dims, "Tr_S(1) is not the dimension vector")
     top = label_index(n, SimpleLabel(n, 0))
@@ -455,8 +473,7 @@ def check_spectral_certificates(ws: Workspace):
         dense = CycArray.concat(ctx, tab.stack("right"))
         _require(array_rank(dense, n * n) == n * n, "dense-route completeness check failed")
 
-    for c in certs:
-        oracle.see(c.oracle_residual)
+    oracle.see(ws.cert_residual)
     for side in ("right", "left"):  # embedded r by r, which keeps the float temporaries small
         oracle.rank(np.concatenate([v.embed() for v in tab.stack(side)]).reshape(-1, n * n), n * n)
     return oracle.residual, {"certificates": len(certs)}
@@ -468,32 +485,32 @@ def check_generalized_traces(ws: Workspace):
     oracle = Oracle()
     rnd = _rng("generalized-traces", n)
     bcda_samples = {(rnd.randrange(n), rnd.randrange(n)) for _ in range(4)}
-    for i in range(n):
+    zero = CycArray.zeros(ctx, n * n)
+    for i in range(n):  # one stack per i: its vectors, chains, eigenvalues and labels
+        vecs, chains, lams, labels = [], [], [], []
         for k in range(n):
             if (i + k) % n == 0:
                 continue
             vec, gammas, lam = gen_trace_combination(n, i, k)
             _require(gammas[-1] == ctx.one(), "the top coefficient must be 1")
-            # (M - lam) v = c t for the eigenvector t, and (M - lam) t = 0
+            # (M - lam) v lies on the line through the eigenvector t, and (M - lam) t = 0
             t = ws.grouplike_traces[(i, k)]
-            c = _line_coefficient(Mi, vec, lam, "right", t)
             where = f"({i},{k})"
-            oracle.see(relation(
-                Mi, vec, lam, "right", chain=t.scaled(c), what=f"residual off the eigenline at {where}",
-            ))
-            oracle.see(relation(Mi, t, lam, "right", what=f"(M - lam)^2 does not annihilate at {where}"))
+            scaled, chain = _on_line(Mi, vec, lam, "right", t)
+            vecs += [scaled, t]
+            chains += [chain, zero]
+            lams += [lam, lam]
+            labels += [f"residual off the eigenline at {where}", f"(M - lam)^2 does not annihilate at {where}"]
             if (i, k) in bcda_samples:
                 s = (-(i + k)) % n
                 for l in range(1, s + 1):
-                    tv = rep.trace_vector_S(Monomial(i, k, l))
-                    lam_l = ctx.root_power(l + i) + ctx.root_power(-l - k)
                     qint = ctx.quantum_integer(l)
                     coeff = (qint * qint * (ctx.one() - ctx.root_power(-1))).mul_qpow(-l - k + 1)
-                    prev = rep.trace_vector_S(Monomial(i, k, l - 1))
-                    oracle.see(relation(
-                        Mi, tv, lam_l, "right", chain=prev.scaled(coeff),
-                        what=f"stepdown identity at {where}, l={l}",
-                    ))
+                    vecs.append(rep.trace_vector_S(Monomial(i, k, l)))
+                    chains.append(rep.trace_vector_S(Monomial(i, k, l - 1)).scaled(coeff))
+                    lams.append(ctx.root_power(l + i) + ctx.root_power(-l - k))
+                    labels.append(f"stepdown identity at {where}, l={l}")
+        oracle.see(relation(Mi, CycArray.concat(ctx, vecs), lams, "right", labels, CycArray.concat(ctx, chains)))
     return oracle.residual, {"pairs": n * n - n}
 
 
@@ -501,12 +518,11 @@ def check_projective_trace_table(ws: Workspace):
     """Projective trace vectors: left eigenvectors, vanishing pattern, idempotent match."""
     n, rep, ctx, dec = ws.n, ws.rep, ws.ctx, ws.dec
     oracle = Oracle()
-    rows, units = {}, {}
-    for i in range(n):
-        w = rep.trace_vector_P(i, -i)
-        rows[i] = w
-        lam = ctx.root_power(-i) * 2  # trace of b^i c^{-i} on the dual of V(2,0)
-        oracle.see(relation(ws.M, w, lam, "left", what=f"Tr_P eigen at i={i}"))
+    rows = {i: rep.trace_vector_P(i, -i) for i in range(n)}
+    lams = [ctx.root_power(-i) * 2 for i in range(n)]  # the trace of b^i c^{-i} on the dual of V(2,0)
+    oracle.see(relation(ws.M, CycArray.concat(ctx, list(rows.values())), lams, "left", [f"Tr_P eigen at i={i}" for i in range(n)]))
+    units = {}
+    for i, w in rows.items():
         units[i] = dec.idempotent_coords[EigIndex(0, (-i) % n)]
         scal = w.line_coefficient(units[i])
         _require(scal is not None and scal, f"Tr_P(b^{i}c^-{i}) not proportional to the idempotent")
@@ -589,8 +605,8 @@ def check_mckay_closed_form(ws: Workspace):
     svec = ring.dim_simple_vector()
     pvec = ring.dim_projective_vector()
     two = ctx.from_rational(2)
-    oracle.see(relation(ws.M, CycArray.from_list(ctx, svec), two, "right", what="dimension vector"))
-    oracle.see(relation(ws.M, CycArray.from_list(ctx, pvec), two, "left", what="projective dimension vector"))
+    oracle.see(relation(ws.M, CycArray.from_list(ctx, svec), [two], "right", ["dimension vector"]))
+    oracle.see(relation(ws.M, CycArray.from_list(ctx, pvec), [two], "left", ["projective dimension vector"]))
     _require(sum(a * b for a, b in zip(pvec, svec)) == n**4, "dimension pairing misses the basis count")
 
     rnd = _rng("mckay-commute", n)
@@ -623,19 +639,18 @@ def check_general_eigenvalues(ws: Workspace):
             (rnd.randrange(1, n + 1), rnd.randrange(n)) for _ in range(4)
         ]
         indices = _rng("general-eigenvalues-idx", n).sample(eig_indices(n), 20)
-    vecs = {idx: (tab.eigvec("right", idx), tab.eigvec("left", idx)) for idx in indices}
-    for ell, s in mods:
+    V = CycArray.concat(ctx, [tab.eigvec("right", idx) for idx in indices])
+    W = CycArray.concat(ctx, [tab.eigvec("left", idx) for idx in indices])
+    for ell, s in mods:  # one stack per module and side
         Mv = ws.ring.mckay_matrix(ell, s % n)
         Qv = ws.ring.projective_mckay(ell, s % n)
-        for idx in indices:
-            v, w = vecs[idx]
-            val = tab.general_eigenvalue(idx, ell, s)
-            pval = tab.projective_eigenvalue(idx, ell, s)
-            where = f"V({ell},{s}), {idx}"
-            oracle.see(relation(Mv, v, val, "right", what=f"right eigenvalue for {where}"))
-            oracle.see(relation(Mv, w, val, "left", what=f"left eigenvalue for {where}"))
-            oracle.see(relation(Qv, v, pval, "left", what=f"projective left eigenvalue for {where}"))
-            oracle.see(relation(Qv, w, pval, "right", what=f"projective right eigenvalue for {where}"))
+        vals = [tab.general_eigenvalue(idx, ell, s) for idx in indices]
+        pvals = [tab.projective_eigenvalue(idx, ell, s) for idx in indices]
+        where = [f"V({ell},{s}), {idx}" for idx in indices]
+        oracle.see(relation(Mv, V, vals, "right", [f"right eigenvalue for {x}" for x in where]))
+        oracle.see(relation(Mv, W, vals, "left", [f"left eigenvalue for {x}" for x in where]))
+        oracle.see(relation(Qv, V, pvals, "left", [f"projective left eigenvalue for {x}" for x in where]))
+        oracle.see(relation(Qv, W, pvals, "right", [f"projective right eigenvalue for {x}" for x in where]))
     return oracle.residual, {"modules": len(mods), "indices": len(indices)}
 
 
@@ -686,26 +701,29 @@ def check_grothendieck_idempotents(ws: Workspace):
 
     # coordinate vectors: exact left (generalized) eigenvectors of the McKay matrix
     radical = dec.radical_coords
-    for idx, f in radical.items():
-        lam = tab.lam(idx)
-        oracle.see(relation(ws.M, f, lam, "left", what=f"radical F{tuple(idx)} eigen"))
-        oracle.see(relation(
-            ws.M, dec.g_coords(idx), lam, "left", chain=f, what=f"Jordan pair G{tuple(idx)}",
-        ))
     rad_count = len(radical)
     _require(rad_count == n * (n - 1) // 2, f"{rad_count} radical elements")
     idem_coords = dec.idempotent_coords
     _require(len(idem_coords) == n * (n + 1) // 2, f"{len(idem_coords)} idempotents")
-    for idx, coords in idem_coords.items():
-        lam = tab.lam(idx)
-        what = f"idempotent at {tuple(idx)} leaves the generalized eigenspace"
-        if idx.j == 0:
-            oracle.see(relation(ws.M, coords, lam, "left", what=what))
-        else:
-            # corrected idempotents mix the Jordan pair: (M - lam) lands on the radical line
-            f = radical[idx]
-            c = _line_coefficient(ws.M, coords, lam, "left", f)
-            oracle.see(relation(ws.M, coords, lam, "left", chain=f.scaled(c), what=what))
+    zero = CycArray.zeros(ctx, n * n)
+    for r in range(n):  # one stack per r: F_j, then G_j with chain F_j, then the idempotents
+        vecs, chains, lams, labels = [], [], [], []
+        for j in range(1, h + 1):
+            idx, f = EigIndex(j, r), radical[EigIndex(j, r)]
+            vecs += [f, dec.g_coords(idx)]
+            chains += [zero, f]
+            lams += [tab.lam(idx)] * 2
+            labels += [f"radical F{tuple(idx)} eigen", f"Jordan pair G{tuple(idx)}"]
+        for j in range(h + 1):
+            idx = EigIndex(j, r)
+            coords, chain = idem_coords[idx], zero
+            if j:  # corrected idempotents mix the Jordan pair: (M - lam) lands on the radical line
+                coords, chain = _on_line(ws.M, coords, tab.lam(idx), "left", radical[idx])
+            vecs.append(coords)
+            chains.append(chain)
+            lams.append(tab.lam(idx))
+            labels.append(f"idempotent at {tuple(idx)} leaves the generalized eigenspace")
+        oracle.see(relation(ws.M, CycArray.concat(ctx, vecs), lams, "left", labels, CycArray.concat(ctx, chains)))
 
     # the two integer basis conversions are inverse to each other, so both are bijective
     _require(
@@ -760,11 +778,12 @@ def check_fusion_matrix(ws: Workspace):
     _require(np.array_equal(Nr, build_fusion_blockform(n)), "rule-built fusion matrix differs from the block pattern")
     _require(len(Nr) == n * (h + 1) == n * (n + 1) // 2, f"fusion matrix has {len(Nr)} rows")
     lams = []
-    for idx in eig_indices(n):
-        lam = tab.lam(idx)
-        lams.append(lam)
-        oracle.see(relation(Nr, fusion_right_eigvec(n, idx), lam, "right", what=f"fusion {idx}"))
-        oracle.see(relation(Nr, fusion_left_eigvec(n, idx), lam, "left", what=f"fusion {idx}"))
+    for r in range(n):  # the stacks at r hold the vectors at (j, r), j = 0..h
+        idx = [EigIndex(j, r) for j in range(h + 1)]
+        lams_r = [tab.lam(i) for i in idx]
+        lams += lams_r
+        for side in ("right", "left"):
+            oracle.see(relation(Nr, tab.stack(f"fusion_{side}")[r], lams_r, side, [f"fusion {i}" for i in idx]))
     for a in range(len(lams)):
         for b in range(a):
             _require(lams[a] != lams[b], "fusion eigenvalues are not simple")
@@ -815,9 +834,10 @@ def check_dual_pairing(ws: Workspace):
         _require(array_rank(pairing, n) == n, f"pairing block degenerate at r={r}")
     C = ring.cartan_matrix()
     Q = ring.projective_mckay(2, 0)
-    for c in ws.certs:
-        cv = c.right.left_mul(C)
-        oracle.see(relation(Q, cv, c.lam, "right", what=f"C v projective-side eigen at {c.index}"))
+    for r, stack in enumerate(tab.stack("right")):  # C v for the eigenvectors at r, vectors 0..h of the stack
+        idx = [EigIndex(j, r) for j in range(tab.h + 1)]
+        cv = CycArray(ctx, int_matmul(C, stack.nums[:len(idx) * n * n].reshape(len(idx), n * n, -1)).reshape(-1, ctx.degree), stack.den)
+        oracle.see(relation(Q, cv, [tab.lam(i) for i in idx], "right", [f"C v projective-side eigen at {i}" for i in idx]))
     return oracle.residual, {"blocks": n}
 
 

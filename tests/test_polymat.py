@@ -4,10 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from taftdouble.cyclotomic import CycArray, make_context, sparse_product, sparse_rows, split_prime
+from taftdouble.cyclotomic import (
+    CycArray, int_combination, make_context, reduce_mod_p, sparse_product, sparse_rows, split_prime,
+)
 from taftdouble.grring import groth_ring
 from taftdouble.polymat import CheckFailure, RingMatrix, RingPoly, array_rank, rank_mod_p, relation
-from taftdouble.spectral import EigIndex, certificates, groth_decomposition, spectral_tables
+from taftdouble.spectral import EigIndex, build_fusion_from_rules, certificates, groth_decomposition, spectral_tables
 
 
 def test_poly_arithmetic():
@@ -154,20 +156,21 @@ def test_relation_certifies_and_rejects_one_coefficient(side):
     ctx = make_context(n)
     cert = next(c for c in certificates(n) if c.index == EigIndex(2, 3))
     vec, gen = (cert.right, cert.gen_right) if side == "right" else (cert.left, cert.gen_left)
-    assert relation(M, vec, cert.lam, side) < 1e-12
-    assert relation(M, gen, cert.lam, side, chain=vec) < 1e-12
+    lam = [cert.lam]
+    assert relation(M, vec, lam, side, ["eigen"]) < 1e-12
+    assert relation(M, gen, lam, side, ["Jordan"], vec) < 1e-12
     q = ctx.root_power(1)
     for pos in (0, len(vec) // 2, len(vec) - 1):
-        with pytest.raises(CheckFailure, match="fails at coordinate"):
-            relation(M, _bump(vec, pos, q), cert.lam, side)
+        with pytest.raises(CheckFailure, match=f"^eigen: {side} relation fails at coordinate"):
+            relation(M, _bump(vec, pos, q), lam, side, ["eigen"])
         with pytest.raises(CheckFailure):
-            relation(M, _bump(gen, pos), cert.lam, side, chain=vec)
+            relation(M, _bump(gen, pos), lam, side, ["Jordan"], vec)
         with pytest.raises(CheckFailure):
-            relation(M, gen, cert.lam, side, chain=_bump(vec, pos, q))
+            relation(M, gen, lam, side, ["Jordan"], _bump(vec, pos, q))
     with pytest.raises(CheckFailure, match="my claim"):
-        relation(M, vec, cert.lam + q, side, what="my claim")
+        relation(M, vec, [cert.lam + q], side, ["my claim"])
     with pytest.raises(CheckFailure):
-        relation(M, gen, cert.lam + 1, side, chain=vec)
+        relation(M, gen, [cert.lam + 1], side, ["Jordan"], vec)
 
 
 def test_relation_with_denominators():
@@ -178,10 +181,17 @@ def test_relation_with_denominators():
     lam = spectral_tables(n).lam(idx)
     f, g = dec.f_coords(idx), dec.g_coords(idx)
     assert any(x.den > 1 for x in f.to_list() + g.to_list())
-    relation(M, f, lam, "left")
-    relation(M, g, lam, "left", chain=f)
+    relation(M, f, [lam], "left", ["F"])
+    relation(M, g, [lam], "left", ["G"], f)
     with pytest.raises(CheckFailure):
-        relation(M, g, lam, "left", chain=_bump(f, 4, dec.ctx.from_rational(Fraction(1, 3))))
+        relation(M, g, [lam], "left", ["G"], _bump(f, 4, dec.ctx.from_rational(Fraction(1, 3))))
+    # the pair as one stack over its common denominator, with a zero chain block for F
+    ctx = dec.ctx
+    pair, chains = CycArray.concat(ctx, [f, g]), CycArray.concat(ctx, [CycArray.zeros(ctx, len(f)), f])
+    assert relation(M, pair, [lam, lam], "left", ["F", "G"], chains) < 1e-12
+    with pytest.raises(CheckFailure, match="^G: left relation") as failure:
+        relation(M, pair, [lam, lam], "left", ["F", "G"], _bump(chains, len(f) + 4, ctx.from_rational(Fraction(1, 3))))
+    assert failure.value.vectors == [1]
 
 
 @pytest.mark.parametrize("scale", [2**61, 3**45])
@@ -193,26 +203,34 @@ def test_relation_beyond_int64_uses_python_ints(scale):
     right = CycArray.from_list(cert.lam.ctx, [x * scale for x in cert.right.to_list()])
     gen = CycArray.from_list(cert.lam.ctx, [x * scale for x in cert.gen_right.to_list()])
     assert right.max_abs() * 4 >= 2**62
-    relation(M, right, cert.lam, "right")
-    relation(M, gen, cert.lam, "right", chain=right)
+    lam = [cert.lam]
+    relation(M, right, lam, "right", ["eigen"])
+    relation(M, gen, lam, "right", ["Jordan"], right)
     with pytest.raises(CheckFailure):
-        relation(M, _bump(right, 7), cert.lam, "right")
+        relation(M, _bump(right, 7), lam, "right", ["eigen"])
     with pytest.raises(CheckFailure):
-        relation(M, gen, cert.lam, "right", chain=_bump(right, 7))
+        relation(M, gen, lam, "right", ["Jordan"], _bump(right, 7))
 
 
 def test_relation_input_errors():
     M = groth_ring(3).mckay_v20()
     ctx = make_context(3)
     lam = ctx.one()
+    nine = CycArray.from_list(ctx, [lam] * 9)
     with pytest.raises(ValueError):
-        relation(M, CycArray.from_list(ctx, [lam] * 9), lam, "up")
+        relation(M, nine, [lam], "up", ["x"])
     with pytest.raises(ValueError):
-        relation(M, CycArray.from_list(ctx, [lam] * 8), lam, "right")
+        relation(M, CycArray.from_list(ctx, [lam] * 8), [lam], "right", ["x"])
+    with pytest.raises(ValueError):  # 18 entries are not three vectors of length 9
+        relation(M, CycArray.concat(ctx, [nine, nine]), [lam] * 3, "right", ["x"] * 3)
+    with pytest.raises(ValueError):  # one label short
+        relation(M, nine, [lam], "right", [])
+    with pytest.raises(ValueError):
+        relation(M, nine, [lam], "right", ["x"], CycArray.concat(ctx, [nine, nine]))
     with pytest.raises(TypeError):
-        relation(RingMatrix([[lam]]), CycArray.from_list(ctx, [lam]), lam, "right")
+        relation(RingMatrix([[lam]]), CycArray.from_list(ctx, [lam]), [lam], "right", ["x"])
     with pytest.raises(TypeError):
-        relation(M.astype(float), CycArray.from_list(ctx, [lam] * 9), lam, "right")
+        relation(M.astype(float), nine, [lam], "right", ["x"])
 
 
 @pytest.mark.parametrize("entry", [True, Fraction(1, 2), Fraction(3), make_context(3).root_power(1), 1.0])
@@ -222,7 +240,86 @@ def test_int_array_rejects_non_integer_entries(entry):
     vec = CycArray.from_list(ctx, [1])
     for matrix in (np.array([[entry]]), np.array([[2**70, entry]], dtype=object)[:, 1:], [[1]]):
         with pytest.raises(TypeError, match="integer numpy array"):
-            relation(matrix, vec, ctx.one(), "right")
+            relation(matrix, vec, [ctx.one()], "right", ["x"])
+
+
+def _relation_reference(M, vec, lam, side, chain=None, what="relation") -> float:
+    """The single-vector statement of `relation` that the stacked call replaced, kept as its cross-check.
+
+    Certifies dl*dc * (A v) == dc * (v lam) + dv*dl * c for one vector and
+    returns max |A v - lam v - c| / max(1, max |v|) under the embedding.
+    """
+    A = M.T if side == "left" else M
+    dl, dv = lam.den, vec.den
+    dc = 1 if chain is None else chain.den
+    cols, vals = sparse_rows(A)
+    lhs = int_combination([(dl * dc, sparse_product((cols, vals), vec.nums))])
+    rhs_terms = [(dc, vec.scaled(lam).nums)]
+    if chain is not None:
+        rhs_terms.append((dv * dl, chain.nums))
+    rhs = int_combination(rhs_terms)
+    if not np.array_equal(lhs, rhs):
+        bad = int(np.flatnonzero((lhs != rhs).any(axis=1))[0])
+        raise CheckFailure(f"{what}: {side} relation fails at coordinate {bad}")
+    vn = vec.embed()
+    resid = sparse_product((cols, vals), vn[:, None])[:, 0] - lam.embed() * vn
+    if chain is not None:
+        resid = resid - chain.embed()
+    return float(np.max(np.abs(resid)) / max(1.0, float(np.max(np.abs(vn)))))
+
+
+def _families(n):
+    """(matrix, side, stack, eigenvalues, chains) for every family at every r.
+
+    The certificates' stacks (eigenvectors with zero chain blocks, then the
+    Jordan completions chained to them) against the McKay matrix of V(2,0),
+    and the fusion stacks against the fusion matrix.
+    """
+    tab = spectral_tables(n)
+    M, Nr, h, size = groth_ring(n).mckay_v20(), build_fusion_from_rules(n), tab.h, n * n
+    for r in range(n):
+        lams = [tab.lam(EigIndex(j, r)) for j in range(h + 1)]
+        for side in ("right", "left"):
+            stack = tab.stack(side)[r]
+            head = stack.nums[:(h + 1) * size]
+            chains = CycArray(tab.ctx, np.concatenate([np.zeros_like(head), head[size:]]), stack.den)
+            yield M, side, stack, lams + lams[1:], chains
+            yield Nr, side, tab.stack(f"fusion_{side}")[r], lams, None
+
+
+def _reference_verdicts(M, side, stack, lams, chains):
+    """Per vector of the stack, the reference residual, or None where the reference rejects the vector."""
+    size = len(M)
+    out = []
+    for k, lam in enumerate(lams):
+        part = slice(k * size, (k + 1) * size)
+        chain = None if chains is None or not chains.nums[part].any() else chains.take(part)
+        try:
+            out.append(_relation_reference(M, stack.take(part), lam, side, chain))
+        except CheckFailure:
+            out.append(None)
+    return out
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_stacked_relation_matches_the_single_vector_reference(n):
+    """On every family, one stacked call gives the reference's verdict and the bits of its largest residual."""
+    for M, side, stack, lams, chains in _families(n):
+        labels = [f"vector {k}" for k in range(len(lams))]
+        want = _reference_verdicts(M, side, stack, lams, chains)
+        assert None not in want
+        assert relation(M, stack, lams, side, labels, chains) == max(want)
+        # one coefficient of the last vector, of the first, then of both raised: the same vectors fail
+        for positions in ([len(stack) - 1], [1], [1, len(stack) - 1]):
+            bumped = stack
+            for pos in positions:
+                bumped = _bump(bumped, pos)
+            want = _reference_verdicts(M, side, bumped, lams, chains)
+            with pytest.raises(CheckFailure) as failure:
+                relation(M, bumped, lams, side, labels, chains)
+            assert failure.value.vectors == [k for k, x in enumerate(want) if x is None]
+            assert len(failure.value.vectors) == len(positions)
+            assert str(failure.value).startswith(f"vector {positions[0] // len(M)}: {side} relation fails")
 
 
 def _random_cyc(ctx, rnd, den=1):
@@ -243,7 +340,8 @@ def test_rank_mod_p_agrees_with_exact_elimination(n):
         for m in (RingMatrix(rows), RingMatrix(rows).transpose()):
             exact = len(m._echelon()[0])
             assert m.rank_over_field() == exact
-            assert m._rank_mod_p() <= exact
+            image = reduce_mod_p(_stack(ctx, m).nums.reshape(m.nrows, m.ncols, -1), _stack(ctx, m).den, n)
+            assert image is None or rank_mod_p(image, split_prime(n)[0]) <= exact
             assert (exact < min(m.nrows, m.ncols)) == bool(trial % 2)
 
 
@@ -260,29 +358,27 @@ def test_split_prime_maps_q_to_an_element_of_order_n():
 
 
 def test_rank_singular_mod_p_only_takes_the_exact_route(monkeypatch):
-    """An entry equal to p makes the determinant p: singular over F_p, invertible over Q."""
-    p, _ = split_prime(1)
-    m = RingMatrix([[1, 1, 0], [1, 1 + p, 0], [0, 0, 1]])
-    assert m._rank_mod_p() == 2
-    calls = []
-    exact = RingMatrix._echelon
-    monkeypatch.setattr(RingMatrix, "_echelon", lambda self: calls.append(1) or exact(self))
-    assert m.rank_over_field() == 3 and calls
+    """A rational matrix with an entry p + 1 has determinant p: singular over F_p, invertible over Q."""
+    n = 3
+    ctx = make_context(n)
+    p, _ = split_prime(n)
+    a = CycArray.from_list(ctx, [1, 1, 0, 1, 1 + p, 0, 0, 0, 1])
+    assert rank_mod_p(reduce_mod_p(a.nums.reshape(3, 3, -1), a.den, n), p) == 2
+    calls = _echelon_spy(monkeypatch)
+    assert array_rank(a, 3) == 3 and calls
     calls.clear()
-    assert RingMatrix([[1, 1], [1, 2]]).rank_over_field() == 2 and not calls
+    assert array_rank(CycArray.from_list(ctx, [Fraction(1, 2), 1, 1, 3]), 2) == 2 and not calls
 
 
 def test_rank_denominator_divisible_by_p_falls_back(monkeypatch):
-    n = 5
+    """A rational entry over p has no image in F_p; the rank is still exact."""
+    n = 3
     ctx = make_context(n)
     p, _ = split_prime(n)
-    q = ctx.root_power(1)
-    m = RingMatrix([[q * Fraction(1, p), ctx.one()], [ctx.one(), q]])
-    assert m._rank_mod_p() is None
-    calls = []
-    exact = RingMatrix._echelon
-    monkeypatch.setattr(RingMatrix, "_echelon", lambda self: calls.append(1) or exact(self))
-    assert m.rank_over_field() == 2 and calls
+    a = CycArray.from_list(ctx, [Fraction(1, p), 1, 1, 1])
+    assert reduce_mod_p(a.nums, a.den, n) is None
+    calls = _echelon_spy(monkeypatch)
+    assert array_rank(a, 2) == 2 and calls
 
 
 def test_cartan_rank_is_certified_without_elimination(monkeypatch):
@@ -296,13 +392,13 @@ def test_cartan_rank_is_certified_without_elimination(monkeypatch):
 
 
 def test_rank_mod_p_of_an_integer_array():
-    """The array elimination behind `_rank_mod_p`, on residues; its input is left as it was."""
+    """The array elimination behind `array_rank`, on residues; its input is left as it was."""
     p, _ = split_prime(1)
     rnd = np.random.default_rng(5)
     A = rnd.integers(-4, 5, (6, 8))
     A[5] = 3 * A[0] - A[2]
     residues = A % p
-    assert rank_mod_p(residues, p) == RingMatrix(A.tolist())._rank_mod_p() == 5
+    assert rank_mod_p(residues, p) == RingMatrix(A.tolist()).rank_over_field() == 5
     assert np.array_equal(residues, A % p)
     assert rank_mod_p(np.array([[1, 1], [1, 1 + p]]) % p, p) == 1
     assert rank_mod_p(np.zeros((3, 0), dtype=np.int64), p) == 0
@@ -333,7 +429,7 @@ def _stack(ctx, m):
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_array_rank_agrees_with_the_ring_matrix_route(monkeypatch, n):
-    """The matrices of `test_rank_mod_p_agrees_with_exact_elimination` as stacks: same ranks, same fallbacks."""
+    """The matrices of `test_rank_mod_p_agrees_with_exact_elimination` as stacks: same ranks; only the deficient ones eliminate."""
     ctx = make_context(n)
     rnd = random.Random(n)
     calls = _echelon_spy(monkeypatch)
@@ -343,12 +439,10 @@ def test_array_rank_agrees_with_the_ring_matrix_route(monkeypatch, n):
             c = _random_cyc(ctx, rnd)
             rows[-1] = [a * c + b for a, b in zip(rows[0], rows[1])]
         for m in (RingMatrix(rows), RingMatrix(rows).transpose()):
-            calls.clear()
             want = m.rank_over_field()
-            ring_fell_back = bool(calls)
             calls.clear()
             assert array_rank(_stack(ctx, m), m.ncols) == want
-            assert bool(calls) == ring_fell_back == bool(trial % 2)
+            assert bool(calls) == bool(trial % 2)
 
 
 def test_array_rank_singular_mod_p_only_takes_the_exact_route(monkeypatch):
@@ -357,7 +451,7 @@ def test_array_rank_singular_mod_p_only_takes_the_exact_route(monkeypatch):
     ctx = make_context(n)
     p, _ = split_prime(n)
     m = RingMatrix([[ctx.from_rational(x) for x in row] for row in ([1, 1, 0], [1, 1 + p, 0], [0, 0, 1])])
-    assert m._rank_mod_p() == 2
+    assert rank_mod_p(reduce_mod_p(_stack(ctx, m).nums.reshape(3, 3, -1), 1, n), p) == 2
     calls = _echelon_spy(monkeypatch)
     assert array_rank(_stack(ctx, m), 3) == 3 and calls
     calls.clear()

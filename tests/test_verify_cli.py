@@ -12,7 +12,8 @@ from taftdouble.cli import main
 from taftdouble.cyclotomic import CycArray, make_context, sparse_product, sparse_rows
 from taftdouble.dnrep import DoubleRep
 from taftdouble.grring import GrothRing, groth_ring
-from taftdouble.spectral import GrothDecomposition, SpectralTables, spectral_tables
+from taftdouble.polymat import relation
+from taftdouble.spectral import EigIndex, GrothDecomposition, SpectralTables, spectral_tables
 from taftdouble.verify import Oracle, _block_charpoly_values, check_ids, embed_vec, emit_report, run_suite
 
 
@@ -212,6 +213,14 @@ def _bump_scalar(fn):
     return lambda *args: fn(*args) + 1
 
 
+def _only_at(args, corrupt):
+    """Apply `corrupt` to a method only where its arguments after self are `args`."""
+    def wrap(fn):
+        bad = corrupt(fn)
+        return lambda self, *a: bad(self, *a) if a == args else fn(self, *a)
+    return wrap
+
+
 def _bump_gen_trace_vector(fn):
     def corrupted(n, i, k):
         vec, gammas, lam = fn(n, i, k)
@@ -230,9 +239,16 @@ CORRUPTIONS = [
     ("general-eigenvalues", SpectralTables, "general_eigenvalue", _bump_scalar, "right eigenvalue"),
     ("general-eigenvalues", SpectralTables, "projective_eigenvalue", _bump_scalar, "projective"),
     ("grothendieck-idempotents", GrothDecomposition, "g_coords", _bump_entry(5), "Jordan pair"),
-    ("fusion-matrix", verify_mod, "fusion_left_eigvec", _bump_entry(0), "fusion"),
+    ("fusion-matrix", SpectralTables, "blocks", _bump_side("fusion_left", 0), "fusion"),
     ("dual-pairing", SpectralTables, "blocks", _bump_side("right", 2), "projective-side"),
     ("mckay-closed-form", GrothRing, "dim_simple_vector", _bump_entry(6), "dimension vector"),
+    # the last vector of a stack: its label must be the one named
+    ("spectral-certificates", SpectralTables, "blocks", _bump_side("right", 26), "fails at [EigIndex(j=1, r=2)]"),
+    ("fusion-matrix", SpectralTables, "blocks", _bump_side("fusion_right", 11), "fusion EigIndex(j=1, r=2): right"),
+    ("dual-pairing", SpectralTables, "blocks", _bump_side("right", 23), "projective-side eigen at EigIndex(j=1, r=2)"),
+    ("general-eigenvalues", SpectralTables, "general_eigenvalue", _only_at((EigIndex(1, 2), 1, 0), _bump_scalar),
+     "right eigenvalue for V(1,0), EigIndex(j=1, r=2)"),
+    ("projective-trace-table", DoubleRep, "trace_vector_P", _only_at((2, -2), _bump_entry(4)), "Tr_P eigen at i=2"),
 ]
 
 
@@ -251,6 +267,33 @@ def test_ported_checks_fail_on_one_corrupted_coefficient(monkeypatch, fresh_tabl
     result = run_suite(3, [cid]).checks[0]
     assert result.status == "fail", result
     assert text in result.detail["counterexample"]
+
+
+def test_spectrum_marks_only_the_corrupted_certificate(monkeypatch, fresh_tables, capsys):
+    """One corrupted Jordan completion fails its side's stacked call; only its certificate loses `exact`."""
+    monkeypatch.setattr(verify_mod, "_WORKSPACES", {})
+    # at n = 3, row 8 of the left blocks is block 2 of the completion at (1, 0)
+    monkeypatch.setattr(SpectralTables, "blocks", _bump_side("left", 8)(SpectralTables.blocks))
+    assert main(["spectrum", "--n", "3"]) == 0
+    certs = json.loads(capsys.readouterr().out)["certificates"]
+    assert len(certs) == 6
+    assert [(c["j"], c["r"]) for c in certs if not c["exact"]] == [(1, 0)]
+
+
+def test_relation_is_called_once_per_stack(monkeypatch):
+    """No loop over the vectors of a stack calls `relation`: at most 200 calls in the n = 11 suite (1,630 one vector at a time)."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return relation(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("taftdouble.") and getattr(module, "relation", None) is relation:
+            monkeypatch.setattr(module, "relation", counted)
+    monkeypatch.setattr(verify_mod, "_WORKSPACES", {})
+    assert run_suite(11).all_pass
+    assert 0 < len(calls) <= 200
 
 
 def _bump_kernel_vector(kb):
@@ -305,7 +348,7 @@ def _run_optimized(script: str) -> str:
 
 
 def test_relations_survive_python_O():
-    """Under -O every assert is gone; the exact relations must still reject a wrong eigenvalue."""
+    """Under -O every assert is gone; the exact relations, one check's and one stacked call's, must still reject a wrong eigenvalue."""
     script = """
 import sys
 assert sys.flags.optimize == 1
@@ -318,10 +361,19 @@ def wrong(self, idx, ell, s):
 SpectralTables.general_eigenvalue = wrong
 result = run_suite(3, ["general-eigenvalues"]).checks[0]
 print(result.status, result.detail)
+from taftdouble.polymat import CheckFailure, relation
+from taftdouble.spectral import EigIndex, build_fusion_from_rules
+tab = SpectralTables(3)
+lams = [tab.lam(EigIndex(j, 2)) for j in range(2)]
+try:
+    relation(build_fusion_from_rules(3), tab.stack("fusion_right")[2], [lams[0], lams[1] + 1], "right", ["first", "last"])
+except CheckFailure as failure:
+    print("stacked", failure, failure.vectors)
 """
     stdout = _run_optimized(script)
     assert stdout.startswith("fail"), stdout
     assert "right eigenvalue for V(2,0), EigIndex(j=1, r=1)" in stdout
+    assert "stacked last: right relation fails at coordinate" in stdout and stdout.rstrip().endswith("[1]")
 
 
 def test_hopf_axioms_survive_python_O():
