@@ -17,20 +17,29 @@ code ((al n + be) n + ga) n + de, and m1 (x) m2 has code(m1) n^4 + code(m2).
 A sum concatenates the terms and adds the coefficients of equal codes (one
 sort and one segment sum), so equality is `array_equal` on the codes and on
 the numerators.  A product gathers the normal-ordered expansion of d^m a^l
-from a ragged table built once per n, and a coproduct gathers its
-coefficients, products of two Gaussian binomials, from another.
+from a ragged table built once per n, and each coefficient of a coproduct
+is a product of two Gaussian binomials gathered from another.  An element
+may carry an int64 key beside each code, which makes it a family of
+elements told apart by key: every operation acts key by key, so one keyed
+element takes a whole sample through an identity at once.
 
 On a simple module V(ell, r), 1 <= ell <= n, r in Z_n, every generator
-acts as a weighted shift (`WeightedShift`): a raises the basis index by one,
-d lowers it with the weights alpha_j, and b and c act diagonally by powers
-of q.  `DoubleRep.verify_relations` certifies the defining relations on
-these shifts, where a product of two shifts is an offset and one entrywise
-product of their diagonals, so every relation is an entrywise identity of
-`CycArray`s.  The characters of b^i c^k d^t a^t are sums along the diagonal
-of d^t a^t, whose entries are products of consecutive alphas (the gamma
-table, built once per n by entrywise products); one contraction of that
-table with the powers of q gives the character of every dimension at once,
-and feeds every trace-vector computation downstream.  The dense matrices
+acts as a weighted shift: a raises the basis index by one, d lowers it with
+the weights alpha_j, and b and c act diagonally by powers of q.  Every
+module of one dimension ell has the same shape, the same a and the same
+weights of d; only the powers of q in b and c depend on r.  So the
+generators of all n^2 modules are built once per n as four stacks per
+dimension (`WeightedShift`, whose leading axis is the label r), and the
+action on one module (`action_shifts`) is a stack of one sliced from them.
+`DoubleRep.verify_relations` certifies the defining relations on these
+stacks for every given label in one call: a product of two shifts is an
+offset and one entrywise product of their diagonals, within each label, so
+every relation is an entrywise identity of `CycArray`s, label by label.
+The characters of b^i c^k d^t a^t are sums along the diagonal of d^t a^t,
+whose entries are products of consecutive alphas (the gamma table, built
+once per n by entrywise products); one contraction of that table with the
+powers of q gives the character of every dimension at once, and feeds
+every trace-vector computation downstream.  The dense matrices
 (`action_set`, `character_matrix_route`) are kept as independent
 cross-checks for the tests.
 """
@@ -44,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclotomic import CyclotomicContext, CycArray, CycNum, int_matmul, make_context, segment_sum
+from .cyclotomic import CyclotomicContext, CycArray, CycNum, int_combination, int_matmul, make_context, segment_sum
 from .polymat import RingMatrix
 
 __all__ = [
@@ -86,39 +95,50 @@ def label_index(n: int, label: SimpleLabel) -> int:
 
 
 def _shift_rows(nums: np.ndarray, offset: int) -> np.ndarray:
-    """Row i of the result is row i - offset of nums, zero where that row does not exist."""
+    """Row i of each block of the (blocks, size, phi) array nums moved to row i + offset of its block.
+
+    Rows moved past either end of their block are dropped, and rows that no
+    row moves into are zero, so nothing crosses from one block to the next.
+    """
     out = np.zeros_like(nums)
-    size = len(nums)
+    size = nums.shape[1]
     if offset >= 0:
-        out[offset:] = nums[:max(size - offset, 0)]
+        out[:, offset:] = nums[:, :max(size - offset, 0)]
     else:
-        out[:max(size + offset, 0)] = nums[-offset:]
+        out[:, :max(size + offset, 0)] = nums[:, -offset:]
     return out
 
 
 class WeightedShift:
-    """An operator on a module of dimension len(diag) that sends basis vector i - offset to diag[i] times vector i.
+    """A stack of operators, one per label, on modules of one dimension `size`.
 
-    Its matrix has entry (i, i - offset) = diag[i] and no other.  Entries
-    whose source i - offset lies outside the module are zero, so a product
-    whose offset reaches the dimension has no entry left.
+    Label k sends basis vector i - offset to diag[k size + i] times vector i:
+    its matrix has entry (i, i - offset) = diag[k size + i] and no other.
+    Entries whose source i - offset lies outside the module are zero, so a
+    product whose offset reaches the dimension has no entry left.  Rows move
+    only within their label, and a single module is a stack of one.
     """
 
-    __slots__ = ("offset", "diag")
+    __slots__ = ("offset", "size", "diag")
 
-    def __init__(self, offset: int, diag: CycArray):
+    def __init__(self, offset: int, size: int, diag: CycArray):
         self.offset = offset
+        self.size = size
         self.diag = diag
 
     @staticmethod
     def diagonal(ctx: CyclotomicContext, exps) -> "WeightedShift":
-        """The diagonal operator with entries q^e, e in exps."""
-        return WeightedShift(0, CycArray(ctx, ctx._qpow_mul[np.asarray(exps, dtype=np.int64) % ctx.n, 0], 1))
+        """The diagonal operators with entries q^e: row k of the integer array exps is label k."""
+        exps = np.asarray(exps, dtype=np.int64)
+        return WeightedShift(0, exps.shape[1], CycArray(ctx, ctx._qpow_mul[exps.ravel() % ctx.n, 0], 1))
 
     def __mul__(self, other: "WeightedShift") -> "WeightedShift":
-        """The matrix product: offsets add, and entry i is diag[i] times other.diag[i - offset]."""
-        moved = CycArray(other.diag.ctx, _shift_rows(other.diag.nums, self.offset), other.diag.den)
-        return WeightedShift(self.offset + other.offset, self.diag * moved)
+        """The matrix products, label by label: offsets add, and entry i is diag[i] times other.diag[i - offset]."""
+        offset, d = self.offset + other.offset, other.diag.ctx.degree
+        if abs(offset) >= self.size:  # no source lies in the module: no entry is left
+            return WeightedShift(offset, self.size, CycArray.zeros(self.diag.ctx, len(self.diag)))
+        moved = _shift_rows(other.diag.nums.reshape(-1, self.size, d), self.offset).reshape(-1, d)
+        return WeightedShift(offset, self.size, self.diag * CycArray(other.diag.ctx, moved, other.diag.den))
 
     def __pow__(self, k: int) -> "WeightedShift":
         """k-th power, k >= 1, by square-and-multiply."""
@@ -134,39 +154,48 @@ class WeightedShift:
     def __add__(self, other: "WeightedShift") -> "WeightedShift":
         if self.offset != other.offset:
             raise ValueError(f"shifts by {self.offset} and {other.offset} do not add to a weighted shift")
-        return WeightedShift(self.offset, self.diag + other.diag)
+        return WeightedShift(self.offset, self.size, self.diag + other.diag)
 
     def scaled(self, c: CycNum) -> "WeightedShift":
-        return WeightedShift(self.offset, self.diag.scaled(c))
+        return WeightedShift(self.offset, self.size, self.diag.scaled(c))
 
-    def __eq__(self, other):
-        """Equality of the matrices: same offset and diagonal, or no entry on either side."""
-        if not isinstance(other, WeightedShift):
-            return NotImplemented
+    def take(self, labels) -> "WeightedShift":
+        """The operators of the labels at the given positions of the stack, in that order."""
+        rows = np.asarray(labels, dtype=np.int64)[:, None] * self.size + np.arange(self.size)
+        return WeightedShift(self.offset, self.size, self.diag.take(rows.ravel()))
+
+    def differs(self, other: "WeightedShift") -> np.ndarray:
+        """Per label, whether the two matrices differ: in the diagonal at equal offsets, else by an entry on either side."""
         if self.offset == other.offset:
-            return self.diag == other.diag
-        return self.diag.is_zero() and other.diag.is_zero()
-
-    __hash__ = None
+            diff = int_combination([(other.diag.den, self.diag.nums), (-self.diag.den, other.diag.nums)])
+        else:
+            diff = np.concatenate([self.diag.nums, other.diag.nums], axis=1)
+        return diff.reshape(len(diff) // self.size, -1).astype(bool).any(axis=1)
 
     def _rows(self) -> range:
         """The rows i whose source i - offset lies in the module."""
-        size = len(self.diag)
-        return range(max(0, self.offset), min(size, size + self.offset))
+        return range(max(0, self.offset), min(self.size, self.size + self.offset))
+
+    def _single(self):
+        """Raise unless the stack holds exactly one label."""
+        if len(self.diag) != self.size:
+            raise ValueError("a dense matrix is the operator of a single label")
 
     def to_matrix(self) -> RingMatrix:
+        """The operator of a stack of one, as a dense matrix."""
+        self._single()
         ctx = self.diag.ctx
-        mat = RingMatrix.zeros(len(self.diag), len(self.diag), ctx.zero())
+        mat = RingMatrix.zeros(self.size, self.size, ctx.zero())
         entries = self.diag.to_list()
         for i in self._rows():
             mat.rows[i][i - self.offset] = entries[i]
         return mat
 
     def embed(self) -> np.ndarray:
-        """The matrix under q -> exp(2 pi i / n), as a dense complex array."""
-        size = len(self.diag)
-        rows = np.arange(size)[self._rows()]
-        out = np.zeros((size, size), dtype=complex)
+        """The operator of a stack of one under q -> exp(2 pi i / n), as a dense complex array."""
+        self._single()
+        rows = np.arange(self.size)[self._rows()]
+        out = np.zeros((self.size, self.size), dtype=complex)
         out[rows, rows - self.offset] = self.diag.embed()[rows]
         return out
 
@@ -198,54 +227,83 @@ class DoubleRep:
         ctx = self.ctx
         return ctx.quantum_integer(i) * (ctx.one() - ctx.root_power(i - ell))
 
-    def _alphas(self, ell: int, size: int) -> CycArray:
-        """alpha_1, ..., alpha_{ell-1} on V(ell, *), then zeros up to length size."""
-        return CycArray.from_list(self.ctx, [self.alpha(j, ell) for j in range(1, ell)] + [0] * (size - ell + 1))
+    @cached_property
+    def _alpha_table(self) -> CycArray:
+        """Row (ell - 1) n + j - 1 is alpha_j on V(ell, *), for j = 1..n: zero from j = ell on."""
+        n = self.n
+        return CycArray.from_list(
+            self.ctx, [self.alpha(j, ell) if j < ell else 0 for ell in range(1, n + 1) for j in range(1, n + 1)]
+        )
 
-    def action_shifts(self, label: SimpleLabel) -> tuple[WeightedShift, ...]:
-        """The generators a, b, c, d on V(ell, r) as weighted shifts.
+    def _action_stack(self, ell: int) -> tuple[WeightedShift, ...]:
+        """The generators a, b, c, d on V(ell, r) for every r, as stacks of weighted shifts in which label r is V(ell, r).
 
         a.v_j = v_{j+1}, d.v_{j+1} = alpha_j v_j, b.v_j = q^{r+j-1} v_j and
-        c.v_j = q^{j-r-ell} v_j, for the basis v_1, ..., v_ell.
+        c.v_j = q^{j-r-ell} v_j, for the basis v_1, ..., v_ell.  Every twist
+        has the same a and d; b and c differ only in their powers of q.
         """
+        n, ctx = self.n, self.ctx
+        j, r = np.arange(ell), np.arange(n)[:, None]
+        a = np.zeros((n, ell, ctx.degree), dtype=np.int64)
+        a[:, 1:, 0] = 1  # v_1 is no image of a
+        alphas = self._alpha_table.take(slice((ell - 1) * n, (ell - 1) * n + ell))
+        return (
+            WeightedShift(1, ell, CycArray(ctx, a.reshape(-1, ctx.degree), 1)),
+            WeightedShift.diagonal(ctx, r + j),
+            WeightedShift.diagonal(ctx, j + 1 - r - ell),
+            WeightedShift(-1, ell, CycArray(ctx, np.tile(alphas.nums, (n, 1)), alphas.den)),
+        )
+
+    @cached_property
+    def _action_stacks(self) -> list[tuple[WeightedShift, ...]]:
+        """`_action_stack(ell)` for ell = 1..n, built once: the one source of the module actions."""
+        return [self._action_stack(ell) for ell in range(1, self.n + 1)]
+
+    def action_shifts(self, label: SimpleLabel) -> tuple[WeightedShift, ...]:
+        """The generators a, b, c, d on V(ell, r): label r of the stacks of dimension ell."""
         self._check_label(label)
-        ell, r, ctx = label.ell, label.r % self.n, self.ctx
-        a = WeightedShift(1, CycArray.from_list(ctx, [0] + [1] * (ell - 1)))  # v_1 is no image of a
-        b = WeightedShift.diagonal(ctx, [r + j for j in range(ell)])
-        c = WeightedShift.diagonal(ctx, [j + 1 - r - ell for j in range(ell)])
-        d = WeightedShift(-1, self._alphas(ell, ell))
-        return a, b, c, d
+        return tuple(x.take([label.r % self.n]) for x in self._action_stacks[label.ell - 1])
 
     def action_set(self, label: SimpleLabel) -> ActionSet:
         """The same generators as dense matrices (for cross-checks)."""
         a, b, c, d = (x.to_matrix() for x in self.action_shifts(label))
         return ActionSet(SimpleLabel(label.ell, label.r % self.n), a, b, c, d)
 
-    def verify_relations(self, label: SimpleLabel) -> list[str]:
-        """Names of defining relations that fail on V(ell, r) (empty = all hold).
+    def verify_relations(self, labels) -> list[tuple[SimpleLabel, str]]:
+        """The (label, relation) pairs of the defining relations that fail on the given modules (empty = all hold).
 
-        Each relation is an identity of weighted shifts, so an entrywise
-        identity of their diagonals; the powers are carried out by
-        square-and-multiply.
+        The modules of one dimension are certified together, on the stacks of
+        `_action_stack`: each relation is an identity of weighted shifts, so
+        an entrywise identity of their diagonals, label by label.  The powers
+        are carried out by square-and-multiply.  Pairs come in the order of
+        `labels`, and of the relations within a label.
         """
-        a, b, c, d = self.action_shifts(label)
-        n, q = self.n, self.ctx.root_power(1)
-        one = WeightedShift.diagonal(self.ctx, [0] * label.ell)
-        zero = WeightedShift(0, CycArray.zeros(self.ctx, label.ell))
-        bc = b * c
-        checks = {
-            "ba=q.ab": b * a == (a * b).scaled(q),
-            "ca=q.ac": c * a == (a * c).scaled(q),
-            "db=q.bd": d * b == (b * d).scaled(q),
-            "dc=q.cd": d * c == (c * d).scaled(q),
-            "bc=cb": bc == c * b,
-            "da-q.ad=1-bc": d * a + bc == one + (a * d).scaled(q),  # both differences moved across
-            "a^n=0": a**n == zero,
-            "d^n=0": d**n == zero,
-            "b^n=1": b**n == one,
-            "c^n=1": c**n == one,
-        }
-        return [name for name, ok in checks.items() if not ok]
+        n, ctx, q = self.n, self.ctx, self.ctx.root_power(1)
+        labels = [SimpleLabel(lab.ell, lab.r % n) for lab in labels]
+        for lab in labels:
+            self._check_label(lab)
+        failing = {}
+        for ell in sorted({lab.ell for lab in labels}):
+            rs = [lab.r for lab in labels if lab.ell == ell]
+            a, b, c, d = (x.take(rs) for x in self._action_stacks[ell - 1])
+            one = WeightedShift.diagonal(ctx, np.zeros((len(rs), ell)))
+            zero = WeightedShift(0, ell, CycArray.zeros(ctx, len(rs) * ell))
+            bc = b * c
+            checks = {
+                "ba=q.ab": (b * a).differs((a * b).scaled(q)),
+                "ca=q.ac": (c * a).differs((a * c).scaled(q)),
+                "db=q.bd": (d * b).differs((b * d).scaled(q)),
+                "dc=q.cd": (d * c).differs((c * d).scaled(q)),
+                "bc=cb": bc.differs(c * b),
+                "da-q.ad=1-bc": (d * a + bc).differs(one + (a * d).scaled(q)),  # both differences moved across
+                "a^n=0": (a**n).differs(zero),
+                "d^n=0": (d**n).differs(zero),
+                "b^n=1": (b**n).differs(one),
+                "c^n=1": (c**n).differs(one),
+            }
+            for pos, r in enumerate(rs):
+                failing[SimpleLabel(ell, r)] = [name for name, bad in checks.items() if bad[pos]]
+        return [(lab, name) for lab in labels for name in failing[lab]]
 
     def _check_label(self, label: SimpleLabel):
         if not 1 <= label.ell <= self.n:
@@ -258,13 +316,12 @@ class DoubleRep:
         Rows with j + t > ell are zero, since alpha_ell vanishes there.  Step t
         is one entrywise product of step t - 1 with the alphas moved up by t - 1.
         """
-        n, ctx = self.n, self.ctx
-        alphas = [self._alphas(ell, n) for ell in range(1, n + 1)]
-        if any(a.den != 1 for a in alphas):
+        n, ctx, alphas = self.n, self.ctx, self._alpha_table
+        if alphas.den != 1:
             raise ArithmeticError("the weights alpha_j of d must lie in Z[q]")
         steps = [CycArray.from_list(ctx, [int(j <= ell) for ell in range(1, n + 1) for j in range(1, n + 1)])]
         for t in range(1, n):
-            moved = np.concatenate([_shift_rows(a.nums, 1 - t) for a in alphas])
+            moved = _shift_rows(alphas.nums.reshape(n, n, -1), 1 - t).reshape(-1, ctx.degree)
             steps.append(steps[-1] * CycArray(ctx, moved, 1))
         return CycArray.concat(ctx, steps)
 
@@ -387,18 +444,14 @@ class DoubleRep:
         return got
 
     @cached_property
-    def _qbinom_pairs(self) -> CycArray:
-        """Row _tri(m, j) * n(n+1)/2 + _tri(m2, k) is [m j]_q [m2 k]_q, for j <= m < n and k <= m2 < n.
+    def _qbinomials(self) -> CycArray:
+        """Row _tri(m, j) is the Gaussian binomial [m j]_q, for j <= m < n, from `quantum_binomial`.
 
-        Every coefficient of a coproduct is such a product, so the coproduct
-        reads it instead of multiplying.  The Gaussian binomials come from
-        `quantum_binomial`, in the order of `_tri`, and one entrywise product
-        builds the table.
+        Every coefficient of a coproduct is a product of two of them; a batch
+        multiplies each distinct pair it needs once, in one entrywise product.
         """
         n = self.n
-        binomials = CycArray.from_list(self.ctx, [self.quantum_binomial(m, j) for m in range(n) for j in range(m + 1)])
-        first, second = np.divmod(np.arange(len(binomials) ** 2), len(binomials))
-        return binomials.take(first) * binomials.take(second)
+        return CycArray.from_list(self.ctx, [self.quantum_binomial(m, j) for m in range(n) for j in range(m + 1)])
 
     def pbw_code(self, mono) -> int:
         """The code ((al n + be) n + ga) n + de of the monomial a^al b^be c^ga d^de."""
@@ -490,11 +543,11 @@ class DoubleRep:
                                    (x) a^j b^{be+al-j} c^{ga+k} d^{de-k}
 
         (exponents of b and c mod n).  Term t belongs to codes[src[t]], its
-        pair code is code(m1) n^4 + code(m2), and its coefficient is a row of
-        the table of binomial products.  This is not an algebra map by
-        construction: hopf-axioms certifies multiplicativity on a sample, and
-        the tests compare it with D(a)^al D(b)^be D(c)^ga D(d)^de multiplied
-        out.
+        pair code is code(m1) n^4 + code(m2), and its coefficient is the
+        product of two rows of the table of binomials.  This is not an
+        algebra map by construction: hopf-axioms certifies multiplicativity
+        on a sample, and the tests compare it with D(a)^al D(b)^be D(c)^ga
+        D(d)^de multiplied out.
         """
         n = self.n
         al, be, ga, de = _decode(n, np.asarray(codes, dtype=np.int64))
@@ -502,8 +555,12 @@ class DoubleRep:
         al, be, ga, de = al[src], be[src], ga[src], de[src]
         j, k = np.divmod(off, de + 1)
         pairs = _encode(n, al - j, be, ga, k) * n**4 + _encode(n, j, (be + al - j) % n, (ga + k) % n, de - k)
-        rows = _tri(al, j) * (n * (n + 1) // 2) + _tri(de, k)
-        return src, pairs, self._qbinom_pairs.take(rows)
+        # each distinct pair of binomials is multiplied once, and the products gathered
+        binomials = self._qbinomials
+        rows = _tri(al, j) * len(binomials) + _tri(de, k)
+        distinct = _distinct(np.sort(rows))
+        products = binomials.take(distinct // len(binomials)) * binomials.take(distinct % len(binomials))
+        return src, pairs, products.take(np.searchsorted(distinct, rows))
 
     def trace_vectors_S(self, codes) -> CycArray:
         """Simple-module trace vectors of normal-ordered monomials, n^2 rows each, stacked.
@@ -543,19 +600,32 @@ def _ragged(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _collect(codes: np.ndarray, coeffs: CycArray) -> tuple[np.ndarray, CycArray]:
-    """Sorted distinct codes with the summed coefficients of each, zero sums dropped.
+    """Sorted distinct codes with the summed coefficients of each, zero sums dropped (`_collect_keyed` under one key)."""
+    _keys, codes, coeffs = _collect_keyed(np.zeros_like(codes), codes, coeffs)
+    return codes, coeffs
 
-    One sort and one `segment_sum`, which picks int64 or Python ints from
-    the longest run and the largest numerator.
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array (without `np.unique`, whose first call imports `numpy.ma`)."""
+    return keys[np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))]
+
+
+def _collect_keyed(keys: np.ndarray, codes: np.ndarray, coeffs: CycArray) -> tuple[np.ndarray, np.ndarray, CycArray]:
+    """Sorted distinct (key, code) pairs with the summed coefficients of each, zero sums dropped.
+
+    One `np.lexsort` and one `segment_sum`, which picks int64 or Python ints
+    from the longest run and the largest numerator.  The key is sorted on
+    beside the code rather than packed into it, so it costs the codes no
+    range.
     """
     if not len(codes):
-        return codes, coeffs
-    order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+        return keys, codes, coeffs
+    order = np.lexsort((codes, keys))
+    keys, codes = keys[order], codes[order]
+    starts = np.flatnonzero(np.concatenate(([True], (codes[1:] != codes[:-1]) | (keys[1:] != keys[:-1]))))
     nums = segment_sum(coeffs.nums[order], starts)
     keep = nums.astype(bool).any(axis=1)
-    return codes[starts[keep]], CycArray(coeffs.ctx, nums[keep], coeffs.den)
+    return keys[starts[keep]], codes[starts[keep]], CycArray(coeffs.ctx, nums[keep], coeffs.den)
 
 
 @lru_cache(maxsize=None)
@@ -618,24 +688,32 @@ def coproduct_trace_identity(rep: DoubleRep, mckay: np.ndarray, x, vlabel: Simpl
     return coproduct_trace_sides(rep, mckay, *coproduct_trace_terms(rep, x, vlabel))
 
 
-def _all_pairs(na: int, nb: int) -> tuple[np.ndarray, np.ndarray]:
-    """(i, j) over every pair of positions, i major."""
-    return np.divmod(np.arange(na * nb), nb)
+def _pairs(x: "_Combination", y: "_Combination") -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) over the pairs of terms of x and y under equal keys, i major (every pair when neither has keys)."""
+    lo = np.searchsorted(y.keys, x.keys, "left")
+    i, off = _ragged(np.searchsorted(y.keys, x.keys, "right") - lo)
+    return i, lo[i] + off
 
 
 class _Combination:
-    """A finite sum of basis elements with coefficients in Q(q): sorted distinct int64 codes and a CycArray.
+    """A finite sum of basis elements with coefficients in Q(q), or a family of them told apart by integer keys.
 
-    Every coefficient is nonzero, so two equal elements have equal code
-    arrays, and equality is `array_equal` on the codes and on the
-    cross-multiplied numerators.
+    The terms are sorted distinct (key, code) pairs, int64 each, with a
+    CycArray of coefficients; an element built without keys has key 0 on
+    every term.  Every coefficient is nonzero, so two equal elements have
+    equal key and code arrays, and equality is `array_equal` on them and on
+    the cross-multiplied numerators.  Sums, products, coproducts and counits
+    act key by key: a product meets only terms under equal keys, so one
+    keyed element carries a whole sample through each identity at once.
     """
 
-    __slots__ = ("rep", "codes", "coeffs")
+    __slots__ = ("rep", "keys", "codes", "coeffs")
 
-    def __init__(self, rep: DoubleRep, codes, coeffs: CycArray):
+    def __init__(self, rep: DoubleRep, codes, coeffs: CycArray, keys=None):
         self.rep = rep
-        self.codes, self.coeffs = _collect(np.asarray(codes, dtype=np.int64), coeffs)
+        codes = np.asarray(codes, dtype=np.int64)
+        keys = np.zeros_like(codes) if keys is None else np.asarray(keys, dtype=np.int64)
+        self.keys, self.codes, self.coeffs = _collect_keyed(keys, codes, coeffs)
 
     def __len__(self):
         return len(self.codes)
@@ -643,18 +721,19 @@ class _Combination:
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return np.array_equal(self.codes, other.codes) and self.coeffs == other.coeffs
+        same_terms = np.array_equal(self.keys, other.keys) and np.array_equal(self.codes, other.codes)
+        return same_terms and self.coeffs == other.coeffs
 
     __hash__ = None
 
     def __add__(self, other):
         return type(self)(
             self.rep, np.concatenate([self.codes, other.codes]),
-            CycArray.concat(self.rep.ctx, [self.coeffs, other.coeffs]),
+            CycArray.concat(self.rep.ctx, [self.coeffs, other.coeffs]), np.concatenate([self.keys, other.keys]),
         )
 
     def __neg__(self):
-        return type(self)(self.rep, self.codes, -self.coeffs)
+        return type(self)(self.rep, self.codes, -self.coeffs, self.keys)
 
     def __sub__(self, other):
         return self + (-other)
@@ -662,33 +741,37 @@ class _Combination:
     def is_zero(self) -> bool:
         return not len(self.codes)
 
+    def mismatched_keys(self, other) -> np.ndarray:
+        """The sorted keys under which self and other differ: those left in self - other."""
+        return _distinct((self - other).keys)
+
     @property
     def terms(self) -> dict:
-        """The element as {basis key: CycNum}, a view built from the arrays."""
-        return {self._key(code): c for code, c in zip(self.codes.tolist(), self.coeffs.to_list())}
+        """The element as {basis element: CycNum}, a view built from the arrays (of an element without keys)."""
+        return {self._basis(code): c for code, c in zip(self.codes.tolist(), self.coeffs.to_list())}
 
 
 class PbwElement(_Combination):
-    """An element of the double in the normal-ordered basis, keyed by monomial codes."""
+    """An element of the double in the normal-ordered basis (or a keyed family of them), one term per monomial code."""
 
     __slots__ = ()
 
-    def _key(self, code: int) -> tuple:
+    def _basis(self, code: int) -> tuple:
         return tuple(int(e) for e in _decode(self.rep.n, code))
 
     def __mul__(self, other):
         rep = self.rep
         if isinstance(other, (int, Fraction, CycNum)):
             scalar = other if isinstance(other, CycNum) else rep.ctx.from_rational(other)
-            return PbwElement(rep, self.codes, self.coeffs.scaled(scalar))
-        i, j = _all_pairs(len(self), len(other))
+            return PbwElement(rep, self.codes, self.coeffs.scaled(scalar), self.keys)
+        i, j = _pairs(self, other)
         src, codes, coeffs = rep._mono_mul(self.codes[i], other.codes[j])
         weights = self.coeffs.take(i) * other.coeffs.take(j)
-        return PbwElement(rep, codes, coeffs * weights.take(src))
+        return PbwElement(rep, codes, coeffs * weights.take(src), self.keys[i][src])
 
     def coproduct(self) -> "TensorElement":
         src, pairs, coeffs = self.rep.coproduct_monomial(self.codes)
-        return TensorElement(self.rep, pairs, coeffs * self.coeffs.take(src))
+        return TensorElement(self.rep, pairs, coeffs * self.coeffs.take(src), self.keys[src])
 
     def counit(self) -> CycNum:
         """The sum of the coefficients of the monomials without a and d (b and c are grouplike)."""
@@ -708,11 +791,11 @@ class PbwElement(_Combination):
 
 
 class TensorElement(_Combination):
-    """An element of the tensor square, keyed by pair codes code(m1) n^4 + code(m2)."""
+    """An element of the tensor square (or a keyed family of them), one term per pair code code(m1) n^4 + code(m2)."""
 
     __slots__ = ()
 
-    def _key(self, code: int) -> tuple:
+    def _basis(self, code: int) -> tuple:
         first, second = divmod(code, self.rep.n**4)
         return tuple(tuple(int(e) for e in _decode(self.rep.n, c)) for c in (first, second))
 
@@ -724,7 +807,7 @@ class TensorElement(_Combination):
         """Legwise products: every left-leg term of x1 y1 meets every right-leg term of x2 y2."""
         rep = self.rep
         (x1, x2), (y1, y2) = self.legs(), other.legs()
-        i, j = _all_pairs(len(self), len(other))
+        i, j = _pairs(self, other)
         src1, codes1, coeffs1 = rep._mono_mul(x1[i], y1[j])
         src2, codes2, coeffs2 = rep._mono_mul(x2[i], y2[j])
         weights = self.coeffs.take(i) * other.coeffs.take(j)
@@ -732,7 +815,9 @@ class TensorElement(_Combination):
         counts = np.bincount(src2, minlength=len(i))
         t1, off = _ragged(counts[src1])
         t2 = (np.cumsum(counts) - counts)[src1[t1]] + off
-        return TensorElement(rep, codes1[t1] * rep.n**4 + codes2[t2], coeffs1.take(t1) * coeffs2.take(t2))
+        return TensorElement(
+            rep, codes1[t1] * rep.n**4 + codes2[t2], coeffs1.take(t1) * coeffs2.take(t2), self.keys[i][src1[t1]]
+        )
 
     def counit_legs(self) -> tuple[PbwElement, PbwElement]:
         """(eps (x) id) and (id (x) eps) of this element: eps(a^al b^be c^ga d^de) is 1 when al = de = 0, else 0."""
@@ -741,24 +826,28 @@ class TensorElement(_Combination):
         def apply_counit(leg, other):
             al, _, _, de = _decode(self.rep.n, leg)
             unit = (al == 0) & (de == 0)
-            return PbwElement(self.rep, other[unit], self.coeffs.take(unit))
+            return PbwElement(self.rep, other[unit], self.coeffs.take(unit), self.keys[unit])
 
         return apply_counit(first, second), apply_counit(second, first)
 
-    def is_coassociative(self) -> bool:
-        """Whether (D (x) id) and (id (x) D) agree on this element.
+    def noncoassociative_keys(self) -> np.ndarray:
+        """The sorted keys under which (D (x) id) and (id (x) D) of this element differ.
 
         Both sides are coded over three legs, code(m1) n^8 + code(m2) n^4 +
-        code(m3); the right-hand side is negated, and the concatenation must
-        segment-sum to zero.
+        code(m3), each term under the key of the term it comes from; the
+        right-hand side is negated, and a key keeps a term of the collected
+        concatenation exactly where the two sides differ under it.
         """
         n, big = self.rep.n, self.rep.n**4
         if n**12 >= 1 << 63:
             raise OverflowError(f"three-leg codes at n = {n} do not fit in int64")
         first, second = self.legs()
         src, pairs, coeffs = self.rep.coproduct_monomial(first)
-        lhs = (pairs * big + second[src], coeffs * self.coeffs.take(src))
+        lhs = (pairs * big + second[src], coeffs * self.coeffs.take(src), self.keys[src])
         src, pairs, coeffs = self.rep.coproduct_monomial(second)
-        rhs = (first[src] * big * big + pairs, coeffs * self.coeffs.take(src))
-        codes, _ = _collect(np.concatenate([lhs[0], rhs[0]]), CycArray.concat(self.rep.ctx, [lhs[1], -rhs[1]]))
-        return not len(codes)
+        rhs = (first[src] * big * big + pairs, coeffs * self.coeffs.take(src), self.keys[src])
+        keys, _codes, _coeffs = _collect_keyed(
+            np.concatenate([lhs[2], rhs[2]]), np.concatenate([lhs[0], rhs[0]]),
+            CycArray.concat(self.rep.ctx, [lhs[1], -rhs[1]]),
+        )
+        return _distinct(keys)

@@ -29,9 +29,10 @@ from functools import cached_property
 import numpy as np
 
 from .chebyshev import bivariate_to_poly, cheb_poly, p_n_bivariate, p_n_bivariate_closed, p_n_factor_check
-from .cyclotomic import CycArray, CycNum, int_matmul, make_context, sparse_product, sparse_rows
+from .cyclotomic import CycArray, CycNum, int_combination, int_matmul, make_context, sparse_product, sparse_rows
 from .dnrep import (
     Monomial,
+    PbwElement,
     SimpleLabel,
     all_labels,
     coproduct_trace_sides,
@@ -243,24 +244,34 @@ def _require(ok: bool, message: str):
         raise CheckFailure(message)
 
 
-def _on_line(A: np.ndarray, vec: CycArray, lam: CycNum, side: str, line: CycArray) -> tuple[CycArray, CycArray]:
-    """(t_p v, w_p t) for t = line, p its first nonzero coordinate and w = (A - lam) v (A integer, side as in `relation`).
+def _on_line(A: np.ndarray, vecs: CycArray, lams, side: str, lines: CycArray) -> tuple[CycArray, CycArray]:
+    """(t_p v, w_p t) for each vector v of the stack vecs, with t its line, p the first nonzero coordinate of t and w = (A - lam) v.
 
-    `relation` with this vector and chain certifies t_p w = w_p t, which is w = (w_p / t_p) t without a division.
+    A is an integer matrix and side as in `relation`; vecs and lines are
+    stacks of the same layout, with one eigenvalue in lams per vector.
+    `relation` with these vectors and chains certifies t_p w = w_p t, which is
+    w = (w_p / t_p) t without a division.  Row p of A V gives every w_p at
+    once, and `mul_matrices` multiplies each vector by its own scalar.
     """
-    rows = np.flatnonzero(line.nums.any(axis=1))
-    if not rows.size:
+    ctx = vecs.ctx
+    m, d = len(lams), ctx.degree
+    V, T = vecs.nums.reshape(m, -1, d), lines.nums.reshape(m, -1, d)
+    spans = T.any(axis=2)
+    if not spans.any(axis=1).all():
         raise CheckFailure("the spanning vector of the line is zero")
-    p = int(rows[0])
-    image = vec.left_mul((A if side == "right" else A.T)[p:p + 1])[0]
-    return vec.scaled(line[p]), line.scaled(image - lam * vec[p])
+    p, k = spans.argmax(axis=1), np.arange(m)
+    rows = (A if side == "right" else A.T)[p]  # row p of A for each vector
+    image = CycArray(ctx, int_matmul(rows[:, None, :], V)[:, 0], vecs.den)
+    w_p = image + -(CycArray.from_list(ctx, lams) * CycArray(ctx, V[k, p], vecs.den))
+    scaled = CycArray(ctx, int_matmul(V, ctx.mul_matrices(T[k, p])).reshape(-1, d), vecs.den * lines.den)
+    chains = CycArray(ctx, int_matmul(T, ctx.mul_matrices(w_p.nums)).reshape(-1, d), lines.den * w_p.den)
+    return scaled, chains
 
 
-def _first_mismatch(labels, got: CycArray, want: CycArray):
-    """The label of the first entry where got and want differ, or None when they are equal."""
-    if got == want:
-        return None
-    return next(lab for lab, x, y in zip(labels, got.to_list(), want.to_list()) if x != y)
+def _first_mismatch(got: CycArray, want: CycArray):
+    """The first entry where got and want differ, or None when they are equal (one cross-multiplied comparison)."""
+    differ = int_combination([(want.den, got.nums), (-got.den, want.nums)]).any(axis=1)
+    return int(differ.argmax()) if differ.any() else None
 
 
 def _block_charpoly_values(t: np.ndarray, qk: complex, n: int):
@@ -340,24 +351,31 @@ def check_charpoly_factorization(ws: Workspace):
 
 def check_hopf_axioms(ws: Workspace):
     """Defining relations on every simple module; counit, coassociativity and
-    multiplicativity of the coproduct on a sample."""
+    multiplicativity of the coproduct on a sample.
+
+    The ten relations of all n^2 modules are one `DoubleRep.verify_relations`
+    call, on the generators stacked as weighted shifts, four stacks per
+    dimension.  The sample goes through keyed `PbwElement`s, each holding a
+    run of samples under their own keys, so that one pass certifies every
+    identity for all of them (`_certify_hopf_sample`).
+    """
     n, rep, ctx = ws.n, ws.rep, ws.ctx
     oracle = Oracle()
-    for lab in all_labels(n):
-        fails = rep.verify_relations(lab)
-        _require(not fails, f"relations {fails} fail on {lab}")
+    fails = rep.verify_relations(all_labels(n))
+    if fails:
+        first = fails[0][0]
+        more = len({lab for lab, _ in fails}) - 1
+        names = [name for lab, name in fails if lab == first]
+        raise CheckFailure(f"relations {names} fail on {first}" + (f" and on {more} more modules" if more else ""))
     # numeric re-check of the mixed relation on the largest module
     na, nb, nc, nd = (x.embed() for x in rep.action_shifts(SimpleLabel(n, 1)))
     q = ctx.root_power(1).embed()
     resid = nd @ na - q * (na @ nd) - (np.eye(n) - nb @ nc)
     oracle.vec_residual(np.abs(resid).ravel())
 
-    gens = {g: rep.pbw_generator(g) for g in "abcd"}
-    gens = {g: (gx, gx.coproduct()) for g, gx in gens.items()}
     monos = _hopf_sample(n)
-    for mono in monos:
-        _certify_hopf_sample(rep, mono, gens)
-    detail = {"labels": n * n, "sampled_monomials": len(monos), "multiplicativity_pairs": len(monos) * len(gens)}
+    _certify_hopf_sample(rep, monos)
+    detail = {"labels": n * n, "sampled_monomials": len(monos), "multiplicativity_pairs": len(monos) * len(GENERATORS)}
     return oracle.residual, detail
 
 
@@ -367,21 +385,75 @@ def _hopf_sample(n: int) -> list[tuple]:
     return [(rnd.randrange(n), rnd.randrange(n), rnd.randrange(n), rnd.randrange(n)) for _ in range(20)]
 
 
-def _certify_hopf_sample(rep, mono: tuple, gens: dict):
-    """Counit, coassociativity and multiplicativity of the coproduct at x = mono (gens: g -> (g, D(g))).
+# the generators g of the multiplicativity identities D(xg) = D(x) D(g)
+GENERATORS = "abcd"
 
-    Each identity is certified on integer arrays: the terms of both sides
-    are coded, the right-hand side is negated, and the segment sums by code
-    must all vanish.  Raises CheckFailure at the first identity that fails.
+# the most terms the two sides of the coassociativity identity may have in one
+# keyed pass of the hopf-axioms sample: at n = 11 four passes, whose
+# temporaries stay near those of one monomial at a time
+HOPF_PASS_TERMS = 1 << 13
+
+
+def _hopf_passes(monos: list[tuple]) -> list[list[int]]:
+    """The positions of the sample in runs of consecutive ones, each within HOPF_PASS_TERMS (or a single sample).
+
+    At x = a^al b^be c^ga d^de each side of the coassociativity identity
+    has T(al + 1) T(de + 1) terms before they are collected, T(m) = m (m + 1) / 2.
     """
-    x = rep.pbw_monomial(*mono)
+    passes, terms = [[]], 0
+    for s, (al, _be, _ga, de) in enumerate(monos):
+        size = (al + 1) * (al + 2) * (de + 1) * (de + 2) // 2
+        if passes[-1] and terms + size > HOPF_PASS_TERMS:
+            passes.append([])
+            terms = 0
+        passes[-1].append(s)
+        terms += size
+    return passes
+
+
+def _certify_hopf_sample(rep, monos: list[tuple]):
+    """Counit, coassociativity and multiplicativity of the coproduct at every x = monos[s], a run of samples per pass.
+
+    Raises CheckFailure at the first sample that fails, naming its first
+    failing identity (`_hopf_pass`).
+    """
+    for keys in _hopf_passes(monos):
+        found = _hopf_pass(rep, monos, np.array(keys, dtype=np.int64))
+        if found:
+            s, _, text = min(found)
+            raise CheckFailure(text.format(monos[s]))
+
+
+def _hopf_pass(rep, monos: list[tuple], keys: np.ndarray) -> list[tuple]:
+    """Every identity of the hopf-axioms sample at the samples s in keys, in one pass; returns (s, identity, message) per failure.
+
+    x is one `PbwElement` holding monos[s] under key s.  The products x g
+    for the four generators g are one element under the keys 4 s + (index
+    of g), and each identity compares two keyed elements: the terms of both
+    sides are coded, the right-hand side is negated, and the segment sums by
+    (key, code) must all vanish.  Identities are numbered in the order
+    counit, counit, coassociativity, then D(xg) = D(x) D(g) for g = a, b, c, d.
+    """
+    ctx, names = rep.ctx, GENERATORS
+    codes = np.array([rep.pbw_code(monos[s]) for s in keys], dtype=np.int64)
+    x = PbwElement(rep, codes, CycArray.from_list(ctx, [1] * len(keys)), keys)
     delta = x.coproduct()
     eps_id, id_eps = delta.counit_legs()
-    _require(eps_id == x, f"(eps x id) failed on {mono}")
-    _require(id_eps == x, f"(id x eps) failed on {mono}")
-    _require(delta.is_coassociative(), f"coassociativity failed on {mono}")
-    for g, (gx, dg) in gens.items():
-        _require((x * gx).coproduct() == delta * dg, f"D(x{g}) != D(x) D({g}) at x = {mono}")
+    found = []
+    for rank, (failed, text) in enumerate([
+        (eps_id.mismatched_keys(x), "(eps x id) failed on {}"),
+        (id_eps.mismatched_keys(x), "(id x eps) failed on {}"),
+        (delta.noncoassociative_keys(), "coassociativity failed on {}"),
+    ]):
+        found += [(int(s), rank, text) for s in failed]
+    pairs = (keys[:, None] * len(names) + np.arange(len(names))).ravel()  # key 4 s + g: sample s times generator g
+    ones = CycArray.from_list(ctx, [1] * len(pairs))
+    xs = PbwElement(rep, np.repeat(codes, len(names)), ones, pairs)
+    gens = PbwElement(rep, np.tile(np.concatenate([rep.pbw_generator(g).codes for g in names]), len(keys)), ones, pairs)
+    for key in (xs * gens).coproduct().mismatched_keys(xs.coproduct() * gens.coproduct()):
+        s, g = divmod(int(key), len(names))
+        found.append((s, 3 + g, f"D(x{names[g]}) != D(x) D({names[g]}) at x = {{}}"))
+    return found
 
 
 def check_coproduct_trace(ws: Workspace):
@@ -413,30 +485,47 @@ def check_coproduct_trace(ws: Workspace):
 
 
 def check_grouplike_traces(ws: Workspace):
-    """Grouplike trace vectors are the Chebyshev eigenvectors, with all symmetries."""
-    n, tab, ctx = ws.n, ws.tab, ws.ctx
+    """Grouplike trace vectors are the Chebyshev eigenvectors, with all symmetries.
+
+    One stack per i holds Tr_S(b^i c^k) for every k.  It is compared in one
+    step each with the right eigenvectors gathered at the matching (j, r),
+    with the stack of its partners Tr_S(b^{-k} c^{-i}), and with the closed
+    form of the characters, and certified by one `relation` call.
+    """
+    n, tab, ctx, h = ws.n, ws.tab, ws.ctx, ws.tab.h
     oracle = Oracle()
-    eigvecs = {c.index: c.right for c in ws.certs}
+    size = n * n
     labels = all_labels(n)
-    for (i, k), tv in ws.grouplike_traces.items():
-        idx = tab.index_from_grouplike(i, k)
-        _require(tv == eigvecs[idx], f"Tr_S(b^{i} c^{k}) is not the ({idx.j},{idx.r}) eigenvector")
-        _require(tv == ws.grouplike_traces[(-k % n, -i % n)], f"symmetry fails at ({i},{k})")
-        # the character of V(ell, s) is the eigenvalue of its McKay matrix on the family,
-        # which is its value at s = 0 times q^{2sr}
-        closed = CycArray.from_list(ctx, [tab.general_eigenvalue(idx, ell, 0) for ell in range(1, n + 1)])
-        bad = _first_mismatch(labels, tv, closed.qpow_blocks([2 * s * idx.r for s in range(n)]))
-        _require(bad is None, f"character closed form fails at {bad}, ({i},{k})")
+    right = CycArray.concat(ctx, [stack.take(slice(0, (h + 1) * size)) for stack in tab.stack("right")])  # (r, j) major
+    # the character of V(ell, s) is the eigenvalue of its McKay matrix on the family,
+    # which is its value at s = 0 times q^{2sr}
+    closed = CycArray.concat(ctx, [
+        CycArray.from_list(ctx, [tab.general_eigenvalue(EigIndex(j, r), ell, 0) for j in range(h + 1) for ell in range(1, n + 1)])
+        .qpow_blocks([2 * s * r for s in range(n)])
+        for r in range(n)
+    ])
+    traces = {i: CycArray.concat(ctx, [ws.grouplike_traces[(i, k)] for k in range(n)]) for i in range(n)}
+    top = label_index(n, SimpleLabel(n, 0))
     for i in range(n):
-        stack = CycArray.concat(ctx, [ws.grouplike_traces[(i, k)] for k in range(n)])
-        lams = [tab.lam(tab.index_from_grouplike(i, k)) for k in range(n)]
-        oracle.see(relation(ws.M, stack, lams, "right", [f"Tr_S(b^{i} c^{k}) eigen" for k in range(n)]))
+        idx = [tab.index_from_grouplike(i, k) for k in range(n)]
+        rows = (np.array([x.r * (h + 1) + x.j for x in idx])[:, None] * size + np.arange(size)).ravel()
+        bad = _first_mismatch(traces[i], right.take(rows))
+        if bad is not None:
+            k = bad // size
+            raise CheckFailure(f"Tr_S(b^{i} c^{k}) is not the ({idx[k].j},{idx[k].r}) eigenvector")
+        bad = _first_mismatch(traces[i], CycArray.concat(ctx, [ws.grouplike_traces[(-k % n, -i % n)] for k in range(n)]))
+        if bad is not None:
+            raise CheckFailure(f"symmetry fails at ({i},{bad // size})")
+        bad = _first_mismatch(traces[i], closed.take(rows))
+        if bad is not None:
+            raise CheckFailure(f"character closed form fails at {labels[bad % size]}, ({i},{bad // size})")
+        for k in range(n):
+            if (i + k) % n:
+                _require(not traces[i].nums[k * size + top:(k + 1) * size].any(), f"Tr_S(b^{i} c^{k}) does not vanish on V(n, .)")
+        lams = [tab.lam(x) for x in idx]
+        oracle.see(relation(ws.M, traces[i], lams, "right", [f"Tr_S(b^{i} c^{k}) eigen" for k in range(n)]))
     dims = CycArray.from_list(ctx, ws.ring.dim_simple_vector())
     _require(ws.grouplike_traces[(0, 0)] == dims, "Tr_S(1) is not the dimension vector")
-    top = label_index(n, SimpleLabel(n, 0))
-    for (i, k), tv in ws.grouplike_traces.items():
-        if (i + k) % n:
-            _require(not tv.nums[top:].any(), f"Tr_S(b^{i} c^{k}) does not vanish on V(n, .)")
     return oracle.residual, {"pairs": n * n}
 
 
@@ -485,31 +574,26 @@ def check_generalized_traces(ws: Workspace):
     oracle = Oracle()
     rnd = _rng("generalized-traces", n)
     bcda_samples = {(rnd.randrange(n), rnd.randrange(n)) for _ in range(4)}
-    zero = CycArray.zeros(ctx, n * n)
     for i in range(n):  # one stack per i: its vectors, chains, eigenvalues and labels
-        vecs, chains, lams, labels = [], [], [], []
-        for k in range(n):
-            if (i + k) % n == 0:
-                continue
-            vec, gammas, lam = gen_trace_combination(n, i, k)
-            _require(gammas[-1] == ctx.one(), "the top coefficient must be 1")
-            # (M - lam) v lies on the line through the eigenvector t, and (M - lam) t = 0
-            t = ws.grouplike_traces[(i, k)]
-            where = f"({i},{k})"
-            scaled, chain = _on_line(Mi, vec, lam, "right", t)
-            vecs += [scaled, t]
-            chains += [chain, zero]
-            lams += [lam, lam]
-            labels += [f"residual off the eigenline at {where}", f"(M - lam)^2 does not annihilate at {where}"]
-            if (i, k) in bcda_samples:
-                s = (-(i + k)) % n
-                for l in range(1, s + 1):
-                    qint = ctx.quantum_integer(l)
-                    coeff = (qint * qint * (ctx.one() - ctx.root_power(-1))).mul_qpow(-l - k + 1)
-                    vecs.append(rep.trace_vector_S(Monomial(i, k, l)))
-                    chains.append(rep.trace_vector_S(Monomial(i, k, l - 1)).scaled(coeff))
-                    lams.append(ctx.root_power(l + i) + ctx.root_power(-l - k))
-                    labels.append(f"stepdown identity at {where}, l={l}")
+        ks = [k for k in range(n) if (i + k) % n]
+        vecs, gammas, lams = zip(*(gen_trace_combination(n, i, k) for k in ks))
+        for coeffs in gammas:
+            _require(coeffs[-1] == ctx.one(), "the top coefficient must be 1")
+        # (M - lam) v lies on the line through the eigenvector t, and (M - lam) t = 0
+        lines = CycArray.concat(ctx, [ws.grouplike_traces[(i, k)] for k in ks])
+        scaled, chain = _on_line(Mi, CycArray.concat(ctx, vecs), lams, "right", lines)
+        vecs, chains, lams = [scaled, lines], [chain, CycArray.zeros(ctx, len(lines))], list(lams) * 2
+        labels = [f"residual off the eigenline at ({i},{k})" for k in ks]
+        labels += [f"(M - lam)^2 does not annihilate at ({i},{k})" for k in ks]
+        for k in (k for k in ks if (i, k) in bcda_samples):
+            s = (-(i + k)) % n
+            for l in range(1, s + 1):
+                qint = ctx.quantum_integer(l)
+                coeff = (qint * qint * (ctx.one() - ctx.root_power(-1))).mul_qpow(-l - k + 1)
+                vecs.append(rep.trace_vector_S(Monomial(i, k, l)))
+                chains.append(rep.trace_vector_S(Monomial(i, k, l - 1)).scaled(coeff))
+                lams.append(ctx.root_power(l + i) + ctx.root_power(-l - k))
+                labels.append(f"stepdown identity at ({i},{k}), l={l}")
         oracle.see(relation(Mi, CycArray.concat(ctx, vecs), lams, "right", labels, CycArray.concat(ctx, chains)))
     return oracle.residual, {"pairs": n * n - n}
 
@@ -714,15 +798,17 @@ def check_grothendieck_idempotents(ws: Workspace):
             chains += [zero, f]
             lams += [tab.lam(idx)] * 2
             labels += [f"radical F{tuple(idx)} eigen", f"Jordan pair G{tuple(idx)}"]
-        for j in range(h + 1):
-            idx = EigIndex(j, r)
-            coords, chain = idem_coords[idx], zero
-            if j:  # corrected idempotents mix the Jordan pair: (M - lam) lands on the radical line
-                coords, chain = _on_line(ws.M, coords, tab.lam(idx), "left", radical[idx])
-            vecs.append(coords)
-            chains.append(chain)
-            lams.append(tab.lam(idx))
-            labels.append(f"idempotent at {tuple(idx)} leaves the generalized eigenspace")
+        # the idempotents: at j = 0 an eigenvector; the corrected ones mix the Jordan
+        # pair, so (M - lam) lands on the radical line
+        idx = [EigIndex(j, r) for j in range(h + 1)]
+        mixed, chain = _on_line(
+            ws.M, CycArray.concat(ctx, [idem_coords[x] for x in idx[1:]]), [tab.lam(x) for x in idx[1:]], "left",
+            CycArray.concat(ctx, [radical[x] for x in idx[1:]]),
+        )
+        vecs += [idem_coords[idx[0]], mixed]
+        chains += [zero, chain]
+        lams += [tab.lam(x) for x in idx]
+        labels += [f"idempotent at {tuple(x)} leaves the generalized eigenspace" for x in idx]
         oracle.see(relation(ws.M, CycArray.concat(ctx, vecs), lams, "left", labels, CycArray.concat(ctx, chains)))
 
     # the two integer basis conversions are inverse to each other, so both are bijective

@@ -47,16 +47,14 @@ def test_two_dimensional_action_matrices():
 
 @pytest.mark.parametrize("n", [3, 5])
 def test_relations_hold_everywhere(n):
-    rep = double_rep(n)
-    for lab in all_labels(n):
-        assert rep.verify_relations(lab) == []
+    assert double_rep(n).verify_relations(all_labels(n)) == []
 
 
 def _relations_dense_reference(rep, label):
     """Names of the defining relations that fail as dense matrix identities over CycNum.
 
     The independent cross-check of `DoubleRep.verify_relations`, which
-    certifies the same relations on weighted shifts.
+    certifies the same relations on stacks of weighted shifts.
     """
     acts = rep.action_set(label)
     ctx = rep.ctx
@@ -103,40 +101,75 @@ def _bump_alpha(target):
 
 
 def _bump_diagonal(which, label, j):
-    """DoubleRep.action_shifts with entry j of the diagonal of b (which = 1) or c (which = 2) raised by 1 on label."""
-    original = DoubleRep.action_shifts
+    """DoubleRep._action_stack with entry j of the diagonal of b (which = 1) or c (which = 2) raised by 1 on label."""
+    original = DoubleRep._action_stack
 
-    def action_shifts(self, lab):
-        shifts = list(original(self, lab))
-        if lab == label:
+    def action_stack(self, ell):
+        shifts = list(original(self, ell))
+        if ell == label.ell:
             diag = shifts[which].diag
             nums = diag.nums.copy()
-            nums[j, 0] += diag.den
-            shifts[which] = WeightedShift(0, CycArray(diag.ctx, nums, diag.den))
+            nums[label.r * ell + j, 0] += diag.den
+            shifts[which] = WeightedShift(0, ell, CycArray(diag.ctx, nums, diag.den))
         return tuple(shifts)
-    return action_shifts
+    return action_stack
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_shift_relations_match_the_dense_reference(n):
     rep = DoubleRep(make_context(n))
-    for lab in _relation_labels(n):
-        assert rep.verify_relations(lab) == _relations_dense_reference(rep, lab) == []
+    assert rep.verify_relations(all_labels(n)) == []
+    for lab in all_labels(n):
+        assert _relations_dense_reference(rep, lab) == [], lab
 
 
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_shift_relations_fail_like_the_dense_reference(n, monkeypatch):
-    rep = DoubleRep(make_context(n))
+    """One defect in the stacked generators fails exactly the modules it reaches, with the relations the dense route names.
+
+    A raised entry of b or c reaches one module; a raised weight of d reaches
+    every twist of its dimension, since they share d.
+    """
     rnd = random.Random(10 + n)
     for lab in _relation_labels(n):
-        defects = [(DoubleRep, "action_shifts", _bump_diagonal(which, lab, rnd.randrange(lab.ell))) for which in (1, 2)]
+        defects = [("_action_stack", _bump_diagonal(which, lab, rnd.randrange(lab.ell)), [lab]) for which in (1, 2)]
         if lab.ell > 1:
-            defects.append((DoubleRep, "alpha", _bump_alpha((rnd.randrange(1, lab.ell), lab.ell))))
-        for owner, attr, defect in defects:
+            reached = [label for label in all_labels(n) if label.ell == lab.ell]
+            defects.append(("alpha", _bump_alpha((rnd.randrange(1, lab.ell), lab.ell)), reached))
+        for attr, defect, reached in defects:
             with monkeypatch.context() as m:
-                m.setattr(owner, attr, defect)
-                fails = rep.verify_relations(lab)
-                assert fails and fails == _relations_dense_reference(rep, lab), (lab, attr, fails)
+                m.setattr(DoubleRep, attr, defect)
+                rep = DoubleRep(make_context(n))  # builds its stacks with the defect
+                fails = rep.verify_relations(all_labels(n))
+                assert {label for label, _ in fails} == set(reached), (lab, fails)
+                assert fails == [(label, name) for label in reached for name in _relations_dense_reference(rep, label)]
+
+
+def test_single_module_is_a_stack_of_one():
+    """`action_shifts` slices label r out of the stacks of its dimension; a stack of several has no dense matrix."""
+    rep = double_rep(5)
+    stack = rep._action_stacks[2]
+    a, b, c, d = rep.action_shifts(SimpleLabel(3, 7))
+    assert [x.size for x in (a, b, c, d)] == [3] * 4 and [len(x.diag) for x in (a, b, c, d)] == [3] * 4
+    assert b.diag == stack[1].diag.take(slice(2 * 3, 3 * 3))
+    assert d.diag == stack[3].diag.take(slice(0, 3))
+    assert rep.verify_relations([SimpleLabel(3, 7), SimpleLabel(1, 0)]) == []
+    with pytest.raises(ValueError):
+        stack[0].to_matrix()
+
+
+def test_stacked_products_keep_labels_apart():
+    """A product of stacks is the matrix product label by label: no row moves into the next label.
+
+    The first factor has a 1 also on the row the matrix ignores (its source
+    lies outside the module), so a row carried across labels would show.
+    """
+    ctx = make_context(5)
+    up = WeightedShift(1, 2, CycArray.from_list(ctx, [1, 1, 1, 1]))
+    down = WeightedShift(-1, 2, CycArray.from_list(ctx, [1, 2, 3, 4]))
+    for x, y in ((up, down), (down, up), (up, up)):
+        for k in range(2):
+            assert (x * y).take([k]).to_matrix() == x.take([k]).to_matrix() * y.take([k]).to_matrix(), (x.offset, y.offset, k)
 
 
 def test_label_validation():

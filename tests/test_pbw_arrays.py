@@ -158,11 +158,10 @@ def _hopf_sample_dict_reference(rep: DoubleRep, mono: tuple):
     return None
 
 
-def _hopf_sample_array_route(rep: DoubleRep, mono: tuple):
-    gens = {g: rep.pbw_generator(g) for g in "abcd"}
-    gens = {g: (gx, gx.coproduct()) for g, gx in gens.items()}
+def _hopf_sample_array_route(rep: DoubleRep, monos: list):
+    """The failure message of the keyed pass over the monomials monos, or None."""
     try:
-        verify_mod._certify_hopf_sample(rep, mono, gens)
+        verify_mod._certify_hopf_sample(rep, monos)
     except CheckFailure as exc:
         return str(exc)
     return None
@@ -172,7 +171,7 @@ def _routes_agree(rep: DoubleRep) -> list:
     """The failure message (or None) of each sampled x, after checking that both routes give the same one."""
     got = []
     for mono in verify_mod._hopf_sample(rep.n):
-        array, reference = _hopf_sample_array_route(rep, mono), _hopf_sample_dict_reference(rep, mono)
+        array, reference = _hopf_sample_array_route(rep, [mono]), _hopf_sample_dict_reference(rep, mono)
         assert array == reference, (mono, array, reference)
         got.append(array)
     return got
@@ -254,7 +253,7 @@ def test_a_difference_moved_to_another_code_fails_the_array_route(monkeypatch):
     _src, _pairs, coeffs = rep.coproduct_monomial([rep.pbw_code(A)])
     assert coeffs.nums.sum(axis=0).tolist() == [2, 0]  # the sum over all codes cannot see the defect
     assert coeffs.nums[:, 0].tolist() == [2, 0]  # a (x) b, then 1 (x) a
-    assert any(f is not None for f in map(lambda m: _hopf_sample_array_route(rep, m), verify_mod._hopf_sample(3)))
+    assert _hopf_sample_array_route(rep, verify_mod._hopf_sample(3)) is not None
     # the same difference, as an element: +1 and -1 on two codes is not zero
     moved = PbwElement(rep, [rep.pbw_code(A), rep.pbw_code(B)], CycArray.from_list(rep.ctx, [1, -1]))
     assert not moved.is_zero() and len(moved) == 2
@@ -277,22 +276,69 @@ def test_elements_compare_and_cancel_by_code():
     assert (a + b) - b == a
     assert (a - a).is_zero() and not (a - b).is_zero()
     delta = (a * d).coproduct()
-    assert (delta - delta).is_zero() and delta.is_coassociative()
+    assert (delta - delta).is_zero() and not len(delta.noncoassociative_keys())
     assert isinstance(delta, TensorElement) and delta == a.coproduct() * d.coproduct()
     # (eps x id) and (id x eps) both give back the element
     assert delta.counit_legs() == (a * d, a * d)
 
 
 def test_the_hopf_sample_loop_runs_no_scalar_arithmetic(monkeypatch):
-    """Once the coproducts of the generators exist, certifying a sampled x multiplies and adds no CycNum."""
+    """Once the first coproduct has built the table of Gaussian binomials, certifying the sample multiplies and adds no CycNum."""
     rep = DoubleRep(make_context(7))
-    gens = {g: rep.pbw_generator(g) for g in "abcd"}
-    gens = {g: (gx, gx.coproduct()) for g, gx in gens.items()}
+    rep.pbw_generator("a").coproduct()
 
     def forbidden(*_args):
         raise AssertionError("CycNum arithmetic in the sample loop")
 
     for name in ("__mul__", "__rmul__", "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "mul_qpow"):
         monkeypatch.setattr(CycNum, name, forbidden)
-    for mono in verify_mod._hopf_sample(7):
-        verify_mod._certify_hopf_sample(rep, mono, gens)
+    verify_mod._certify_hopf_sample(rep, verify_mod._hopf_sample(7))
+
+
+@pytest.mark.parametrize("n", [5, 7])
+def test_one_corrupted_coproduct_names_its_sample(monkeypatch, n):
+    """+1 on one coefficient of D(x) for one sampled x: the keyed passes fail, name that x, and agree with the dict route.
+
+    The same message comes however the sample is split into passes.
+    """
+    sample = verify_mod._hopf_sample(n)
+    target = sample[7]
+    assert sample.index(target) == 7  # no earlier sample is the same monomial
+    rep = DoubleRep(make_context(n))
+    _src, pairs, _coeffs = rep.coproduct_monomial([rep.pbw_code(target)])
+    first, second = np.divmod(pairs[-1], n**4)
+    monkeypatch.setattr(DoubleRep, "coproduct_monomial", _raise_coefficient(DoubleRep, target, (_mono(n, first), _mono(n, second)), 1))
+    rep = DoubleRep(make_context(n))
+    singles = [_hopf_sample_array_route(rep, [mono]) for mono in sample]
+    assert singles[:7] == [None] * 7 and singles[7] == _hopf_sample_dict_reference(rep, target)
+    got = _hopf_sample_array_route(rep, sample)
+    assert got == singles[7] and got.endswith(str(target)), got
+    for terms in (0, 1 << 40):  # one sample per pass, and the whole sample in one pass
+        monkeypatch.setattr(verify_mod, "HOPF_PASS_TERMS", terms)
+        assert len(verify_mod._hopf_passes(sample)) == (len(sample) if not terms else 1)
+        assert _hopf_sample_array_route(rep, sample) == got
+
+
+def _keyed_tensor(rep, keys, pairs) -> TensorElement:
+    """The sum of m1 (x) m2 under key k, coefficient 1, for (k, (m1, m2)) in zip(keys, pairs)."""
+    codes = [rep.pbw_code(m1) * rep.n**4 + rep.pbw_code(m2) for m1, m2 in pairs]
+    return TensorElement(rep, codes, CycArray.from_list(rep.ctx, [1] * len(codes)), keys)
+
+
+def test_keyed_coassociativity_reaches_n_37():
+    """The key is sorted beside the three-leg code, not packed into it: codes near n^12 still fit int64 at n = 37.
+
+    Under key 0 the true D(a^36), under key 1 D(d^36) with one stray term:
+    only key 1 is reported, and at n = 39 the codes themselves overflow.
+    """
+    n = 37
+    rep = DoubleRep(make_context(n))
+    top = n - 1
+    x = PbwElement(rep, [rep.pbw_code((top, 0, 0, 0)), rep.pbw_code((0, 0, 0, top))], CycArray.from_list(rep.ctx, [1, 1]), [0, 1])
+    delta = x.coproduct()
+    assert int(delta.codes.max()) * n**4 + n**4 - 1 > 1 << 62  # three-leg codes pass 2^62
+    assert delta.noncoassociative_keys().tolist() == []
+    stray = _keyed_tensor(rep, [1], [((top, top, top, top), (top, top, top, top))])
+    assert (delta + stray).noncoassociative_keys().tolist() == [1]
+    with pytest.raises(OverflowError):
+        _keyed_tensor(DoubleRep(make_context(39)), [0], [(UNIT, UNIT)]).noncoassociative_keys()

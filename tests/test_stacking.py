@@ -16,6 +16,8 @@ import pytest
 
 from taftdouble.cyclotomic import CycArray, CycNum
 from taftdouble.dnrep import Monomial, SimpleLabel, double_rep
+from taftdouble.grring import groth_ring
+from taftdouble.polymat import CheckFailure
 from taftdouble.spectral import (
     EigIndex,
     certificates,
@@ -24,6 +26,7 @@ from taftdouble.spectral import (
     fusion_right_eigvec,
     spectral_tables,
 )
+from taftdouble.verify import _on_line
 
 
 @lru_cache(maxsize=None)
@@ -227,3 +230,34 @@ def test_stacking_past_the_int64_bound_uses_python_ints():
     assert stacked.to_list() == _stack_reference(coeffs, idx.r, n)
     small = tab.eigvec("gen_right", idx)
     assert np.array_equal(stacked.nums, small.nums.astype(object) * 2**61) and stacked.den == small.den
+
+
+def _on_line_reference(A, vec, lam, side, line):
+    """(t_p v, w_p t) for one vector in CycNum arithmetic, p the first nonzero entry of t and w = (A - lam) v."""
+    ctx = vec.ctx
+    v, t = vec.to_list(), line.to_list()
+    p = next(k for k, x in enumerate(t) if x)
+    row = (A if side == "right" else A.T)[p]
+    w_p = sum((int(a) * x for a, x in zip(row, v) if a), ctx.zero()) - lam * v[p]
+    return [t[p] * x for x in v], [w_p * x for x in t]
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_stacked_on_line_matches_the_per_vector_route(side):
+    """`verify._on_line` on a stack gives, vector by vector, what the per-vector formula gives; a zero line fails."""
+    n = 5
+    tab, M = spectral_tables(n), groth_ring(n).mckay_v20()
+    idx = [EigIndex(j, r) for r in range(n) for j in range(1, tab.h + 1)]
+    vecs = [tab.eigvec(f"gen_{side}", x) for x in idx]
+    lines = []
+    for k, x in enumerate(idx):  # k leading zeros move p, the first nonzero entry of line k
+        t = tab.eigvec(side, x)
+        lines.append(CycArray(t.ctx, np.concatenate([np.zeros_like(t.nums[:k]), t.nums[k:]]), t.den))
+    lams = [tab.lam(x) for x in idx]
+    scaled, chains = _on_line(M, CycArray.concat(tab.ctx, vecs), lams, side, CycArray.concat(tab.ctx, lines))
+    want = [_on_line_reference(M, v, lam, side, t) for v, lam, t in zip(vecs, lams, lines)]
+    assert scaled.to_list() == [x for s, _ in want for x in s]
+    assert chains.to_list() == [x for _, c in want for x in c]
+    lines[3] = CycArray.zeros(tab.ctx, n * n)
+    with pytest.raises(CheckFailure, match="spanning vector of the line is zero"):
+        _on_line(M, CycArray.concat(tab.ctx, vecs), lams, side, CycArray.concat(tab.ctx, lines))

@@ -296,6 +296,19 @@ def test_relation_is_called_once_per_stack(monkeypatch):
     assert 0 < len(calls) <= 200
 
 
+def test_module_relations_are_one_call(monkeypatch):
+    """The n = 11 suite certifies the relations of all n^2 modules in one `verify_relations` call, with at most 1,000 entrywise products (4,632 label by label)."""
+    relations, products = [], []
+    verify_relations, mul = DoubleRep.verify_relations, CycArray.__mul__
+    monkeypatch.setattr(DoubleRep, "verify_relations", lambda self, labels: relations.append(1) or verify_relations(self, labels))
+    monkeypatch.setattr(CycArray, "__mul__", lambda self, other: products.append(1) or mul(self, other))
+    monkeypatch.setattr(verify_mod, "double_rep", lambda n: DoubleRep(make_context(n)))  # builds its stacks and tables here
+    monkeypatch.setattr(verify_mod, "_WORKSPACES", {})
+    assert run_suite(11).all_pass
+    assert len(relations) == 1
+    assert 0 < len(products) <= 1000
+
+
 def _bump_kernel_vector(kb):
     return [[v[0] + 1] + v[1:] if i == 2 else v for i, v in enumerate(kb)]
 
