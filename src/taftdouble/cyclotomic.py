@@ -16,9 +16,11 @@ exact equality is `array_equal` on cross-multiplied numerators.  `CycArray.qpow_
 stacks a column of coefficients over powers of q, the shape of every
 eigenvector and trace vector downstream.  `gather_products` multiplies
 every row of one such array with every row of another through the
-multiplication tensor of the power basis in one batched contraction; the
-Grothendieck-algebra products are built on it.  `split_prime(n)` gives a
-prime p = 1 (mod n) with an element of order n in F_p, so q -> omega maps
+multiplication tensor of the power basis in one batched contraction, for
+a whole stack of factor pairs at once, and `poly_products` multiplies
+stacks of polynomials by degree; the Grothendieck-algebra products are
+built on them.  `split_prime(n)` gives a prime p = 1 (mod n) with an
+element of order n in F_p, so q -> omega maps
 Z[q] onto F_p; `reduce_mod_p` takes a numerator array there in one step, and
 ranks are certified on the residues.
 
@@ -38,8 +40,9 @@ budget bounds the strings alive at once.
 This module is the one place that chooses between int64 and Python ints
 (dtype=object).  Every exact integer computation of the package runs through
 one of its kernels (`int_matmul`, `sparse_product`, `gather_products`,
-`segment_sum`, `int_combination`, `int_rows`), which bounds every partial sum
-from the values of its operands and takes int64 only below INT64_LIMIT = 2^62.
+`poly_products`, `segment_sum`, `int_combination`, `int_rows`), which
+bounds every partial sum from the values of its operands and takes int64
+only below INT64_LIMIT = 2^62.
 
 Only odd n >= 3 are accepted: the whole construction downstream (the
 Drinfeld double of the Taft algebra and its McKay spectral theory)
@@ -69,6 +72,7 @@ __all__ = [
     "same_fractions",
     "reduce_fraction",
     "gather_products",
+    "poly_products",
     "sparse_rows",
     "sparse_product",
     "split_prime",
@@ -154,19 +158,44 @@ def gather_products(a: np.ndarray, b: np.ndarray, tensor: np.ndarray, target: np
 
     a (Na, d) and b (Nb, d) are integer coordinate rows and tensor[k, e] holds
     the coordinates of basis element k times basis element e: ctx._mul_tensor
-    for Q(q), INT_TENSOR for Z.  The products are one batched contraction and
-    the gather one unbuffered add.  The result is int64 when the most
-    products gathered into one row, times d^2 max |a| max |b| max |tensor|,
-    stays below INT64_LIMIT, and Python ints otherwise.
+    for Q(q), INT_TENSOR for Z.  Stacks a (m, Na, d) and b (m, Nb, d) are m
+    such pairs of factors, gathered pair by pair into (m, size, d).  The
+    products are one batched contraction (b through the tensor gives the
+    multiplication matrix of each of its rows, one batched matmul applies
+    them to the rows of a) and the gather one unbuffered add.  The result is
+    int64 when the most products gathered into one row, times
+    d^2 max |a| max |b| max |tensor|, stays below INT64_LIMIT, and Python
+    ints otherwise.
     """
-    d = tensor.shape[0]
+    stacked = a.ndim == 3
+    a, b = (a, b) if stacked else (a[None], b[None])
+    m, d = len(a), tensor.shape[0]
     hits = int(np.bincount(target.ravel(), minlength=1).max()) if target.size else 0
     bound = hits * d * d * _array_max(a) * _array_max(b) * _array_max(tensor)
     a, b, tensor = (int_array(x, bound) for x in (a, b, tensor))
-    by_basis = np.tensordot(b, tensor, axes=([1], [1]))  # [j, k] = b_j times basis element k
-    pairs = np.tensordot(a, by_basis, axes=([1], [1]))  # [i, j] = a_i b_j
-    out = np.zeros((size, d), dtype=pairs.dtype)
-    np.add.at(out, target.ravel(), pairs.reshape(-1, d))
+    by_basis = np.tensordot(b, tensor, axes=([2], [1]))  # [s, j, k] = b_j times basis element k
+    pairs = a @ by_basis.transpose(0, 2, 1, 3).reshape(m, d, b.shape[1] * d)  # [s, i, (j, p)] = a_i b_j
+    out = np.zeros((m * size, d), dtype=pairs.dtype)
+    np.add.at(out, (np.arange(m)[:, None] * size + target.ravel()).ravel(), pairs.reshape(-1, d))
+    out = out.reshape(m, size, d)
+    return out if stacked else out[0]
+
+
+def poly_products(a: np.ndarray, b: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """The products of m pairs of polynomials: a (m, La, d) and b (m, Lb, d) hold coefficient rows, low degree first.
+
+    Returns (m, La + Lb - 1, d).  For each degree t of a, the multiplication
+    matrices of the coefficients a[:, t] (their rows through the tensor) are
+    applied to all of b in one batched matmul and added at degree t + 0..Lb-1,
+    so no temporary holds more than one coefficient's products.  int64 under
+    the bound of `gather_products` with min(La, Lb) products per row.
+    """
+    (m, la, d), lb = a.shape, b.shape[1]
+    bound = min(la, lb) * d * d * _array_max(a) * _array_max(b) * _array_max(tensor)
+    a, b, flat = (int_array(x, bound) for x in (a, b, tensor.reshape(d, d * d)))
+    out = np.zeros((m, la + lb - 1, d), dtype=a.dtype)
+    for t in range(la):
+        out[:, t:t + lb] += b @ (a[:, t] @ flat).reshape(m, d, d)
     return out
 
 
@@ -664,6 +693,11 @@ class CycArray:
         return self.ctx is other.ctx and same_fractions(self.nums, self.den, other.nums, other.den)
 
     __hash__ = None
+
+    def mismatches(self, other: "CycArray", size: int = 1) -> np.ndarray:
+        """For each block of `size` consecutive entries, whether self and other differ there (one cross-multiplied comparison)."""
+        differ = int_combination([(other.den, self.nums), (-self.den, other.nums)]).any(axis=1)
+        return differ.reshape(-1, size).any(axis=1)
 
     def is_zero(self) -> bool:
         return not self.nums.any()

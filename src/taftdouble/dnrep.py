@@ -37,11 +37,13 @@ offset and one entrywise product of their diagonals, within each label, so
 every relation is an entrywise identity of `CycArray`s, label by label.
 The characters of b^i c^k d^t a^t are sums along the diagonal of d^t a^t,
 whose entries are products of consecutive alphas (the gamma table, built
-once per n by entrywise products); one contraction of that table with the
-powers of q gives the character of every dimension at once, and feeds
-every trace-vector computation downstream.  The dense matrices
-(`action_set`, `character_matrix_route`) are kept as independent
-cross-checks for the tests.
+once per n by entrywise products).  The diagonal entry j of b^i c^k d^t a^t
+on V(ell, s) is gamma_j q^{(j-1)(i+k) + (1-ell)k + s(i-k)}, so one
+contraction of that table with the powers q^{(j-1)u}, for every u = i + k
+at once, gives a trace table from which every trace vector downstream is
+gathered and twisted by powers of q, for any number of (i, k) at once.
+The dense matrices (`action_set`, `character_matrix_route`) are kept as
+independent cross-checks for the tests.
 """
 
 from __future__ import annotations
@@ -325,23 +327,53 @@ class DoubleRep:
             steps.append(steps[-1] * CycArray(ctx, moved, 1))
         return CycArray.concat(ctx, steps)
 
-    def _twist_zero_characters(self, i: int, k: int, ts, ells) -> CycArray:
-        """Traces of b^i c^k d^t a^t on V(ell, 0), in row t_index * len(ells) + ell_index.
+    @cached_property
+    def _trace_table(self) -> CycArray:
+        """Row (u n + t) n + ell - 1 is sum_j gamma_j q^{(j-1)u}, for the diagonal gamma of d^t a^t on V(ell, *) (`_gamma_table`).
 
-        Entry j of the diagonal of b^i c^k d^t a^t on V(ell, 0) is
-        gamma_j q^{(j-1)i + (j-ell)k}, with exponents that do not depend on t,
-        so the traces for every t and ell are one contraction of the gamma
-        table with the matrices of multiplication by those powers.
+        One contraction of the gamma table with the slices ctx._qpow_mul[(j-1)u],
+        for every u at once.  The trace of b^i c^k d^t a^t on V(ell, s) is row
+        (i + k mod n, t, ell) times q^{(1-ell)k + s(i-k)} (`_twisted`).
         """
         n, ctx = self.n, self.ctx
         d = ctx.degree
-        ts, ells = np.asarray(ts), np.asarray(ells)
         gamma = self._gamma_table
-        rows = gamma.nums.reshape(n, n, n * d)[np.ix_(ts, ells - 1)]  # [t, ell, (j, m)]
-        j = np.arange(1, n + 1)
-        tables = ctx._qpow_mul[((j - 1) * i + (j - ells[:, None]) * k) % n].reshape(len(ells), n * d, d)
-        nums = int_matmul(rows.transpose(1, 0, 2), tables)  # [ell, t, p]
-        return CycArray(ctx, nums.transpose(1, 0, 2).reshape(-1, d), gamma.den)
+        u, j = np.ix_(range(n), range(n))
+        tables = ctx._qpow_mul[u * j % n].reshape(n, n * d, d)  # [u, (j, p), r]
+        return CycArray(ctx, int_matmul(gamma.nums.reshape(n * n, n * d), tables).reshape(-1, d), gamma.den)
+
+    def _twisted(self, values: CycArray, i: np.ndarray, k: np.ndarray) -> CycArray:
+        """Trace vectors from rows of the trace table: entry (ell, s) of vector m is row m n + ell - 1 of values times q^{(1-ell)k_m + s(i_m - k_m)}.
+
+        Every row is multiplied by every power of q once (`qpow_blocks`), and
+        the vectors gather the powers they need.
+        """
+        n, d = self.n, self.ctx.degree
+        powers = values.qpow_blocks(np.arange(n)).nums.reshape(len(i), n, n, d)  # [m, ell, e]
+        m, ell, s = np.ix_(range(len(i)), range(n), range(n))
+        exps = (-ell * k[:, None, None] + s * (i - k)[:, None, None]) % n
+        return CycArray(self.ctx, powers[m, ell, exps].reshape(-1, d), values.den)
+
+    def trace_vectors_S_at(self, i, k, t) -> CycArray:
+        """Simple-module trace vectors of b^i c^k d^t a^t for the pairs of arrays i, k and t, one after another (n^2 entries each)."""
+        n = self.n
+        i, k, t = (np.asarray(x, dtype=np.int64) for x in (i, k, t))
+        rows = (((i + k) % n * n + t) * n)[:, None] + np.arange(n)
+        return self._twisted(self._trace_table.take(rows.ravel()), i, k)
+
+    def trace_vectors_S_sum(self, i, k, coeffs: CycArray) -> CycArray:
+        """Simple-module trace vectors of sum_t coeffs[m T + t - 1] b^i c^k d^t a^t, t = 1..T, for the pairs (i[m], k[m]), one after another.
+
+        T = len(coeffs) / len(i).  The twist does not depend on t, so the sum
+        is taken over rows of the trace table, one entrywise product for all.
+        """
+        n, d = self.n, self.ctx.degree
+        i, k = np.asarray(i, dtype=np.int64), np.asarray(k, dtype=np.int64)
+        m, T = len(i), len(coeffs) // len(i)
+        rows = (((i + k) % n)[:, None, None] * n + np.arange(1, T + 1)[:, None]) * n + np.arange(n)  # [m, t, ell]
+        values = self._trace_table.take(rows.ravel()) * coeffs.take(np.repeat(np.arange(m * T), n))
+        sums = segment_sum(values.nums.reshape(m, T, n, d).transpose(1, 0, 2, 3))
+        return self._twisted(CycArray(self.ctx, sums.reshape(-1, d), values.den), i, k)
 
     def character(self, label: SimpleLabel, mono: Monomial) -> CycNum:
         """Trace of b^i c^k d^t a^t on V(ell, s)."""
@@ -352,17 +384,15 @@ class DoubleRep:
     def characters_pbw(self, label: SimpleLabel, codes) -> CycArray:
         """Traces of the normal-ordered monomials `codes` on V(ell, s), one entry each.
 
-        a^t b^i c^k d^t has the trace of b^i c^k d^t a^t, the twist-0 value
-        times q^{s(i-k)}; a monomial with unequal powers of a and d moves
-        every basis vector, and has trace zero.
+        a^t b^i c^k d^t has the trace of b^i c^k d^t a^t, row (i + k, t, ell)
+        of the trace table times q^{(1-ell)k + s(i-k)}; a monomial with
+        unequal powers of a and d moves every basis vector, and has trace zero.
         """
         self._check_label(label)
-        ell, s, zero = label.ell, label.r, CycArray.zeros(self.ctx, 1)
-        al, be, ga, de = _decode(self.n, np.asarray(codes, dtype=np.int64))
-        return CycArray.concat(self.ctx, [
-            self._twist_zero_characters(i, k, [t], [ell]).qpow_blocks([s * (i - k)]) if t == t2 else zero
-            for t, i, k, t2 in zip(al.tolist(), be.tolist(), ga.tolist(), de.tolist())
-        ])
+        n, ell, s = self.n, label.ell, label.r
+        al, be, ga, de = _decode(n, np.asarray(codes, dtype=np.int64))
+        values = self._trace_table.take(((be + ga) % n * n + al) * n + ell - 1).qpow_rows((1 - ell) * ga + s * (be - ga))
+        return CycArray(self.ctx, values.nums * (al == de)[:, None], values.den)
 
     def character_matrix_route(self, label: SimpleLabel, mono: Monomial) -> CycNum:
         """Same trace, by literal matrix products (cross-check path, small sizes only)."""
@@ -391,26 +421,8 @@ class DoubleRep:
     # trace vectors
 
     def trace_vector_S(self, mono: Monomial) -> CycArray:
-        """Simple-module trace vector of b^i c^k d^t a^t, in lexicographic label order.
-
-        The twist s enters every term of the trace through the same factor
-        q^{s(i-k)}, so block ell is the s = 0 value stacked over those powers
-        instead of resummed.
-        """
-        n = self.n
-        values = self._twist_zero_characters(mono.i, mono.k, [mono.t], np.arange(1, n + 1))
-        return values.qpow_blocks([s * (mono.i - mono.k) for s in range(n)])
-
-    def trace_vector_S_sum(self, i: int, k: int, coeffs) -> CycArray:
-        """Simple-module trace vector of sum_t coeffs[t-1] b^i c^k d^t a^t, t = 1..len(coeffs).
-
-        The twist factor q^{s(i-k)} does not depend on t, so the sum is taken
-        over the twist-0 values, which come from one contraction for all t.
-        """
-        n, ctx = self.n, self.ctx
-        values = self._twist_zero_characters(i, k, range(1, len(coeffs) + 1), np.arange(1, n + 1))
-        weighted = values * CycArray.from_list(ctx, coeffs).qpow_blocks([0] * n)  # row t n + ell - 1
-        return weighted.block_sum(n).qpow_blocks([s * (i - k) for s in range(n)])
+        """Simple-module trace vector of b^i c^k d^t a^t, in lexicographic label order."""
+        return self.trace_vectors_S_at([mono.i], [mono.k], [mono.t])
 
     def trace_vector_P(self, i: int, k: int) -> CycArray:
         """Projective trace vector of b^i c^k, ordered P(1,.), ..., P(n-1,.), then V(n,.).
@@ -568,12 +580,12 @@ class DoubleRep:
         a^t b^i c^k d^t has the trace of b^i c^k d^t a^t (traces are cyclic),
         and a monomial with unequal powers of a and d has trace zero.
         """
-        n = self.n
-        al, be, ga, de = _decode(n, np.asarray(codes, dtype=np.int64))
-        return CycArray.concat(self.ctx, [
-            self.trace_vector_S(Monomial(i, k, t)) if t == t2 else CycArray.zeros(self.ctx, n * n)
-            for t, i, k, t2 in zip(al.tolist(), be.tolist(), ga.tolist(), de.tolist())
-        ])
+        al, be, ga, de = _decode(self.n, np.asarray(codes, dtype=np.int64))
+        keep = al == de
+        vecs = self.trace_vectors_S_at(be[keep], ga[keep], al[keep])
+        nums = np.zeros((len(al), self.n**2, self.ctx.degree), dtype=vecs.nums.dtype)
+        nums[keep] = vecs.nums.reshape(-1, self.n**2, self.ctx.degree)
+        return CycArray(self.ctx, nums.reshape(-1, self.ctx.degree), vecs.den)
 
 
 def _encode(n: int, al, be, ga, de):

@@ -12,14 +12,20 @@ basis.  Their g-degrees stay below n/2, so g^n = 1 never folds them.
 An element is an integer coefficient array: row i*n + k holds the
 coefficient of g^i x^k, as phi(n) power-basis numerators over one common
 denominator for elements over Q(q), or as one integer column for integer
-classes.  A product is one batched pairwise product of the nonzero rows
-through the multiplication tensor (`cyclotomic.gather_products`; integer
-classes use the 1x1x1 tensor), gathered by (i1 + i2 mod n, k1 + k2), and
-one integer matrix product that keeps x^m, m < n, and rewrites x^m,
-m >= n, through the relation.  The conversions to and from the basis of
-simple classes are fixed integer n^2 x n^2 matrices.  Every integer
-product here runs through a kernel of `cyclotomic`, which bounds it by
-the operands it receives and chooses int64 or Python ints.
+classes.  A stack of m elements over one denominator is the same array
+with m n^2 rows, and every operation below takes stacks: a single element
+is a stack of one.  The products of two stacks, pair by pair, are one
+batched pairwise product of the rows that are nonzero anywhere in the
+stacks, through the multiplication tensor (`cyclotomic.gather_products`;
+integer classes use the 1x1x1 tensor), gathered by (i1 + i2 mod n,
+k1 + k2), and one integer matrix product that keeps x^m, m < n, and
+rewrites x^m, m >= n, through the relation.  A stack runs in passes of
+whole elements whose rows in flight (row pairs, gathered and folded rows)
+number at most n^4, the pairs of one dense product, so its temporaries
+stay those of one product at a time.  The conversions to and from the
+basis of simple classes are fixed integer n^2 x n^2 matrices.  Every
+integer product here runs through a kernel of `cyclotomic`, which bounds
+it by the operands it receives and chooses int64 or Python ints.
 
 All tensor-product multiplicities are computed by multiplying in this
 presentation and converting back to the basis of simple classes; the
@@ -70,7 +76,8 @@ class PolyPres:
     """Element of the presentation: nums[i*n + k] / den is the coefficient of g^i x^k.
 
     Over Q(q) (ctx given) a row holds phi(n) power-basis numerators; an
-    integer class (ctx None) has one column and den 1.
+    integer class (ctx None) has one column and den 1.  With m n^2 rows it is
+    a stack of m elements over the common denominator.
     """
 
     __slots__ = ("ring", "nums", "den", "ctx")
@@ -90,6 +97,16 @@ class PolyPres:
 
     def is_zero(self):
         return not self.nums.any()
+
+    def __len__(self):
+        """The number of elements in the stack."""
+        return len(self.nums) // self.ring.n**2
+
+    def take(self, idx) -> "PolyPres":
+        """The elements at the positions idx of the stack, as a stack."""
+        N = self.ring.n**2
+        nums = self.nums.reshape(-1, N, self.nums.shape[1])[idx]
+        return PolyPres(self.ring, nums.reshape(-1, nums.shape[-1]), self.den, self.ctx)
 
     def scalar_mul(self, c: CycNum) -> "PolyPres":
         """Every coefficient (over Q(q)) times the scalar c."""
@@ -183,15 +200,27 @@ class GrothRing:
         return PolyPres(self, sparse_product(self._fold_rows, int_rows(wide)))
 
     def mul(self, a: PolyPres, b: PolyPres) -> PolyPres:
-        """The product in the presentation, on the nonzero rows of both factors."""
+        """The products a_s b_s of two stacks of m elements, on the rows nonzero anywhere in each stack.
+
+        Each pass gathers and folds a run of whole elements whose rows in
+        flight number at most n^4 (at least one element a pass).
+        """
         if a.ctx is not b.ctx:
             raise ValueError("factors over different coefficient rings")
-        n = self.n
-        ia, ib = np.flatnonzero(a.nums.any(axis=1)), np.flatnonzero(b.nums.any(axis=1))
+        if len(a) != len(b):
+            raise ValueError(f"stacks of {len(a)} and {len(b)} elements")
+        n, N, d = self.n, self.n**2, a.nums.shape[1]
+        A, B = a.nums.reshape(-1, N, d), b.nums.reshape(-1, N, d)
+        ia, ib = np.flatnonzero(A.any(axis=(0, 2))), np.flatnonzero(B.any(axis=(0, 2)))
         target = (np.add.outer(ia // n, ib // n) % n) * (2 * n - 1) + np.add.outer(ia % n, ib % n)
         tensor = INT_TENSOR if a.ctx is None else a.ctx._mul_tensor
-        wide = gather_products(a.nums[ia], b.nums[ib], tensor, target, n * (2 * n - 1))
-        nums, den = reduce_fraction(sparse_product(self._fold_rows, wide), a.den * b.den)
+        size = n * (2 * n - 1)  # rows of an unfolded product: g^i x^m, m < 2n - 1
+        per = max(1, N * N // (ia.size * ib.size + 2 * size + 3 * N))
+        folded = np.concatenate([
+            _stackwise(self._fold_rows, gather_products(A[s:s + per][:, ia], B[s:s + per][:, ib], tensor, target, size).reshape(-1, d), size)
+            for s in range(0, len(A), per)
+        ])
+        nums, den = reduce_fraction(folded, a.den * b.den)
         return PolyPres(self, nums, den, a.ctx)
 
     def _expand_xk(self, k: int):
@@ -227,7 +256,7 @@ class GrothRing:
         return dict(self._relation)
 
     def simple_to_poly(self, coeffs) -> PolyPres:
-        """Linear map from a length-n^2 coefficient vector over the simple basis.
+        """Linear map from coefficient vectors over the simple basis, n^2 entries each (a stack when longer).
 
         A list of ints gives an integer class, a CycArray an element over Q(q).
         """
@@ -237,14 +266,14 @@ class GrothRing:
             vec, den, ctx = int_rows([c] for c in coeffs), 1, None
         else:
             raise TypeError("simple_to_poly takes a list of ints or a CycArray")
-        return PolyPres(self, sparse_product(self._to_poly_rows, vec), den, ctx)
+        return PolyPres(self, _stackwise(self._to_poly_rows, vec, self.n**2), den, ctx)
 
     def poly_to_simple(self, p: PolyPres):
-        """Inverse linear map onto the lexicographically ordered simple labels.
+        """Inverse linear map onto the lexicographically ordered simple labels, element by element of a stack.
 
         An integer class gives a list of ints, an element over Q(q) a CycArray.
         """
-        nums = sparse_product(self._to_simple_rows, p.nums)
+        nums = _stackwise(self._to_simple_rows, p.nums, self.n**2)
         if p.ctx is None:
             return [int(c) for c in nums[:, 0]]
         return CycArray(p.ctx, nums, p.den).reduced()
@@ -253,11 +282,12 @@ class GrothRing:
     # products of simples and McKay matrices (int64 arrays)
 
     def base_products(self, ell: int) -> np.ndarray:
-        """Row l - 1 is [V(l, 0)][V(ell, 0)] in the simple basis, for l = 1..n: one cached, read-only int64 array."""
+        """Row l - 1 is [V(l, 0)][V(ell, 0)] in the simple basis, for l = 1..n: one cached, read-only int64 array from one stacked product."""
         got = self._base_products.get(ell)
         if got is None:
-            f = self.f_seq(ell)
-            got = np.array([self.poly_to_simple(self.mul(g, f)) for g in self._f_seq], dtype=np.int64)
+            n = self.n
+            classes = PolyPres(self, np.concatenate([f.nums for f in self._f_seq]))
+            got = np.array(self.poly_to_simple(self.mul(classes, classes.take([ell - 1] * n))), dtype=np.int64).reshape(n, n * n)
             got.flags.writeable = False
             self._base_products[ell] = got
         return got
@@ -395,6 +425,13 @@ class GrothRing:
                 row[idx(ell + 1, r)] = 1
                 row[idx(ell - 1, r + 1)] = 1
         return Q
+
+
+def _stackwise(sparse, nums: np.ndarray, size: int) -> np.ndarray:
+    """The integer matrix given by `sparse_rows` applied to each element of a stack of `size`-row elements (nums has m * size rows)."""
+    m, d = len(nums) // size, nums.shape[1]
+    out = sparse_product(sparse, nums.reshape(m, size, d).transpose(1, 0, 2).reshape(size, m * d))
+    return out.reshape(-1, m, d).transpose(1, 0, 2).reshape(-1, d)
 
 
 @lru_cache(maxsize=None)

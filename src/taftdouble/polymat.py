@@ -1,5 +1,9 @@
 """Dense polynomials over a generic commutative ring, matrices over a field, and the relation kernel.
 
+`RingPoly` adds, multiplies and evaluates; it carries the integer Chebyshev
+polynomials.  The block polynomials over Q(q) are integer arrays, divided
+and evaluated in `spectral` for every block at once.
+
 Integer matrices (McKay, Cartan, fusion) are int64 numpy arrays
 throughout; they have a few nonzeros per row, so their products with
 arrays are gather-adds over those nonzeros (`cyclotomic.sparse_rows`,
@@ -24,7 +28,7 @@ import numpy as np
 
 from .cyclotomic import CycArray, CycNum, int_combination, int_matmul, int_rows, reduce_mod_p, sparse_product, sparse_rows, split_prime
 
-__all__ = ["RingPoly", "RingMatrix", "rank_mod_p", "array_rank", "field_inverse", "CheckFailure", "relation"]
+__all__ = ["RingPoly", "RingMatrix", "rank_mod_p", "array_rank", "CheckFailure", "relation"]
 
 
 class CheckFailure(AssertionError):
@@ -36,13 +40,6 @@ class CheckFailure(AssertionError):
     """
 
     vectors = ()
-
-
-def field_inverse(x):
-    """Multiplicative inverse of a field element (Fraction, int as rational, CycNum)."""
-    if isinstance(x, CycNum):
-        return x.inverse()
-    return 1 / Fraction(x)
 
 
 class RingPoly:
@@ -103,54 +100,12 @@ class RingPoly:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "RingPoly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return RingPoly([self.zero] * k + self.coeffs, self.zero)
-
-    def divmod(self, other):
-        """Division with remainder; the divisor's leading coefficient must be invertible."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        monic = other.coeffs[-1] == 1
-        lead_inv = None if monic else field_inverse(other.coeffs[-1])
-        rem = list(self.coeffs)
-        db = other.degree()
-        if self.degree() < db:
-            return RingPoly([], self.zero), RingPoly(rem, self.zero)
-        q = [self.zero] * (len(rem) - db)
-        for i in range(len(rem) - db - 1, -1, -1):
-            c = rem[i + db] if monic else rem[i + db] * lead_inv
-            if c:
-                q[i] = c
-                for j, bj in enumerate(other.coeffs):
-                    if bj:
-                        rem[i + j] = rem[i + j] - c * bj
-        return RingPoly(q, self.zero), RingPoly(rem[:db], self.zero)
-
     def eval(self, point):
         """Horner evaluation; the point may live in a larger ring than the coefficients."""
         acc = point * 0
         for c in reversed(self.coeffs):
             acc = acc * point + c
         return acc
-
-    def derivative(self) -> "RingPoly":
-        return RingPoly([k * c for k, c in enumerate(self.coeffs)][1:], self.zero)
-
-    def monic(self) -> "RingPoly":
-        if self.is_zero():
-            return self
-        inv = field_inverse(self.coeffs[-1])
-        return RingPoly([c * inv for c in self.coeffs], self.zero)
-
-    def gcd(self, other) -> "RingPoly":
-        """Monic gcd over a field."""
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic() if not a.is_zero() else a
 
     def __repr__(self):
         if not self.coeffs:
@@ -344,7 +299,8 @@ class RingMatrix:
             if sel is None:
                 continue
             rows[prow], rows[sel] = rows[sel], rows[prow]
-            inv = field_inverse(rows[prow][col])
+            pivot = rows[prow][col]
+            inv = pivot.inverse() if isinstance(pivot, CycNum) else 1 / Fraction(pivot)
             rows[prow] = [a * inv for a in rows[prow]]
             for i in range(len(rows)):
                 if i != prow and rows[i][col]:

@@ -7,10 +7,14 @@ points q^j + q^{-j} are integer counts of powers of q (`SpectralTables`).
 Each family of right or left eigenvectors, Jordan completions or fusion
 eigenvectors is built for every (j, r) at once from those counts: its
 coefficient blocks (`SpectralTables.blocks`) are stacked over the
-eigenvectors of the cyclic shift (one `CycArray.qpow_blocks` per r), and
+eigenvectors of the cyclic shift (one contraction for every r), and
 `certificates` slices the stacks.  The stacks are what gets certified: one
 `polymat.relation` call states A V = V Lambda + V N for a whole stack,
-against the matrices produced in the ring module.
+against the matrices produced in the ring module.  The n block
+characteristic polynomials are one integer array too, and stacks of
+polynomials over Z[q] are multiplied by linear factors, divided by them
+and differentiated for every block at once (`times_linear`,
+`divide_by_linear`, `poly_derivative`).
 
 The second half constructs the idempotent decomposition of the
 complexified Grothendieck algebra and the fusion matrix on a maximal
@@ -21,7 +25,8 @@ nonconstant term t^a D^b of p_n has a + 2b = n (certified in
 algebra, Q(q)[y]/p_0, twisted n ways.  Component 0 is built once, with one
 integer fold of y^n .. y^{2n-2}, and each `GrothComponent` carries it to
 x = q^r y by powers of q.  Component elements are integer coefficient
-arrays (`CycArray`, one row per power of x); the map to coordinates over
+arrays (`CycArray`, one row per power of x), multiplied a stack of pairs
+at a time (`GrothComponent.mul`); the map to coordinates over
 the simple classes stacks each coefficient over the powers of q in E_{2r}
 (`CycArray.qpow_blocks`) and applies the ring's integer basis conversion.
 """
@@ -30,16 +35,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import prod
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .chebyshev import bivariate_to_poly, p_n_bivariate
-from .cyclotomic import CycArray, CycNum, gather_products, int_rows, make_context
+from .chebyshev import p_n_bivariate, p_n_monic
+from .cyclotomic import CycArray, CycNum, int_combination, int_matmul, int_rows, make_context, poly_products, segment_sum
 from .dnrep import double_rep
 from .grring import PolyPres, groth_ring
-from .polymat import RingMatrix, RingPoly
 
 __all__ = [
     "EigIndex",
@@ -49,8 +52,13 @@ __all__ = [
     "SpectralCertificate",
     "certificates",
     "build_mckay_blockform",
-    "block_matrix",
+    "block_matrices",
+    "times_linear",
+    "divide_by_linear",
+    "poly_derivative",
     "gen_trace_combination",
+    "gen_trace_combinations",
+    "numerators",
     "GrothDecomposition",
     "groth_decomposition",
     "fusion_slots",
@@ -68,6 +76,17 @@ class EigIndex(NamedTuple):
 
 def eig_indices(n: int) -> list[EigIndex]:
     return [EigIndex(j, r) for j in range((n + 1) // 2) for r in range(n)]
+
+
+def numerators(ctx, arrays) -> tuple[CycArray, list[int]]:
+    """The numerators of the arrays one after another over denominator 1, and the denominator of each array.
+
+    Stacked over a common denominator, every array would be scaled up to
+    it; at its own scale each keeps its products as small as alone.  The
+    identities stacked this way are homogeneous, or carry the denominators
+    as scalars.
+    """
+    return CycArray.concat(ctx, [CycArray(ctx, a.nums, 1) for a in arrays]), [a.den for a in arrays]
 
 
 def _lag(table: np.ndarray, d: int) -> np.ndarray:
@@ -107,7 +126,10 @@ class SpectralTables:
         S[:, 0::2], S[:, 1::2] = np.cumsum(A[:, 0::2], axis=1), np.cumsum(A[:, 1::2], axis=1)
         self.counts = {"U": U, "L": U - _lag(U, 2), "V": U - _lag(U, 1), "A": A, "S": S}
         self.values = {kind: CycArray.from_qpowers(self.ctx, self.counts[kind].reshape(-1, n)) for kind in "ULV"}
+        # row j n + r: lam_{j,r}, the point q^j + q^{-j} (U_1 there) times q^r
+        self.eigenvalues = self.values["U"].take(np.arange(h + 1) * (n + 2) + 1).qpow_blocks(np.arange(n))
         self._stacks: dict[str, list[CycArray]] = {}
+        self._block_polys = None
 
     def value(self, kind: str, j: int, k: int) -> CycNum:
         """U_k, L_k or V_k (kind "U", "L", "V") at the point q^j + q^{-j}."""
@@ -115,7 +137,7 @@ class SpectralTables:
 
     def lam(self, idx: EigIndex) -> CycNum:
         """The eigenvalue q^r (q^j + q^{-j})."""
-        return self.value("U", idx.j, 1).mul_qpow(idx.r)
+        return self.eigenvalues[idx.j * self.n + idx.r]
 
     def index_from_grouplike(self, i: int, k: int) -> EigIndex:
         """(j, r) with j = +-(i+k)/2 normalized into 0..(n-1)/2 and r = (i-k)/2 mod n."""
@@ -153,10 +175,18 @@ class SpectralTables:
         return [blocks.take(slice(r * size, (r + 1) * size)) for r in range(self.n)]
 
     def stack(self, side: str) -> list[CycArray]:
-        """Per r, the side's vectors at r, in the order of `blocks`: each block over q^{+-2sr} (built once)."""
+        """Per r, the side's vectors at r, in the order of `blocks`: each block over q^{+-2sr} (built once).
+
+        One batched contraction for every r: the blocks at r times the slices
+        ctx._qpow_mul[+-2sr] = mul_matrix(q^{+-2sr}), s = 0..n-1.
+        """
         if side not in self._stacks:
-            exps = self.SIDES[side][2] * 2 * np.arange(self.n)
-            self._stacks[side] = [c.qpow_blocks(r * exps) for r, c in enumerate(self.coefficients(side))]
+            n, d = self.n, self.ctx.degree
+            blocks = self.blocks(side)
+            exps = self.SIDES[side][2] * 2 * np.outer(np.arange(n), np.arange(n))  # [r, s]
+            tables = self.ctx._qpow_mul[exps % n].transpose(0, 2, 1, 3).reshape(n, d, n * d)  # [r, k, (s, p)]
+            nums = int_matmul(blocks.nums.reshape(n, -1, d), tables)  # [r, (i, l), (s, p)]
+            self._stacks[side] = [CycArray(self.ctx, x.reshape(-1, d), blocks.den) for x in nums]
         return self._stacks[side]
 
     def eigvec(self, family: str, idx: EigIndex) -> CycArray:
@@ -177,30 +207,69 @@ class SpectralTables:
         return self.value("U", idx.j, ell - 1).mul_qpow((1 - ell - 2 * s) * idx.r)
 
     # ------------------------------------------------------------------
-    # block characteristic polynomial
+    # block characteristic polynomials, for every k at once
 
-    def block_charpoly(self, k: int) -> RingPoly:
-        """Characteristic polynomial of the k-th conjugated block, by the elimination recursion.
+    def block_polys(self) -> CycArray:
+        """The characteristic polynomials of the n conjugated blocks: row k (n + 1) + a is the coefficient of t^a in block k (built once).
 
-        The recursion is the bivariate one with D specialized to q^k:
-        u_m = t u_{m-1} - q^k u_{m-2}, then t u_{n-1} - 2 q^k u_{n-2} - 2.
+        The elimination recursion is the bivariate one with D specialized to
+        q^k, u_m = t u_{m-1} - q^k u_{m-2} (u_0 = 1, u_1 = t), then
+        t u_{n-1} - 2 q^k u_{n-2} - 2, run on an (n, n + 1, phi) integer array
+        for every k at once: the product with q^k is one batched product with
+        the slices ctx._qpow_mul[k] = mul_matrix(q^k).
         """
-        ctx = self.ctx
-        zero, one = ctx.zero(), ctx.one()
-        qk = ctx.root_power(k)
-        t = RingPoly([zero, one], zero)
-        u_prev = RingPoly([one], zero)
-        u_cur = t
-        for _ in range(2, self.n):
-            u_prev, u_cur = u_cur, t * u_cur - u_prev * qk
-        p = t * u_cur - u_prev * (qk * 2)
-        return p - RingPoly([ctx.from_rational(2)], zero)
+        if self._block_polys is None:
+            n, d = self.n, self.ctx.degree
+            qk = self.ctx._qpow_mul  # [k] multiplies by q^k
+            u_prev, u_cur = np.zeros((2, n, n + 1, d), dtype=np.int64)
+            u_prev[:, 0, 0], u_cur[:, 1, 0] = 1, 1
+            for _ in range(2, n):
+                u_prev, u_cur = u_cur, int_combination([(1, _times_t(u_cur)), (-1, int_matmul(u_prev, qk))])
+            two = np.zeros_like(u_cur)
+            two[:, 0, 0] = 2
+            polys = int_combination([(1, _times_t(u_cur)), (-2, int_matmul(u_prev, qk)), (-1, two)])
+            self._block_polys = CycArray(self.ctx, polys.reshape(-1, d), 1)
+        return self._block_polys
 
-    def block_roots(self, k: int) -> tuple[CycNum, list[CycNum]]:
-        """(simple root, double roots) of the k-th block polynomial: r with 2r = k."""
-        r = k * pow(2, -1, self.n) % self.n
-        lams = [self.lam(EigIndex(j, r)) for j in range(self.h + 1)]
-        return lams[0], lams[1:]
+    def block_roots(self) -> CycArray:
+        """The roots of every block polynomial: row k (h + 1) + j is lam_{j,r} with 2r = k mod n, simple for j = 0, double otherwise."""
+        n = self.n
+        r = np.arange(n) * pow(2, -1, n) % n
+        return self.eigenvalues.take((np.arange(self.h + 1) * n + r[:, None]).ravel())
+
+
+def _times_t(polys: np.ndarray) -> np.ndarray:
+    """t times each polynomial of a stack (m, L, d), within the same L coefficient rows (the top one must be zero)."""
+    return np.concatenate([np.zeros_like(polys[:, :1]), polys[:, :-1]], axis=1)
+
+
+def times_linear(ctx, polys: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """(t - roots[s]) times polynomial s of a stack: polys (m, L, d) and roots (m, d) are numerators over 1; returns (m, L + 1, d)."""
+    scaled = int_matmul(polys, ctx.mul_matrices(roots))
+    pad = np.zeros_like(polys[:, :1])
+    return int_combination([(1, np.concatenate([pad, polys], axis=1)), (-1, np.concatenate([scaled, pad], axis=1))])
+
+
+def divide_by_linear(ctx, polys: np.ndarray, roots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Synthetic division of polynomial s of a stack by (t - roots[s]): (quotients (m, L - 1, d), remainders (m, d)).
+
+    polys (m, L, d) and roots (m, d) are numerators over 1, so everything
+    stays in Z[q]; the remainder is the value of the polynomial at the root.
+    """
+    mats = ctx.mul_matrices(roots)
+    out = [polys[:, -1]]
+    for a in range(polys.shape[1] - 2, -1, -1):
+        out.append(int_combination([(1, polys[:, a]), (1, int_matmul(out[-1][:, None], mats)[:, 0])]))
+    rem = out.pop()
+    return np.stack(out[::-1], axis=1), rem
+
+
+def poly_derivative(polys: np.ndarray) -> np.ndarray:
+    """The derivative of each polynomial of a stack (m, L, d): (m, L - 1, d)."""
+    L = polys.shape[1]
+    scale = np.zeros((L - 1, L), dtype=np.int64)
+    scale[np.arange(L - 1), np.arange(1, L)] = np.arange(1, L)
+    return int_matmul(scale, polys)
 
 
 @lru_cache(maxsize=None)
@@ -247,19 +316,21 @@ def build_mckay_blockform(n: int) -> np.ndarray:
     return M
 
 
-def block_matrix(n: int, k: int) -> RingMatrix:
-    """The k-th n x n block of the conjugated McKay matrix (generic determinant route)."""
+def block_matrices(n: int) -> CycArray:
+    """The n x n blocks of the conjugated McKay matrix for every k: row (k n + i) n + l is entry (i, l) of block k.
+
+    1 above the diagonal, q^k below it in rows 1..n-2, and the last row has
+    2 at column 0 and 2 q^k at column n - 2 (the generic determinant route).
+    """
     ctx = make_context(n)
-    zero, one = ctx.zero(), ctx.one()
-    qk = ctx.root_power(k)
-    m = RingMatrix.zeros(n, n, zero)
-    for i in range(n - 1):
-        m.rows[i][i + 1] = one
-        if i + 1 < n - 1:
-            m.rows[i + 1][i] = qk
-    m.rows[n - 1][0] = m.rows[n - 1][0] + 2
-    m.rows[n - 1][n - 2] = m.rows[n - 1][n - 2] + qk * 2
-    return m
+    qk = ctx._qpow_mul[:, 0]  # row k: the coefficients of q^k
+    nums = np.zeros((n, n, n, ctx.degree), dtype=np.int64)  # [k, i, l]
+    i = np.arange(1, n - 1)
+    nums[:, np.arange(n - 1), np.arange(1, n), 0] = 1
+    nums[:, i, i - 1] = qk[:, None]
+    nums[:, n - 1, 0, 0] += 2
+    nums[:, n - 1, n - 2] += 2 * qk
+    return CycArray(ctx, nums.reshape(-1, ctx.degree), 1)
 
 
 # ----------------------------------------------------------------------
@@ -275,11 +346,9 @@ def gen_trace_combination(n: int, i: int, k: int):
     """
     if (i + k) % n == 0:
         raise ValueError("requires i + k != 0 mod n (otherwise the trace vector is a plain eigenvector)")
-    ctx = make_context(n)
-    chain = list(_trace_chains(n)[(-(i + k)) % n])
-    vec = double_rep(n).trace_vector_S_sum(i, k, chain)
-    lam = ctx.root_power(i) + ctx.root_power(-k)
-    return vec.reduced(), chain, lam
+    ks, vecs, chains, lams = gen_trace_combinations(n, i)
+    pos, size = ks.index(k % n), n * n
+    return vecs.take(slice(pos * size, (pos + 1) * size)).reduced(), chains[pos], lams[pos]
 
 
 @lru_cache(maxsize=None)
@@ -299,6 +368,30 @@ def _trace_chains(n: int) -> tuple[tuple[CycNum, ...], ...]:
     return tuple(chains)
 
 
+@lru_cache(maxsize=None)
+def _trace_chain_table(n: int) -> CycArray:
+    """Row s (n - 1) + t - 1 is gamma_t of the chain at s (`_trace_chains`), zero for t > s: every chain as one array."""
+    ctx, chains = make_context(n), _trace_chains(n)
+    return CycArray.from_list(ctx, [chains[s][t] if t < s else 0 for s in range(n) for t in range(n - 1)])
+
+
+def gen_trace_combinations(n: int, i: int):
+    """`gen_trace_combination` at (i, k) for every k with i + k != 0 mod n, stacked: (ks, vectors, chains, lams).
+
+    The chain at (i, k) depends only on s = -(i+k) mod n, so the padded
+    chains are rows of one table and the vectors one `trace_vectors_S_sum` call.
+    """
+    ks = [k for k in range(n) if (i + k) % n]
+    s = np.array([(-(i + k)) % n for k in ks])
+    coeffs = _trace_chain_table(n).take((s[:, None] * (n - 1) + np.arange(n - 1)).ravel())
+    vecs = double_rep(n).trace_vectors_S_sum([i] * len(ks), ks, coeffs)
+    counts = np.zeros((len(ks), n), dtype=np.int64)
+    counts[:, i % n] += 1
+    counts[np.arange(len(ks)), -np.array(ks) % n] += 1
+    lams = CycArray.from_qpowers(make_context(n), counts).to_list()  # q^i + q^{-k}
+    return ks, vecs.reduced(), [list(_trace_chains(n)[x]) for x in s], lams
+
+
 # ----------------------------------------------------------------------
 # idempotents and the structure of the Grothendieck algebra
 
@@ -307,9 +400,10 @@ class GrothComponent:
     """Component r, Q(q)[x] modulo p_r(x) = p_n(x, q^{2r}): a view that twists component 0.
 
     Elements are component arrays, CycArrays of length n whose row t holds
-    the coefficient of x^t.  Under x = q^r y, coefficient t of F_j, G_j and
-    of each idempotent is component 0's times q^{-r(t+1)}, q^{-r(t+2)} and
-    q^{-rt}; xi, theta_j, nu_j are component 0's times q^{-r}, q^{-2r}, q^{-3r}.
+    the coefficient of x^t; m of them one after another are a stack.  Under
+    x = q^r y, coefficient t of F_j, G_j and of each idempotent is component
+    0's times q^{-r(t+1)}, q^{-r(t+2)} and q^{-rt}; xi, theta_j, nu_j are
+    component 0's times q^{-r}, q^{-2r}, q^{-3r}.
     """
 
     def __init__(self, dec: "GrothDecomposition", r: int):
@@ -318,20 +412,28 @@ class GrothComponent:
         self.r = r
 
     def twist(self, a: CycArray, shift: int) -> CycArray:
-        """The component-0 array a carried here: row t times q^{-r(t + shift)}."""
-        return a.qpow_rows([-self.r * (t + shift) for t in range(len(a))])
+        """The component-0 array (or stack) a carried here: row t of each element times q^{-r(t + shift)}."""
+        return a.qpow_rows(-self.r * (np.arange(len(a)) % self.dec.n + shift))
+
+    @property
+    def scalars(self) -> CycArray:
+        """xi, theta_1..theta_h, nu_1..nu_h of this component, as one array."""
+        h = self.dec.tab.h
+        return self.dec.scalars.qpow_rows(-self.r * np.repeat([1, 2, 3], [1, h, h]))
 
     @property
     def xi(self) -> CycNum:
-        return self.dec.xi.mul_qpow(-self.r)
+        return self.scalars[0]
 
     @property
     def thetas(self) -> list:
-        return [None] + [th.mul_qpow(-2 * self.r) for th in self.dec.thetas[1:]]
+        h = self.dec.tab.h
+        return [None] + self.scalars.take(slice(1, h + 1)).to_list()
 
     @property
     def nus(self) -> list:
-        return [None] + [nu.mul_qpow(-3 * self.r) for nu in self.dec.nus[1:]]
+        h = self.dec.tab.h
+        return [None] + self.scalars.take(slice(h + 1, 2 * h + 1)).to_list()
 
     @property
     def f_polys(self) -> list[CycArray]:
@@ -347,35 +449,44 @@ class GrothComponent:
         """xi^{-1} F_0 followed by G'_j = (G_j - (nu_j / theta_j) F_j) / theta_j, idempotent in this component."""
         return [self.twist(e, 0) for e in self.dec.idempotents]
 
-    def array(self, poly: RingPoly) -> CycArray:
-        """The component array of a polynomial of degree < n."""
-        n = self.dec.n
-        if poly.degree() >= n:
-            raise ValueError(f"degree {poly.degree()} is not below {n}")
-        return CycArray.from_list(self.ctx, [poly[t] for t in range(n)])
-
     def mul(self, a: CycArray, b: CycArray) -> CycArray:
-        """The product: pairwise coefficient products gathered by degree; x^m = q^{rm} y^m, folded mod p_0, y^t = q^{-rt} x^t."""
-        dec, n = self.dec, self.dec.n
-        wide = gather_products(a.nums, b.nums, self.ctx._mul_tensor, dec.degrees, 2 * n - 1)
-        folded = CycArray(self.ctx, wide, a.den * b.den).qpow_rows(self.r * np.arange(2 * n - 1)).left_mul(dec.fold)
-        return folded.qpow_rows(-self.r * np.arange(n)).reduced()
+        """The products a_s b_s of two stacks of m component arrays (a stack of one is one product).
+
+        The coefficient products gathered by degree (`poly_products`), then
+        x^m = q^{rm} y^m for m >= n, folded mod p_0 by the shared integer
+        fold, and y^t = q^{-rt} x^t.
+        """
+        dec, n, d, qpow = self.dec, self.dec.n, self.ctx.degree, self.ctx._qpow_mul
+        wide = poly_products(a.nums.reshape(-1, n, d), b.nums.reshape(-1, n, d), self.ctx._mul_tensor)
+        m = len(wide)
+        high = int_matmul(wide[:, n:].transpose(1, 0, 2), qpow[self.r * np.arange(n, 2 * n - 1) % n])  # [s, item]
+        folded = int_matmul(dec.fold[:, n:], high.reshape(n - 1, m * d)).reshape(n, m, d)  # [t, item]
+        low = int_matmul(folded, qpow[-self.r * np.arange(n) % n]).transpose(1, 0, 2)
+        nums = int_combination([(1, wide[:, :n]), (1, low)])
+        return CycArray(self.ctx, nums.reshape(-1, d), a.den * b.den).reduced()
 
     def to_groth(self, a: CycArray) -> CycArray:
-        """Coordinates over the simple classes of a(x) * E_{2r}, for a component array a.
+        """Coordinates over the simple classes of a(x) * E_{2r}, for each element of a stack a of component arrays.
 
         E_{2r} = (1/n) sum_v q^{-2rv} g^v, so the presentation row v*n + t is
         the coefficient of x^t times q^{-2rv} / n: each coefficient stacked
         over those powers, transposed, then the integer basis conversion.
         """
         n, d, ring = self.dec.n, self.ctx.degree, self.dec.ring
-        grid = a.qpow_blocks([-2 * self.r * v for v in range(n)]).nums  # row t*n + v
-        rows = grid.reshape(n, n, d).transpose(1, 0, 2).reshape(n * n, d)
+        grid = a.qpow_blocks([-2 * self.r * v for v in range(n)]).nums  # row (s, t, v)
+        rows = grid.reshape(-1, n, n, d).transpose(0, 2, 1, 3).reshape(-1, d)
         return ring.poly_to_simple(PolyPres(ring, rows, a.den * n, self.ctx))
 
 
 class GrothDecomposition:
-    """Component 0 with its integer fold, built once; the n components as twists of it; the E_u."""
+    """Component 0 with its integer fold, built once; the n components as twists of it; the E_u.
+
+    F_j and G_j are divided out of p_0 by synthetic division for every j at
+    once.  With p_0 = (x - lam_0) prod (x - lam_j)^2 the scalars are values:
+    xi = F_0(lam_0), theta_j = G_j(lam_j), and nu_j = G_j'(lam_j), since
+    G_j - theta_j = (x - lam_j) H with H(lam_j) = G_j'(lam_j) gives
+    G_j^2 - theta_j G_j = F_j H = nu_j F_j modulo p_0.
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -391,80 +502,83 @@ class GrothDecomposition:
             for (_g, t), c in self.ring._xred[m].items():
                 fold[t][m] += c
         self.fold = int_rows(fold)
-        self.degrees = np.add.outer(np.arange(n), np.arange(n))
         self.components = [GrothComponent(self, r) for r in range(n)]
-        base = self.components[0]
-        zero, one = ctx.zero(), ctx.one()
-        self.modulus = bivariate_to_poly(p_n, one, zero)
-        h = tab.h
-        lams = [tab.lam(EigIndex(j, 0)) for j in range(h + 1)]
-        self.f_polys, self.g_polys = [], []
-        for j, lam in enumerate(lams):
-            lin = RingPoly([-lam, one], zero)
-            f, rem = self.modulus.divmod(lin)
-            g, rem2 = f.divmod(lin)
-            if not rem.is_zero() or j and not rem2.is_zero():
-                raise ArithmeticError(f"lam({j},0) is not a {'double ' * (j > 0)}root of the block polynomial")
-            self.f_polys.append(base.array(f))
-            self.g_polys.append(base.array(g) if j else None)
-        self.xi = prod((lams[0] - lams[j] for j in range(1, h + 1)), start=one) ** 2
-        self.thetas, self.nus, self.idempotents = [None], [None], [None]
+        h, d = tab.h, ctx.degree
+        lams = tab.eigenvalues.take(np.arange(h + 1) * n).nums  # lam_{j,0}
+        modulus = np.zeros((h + 1, n + 1, d), dtype=np.int64)
+        modulus[:, :, 0] = p_n_monic(n).coeffs
+        f, rem = divide_by_linear(ctx, modulus, lams)
+        g, rem2 = divide_by_linear(ctx, f[1:], lams[1:])
+        bad = np.flatnonzero(rem.any(axis=1) | np.concatenate([[False], rem2.any(axis=1)]))
+        if bad.size:
+            j = int(bad[0])
+            raise ArithmeticError(f"lam({j},0) is not a {'double ' * (j > 0)}root of the block polynomial")
+        g = np.concatenate([g, np.zeros_like(g[:, :1])], axis=1)
+        values = [divide_by_linear(ctx, p, x)[1] for p, x in ((f[:1], lams[:1]), (g, lams[1:]), (poly_derivative(g), lams[1:]))]
+        self.scalars = CycArray(ctx, np.concatenate(values), 1)  # xi, theta_1..theta_h, nu_1..nu_h
+        self.xi, *rest = self.scalars.to_list()
+        self.thetas, self.nus = [None] + rest[:h], [None] + rest[h:]
+        self.f_polys = [CycArray(ctx, x, 1) for x in f]
+        self.g_polys = [None] + [CycArray(ctx, x, 1) for x in g]
+        self.idempotents = [self.f_polys[0].scaled(self.xi.inverse()).reduced()]
         for j in range(1, h + 1):
-            th = (lams[j] - lams[0]) * prod((lams[j] - lams[k] for k in range(1, h + 1) if k != j), start=one) ** 2
-            g, f = self.g_polys[j], self.f_polys[j]
-            # nu with G^2 = theta G + nu F, found by exact expansion against F
-            nu = (base.mul(g, g) + g.scaled(-th)).line_coefficient(f)
-            if nu is None:
-                raise ArithmeticError("G^2 - theta G is not a multiple of F")
-            th_inv = th.inverse()
-            self.thetas.append(th)
-            self.nus.append(nu)
-            self.idempotents.append((g.scaled(th_inv) + f.scaled(-(nu * th_inv * th_inv))).reduced())
-        self.idempotents[0] = self.f_polys[0].scaled(self.xi.inverse()).reduced()
+            th_inv = self.thetas[j].inverse()
+            mixed = self.g_polys[j].scaled(th_inv) + self.f_polys[j].scaled(-(self.nus[j] * th_inv * th_inv))
+            self.idempotents.append(mixed.reduced())
 
-    def e_idempotent(self, u: int) -> PolyPres:
-        """E_u = (1/n) sum of q^{-uv} g^v, as a presentation element over Q(q)."""
+    def e_idempotents(self) -> PolyPres:
+        """E_u = (1/n) sum of q^{-uv} g^v for u = 0..n-1, as a stack of n presentation elements over Q(q)."""
         ctx, n = self.ctx, self.n
-        nums = np.zeros((n * n, ctx.degree), dtype=np.int64)
-        for v in range(n):
-            nums[v * n] = ctx.root_power(-u * v).num
-        return PolyPres(self.ring, nums, n, ctx)
+        u, v = np.ix_(range(n), range(n))
+        nums = np.zeros((n, n, n, ctx.degree), dtype=np.int64)  # [u, v, x, p]
+        nums[:, :, 0] = ctx._qpow_mul[-u * v % n, 0]
+        return PolyPres(self.ring, nums.reshape(-1, ctx.degree), n, ctx)
 
-    def f_coords(self, idx: EigIndex) -> CycArray:
-        comp = self.components[idx.r]
-        return comp.to_groth(comp.twist(self.f_polys[idx.j], 1))
-
-    def g_coords(self, idx: EigIndex) -> CycArray:
-        comp = self.components[idx.r]
-        return comp.to_groth(comp.twist(self.g_polys[idx.j], 2))
+    def _coords(self, elems, js) -> dict[EigIndex, CycArray]:
+        """Coordinates over the simple classes of the component arrays elems(comp) at (j, r), j in js: one `to_groth` call per component."""
+        size, out = self.n * self.n, {}
+        for r, comp in enumerate(self.components):
+            stack, dens = numerators(self.ctx, elems(comp))
+            coords = comp.to_groth(stack)
+            for pos, j in enumerate(js):
+                out[EigIndex(j, r)] = CycArray(self.ctx, coords.nums[pos * size:(pos + 1) * size], coords.den * dens[pos])
+        return out
 
     @cached_property
     def radical_coords(self) -> dict[EigIndex, CycArray]:
         """The coordinates of F_{j,r} for j >= 1 over the simple classes, r major; computed once."""
-        h = self.tab.h
-        return {idx: self.f_coords(idx) for idx in (EigIndex(j, r) for r in range(self.n) for j in range(1, h + 1))}
+        return self._coords(lambda comp: comp.f_polys[1:], range(1, self.tab.h + 1))
 
     @cached_property
     def idempotent_coords(self) -> dict[EigIndex, CycArray]:
         """The coordinates of the idempotent at (j, r) (`GrothComponent.idempotent_polys`), r major; computed once."""
-        return {
-            EigIndex(j, r): comp.to_groth(elem)
-            for r, comp in enumerate(self.components)
-            for j, elem in enumerate(comp.idempotent_polys())
-        }
+        return self._coords(GrothComponent.idempotent_polys, range(self.tab.h + 1))
 
-    def eigenidem_certificate(self, idx: EigIndex, e: CycArray):
-        """(c_u, exact) for e = sum e_i [S_i]: e^2 must equal c_u e under the ring product.
+    def jordan_coords(self, r: int) -> CycArray:
+        """The coordinates of G_{j,r}, j = 1..h, stacked: one `to_groth` call, not kept (G_j has denominator 1)."""
+        comp = self.components[r]
+        return comp.to_groth(CycArray.concat(self.ctx, comp.g_polys[1:]))
 
-        c_u is the sum over labels of the common eigenvalue on V(ell, s), the
-        right eigenvector's entry at idx, times the coordinate; the square is
-        computed by the full presentation product, independent of the
-        component arithmetic.
+    def eigenidem_certificates(self, indices: list[EigIndex], coords: list[CycArray]) -> tuple[CycArray, np.ndarray]:
+        """(c, exact) for coordinate vectors e_s = sum e_i [S_i] at indices[s]: e_s^2 must equal c_s e_s.
+
+        c_s is the sum over labels of the common eigenvalue on V(ell, s), the
+        right eigenvector's entry at indices[s], times the coordinate; the
+        squares are one stacked full presentation product, independent of
+        the component arithmetic.  The identity is homogeneous in e_s, so it
+        is certified on the numerators (`numerators`), and c_s divided by
+        the denominator afterwards.
         """
-        ring = self.ring
-        c_u = (e * self.tab.eigvec("right", idx)).block_sum(1)[0]
-        elem = ring.simple_to_poly(e)
-        return c_u, ring.poly_to_simple(ring.mul(elem, elem)) == e.scaled(c_u)
+        ring, ctx, size = self.ring, self.ctx, self.n * self.n
+        m = len(indices)
+        elems, dens = numerators(ctx, coords)
+        right = CycArray.concat(ctx, [self.tab.eigvec("right", idx) for idx in indices])
+        c = CycArray(ctx, segment_sum((elems * right).nums, np.arange(m) * size), right.den)
+        poly = ring.simple_to_poly(elems)
+        squares = ring.poly_to_simple(ring.mul(poly, poly))
+        expected = CycArray(ctx, elems.times(ctx.mul_matrices(c.nums)[np.repeat(np.arange(m), size)]).nums, c.den)
+        c = CycArray.concat(ctx, [CycArray(ctx, c.nums[s:s + 1], c.den * dens[s]) for s in range(m)])
+        return c.reduced(), ~squares.mismatches(expected, size)
 
 
 @lru_cache(maxsize=None)

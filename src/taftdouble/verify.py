@@ -29,9 +29,8 @@ from functools import cached_property
 import numpy as np
 
 from .chebyshev import bivariate_to_poly, cheb_poly, p_n_bivariate, p_n_bivariate_closed, p_n_factor_check
-from .cyclotomic import CycArray, CycNum, int_combination, int_matmul, make_context, sparse_product, sparse_rows
+from .cyclotomic import CycArray, CycNum, int_combination, int_matmul, make_context, segment_sum, sparse_product, sparse_rows
 from .dnrep import (
-    Monomial,
     PbwElement,
     SimpleLabel,
     all_labels,
@@ -41,18 +40,22 @@ from .dnrep import (
     label_index,
 )
 from .grring import groth_ring
-from .polymat import CheckFailure, RingMatrix, RingPoly, array_rank, relation
+from .polymat import CheckFailure, RingMatrix, array_rank, relation
 from .spectral import (
     EigIndex,
-    block_matrix,
+    block_matrices,
     build_fusion_blockform,
     build_fusion_from_rules,
     build_mckay_blockform,
     certificates,
+    divide_by_linear,
     eig_indices,
-    gen_trace_combination,
+    gen_trace_combinations,
     groth_decomposition,
+    numerators,
+    poly_derivative,
     spectral_tables,
+    times_linear,
 )
 
 __all__ = [
@@ -207,13 +210,10 @@ class Workspace:
         return groth_decomposition(self.n)
 
     @cached_property
-    def grouplike_traces(self):
-        rep = self.rep
-        return {
-            (i, k): rep.trace_vector_S(Monomial(i, k, 0))
-            for i in range(self.n)
-            for k in range(self.n)
-        }
+    def grouplike_traces(self) -> CycArray:
+        """Tr_S(b^i c^k) for every (i, k), vector i n + k of one stack, from one `trace_vectors_S_at` call."""
+        i, k = np.divmod(np.arange(self.n**2), self.n)
+        return self.rep.trace_vectors_S_at(i, k, np.zeros_like(i))
 
     @cached_property
     def M_numeric(self) -> np.ndarray:
@@ -268,14 +268,19 @@ def _on_line(A: np.ndarray, vecs: CycArray, lams, side: str, lines: CycArray) ->
     return scaled, chains
 
 
+def _vectors(stack: CycArray, positions, size: int) -> CycArray:
+    """The vectors at `positions` of a stack of vectors with `size` entries each, as a stack."""
+    return stack.take((np.asarray(positions)[:, None] * size + np.arange(size)).ravel())
+
+
 def _first_mismatch(got: CycArray, want: CycArray):
     """The first entry where got and want differ, or None when they are equal (one cross-multiplied comparison)."""
-    differ = int_combination([(want.den, got.nums), (-got.den, want.nums)]).any(axis=1)
+    differ = got.mismatches(want)
     return int(differ.argmax()) if differ.any() else None
 
 
-def _block_charpoly_values(t: np.ndarray, qk: complex, n: int):
-    """The k-th block polynomial and its derivative at the points t, numerically.
+def _block_charpoly_values(t: np.ndarray, qk, n: int):
+    """The k-th block polynomial and its derivative at the points t, numerically (qk = q^k embedded, or a column of them, one per row of t).
 
     Evaluated through the recurrence that defines it, u_0 = 1, u_1 = t,
     u_m = t u_{m-1} - q^k u_{m-2}, p = t u_{n-1} - 2 q^k u_{n-2} - 2, whose
@@ -291,61 +296,147 @@ def _block_charpoly_values(t: np.ndarray, qk: complex, n: int):
     return t * u_cur - 2 * qk * u_prev - 2, u_cur + t * du_cur - 2 * qk * du_prev
 
 
+def _first_block(got: np.ndarray, want: np.ndarray):
+    """The first index along axis 0 where two integer arrays differ, or None."""
+    differ = (got != want).reshape(len(got), -1).any(axis=1)
+    return int(differ.argmax()) if differ.any() else None
+
+
+def _specialized(ctx, p) -> np.ndarray:
+    """p(t, D) at D = q^k for every k: an (n, deg + 1, phi) integer array, [k, a] the coefficient of t^a."""
+    n = ctx.n
+    counts = np.zeros((n, max(a for a, _ in p.terms) + 1, n), dtype=np.int64)
+    k = np.arange(n)
+    for (a, b), c in p.terms.items():
+        counts[k, a, k * b % n] += c
+    return CycArray.from_qpowers(ctx, counts.reshape(-1, n)).nums.reshape(n, -1, ctx.degree)
+
+
+def _faddeev_leverrier(ctx, mats: np.ndarray, labels) -> np.ndarray:
+    """det(t I - A) for a stack of K matrices A over Z[q], (K, m, m, phi) numerators over 1: (K, m + 1, phi), low degree first.
+
+    The trace recursion M_1 = I, c_{m-k} = -tr(A M_k) / k, M_{k+1} = A M_k + c_{m-k} I.
+    A M_k is gathered over the entries of A that are nonzero in some block:
+    row l of M_k times the multiplication matrix of A[i, l], summed into row
+    i.  A characteristic polynomial over Z[q] has its coefficients in Z[q],
+    so every division by k is exact; a remainder raises CheckFailure naming
+    the block (labels[s]).
+    """
+    K, m, _, d = mats.shape
+    rows, cols = np.nonzero(mats.any(axis=(0, 3)))  # row-major, so each row's entries are one run
+    entries = ctx.mul_matrices(mats[:, rows, cols].reshape(-1, d)).reshape(K, len(rows), d, d)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    diag = np.arange(m)
+    M = np.zeros_like(mats)
+    M[:, diag, diag, 0] = 1
+    coeffs = [M[:, 0, 0].copy()]  # c_m = 1, then descending
+    for k in range(1, m + 1):
+        AM = np.zeros_like(M)
+        AM[:, rows[starts]] = segment_sum(int_matmul(M[:, cols], entries).transpose(1, 0, 2, 3), starts).transpose(1, 0, 2, 3)
+        trace = segment_sum(AM[:, diag, diag].transpose(1, 0, 2))
+        rem = (trace % k != 0).any(axis=1)
+        if rem.any():
+            raise CheckFailure(f"generic determinant route: tr(A M_{k}) is not divisible by {k} at block {labels[int(rem.argmax())]}")
+        coeffs.append(-(trace // k))
+        scalar = np.zeros_like(AM)
+        scalar[:, diag, diag] = coeffs[-1][:, None]
+        M = int_combination([(1, AM), (1, scalar)])
+    return np.stack(coeffs[::-1], axis=1)
+
+
+def _multiplicity_failures(ctx, polys: np.ndarray, roots: np.ndarray) -> list[int]:
+    """The blocks k whose roots lack their stated multiplicities, certified from the polynomials' own coefficients without a division.
+
+    polys (K, L, phi) and roots (K, m, phi) are numerators over 1; roots[k, 0]
+    must be simple, p'(root) != 0, and roots[k, j], j >= 1, double,
+    p'(root) = 0 and p''(root) != 0.  With the split form
+    p = (t - root_0) prod (t - root_j)^2 this makes the roots pairwise
+    distinct, so gcd(p, p') = prod (t - root_j).
+    """
+    K, m, d = roots.shape
+    slope = poly_derivative(polys)
+
+    def nonzero(p):
+        return divide_by_linear(ctx, np.repeat(p, m, axis=0), roots.reshape(-1, d))[1].any(axis=1).reshape(K, m)
+
+    first, second = nonzero(slope), nonzero(poly_derivative(slope))
+    return np.flatnonzero(~first[:, 0] | first[:, 1:].any(axis=1) | ~second[:, 1:].all(axis=1)).tolist()
+
+
+def _charpoly_scales(tab) -> np.ndarray:
+    """Per block, max(1, the largest embedded coefficient): the oracles' normalization."""
+    n = tab.n
+    return np.maximum(1.0, np.abs(tab.block_polys().embed()).reshape(n, n + 1).max(axis=1))[:, None]
+
+
+def _qk_embedded(ctx) -> np.ndarray:
+    """q^k under the embedding, for k = 0..n-1, as a column."""
+    return CycArray.from_qpowers(ctx, np.eye(ctx.n, dtype=np.int64)).embed()[:, None]
+
+
 def check_charpoly_table(ws: Workspace):
-    """Block characteristic polynomials match the frozen table, exactly and per block."""
+    """Block characteristic polynomials match the frozen table, exactly and per block.
+
+    All n block polynomials are one integer array (`SpectralTables.block_polys`),
+    compared at once with the D = q^k specializations of p_n and with the
+    Faddeev-LeVerrier determinant of the block matrices (every block for
+    n <= 7, blocks 0 and 1 above).
+    """
     n, tab, ctx = ws.n, ws.tab, ws.ctx
     oracle = Oracle()
     p = p_n_bivariate(n)
     if n in P_TABLE:
         _require(p.terms == P_TABLE[n], f"p_{n} differs from the frozen coefficient table")
     _require(p == p_n_bivariate_closed(n), "recursion and closed form disagree")
-    for k in range(n):
-        bp = tab.block_charpoly(k)
-        direct = bivariate_to_poly(p, ctx.root_power(k), ctx.zero())
-        _require(bp == direct, f"block {k} charpoly differs from the D = q^{k} specialization")
-        blk = block_matrix(n, k)
-        if n <= 7 or k <= 1:
-            _require(blk.char_poly_small() == bp, f"generic determinant route disagrees at block {k}")
-        # numeric oracle: eigenvalues of the embedded block solve the embedded polynomial
-        scale = max(1.0, float(np.max(np.abs(embed_vec(bp.coeffs)))))
-        vals, _ = _block_charpoly_values(np.linalg.eigvals(embed_mat(blk)), ctx.root_power(k).embed(), n)
-        oracle.vec_residual(np.abs(vals) / scale)
+    d = ctx.degree
+    polys = tab.block_polys().nums.reshape(n, n + 1, d)
+    bad = _first_block(polys, _specialized(ctx, p))
+    _require(bad is None, f"block {bad} charpoly differs from the D = q^{bad} specialization")
+    blocks = block_matrices(n)
+    ks = list(range(n)) if n <= 7 else [0, 1]
+    bad = _first_block(_faddeev_leverrier(ctx, blocks.nums.reshape(n, n, n, d)[ks], ks), polys[ks])
+    if bad is not None:
+        raise CheckFailure(f"generic determinant route disagrees at block {ks[bad]}")
+    # numeric oracle: eigenvalues of the embedded blocks solve the embedded polynomials
+    vals, _ = _block_charpoly_values(np.linalg.eigvals(blocks.embed().reshape(n, n, n)), _qk_embedded(ctx), n)
+    oracle.vec_residual((np.abs(vals) / _charpoly_scales(tab)).ravel())
     return oracle.residual, {"blocks": n}
 
 
 def check_charpoly_factorization(ws: Workspace):
-    """p_n(t) = (t-2) W_h(t)^2, and each block polynomial splits with the stated multiplicities."""
+    """p_n(t) = (t-2) W_h(t)^2, and each block polynomial splits with the stated multiplicities.
+
+    The split form (t - 2q^r) prod (t - lam)^2 is multiplied out for every
+    block at once by stacked linear factors, and the multiplicities are
+    certified from the derivatives at the roots (`_multiplicity_failures`).
+    """
     n, tab, ctx = ws.n, ws.tab, ws.ctx
     oracle = Oracle()
-    h = (n - 1) // 2
+    h, d = (n - 1) // 2, ctx.degree
     _require(p_n_factor_check(n), "integer factorization identity failed")
     w = cheb_poly("W", h)
     for t in (Fraction(3, 10), Fraction(-17, 10), Fraction(5, 2)):
         lhs = bivariate_to_poly(p_n_bivariate(n), 1).eval(t)
         rhs = (t - 2) * w.eval(t) ** 2
         oracle.see(abs(float(lhs - rhs)))
-    zero, one = ctx.zero(), ctx.one()
-    for k in range(n):
-        bp = tab.block_charpoly(k)
-        simple, doubles = tab.block_roots(k)
-        prod = RingPoly([-simple, one], zero)
-        for lam in doubles:
-            lin = RingPoly([-lam, one], zero)
-            prod = prod * lin * lin
-        _require(prod == bp, f"block {k} does not split as (t - 2q^r) prod (t - lam)^2")
-        # gcd with the derivative isolates exactly the double roots
-        g = bp.gcd(bp.derivative())
-        expect = RingPoly([one], zero)
-        for lam in doubles:
-            expect = expect * RingPoly([-lam, one], zero)
-        _require(g == expect, f"gcd multiplicity structure wrong in block {k}")
-        # numeric oracle: the embedded polynomial and its derivative vanish at the roots
-        # (eigensolvers are sqrt(eps)-accurate on defective matrices, so evaluate instead)
-        scale = max(1.0, float(np.max(np.abs(embed_vec(bp.coeffs)))))
-        vals, _ = _block_charpoly_values(embed_vec([simple] + doubles), ctx.root_power(k).embed(), n)
-        _, slopes = _block_charpoly_values(embed_vec(doubles), ctx.root_power(k).embed(), n)
-        oracle.vec_residual(np.abs(vals) / scale)
-        oracle.vec_residual(np.abs(slopes) / scale)
+    polys = tab.block_polys().nums.reshape(n, n + 1, d)
+    roots = tab.block_roots().nums.reshape(n, h + 1, d)
+    split = np.zeros((n, 1, d), dtype=np.int64)
+    split[:, 0, 0] = 1
+    for j in [0] + [j for j in range(1, h + 1) for _ in range(2)]:
+        split = times_linear(ctx, split, roots[:, j])
+    bad = _first_block(split, polys)
+    _require(bad is None, f"block {bad} does not split as (t - 2q^r) prod (t - lam)^2")
+    bad = _multiplicity_failures(ctx, polys, roots)
+    if bad:
+        raise CheckFailure(f"multiplicity structure wrong in block {bad[0]}: a double root is not exactly double or the simple root not simple")
+    # numeric oracle: the embedded polynomial and its derivative vanish at the roots
+    # (eigensolvers are sqrt(eps)-accurate on defective matrices, so evaluate instead)
+    points = tab.block_roots().embed().reshape(n, h + 1)
+    vals, _ = _block_charpoly_values(points, _qk_embedded(ctx), n)
+    _, slopes = _block_charpoly_values(points[:, 1:], _qk_embedded(ctx), n)
+    oracle.vec_residual((np.abs(vals) / _charpoly_scales(tab)).ravel())
+    oracle.vec_residual((np.abs(slopes) / _charpoly_scales(tab)).ravel())
     return oracle.residual, {"blocks": n}
 
 
@@ -384,6 +475,13 @@ def _hopf_sample(n: int) -> list[tuple]:
     rnd = _rng("hopf-axioms", n)
     return [(rnd.randrange(n), rnd.randrange(n), rnd.randrange(n), rnd.randrange(n)) for _ in range(20)]
 
+
+# the most rows of presentation products that one stacked product of
+# grothendieck-idempotents returns: the E_u grid runs in passes within it
+# (5 at n = 11, 22 at n = 17), which keeps the peak memory of the check at
+# that of one product at a time (a whole grid of 66 products at n = 11 took
+# 0.7 MB more)
+GROTH_PASS_ROWS = 1 << 11
 
 # the generators g of the multiplicativity identities D(xg) = D(x) D(g)
 GENERATORS = "abcd"
@@ -487,7 +585,9 @@ def check_coproduct_trace(ws: Workspace):
 def check_grouplike_traces(ws: Workspace):
     """Grouplike trace vectors are the Chebyshev eigenvectors, with all symmetries.
 
-    One stack per i holds Tr_S(b^i c^k) for every k.  It is compared in one
+    The stack of every Tr_S(b^i c^k) is built by one contraction
+    (`Workspace.grouplike_traces`); its run at i holds them for every k, and
+    is compared in one
     step each with the right eigenvectors gathered at the matching (j, r),
     with the stack of its partners Tr_S(b^{-k} c^{-i}), and with the closed
     form of the characters, and certified by one `relation` call.
@@ -504,28 +604,28 @@ def check_grouplike_traces(ws: Workspace):
         .qpow_blocks([2 * s * r for s in range(n)])
         for r in range(n)
     ])
-    traces = {i: CycArray.concat(ctx, [ws.grouplike_traces[(i, k)] for k in range(n)]) for i in range(n)}
     top = label_index(n, SimpleLabel(n, 0))
     for i in range(n):
+        traces = _vectors(ws.grouplike_traces, [i * n + k for k in range(n)], size)
         idx = [tab.index_from_grouplike(i, k) for k in range(n)]
         rows = (np.array([x.r * (h + 1) + x.j for x in idx])[:, None] * size + np.arange(size)).ravel()
-        bad = _first_mismatch(traces[i], right.take(rows))
+        bad = _first_mismatch(traces, right.take(rows))
         if bad is not None:
             k = bad // size
             raise CheckFailure(f"Tr_S(b^{i} c^{k}) is not the ({idx[k].j},{idx[k].r}) eigenvector")
-        bad = _first_mismatch(traces[i], CycArray.concat(ctx, [ws.grouplike_traces[(-k % n, -i % n)] for k in range(n)]))
+        bad = _first_mismatch(traces, _vectors(ws.grouplike_traces, [(-k % n) * n + (-i % n) for k in range(n)], size))
         if bad is not None:
             raise CheckFailure(f"symmetry fails at ({i},{bad // size})")
-        bad = _first_mismatch(traces[i], closed.take(rows))
+        bad = _first_mismatch(traces, closed.take(rows))
         if bad is not None:
             raise CheckFailure(f"character closed form fails at {labels[bad % size]}, ({i},{bad // size})")
         for k in range(n):
             if (i + k) % n:
-                _require(not traces[i].nums[k * size + top:(k + 1) * size].any(), f"Tr_S(b^{i} c^{k}) does not vanish on V(n, .)")
+                _require(not traces.nums[k * size + top:(k + 1) * size].any(), f"Tr_S(b^{i} c^{k}) does not vanish on V(n, .)")
         lams = [tab.lam(x) for x in idx]
-        oracle.see(relation(ws.M, traces[i], lams, "right", [f"Tr_S(b^{i} c^{k}) eigen" for k in range(n)]))
+        oracle.see(relation(ws.M, traces, lams, "right", [f"Tr_S(b^{i} c^{k}) eigen" for k in range(n)]))
     dims = CycArray.from_list(ctx, ws.ring.dim_simple_vector())
-    _require(ws.grouplike_traces[(0, 0)] == dims, "Tr_S(1) is not the dimension vector")
+    _require(ws.grouplike_traces.take(slice(0, size)) == dims, "Tr_S(1) is not the dimension vector")
     return oracle.residual, {"pairs": n * n}
 
 
@@ -569,29 +669,34 @@ def check_spectral_certificates(ws: Workspace):
 
 
 def check_generalized_traces(ws: Workspace):
-    """Trace combinations of b^i c^k d^l a^l land in the right generalized eigenspace."""
+    """Trace combinations of b^i c^k d^l a^l land in the right generalized eigenspace.
+
+    Each i's combinations, for every k, come from one contraction
+    (`gen_trace_combinations`), and are certified by one `relation` call.
+    """
     n, rep, Mi, ctx = ws.n, ws.rep, ws.M, ws.ctx
     oracle = Oracle()
+    size = n * n
     rnd = _rng("generalized-traces", n)
     bcda_samples = {(rnd.randrange(n), rnd.randrange(n)) for _ in range(4)}
     for i in range(n):  # one stack per i: its vectors, chains, eigenvalues and labels
-        ks = [k for k in range(n) if (i + k) % n]
-        vecs, gammas, lams = zip(*(gen_trace_combination(n, i, k) for k in ks))
+        ks, combos, gammas, lams = gen_trace_combinations(n, i)
         for coeffs in gammas:
             _require(coeffs[-1] == ctx.one(), "the top coefficient must be 1")
         # (M - lam) v lies on the line through the eigenvector t, and (M - lam) t = 0
-        lines = CycArray.concat(ctx, [ws.grouplike_traces[(i, k)] for k in ks])
-        scaled, chain = _on_line(Mi, CycArray.concat(ctx, vecs), lams, "right", lines)
+        lines = _vectors(ws.grouplike_traces, [i * n + k for k in ks], size)
+        scaled, chain = _on_line(Mi, combos, lams, "right", lines)
         vecs, chains, lams = [scaled, lines], [chain, CycArray.zeros(ctx, len(lines))], list(lams) * 2
         labels = [f"residual off the eigenline at ({i},{k})" for k in ks]
         labels += [f"(M - lam)^2 does not annihilate at ({i},{k})" for k in ks]
         for k in (k for k in ks if (i, k) in bcda_samples):
             s = (-(i + k)) % n
+            steps = rep.trace_vectors_S_at([i] * (s + 1), [k] * (s + 1), range(s + 1))  # l = 0..s
             for l in range(1, s + 1):
                 qint = ctx.quantum_integer(l)
                 coeff = (qint * qint * (ctx.one() - ctx.root_power(-1))).mul_qpow(-l - k + 1)
-                vecs.append(rep.trace_vector_S(Monomial(i, k, l)))
-                chains.append(rep.trace_vector_S(Monomial(i, k, l - 1)).scaled(coeff))
+                vecs.append(steps.take(slice(l * size, (l + 1) * size)))
+                chains.append(steps.take(slice((l - 1) * size, l * size)).scaled(coeff))
                 lams.append(ctx.root_power(l + i) + ctx.root_power(-l - k))
                 labels.append(f"stepdown identity at ({i},{k}), l={l}")
         oracle.see(relation(Mi, CycArray.concat(ctx, vecs), lams, "right", labels, CycArray.concat(ctx, chains)))
@@ -738,50 +843,93 @@ def check_general_eigenvalues(ws: Workspace):
     return oracle.residual, {"modules": len(mods), "indices": len(indices)}
 
 
-def _g_shift(p):
-    """g * p in the presentation: a cyclic shift of the g-index."""
-    n = p.ring.n
-    return type(p)(p.ring, np.roll(p.nums.reshape(n, n, -1), 1, axis=0).reshape(p.nums.shape), p.den, p.ctx)
+def _items(p) -> CycArray:
+    """A presentation element (or stack) over Q(q) as the array of its coefficients."""
+    return CycArray(p.ctx, p.nums, p.den)
+
+
+def _scaled_items(stack: CycArray, table: CycArray, which, size: int) -> CycArray:
+    """Element s of a stack (size entries each) times the scalar table[which[s]]: one batched product through their multiplication matrices."""
+    d = stack.ctx.degree
+    nums = int_matmul(stack.nums.reshape(-1, size, d), stack.ctx.mul_matrices(table.nums)[np.asarray(which)])
+    return CycArray(stack.ctx, nums.reshape(-1, d), stack.den * table.den)
+
+
+def _component_identities(comp, h: int):
+    """The products that component `comp` must satisfy, as (basis, table, pairs, expected, names), in check order.
+
+    basis stacks F_0..F_h, G_1..G_h, the numerators N_a of the idempotents
+    N_a / D_a and a zero array, all over denominator 1 (`numerators`); each
+    pair (a, b) of basis positions has an expected product, the sum of two
+    (scalar, basis position) terms over the scalar table 0, 1, xi, theta_j,
+    nu_j, D_a: e_a e_b = delta_ab e_a is N_a N_b = delta_ab D_a N_a.
+    """
+    F, G, E, ZERO = (lambda j: j), (lambda j: h + j), (lambda a: 2 * h + 1 + a), 3 * h + 2
+    XI, THETA, NU, D = 2, (lambda j: 2 + j), (lambda j: 2 + h + j), (lambda a: 3 + 2 * h + a)
+    r, none = comp.r, (0, ZERO)
+    rows = []
+    for j in range(1, h + 1):
+        rows += [(F(j), F(k), none, none, f"F({j},{r}) F({k},{r}) != 0") for k in range(1, j + 1)]
+    rows.append((F(0), F(0), (XI, F(0)), none, f"F(0,{r})^2 != xi F(0,{r})"))
+    for j in range(1, h + 1):
+        rows.append((G(j), F(j), (THETA(j), F(j)), none, f"G F != theta F at ({j},{r})"))
+        rows.append((G(j), G(j), (THETA(j), G(j)), (NU(j), F(j)), f"G^2 != theta G + nu F at ({j},{r})"))
+    for a in range(h + 1):
+        for b in range(a + 1):
+            message = f"idempotency fails at ({a},{r})" if a == b else f"orthogonality fails at ({a},{b},{r})"
+            rows.append((E(a), E(b), (D(a), E(a)) if a == b else none, none, message))
+    idems, dens = numerators(comp.ctx, comp.idempotent_polys())
+    basis = CycArray.concat(comp.ctx, comp.f_polys + comp.g_polys[1:] + [idems, CycArray.zeros(comp.ctx, comp.dec.n)])
+    table = CycArray.concat(comp.ctx, [CycArray.from_list(comp.ctx, [0, 1]), comp.scalars, CycArray.from_list(comp.ctx, dens)])
+    left, right, first, second, names = zip(*rows)
+    return basis, table, (left, right), (first, second), names
+
+
+def _certify_grouplike_idempotents(dec):
+    """E_u E_v = delta_uv E_u and g E_u = q^u E_u through the full presentation product, in passes of at most GROTH_PASS_ROWS product rows."""
+    n, size, ring = dec.n, dec.n * dec.n, dec.ring
+    E = dec.e_idempotents()
+    grid = np.transpose(np.tril_indices(n))  # (u, v), v <= u
+    per = max(1, GROTH_PASS_ROWS // size)
+    for start in range(0, len(grid), per):
+        u, v = grid[start:start + per].T
+        got = ring.mul(E.take(u), E.take(v))
+        bad = (u != v) & got.nums.reshape(len(u), -1).any(axis=1)  # E_u E_v = 0
+        bad[u == v] = _items(got.take(np.flatnonzero(u == v))).mismatches(_items(E.take(u[u == v])), size)  # E_u^2 = E_u
+        if bad.any():
+            a, b = int(u[bad.argmax()]), int(v[bad.argmax()])
+            raise CheckFailure(f"E_{a} is not idempotent" if a == b else f"E_{a} E_{b} != 0")
+    shifted = np.roll(E.nums.reshape(n, n, n, -1), 1, axis=1).reshape(E.nums.shape)  # g E_u: the g-index moves by one
+    bad = CycArray(dec.ctx, shifted, E.den).mismatches(_items(E).qpow_rows(np.repeat(np.arange(n), size)), size)
+    _require(not bad.any(), f"g E_{bad.argmax()} != q^{bad.argmax()} E_{bad.argmax()}")
+
+
+def _certify_component(comp, h: int):
+    """Every product identity of one component (`_component_identities`) as one stacked product, and the rank of its basis."""
+    n = comp.dec.n
+    basis, table, (left, right), terms, names = _component_identities(comp, h)
+    got = comp.mul(_vectors(basis, left, n), _vectors(basis, right, n))
+    parts = [_scaled_items(_vectors(basis, [x for _, x in term], n), table, [c for c, _ in term], n) for term in terms]
+    bad = got.mismatches(parts[0] + parts[1], n)
+    _require(not bad.any(), names[bad.argmax()])
+    spans = _vectors(basis, list(range(2 * h + 1, 3 * h + 2)) + list(range(1, h + 1)), n)
+    _require(array_rank(spans, n) == n, f"component {comp.r} basis degenerate")
 
 
 def check_grothendieck_idempotents(ws: Workspace):
-    """Radical basis, orthogonal idempotents, and their eigenvector coordinates."""
+    """Radical basis, orthogonal idempotents, and their eigenvector coordinates.
+
+    Every product identity is one stacked product and one stacked expected
+    side: the E_u grid in the presentation, each component's F, G and
+    idempotent products, the certificate squares and the cross-component
+    products.
+    """
     n, dec, ring, tab, ctx = ws.n, ws.dec, ws.ring, ws.tab, ws.ctx
     oracle = Oracle()
-    h = (n - 1) // 2
-    # grouplike idempotents: full-product orthogonality in the presentation
-    e_elems = [dec.e_idempotent(u) for u in range(n)]
-    for u in range(n):
-        for v in range(u + 1):
-            prod = ring.mul(e_elems[u], e_elems[v])
-            if u == v:
-                _require(prod == e_elems[u], f"E_{u} is not idempotent")
-            else:
-                _require(prod.is_zero(), f"E_{u} E_{v} != 0")
-        _require(_g_shift(e_elems[u]) == e_elems[u].scalar_mul(ctx.root_power(u)), f"g E_{u} != q^{u} E_{u}")
-
-    for r in range(n):
-        comp = dec.components[r]
-        F, G, thetas, nus = comp.f_polys, comp.g_polys, comp.thetas, comp.nus
-        for j in range(1, h + 1):
-            for k in range(1, j + 1):
-                _require(comp.mul(F[j], F[k]).is_zero(), f"F({j},{r}) F({k},{r}) != 0")
-        _require(comp.mul(F[0], F[0]) == F[0].scaled(comp.xi), f"F(0,{r})^2 != xi F(0,{r})")
-        for j in range(1, h + 1):
-            theta, nu = thetas[j], nus[j]
-            _require(comp.mul(G[j], F[j]) == F[j].scaled(theta), f"G F != theta F at ({j},{r})")
-            _require(
-                comp.mul(G[j], G[j]) == G[j].scaled(theta) + F[j].scaled(nu), f"G^2 != theta G + nu F at ({j},{r})"
-            )
-        idems = comp.idempotent_polys()
-        for a in range(len(idems)):
-            for b in range(a + 1):
-                prod = comp.mul(idems[a], idems[b])
-                if a == b:
-                    _require(prod == idems[a], f"idempotency fails at ({a},{r})")
-                else:
-                    _require(prod.is_zero(), f"orthogonality fails at ({a},{b},{r})")
-        _require(array_rank(CycArray.concat(ctx, idems + F[1:]), n) == n, f"component {r} basis degenerate")
+    h, size = (n - 1) // 2, n * n
+    _certify_grouplike_idempotents(dec)
+    for comp in dec.components:
+        _certify_component(comp, h)
 
     # coordinate vectors: exact left (generalized) eigenvectors of the McKay matrix
     radical = dec.radical_coords
@@ -792,9 +940,10 @@ def check_grothendieck_idempotents(ws: Workspace):
     zero = CycArray.zeros(ctx, n * n)
     for r in range(n):  # one stack per r: F_j, then G_j with chain F_j, then the idempotents
         vecs, chains, lams, labels = [], [], [], []
+        jordan = dec.jordan_coords(r)
         for j in range(1, h + 1):
             idx, f = EigIndex(j, r), radical[EigIndex(j, r)]
-            vecs += [f, dec.g_coords(idx)]
+            vecs += [f, jordan.take(slice((j - 1) * size, j * size))]
             chains += [zero, f]
             lams += [tab.lam(idx)] * 2
             labels += [f"radical F{tuple(idx)} eigen", f"Jordan pair G{tuple(idx)}"]
@@ -817,24 +966,28 @@ def check_grothendieck_idempotents(ws: Workspace):
         "the basis conversions are not inverse to each other",
     )
 
-    # eigen-idempotent certificates through the full presentation product
-    sample_r = range(n) if n <= 7 else [0]
-    for r in sample_r:
-        c_u, ok = dec.eigenidem_certificate(EigIndex(0, r), idem_coords[EigIndex(0, r)])
-        _require(ok and c_u == ctx.one(), f"unit certificate fails at r={r}")
-        c_u, ok = dec.eigenidem_certificate(EigIndex(1, r), radical[EigIndex(1, r)])
-        _require(ok and c_u.is_zero(), f"radical certificate fails at r={r}")
-        c_u, ok = dec.eigenidem_certificate(EigIndex(1, r), idem_coords[EigIndex(1, r)])
-        _require(ok and c_u == ctx.one(), f"corrected idempotent certificate fails at r={r}")
-    # cross-component radical products through the full presentation
+    # eigen-idempotent certificates through the full presentation product, all squares in one call
+    certified = []  # (index, coordinates, expected c_u, message)
+    for r in range(n) if n <= 7 else [0]:
+        certified += [
+            (EigIndex(0, r), idem_coords[EigIndex(0, r)], 1, f"unit certificate fails at r={r}"),
+            (EigIndex(1, r), radical[EigIndex(1, r)], 0, f"radical certificate fails at r={r}"),
+            (EigIndex(1, r), idem_coords[EigIndex(1, r)], 1, f"corrected idempotent certificate fails at r={r}"),
+        ]
+    indices, coords, units, names = zip(*certified)
+    c_u, exact = dec.eigenidem_certificates(list(indices), list(coords))
+    bad = ~exact | c_u.mismatches(CycArray.from_list(ctx, units))
+    _require(not bad.any(), names[bad.argmax()])
+    # cross-component radical products through the full presentation, in one call
     rnd2 = _rng("radical-cross", n)
+    pairs = []
     for _ in range(2):
         j1, j2 = rnd2.randrange(1, h + 1), rnd2.randrange(1, h + 1)
         r1 = rnd2.randrange(n)
         r2 = (r1 + rnd2.randrange(1, n)) % n
-        p1 = ring.simple_to_poly(radical[EigIndex(j1, r1)])
-        p2 = ring.simple_to_poly(radical[EigIndex(j2, r2)])
-        _require(ring.mul(p1, p2).is_zero(), "cross-component radical product not zero")
+        pairs.append((radical[EigIndex(j1, r1)], radical[EigIndex(j2, r2)]))
+    p1, p2 = (ring.simple_to_poly(numerators(ctx, side)[0]) for side in zip(*pairs))  # vanishing is homogeneous
+    _require(ring.mul(p1, p2).is_zero(), "cross-component radical product not zero")
 
     if n == 3:
         for r in range(3):

@@ -21,6 +21,8 @@ from taftdouble.polymat import RingPoly
 from taftdouble.spectral import GrothComponent, groth_decomposition
 from taftdouble.verify import run_suite
 
+from polynomial_reference import component_array, poly_divmod
+
 
 def _grid(p: PolyPres):
     """grid[g][x]: the coefficients of p as ints (integer classes) or CycNum."""
@@ -55,8 +57,8 @@ def _component_mul_reference(comp: GrothComponent, a: CycArray, b: CycArray) -> 
     """The product by RingPoly multiplication and division with remainder by p_n(x, q^{2r})."""
     ctx = comp.ctx
     modulus = bivariate_to_poly(p_n_bivariate(ctx.n), ctx.root_power(2 * comp.r), ctx.zero())
-    rem = (RingPoly(a.to_list(), ctx.zero()) * RingPoly(b.to_list(), ctx.zero())).divmod(modulus)[1]
-    return comp.array(rem)
+    rem = poly_divmod(RingPoly(a.to_list(), ctx.zero()) * RingPoly(b.to_list(), ctx.zero()), modulus)[1]
+    return component_array(comp, rem)
 
 
 def _random_cycarray(ctx, rnd, rows, sparsity=0.0):
@@ -67,8 +69,9 @@ def _random_cycarray(ctx, rnd, rows, sparsity=0.0):
     return CycArray(ctx, np.array(nums, dtype=np.int64), rnd.choice((1, 2, 3, 14)))
 
 
-@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("n", [3, 5, 7, 9])
 def test_kernels_match_references_on_every_product_of_the_check(n, monkeypatch):
+    """Every stacked product the check makes equals the per-pair reference, pair by pair of the stack."""
     products = []
     comp_mul, ring_mul = GrothComponent.mul, GrothRing.mul
 
@@ -85,11 +88,21 @@ def test_kernels_match_references_on_every_product_of_the_check(n, monkeypatch):
     assert run_suite(n, ["grothendieck-idempotents"]).all_pass
     kinds = {kind for kind, *_ in products}
     assert kinds == {"component", "presentation"}
+    pairs = 0
     for kind, owner, a, b, out in products:
         if kind == "component":
-            assert out == _component_mul_reference(owner, a, b)
+            m = len(a) // n
+            assert len(b) == len(out) == len(a)
+            for s in range(m):
+                rows = slice(s * n, (s + 1) * n)
+                assert out.take(rows) == _component_mul_reference(owner, a.take(rows), b.take(rows))
         else:
-            assert _grid(out) == _presentation_mul_reference(owner, a, b)
+            m = len(a)
+            assert len(b) == len(out) == m
+            for s in range(m):
+                assert _grid(out.take([s])) == _presentation_mul_reference(owner, a.take([s]), b.take([s]))
+        pairs += m
+    assert pairs > len(products)  # the calls are stacks, not one pair each
 
 
 def test_integer_classes_match_the_reference():
@@ -126,7 +139,7 @@ def test_the_shared_fold_reduces_powers_modulo_p_n_at_d_1(n):
     fold, p0 = groth_decomposition(n).fold, p_n_monic(n)
     assert fold.shape == (n, 2 * n - 1)
     for m in range(2 * n - 1):
-        rem = RingPoly([0] * m + [1]).divmod(p0)[1]
+        rem = poly_divmod(RingPoly([0] * m + [1]), p0)[1]
         assert fold[:, m].tolist() == [rem[t] for t in range(n)]
 
 

@@ -17,6 +17,7 @@ from taftdouble.cyclotomic import (
     int_matmul,
     int_rows,
     make_context,
+    poly_products,
     segment_sum,
     sparse_product,
     sparse_rows,
@@ -152,3 +153,16 @@ def test_gather_products_over_q_switches_at_its_product_bound(at_limit):
         for j in range(3):
             expected = [sum(int(a[i, k]) * int(b[j, e]) * T[k, e, p] for k in range(2) for e in range(2)) for p in range(2)]
             assert out[target[i, j]].tolist() == expected
+
+
+@pytest.mark.parametrize("at_limit", SIDES)
+def test_poly_products_switches_at_its_product_bound(at_limit):
+    """Integer polynomials (the 1x1x1 tensor) with four coefficients each: min(La, Lb) = 4 products per coefficient of the result."""
+    rng = np.random.default_rng(18)
+    a = _with_max(rng, (3, 4, 1), 1 << 30)
+    b = _with_max(rng, (3, 4, 1), (1 << 30) - (not at_limit))
+    out = poly_products(a, b, INT_TENSOR)
+    assert out.dtype == _expected_dtype(at_limit)
+    for s in range(3):
+        want = [sum(int(a[s, i, 0]) * int(b[s, t - i, 0]) for i in range(4) if 0 <= t - i < 4) for t in range(7)]
+        assert out[s, :, 0].tolist() == want

@@ -14,7 +14,6 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "taftdouble"
 
 # file -> enclosing definitions (dotted) that may build a RingMatrix
 SITES = {
-    "spectral.py": {"block_matrix"},  # charpoly-table's determinant cross-check
     "polymat.py": {"array_rank", "RingMatrix"},  # the exact rank fallback; the class's own members
     "grring.py": {"GrothRing.cartan_rank"},  # its exact rank fallback
     "dnrep.py": {"WeightedShift.to_matrix"},  # the dense action, a test reference
@@ -66,6 +65,7 @@ def test_the_guard_sees_every_construction(tmp_path):
         "m = RingMatrix([[1]])\n"
     )
     assert construction_sites(tmp_path) == [
+        "spectral.py:2 in block_matrix",
         "spectral.py:4 in other",
         "verify.py:4 in Check.run",
         "verify.py:4 in Check.run",

@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from taftdouble.chebyshev import BivariatePoly, bivariate_to_poly, p_n_bivariate
-from taftdouble.cyclotomic import CycNum, make_context
+from taftdouble.cyclotomic import CycArray, CycNum, make_context
 from taftdouble.dnrep import Monomial, SimpleLabel, double_rep
 from taftdouble.grring import groth_ring
-from taftdouble.polymat import RingPoly
+from taftdouble.polymat import RingMatrix, RingPoly
 from taftdouble.spectral import (
     EigIndex,
-    block_matrix,
+    block_matrices,
+    divide_by_linear,
     build_fusion_blockform,
     build_fusion_from_rules,
     certificates,
@@ -23,6 +24,8 @@ from taftdouble.spectral import (
     spectral_tables,
 )
 from taftdouble.verify import Workspace
+
+from polynomial_reference import component_array, poly_divmod
 
 
 def _apply(A, vec):
@@ -121,12 +124,20 @@ def test_trace_vectors_are_the_right_eigenvectors():
             assert rep.trace_vector_S(Monomial(i, k, 0)) == tab.eigvec("right", idx)
 
 
+def _block_poly(tab, k: int) -> RingPoly:
+    """Block polynomial k of the stacked array, as a RingPoly over Q(q)."""
+    n = tab.n
+    return RingPoly(tab.block_polys().take(slice(k * (n + 1), (k + 1) * (n + 1))).to_list(), tab.ctx.zero())
+
+
 def test_block_charpoly():
+    """The stacked block polynomials against the D = q^k specialization and the scalar trace recursion on each block matrix."""
     n = 7
     tab = spectral_tables(n)
     ctx = tab.ctx
+    blocks = block_matrices(n).to_list()
     for k in range(n):
-        bp = tab.block_charpoly(k)
+        bp = _block_poly(tab, k)
         # frozen shape: t^7 - 7 q^k t^5 + 14 q^{2k} t^3 - 7 q^{3k} t - 2
         assert bp[7] == ctx.one()
         assert bp[5] == ctx.root_power(k) * (-7)
@@ -134,15 +145,16 @@ def test_block_charpoly():
         assert bp[1] == ctx.root_power(3 * k) * (-7)
         assert bp[0] == ctx.from_rational(-2)
         assert bp == bivariate_to_poly(p_n_bivariate(n), ctx.root_power(k), ctx.zero())
-        assert block_matrix(n, k).char_poly_small() == bp
+        block = RingMatrix([blocks[(k * n + i) * n:(k * n + i + 1) * n] for i in range(n)])
+        assert block.char_poly_small() == bp
     # n=3, block 0 factors as (t - 2)(t + 1)^2
     tab3 = spectral_tables(3)
     ctx3 = tab3.ctx
     lin = RingPoly([ctx3.one(), ctx3.one()], ctx3.zero())
     expect = RingPoly([ctx3.from_rational(-2), ctx3.one()], ctx3.zero()) * lin * lin
-    assert tab3.block_charpoly(0) == expect
+    assert _block_poly(tab3, 0) == expect
     # the blocks jointly account for the full characteristic degree
-    assert sum(tab.block_charpoly(k).degree() for k in range(n)) == n * n
+    assert sum(_block_poly(tab, k).degree() for k in range(n)) == n * n
 
 
 def test_general_eigenvalue_formulas():
@@ -206,8 +218,8 @@ def test_idempotent_scalars_n3():
             ],
             ctx.zero(),
         )
-        assert comp.idempotent_polys()[0] == comp.array(expect)
-        assert comp.f_polys[0].scaled(comp.xi.inverse()) == comp.array(expect)
+        assert comp.idempotent_polys()[0] == component_array(comp, expect)
+        assert comp.f_polys[0].scaled(comp.xi.inverse()) == component_array(comp, expect)
 
 
 def test_groth_coordinates_n3():
@@ -216,14 +228,14 @@ def test_groth_coordinates_n3():
     third = Fraction(1, 3)
     for r in range(3):
         qr = lambda e: ctx.root_power(e)
-        f = dec.f_coords(EigIndex(1, r)).to_list()
+        f = dec.radical_coords[EigIndex(1, r)].to_list()
         expect_f = [
             qr(2 * r) * -third, ctx.from_rational(-third), qr(r) * -third,
             qr(r) * -third, qr(2 * r) * -third, ctx.from_rational(-third),
             ctx.from_rational(third), qr(r) * third, qr(2 * r) * third,
         ]
         assert f == expect_f
-        g = dec.g_coords(EigIndex(1, r)).to_list()
+        g = dec.jordan_coords(r).to_list()  # h = 1: G_{1,r} alone
         expect_g = [
             qr(r) * (-2 * third), qr(2 * r) * (-2 * third), ctx.from_rational(-2 * third),
             ctx.from_rational(third), qr(r) * third, qr(2 * r) * third,
@@ -234,22 +246,32 @@ def test_groth_coordinates_n3():
 def test_eigenidem_certificates():
     dec = groth_decomposition(3)
     ctx = dec.ctx
+    indices, coords = [], []
     for r in range(3):
         comp = dec.components[r]
         idempotents = comp.idempotent_polys()
-        c_u, ok = dec.eigenidem_certificate(EigIndex(0, r), comp.to_groth(idempotents[0]))
-        assert ok and c_u == ctx.one()
-        c_u, ok = dec.eigenidem_certificate(EigIndex(1, r), dec.f_coords(EigIndex(1, r)))
-        assert ok and c_u.is_zero()
-        c_u, ok = dec.eigenidem_certificate(EigIndex(1, r), comp.to_groth(idempotents[1]))
-        assert ok and c_u == ctx.one()
+        indices += [EigIndex(0, r), EigIndex(1, r), EigIndex(1, r)]
+        coords += [comp.to_groth(idempotents[0]), dec.radical_coords[EigIndex(1, r)], comp.to_groth(idempotents[1])]
+    c_u, exact = dec.eigenidem_certificates(indices, coords)
+    assert exact.tolist() == [True] * 9
+    assert c_u.to_list() == [ctx.one(), ctx.zero(), ctx.one()] * 3
+    # one wrong coordinate breaks its square, and only its own
+    bumped = coords[4].nums.copy()
+    bumped[0, 0] += coords[4].den
+    coords[4] = CycArray(ctx, bumped, coords[4].den)
+    _, exact = dec.eigenidem_certificates(indices, coords)
+    assert exact.tolist() == [True] * 4 + [False] + [True] * 4
 
 
 def test_division_by_wrong_root_is_fatal():
-    dec = groth_decomposition(3)
-    bad = RingPoly([dec.ctx.from_rational(7), dec.ctx.one()], dec.ctx.zero())
-    _q, rem = dec.modulus.divmod(bad)
-    assert not rem.is_zero()  # a wrong eigenvalue leaves a remainder
+    ctx = groth_decomposition(3).ctx
+    modulus = np.zeros((1, 4, ctx.degree), dtype=np.int64)
+    modulus[0, :, 0] = [-2, -3, 0, 1]  # p_3(x, 1) = (x - 2)(x + 1)^2
+    for root, vanishes in ((-7, False), (-1, True), (2, True)):
+        point = np.zeros((1, ctx.degree), dtype=np.int64)
+        point[0, 0] = root
+        _q, rem = divide_by_linear(ctx, modulus, point)
+        assert (not rem.any()) == vanishes  # a wrong eigenvalue leaves a remainder
 
 
 def _direct_component(n: int, r: int):
@@ -268,18 +290,18 @@ def _direct_component(n: int, r: int):
     lin = [RingPoly([-lam, one], zero) for lam in lams]
     F, G = [], [None]
     for j in range(h + 1):
-        f, rem = modulus.divmod(lin[j])
+        f, rem = poly_divmod(modulus, lin[j])
         assert rem.is_zero()
         F.append(f)
         if j:
-            g, rem = f.divmod(lin[j])
+            g, rem = poly_divmod(f, lin[j])
             assert rem.is_zero()
             G.append(g)
     xi = prod((lams[0] - lams[j] for j in range(1, h + 1)), start=one) ** 2
     thetas, nus, idempotents = [None], [None], [F[0] * xi.inverse()]
     for j in range(1, h + 1):
         th = (lams[j] - lams[0]) * prod((lams[j] - lams[k] for k in range(1, h + 1) if k != j), start=one) ** 2
-        rest = (G[j] * G[j] - G[j] * th).divmod(modulus)[1]
+        rest = poly_divmod(G[j] * G[j] - G[j] * th, modulus)[1]
         lead = F[j].degree()
         nu = rest[lead] / F[j][lead]
         assert rest == F[j] * nu
@@ -296,10 +318,10 @@ def test_twisted_components_match_the_direct_construction(n):
     dec = groth_decomposition(n)
     for comp in dec.components:
         F, G, xi, thetas, nus, idempotents = _direct_component(n, comp.r)
-        assert comp.f_polys == [comp.array(f) for f in F]
-        assert comp.g_polys[1:] == [comp.array(g) for g in G[1:]]
+        assert comp.f_polys == [component_array(comp, f) for f in F]
+        assert comp.g_polys[1:] == [component_array(comp, g) for g in G[1:]]
         assert (comp.xi, comp.thetas, comp.nus) == (xi, thetas, nus)
-        assert comp.idempotent_polys() == [comp.array(e) for e in idempotents]
+        assert comp.idempotent_polys() == [component_array(comp, e) for e in idempotents]
 
 
 def test_a_term_off_weight_n_makes_the_decomposition_raise(monkeypatch):

@@ -13,8 +13,8 @@ from taftdouble.cyclotomic import CycArray, make_context, sparse_product, sparse
 from taftdouble.dnrep import DoubleRep
 from taftdouble.grring import GrothRing, groth_ring
 from taftdouble.polymat import relation
-from taftdouble.spectral import EigIndex, GrothDecomposition, SpectralTables, spectral_tables
-from taftdouble.verify import Oracle, _block_charpoly_values, check_ids, embed_vec, emit_report, run_suite
+from taftdouble.spectral import EigIndex, GrothComponent, GrothDecomposition, SpectralTables, spectral_tables
+from taftdouble.verify import Oracle, _block_charpoly_values, check_ids, emit_report, run_suite
 
 
 def test_run_suite_single_selection():
@@ -125,13 +125,11 @@ def test_block_charpoly_recurrence_matches_the_polynomial():
     for n in (3, 5, 7):
         tab = spectral_tables(n)
         points = np.array([0.3 + 0.1j, -1.7, 2.0, 1j, 1.9 - 0.4j])
+        coeffs = tab.block_polys().embed().reshape(n, n + 1)
         for k in range(n):
-            bp = tab.block_charpoly(k)
             vals, slopes = _block_charpoly_values(points, tab.ctx.root_power(k).embed(), n)
-            np.testing.assert_allclose(vals, np.polyval(embed_vec(bp.coeffs)[::-1], points), atol=1e-10)
-            np.testing.assert_allclose(
-                slopes, np.polyval(embed_vec(bp.derivative().coeffs)[::-1], points), atol=1e-10
-            )
+            np.testing.assert_allclose(vals, np.polyval(coeffs[k][::-1], points), atol=1e-10)
+            np.testing.assert_allclose(slopes, np.polyval((coeffs[k] * np.arange(n + 1))[1:][::-1], points), atol=1e-10)
 
 
 def test_charpoly_oracles_stay_small_past_the_default_bound(monkeypatch):
@@ -222,10 +220,27 @@ def _only_at(args, corrupt):
 
 
 def _bump_gen_trace_vector(fn):
-    def corrupted(n, i, k):
-        vec, gammas, lam = fn(n, i, k)
-        return _bumped(vec, 3), gammas, lam
+    def corrupted(n, i):
+        ks, vecs, gammas, lams = fn(n, i)
+        return ks, _bumped(vecs, 3), gammas, lams
     return corrupted
+
+
+def _bump_grouplike_idempotent(fn):
+    """Wrap `GrothDecomposition.e_idempotents` so that E_1 gains the constant term 1."""
+    def corrupted(self):
+        E = fn(self)
+        nums = E.nums.copy()
+        nums[self.n**2, 0] += E.den  # row 0 of element 1
+        return type(E)(E.ring, nums, E.den, E.ctx)
+    return corrupted
+
+
+def _bump_component_poly(j, r):
+    """Wrap the property `GrothComponent.g_polys` so that coefficient 0 of G_j in component r is corrupted."""
+    def wrap(prop):
+        return property(lambda self: [_bumped(g, 0) if (i, self.r) == (j, r) else g for i, g in enumerate(prop.fget(self))])
+    return wrap
 
 
 # check id, owner, attribute, corruption, text the counterexample must carry
@@ -234,11 +249,11 @@ CORRUPTIONS = [
     ("spectral-certificates", SpectralTables, "blocks", _bump_side("left", 8), "exact eigen or Jordan"),
     ("spectral-certificates", SpectralTables, "blocks", _bump_side("right", 1), "exact eigen or Jordan"),
     ("grouplike-traces", SpectralTables, "lam", _bump_scalar, "eigen"),
-    ("generalized-traces", verify_mod, "gen_trace_combination", _bump_gen_trace_vector, "eigenline"),
+    ("generalized-traces", verify_mod, "gen_trace_combinations", _bump_gen_trace_vector, "eigenline"),
     ("projective-trace-table", DoubleRep, "trace_vector_P", _bump_entry(4), "Tr_P eigen"),
     ("general-eigenvalues", SpectralTables, "general_eigenvalue", _bump_scalar, "right eigenvalue"),
     ("general-eigenvalues", SpectralTables, "projective_eigenvalue", _bump_scalar, "projective"),
-    ("grothendieck-idempotents", GrothDecomposition, "g_coords", _bump_entry(5), "Jordan pair"),
+    ("grothendieck-idempotents", GrothDecomposition, "jordan_coords", _bump_entry(5), "Jordan pair"),
     ("fusion-matrix", SpectralTables, "blocks", _bump_side("fusion_left", 0), "fusion"),
     ("dual-pairing", SpectralTables, "blocks", _bump_side("right", 2), "projective-side"),
     ("mckay-closed-form", GrothRing, "dim_simple_vector", _bump_entry(6), "dimension vector"),
@@ -249,6 +264,11 @@ CORRUPTIONS = [
     ("general-eigenvalues", SpectralTables, "general_eigenvalue", _only_at((EigIndex(1, 2), 1, 0), _bump_scalar),
      "right eigenvalue for V(1,0), EigIndex(j=1, r=2)"),
     ("projective-trace-table", DoubleRep, "trace_vector_P", _only_at((2, -2), _bump_entry(4)), "Tr_P eigen at i=2"),
+    # at n = 3 row 2 (n + 1) + 2 is the coefficient of t^2 in block 2; row 2 (h + 1) + 1 is the double root of block 2
+    ("charpoly-table", SpectralTables, "block_polys", _bump_entry(2 * 4 + 2), "block 2 charpoly differs"),
+    ("charpoly-factorization", SpectralTables, "block_roots", _bump_entry(2 * 2 + 1), "block 2 does not split"),
+    ("grothendieck-idempotents", GrothComponent, "g_polys", _bump_component_poly(1, 2), "G F != theta F at (1,2)"),
+    ("grothendieck-idempotents", GrothDecomposition, "e_idempotents", _bump_grouplike_idempotent, "E_1 E_0 != 0"),
 ]
 
 
@@ -500,15 +520,15 @@ def bumped_array(fn):
         return CycArray(v.ctx, nums, v.den)
     return wrong
 
-def wrong_top_gamma(n, i, k):
-    vec, gammas, lam = gen_trace_combination(n, i, k)
-    return vec, gammas[:-1] + [gammas[-1] + 1], lam
+def wrong_top_gamma(n, i):
+    ks, vecs, gammas, lams = gen_trace_combinations(n, i)
+    return ks, vecs, [g[:-1] + [g[-1] + 1] for g in gammas], lams
 
 def wrong_value_at_v20(self, idx, ell, s):
     val = general_eigenvalue(self, idx, ell, s)
     return val + 1 if (ell, s) == (2, 0) else val
 
-gen_trace_combination = verify.gen_trace_combination
+gen_trace_combinations = verify.gen_trace_combinations
 general_eigenvalue = SpectralTables.general_eigenvalue
 p_table = {**verify.P_TABLE, 3: {**verify.P_TABLE[3], (0, 0): -3}}
 rows_n3 = {**verify.TABLE_N3_ROWS, 0: [(7, 0)] + verify.TABLE_N3_ROWS[0][1:]}
@@ -517,7 +537,7 @@ DEFECTS = {
     "charpoly-factorization": (verify, "p_n_factor_check", lambda n: False),
     "grouplike-traces": (SpectralTables, "general_eigenvalue", wrong_value_at_v20),
     "spectral-certificates": (verify, "build_mckay_blockform", bumped_matrix(verify.build_mckay_blockform)),
-    "generalized-traces": (verify, "gen_trace_combination", wrong_top_gamma),
+    "generalized-traces": (verify, "gen_trace_combinations", wrong_top_gamma),
     "projective-trace-table": (verify, "TABLE_N3_ROWS", rows_n3),
     "cartan-structure": (GrothRing, "projective_mckay_v20_rules", bumped_matrix(GrothRing.projective_mckay_v20_rules)),
     "mckay-closed-form": (GrothRing, "mckay_matrix_closed", bumped_matrix(GrothRing.mckay_matrix_closed)),
