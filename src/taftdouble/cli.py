@@ -35,6 +35,9 @@ import numpy as np
 def _dumps(payload) -> str:
     """json.dumps(payload, sort_keys=True), with every CycArray (a list of entries), CycNum and ArrayEntry (one entry) in place.
 
+    A 2-D integer ndarray (int64 or Python ints) is written as its nested
+    list of rows, as json.dumps writes m.tolist().
+
     json writes the skeleton, one placeholder string for each such value in
     the order it meets them, so it alone decides key order, separators and
     float format; the placeholders are then replaced by the texts of
@@ -47,7 +50,7 @@ def _dumps(payload) -> str:
         values = []
 
         def hole(x):
-            if not isinstance(x, (CycArray, CycNum, ArrayEntry)):
+            if not isinstance(x, (CycArray, CycNum, ArrayEntry)) and not _is_int_matrix(x):
                 raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
             values.append(x)
             return mark
@@ -56,8 +59,13 @@ def _dumps(payload) -> str:
         if len(pieces) == len(values) + 1:
             break
         mark += "\0"
-    texts = json_texts(values)
-    return "".join(chain.from_iterable(zip(pieces, texts))) + pieces[-1]
+    out = list(chain.from_iterable(zip(pieces, json_texts(values))))
+    out.append(pieces[-1])
+    return "".join(out)
+
+
+def _is_int_matrix(x) -> bool:
+    return isinstance(x, np.ndarray) and x.ndim == 2 and x.dtype.kind in "iO"
 
 
 def _parse_pair(text, what):
@@ -125,12 +133,11 @@ def cmd_mckay(args) -> int:
         mat = ring.mckay_matrix_closed(ell, s % n)
     else:
         mat = ring.mckay_matrix(ell, s % n)
-    rows = mat.tolist()
     if args.format == "csv":
-        for row in rows:
+        for row in mat.tolist():
             print(",".join(str(x) for x in row))
     else:
-        print(_dumps({"n": n, "module": [ell, s % n], "projective": bool(args.projective), "rows": rows}))
+        print(_dumps({"n": n, "module": [ell, s % n], "projective": bool(args.projective), "rows": mat}))
     return 0
 
 
@@ -173,10 +180,13 @@ def _certificate_payload(n: int) -> list[dict]:
     from .verify import get_workspace
 
     ws = get_workspace(n)
+    certs = ws.certs
+    # row k is certificate k's embedded right vector v: one product gives every M v; lam v is
+    # a scalar times a row, since numpy rounds a broadcast array product differently
+    vecs = np.stack([cert.right.embed() for cert in certs])
+    images = ws.M_numeric @ vecs.T
     out = []
-    Mn = ws.M_numeric
-    for cert in ws.certs:
-        vr = cert.right.embed()
+    for cert, v, image in zip(certs, vecs, images.T):
         entry = {
             "j": cert.index.j,
             "r": cert.index.r,
@@ -184,7 +194,7 @@ def _certificate_payload(n: int) -> list[dict]:
             "right": cert.right,
             "left": cert.left,
             "exact": cert.exact,
-            "oracle_residual": float(np.max(np.abs(Mn @ vr - cert.lam.embed() * vr))),
+            "oracle_residual": float(np.max(np.abs(image - cert.lam.embed() * v))),
         }
         if cert.gen_right is not None:
             entry["gen_right"] = cert.gen_right
@@ -198,7 +208,7 @@ def _fusion_payload(n: int) -> dict:
     N = build_fusion_from_rules(n)
     return {
         "slots": [[ell, r] for ell, r in fusion_slots(n)],
-        "rows": N.tolist(),
+        "rows": N,
         "eigen": [
             {
                 "j": idx.j,
@@ -215,17 +225,19 @@ def _fusion_payload(n: int) -> dict:
 def _idempotent_payload(n: int) -> dict:
     dec = groth_decomposition(n)
     h = (n - 1) // 2
-    blocks = [
-        {
-            "r": r,
-            "xi": comp.xi,
-            "theta": comp.thetas[1:],
-            "nu": comp.nus[1:],
-            "radical_coords": [dec.radical_coords[EigIndex(j, r)] for j in range(1, h + 1)],
-            "idempotent_coords": [dec.idempotent_coords[EigIndex(j, r)] for j in range(h + 1)],
-        }
-        for r, comp in enumerate(dec.components)
-    ]
+    blocks = []
+    for r, comp in enumerate(dec.components):
+        scalars = comp.scalars  # xi, theta_1..theta_h, nu_1..nu_h
+        blocks.append(
+            {
+                "r": r,
+                "xi": ArrayEntry(scalars, 0),
+                "theta": scalars.take(slice(1, h + 1)),
+                "nu": scalars.take(slice(h + 1, 2 * h + 1)),
+                "radical_coords": [dec.radical_coords[EigIndex(j, r)] for j in range(1, h + 1)],
+                "idempotent_coords": [dec.idempotent_coords[EigIndex(j, r)] for j in range(h + 1)],
+            }
+        )
     return {"n": n, "components": blocks}
 
 

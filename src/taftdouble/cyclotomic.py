@@ -26,16 +26,25 @@ ranks are certified on the residues.
 
 `json_texts(values)` is the batch encoder of the JSON output: the text of
 many CycArrays (a list of entries), CycNums and `ArrayEntry`s (one entry
-each) at once.  An integral entry is a plain int, every other one
-{"coeffs": [...], "n": n} with each coordinate as str(Fraction) in lowest
-terms (`_coeff_strings`, the one statement of that format, which
-`CycNum.to_json` uses too), exactly as json.dumps(..., sort_keys=True)
-writes that form.  The rows of all values are stacked with a per-row
-denominator and encoded JSON_BATCH_ROWS at a time: brought to lowest terms
-in numpy, laid out as an object array of string pieces (quotes and
-separators included, the digits drawn from a table of small integers built
-on first use) and joined once per value in each batch.  The fixed row
-budget bounds the strings alive at once.
+each) and 2-D integer arrays (a list of rows) at once.  An integral entry is
+a plain int, every other one {"coeffs": [...], "n": n} with each coordinate
+as str(Fraction(a, den)) (`_coeff_text`, the one statement of that format,
+which `CycNum.to_json` uses too), exactly as json.dumps(..., sort_keys=True)
+writes that form.  The text is made of tokens.  A cached table of (n, den)
+(`_token_table`) holds, for every |a| up to its bound, the coordinate a / den
+as the first coordinate of an entry (with the opening {"coeffs": [), a
+middle one, the last one (with the closing ], "n": n}, followed by ", " or
+not), and as a plain int where den | a; its bound is the least power of two
+from TOKEN_MIN_BOUND that covers the coefficients it is asked for, at most
+TOKEN_BOUND, so the tables stay as small as the values.  A row is
+integral exactly when its coordinates 1..phi-1 are 0 and den divides the
+first; it takes one integer token and empty ones, so no row is brought to
+lowest terms.  The rows of all values of one denominator are written
+JSON_BATCH_ROWS at a time: one fancy-index gather from the table per batch
+and one join per value.  Coefficients past the bound, and those of
+Python-int arrays, get their tokens from the same statement, filled into the
+gathered array in place.  An integer array is one gather of the integer
+tokens of the tables of n = 1, den = 1.
 
 This module is the one place that chooses between int64 and Python ints
 (dtype=object).  Every exact integer computation of the package runs through
@@ -607,7 +616,7 @@ class CycNum:
 
     def to_json(self) -> dict:
         """n and the coordinates, each written as str(Fraction(a, den))."""
-        return {"n": self.ctx.n, "coeffs": _coeff_strings(int_rows([self.num]), int_array([self.den], self.den))[0].tolist()}
+        return {"n": self.ctx.n, "coeffs": [_coeff_text(a, self.den) for a in self.num]}
 
     @staticmethod
     def from_json(obj) -> "CycNum":
@@ -817,148 +826,184 @@ class ArrayEntry:
         self.row = row
 
 
-# |i| up to this is written from one table of strings, built on first use
-SMALL_INT_STR = 1 << 12
-
-
-@lru_cache(maxsize=None)
-def _small_int_strings() -> np.ndarray:
-    """str(i) at index i + SMALL_INT_STR, for |i| <= SMALL_INT_STR, as an object array."""
-    return np.array([str(i) for i in range(-SMALL_INT_STR, SMALL_INT_STR + 1)], dtype=object)
-
-
-def _int_strings(a: np.ndarray) -> np.ndarray:
-    """str of every entry of the integer array a, as an object array: small values from the table, the rest by map(str)."""
-    small = (a >= -SMALL_INT_STR) & (a <= SMALL_INT_STR)
-    if small.all():
-        return _small_int_strings()[a.astype(np.int64) + SMALL_INT_STR]
-    out = np.empty(a.shape, dtype=object)
-    out[small] = _small_int_strings()[a[small].astype(np.int64) + SMALL_INT_STR]
-    big = a[~small].tolist()
-    out[~small] = np.fromiter(map(str, big), dtype=object, count=len(big))
-    return out
-
-
 def _lowest_terms(nums: np.ndarray, dens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row i of nums over dens[i] (or over dens[0] for every row) with the row and its denominator divided by their gcd."""
     g = np.gcd(np.gcd.reduce(nums, axis=1), dens)
     return nums if (g == 1).all() else nums // g[:, None], dens // g
 
 
-def _coeff_strings(nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
-    """Row i of nums over dens[i], each coordinate written as str(Fraction(a, den)): "a" or "a/b" in lowest terms.
+def _coeff_text(a: int, den: int) -> str:
+    """A coordinate a / den as the JSON output writes it: str(Fraction(a, den)), "a" or "a/b" in lowest terms."""
+    return str(Fraction(a, den))
 
-    The one statement of the coordinate format of the JSON output.
+
+# token kinds: the first, a middle and the last coordinate of a
+# {"coeffs": [...], "n": n} entry and an integral entry's plain int, the last
+# two followed by the ", " between entries or (_END) ending their value; the
+# empty token fills an integral entry's other columns
+FIRST, MIDDLE, LAST, LAST_END, INT, INT_END, EMPTY = range(7)
+_TOKEN_FORMS = ('{{"coeffs": ["{0}", ', '"{0}", ', '"{0}"], "n": {1}}}, ', '"{0}"], "n": {1}}}', "{0}, ", "{0}", "")
+
+# coefficients with |a| up to TOKEN_BOUND are written from cached token tables
+TOKEN_BOUND = 512
+TOKEN_MIN_BOUND = 32
+
+
+def _tokens(kinds, texts, n: int) -> list[str]:
+    """The token of each kind around each coordinate text (`_coeff_text`), in Q(q) with q of order n."""
+    return [_TOKEN_FORMS[k].format(text, n) for k, text in zip(kinds, texts)]
+
+
+@lru_cache(maxsize=64)
+def _token_table(n: int, den: int, bound: int) -> np.ndarray:
+    """Entry kind * (2 bound + 1) + bound + a is the token of that kind for a / den, |a| <= bound.
+
+    Each coordinate text is formed once and wrapped for every kind.  The
+    integer tokens are written only where den | a (the others are never
+    read and stay empty).
     """
-    g = np.gcd(nums, dens[:, None])
-    tops, bottoms = nums // g, dens[:, None] // g
-    out = _int_strings(tops)
-    frac = bottoms != 1
-    if frac.any():
-        out[frac] = out[frac] + "/" + _int_strings(bottoms[frac])
+    coeffs = np.arange(-bound, bound + 1)
+    texts = [_coeff_text(a, den) for a in coeffs.tolist()]
+    whole = np.flatnonzero(coeffs % int_array([den], den) == 0).tolist()
+    table = np.full((EMPTY + 1, len(coeffs)), "", dtype=object)
+    for kind in range(EMPTY):
+        cols = whole if kind >= INT else range(len(coeffs))
+        table[kind, cols] = _tokens([kind] * len(cols), [texts[i] for i in cols], n)
+    table.setflags(write=False)
+    return table.ravel()
+
+
+def _gather(n: int, den: int, kinds: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """The token of kinds[i] for coeffs[i] / den at every position: one gather from a `_token_table` of (n, den).
+
+    Coefficients past TOKEN_BOUND (of int64 or Python-int arrays) get their
+    tokens from `_tokens` too, filled into the gathered array in place.
+    """
+    mags = np.abs(coeffs)
+    top = int(mags.max(initial=0))
+    inside = coeffs
+    if top > TOKEN_BOUND or coeffs.dtype == object:
+        big = mags > TOKEN_BOUND
+        inside = np.where(big, 0, coeffs).astype(np.int64)
+        top = int(np.abs(inside).max(initial=0))
+    bound = max(TOKEN_MIN_BOUND, 1 << (top - 1).bit_length())
+    out = _token_table(n, den, bound)[kinds * (2 * bound + 1) + (inside + bound)]
+    if inside is not coeffs and big.any():
+        out[big] = _tokens(kinds[big].tolist(), [_coeff_text(a, den) for a in coeffs[big].tolist()], n)
     return out
 
 
-# rows encoded at once by `json_texts`: bounds the string pieces alive together
+def _entry_tokens(n: int, den: int, nums: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Row i of nums over den as the tokens of its JSON entry, one per column; rows[ends] end their value, the others are followed by ", ".
+
+    A row is integral exactly when its coordinates 1..phi-1 are 0 and den
+    divides its first: its first column then takes the integer token and
+    the others the empty one, so no row is brought to lowest terms.
+    """
+    integral = ~(nums[:, 1:] != 0).any(axis=1) & (nums[:, 0] % int_array([den], den) == 0)
+    return _gather(n, den, _row_kinds(nums.shape[1])[2 * integral + ends], nums)
+
+
+@lru_cache(maxsize=None)
+def _row_kinds(d: int) -> np.ndarray:
+    """Row 2 * integral + end holds the token kinds of the d columns of such an entry."""
+    entry, whole = [FIRST] + [MIDDLE] * (d - 2), [EMPTY] * (d - 1)
+    kinds = np.array([entry + [LAST], entry + [LAST_END], [INT] + whole, [INT_END] + whole])
+    kinds.setflags(write=False)
+    return kinds
+
+
+def _matrix_text(m: np.ndarray) -> str:
+    """json.dumps(m.tolist()) of a 2-D integer array (int64 or Python ints): the integer tokens of n = 1, den = 1, one join."""
+    rows, cols = m.shape
+    kinds = np.full((rows, cols), INT, dtype=np.int64)
+    kinds[:, -1:] = INT_END
+    tokens = np.empty((rows, cols + 2), dtype=object)
+    tokens[:, 0], tokens[:, -1] = "[", "], "
+    tokens[:, 1:-1] = _gather(1, 1, kinds, m)
+    tokens[-1:, -1] = "]"
+    return "[" + "".join(tokens.ravel().tolist()) + "]"
+
+
+# rows encoded at once by `json_texts`: bounds the tokens alive together
 JSON_BATCH_ROWS = 2048
 
 
 def json_texts(values) -> list[str]:
-    """The JSON text of each value of one field: a CycArray as the list of its entries, a CycNum or an ArrayEntry as one entry.
+    """The JSON text of each value of one field: a CycArray as the list of its entries, a CycNum or an ArrayEntry as one entry, a 2-D integer array as its list of rows.
 
     An entry is written as json.dumps(..., sort_keys=True) writes its
     JSON-ready form: a plain int when integral, else {"coeffs": [...], "n": n}
-    with each coordinate as str(Fraction) (`_coeff_strings`).  Rows are
-    encoded JSON_BATCH_ROWS at a time: the single entries gathered by the
-    array they belong to (the CycNums stacked into one), and the arrays'
-    rows one after another with a per-row denominator, a value's rows
-    running on into the next batch where they do not fit.
+    with each coordinate as str(Fraction) (`_coeff_text`).  The rows of every
+    value are gathered by denominator: the arrays, the entries of each array
+    that ArrayEntries name, and the CycNums of each denominator stacked into
+    one.  The rows of one denominator are written JSON_BATCH_ROWS at a time,
+    a value's rows running on into the next batch where they do not fit:
+    one gather of tokens per batch (`_entry_tokens`) and one join per value
+    in it.
     """
     values = list(values)
     texts = [None] * len(values)
-    arrays, scalars, entries = [], [], {}  # entries: id(array) -> value indices
+    arrays, scalars, entries = [], {}, {}  # scalars: den -> value indices, entries: id(array) -> value indices
     for i, x in enumerate(values):
-        if isinstance(x, CycArray):
+        if isinstance(x, ArrayEntry):
+            entries.setdefault(id(x.array), []).append(i)
+        elif isinstance(x, CycArray):
             arrays.append(i)
         elif isinstance(x, CycNum):
-            scalars.append(i)
+            scalars.setdefault(x.den, []).append(i)
         else:
-            entries.setdefault(id(x.array), []).append(i)
-    sources = [(values[owners[0]].array, owners, [values[i].row for i in owners]) for owners in entries.values()]
-    fields = {values[i].ctx for i in arrays + scalars} | {array.ctx for array, _, _ in sources}
+            texts[i] = _matrix_text(x)
+    sources = [values[owners[0]].array for owners in entries.values()]
+    fields = {values[i].ctx for i in chain(arrays, *scalars.values())} | {array.ctx for array in sources}
     if len(fields) > 1:
         raise ValueError("json_texts writes the values of one field")
-    ctx = fields.pop() if fields else None
-    if scalars:
-        sources.append((CycArray.from_list(ctx, [values[i] for i in scalars]), scalars, list(range(len(scalars)))))
-    for array, owners, rows in sources:
-        for start in range(0, len(rows), JSON_BATCH_ROWS):
-            stop = start + JSON_BATCH_ROWS
-            pieces = _entry_pieces(ctx, array.nums[rows[start:stop]], int_array([array.den], array.den))
-            for i, row in zip(owners[start:stop], pieces.tolist()):
-                texts[i] = "".join(row)
-    parts = {i: [] for i in arrays}
-    batch, room = [], JSON_BATCH_ROWS
+    n = fields.pop().n if fields else None
+    runs = {}  # den -> (owner, nums): an int owner is a CycArray value, a list of owners one value per row
     for i in arrays:
-        nums, start = values[i].nums, 0
-        while start < len(nums):
-            cut = min(len(nums), start + room)
-            batch.append((i, nums[start:cut], values[i].den, cut == len(nums)))
-            room -= cut - start
-            start = cut
-            if not room:
-                _encode_batch(ctx, batch, parts)
-                batch, room = [], JSON_BATCH_ROWS
-    if batch:
-        _encode_batch(ctx, batch, parts)
+        runs.setdefault(values[i].den, []).append((i, values[i].nums))
+    for array, owners in zip(sources, entries.values()):
+        runs.setdefault(array.den, []).append((owners, array.nums[[values[i].row for i in owners]]))
+    for den, owners in scalars.items():
+        runs.setdefault(den, []).append((owners, int_rows([values[i].num for i in owners])))
+    parts = {}
+    for den, den_runs in runs.items():
+        batch, room = [], JSON_BATCH_ROWS
+        for owner, nums in den_runs:
+            start = 0
+            while start < len(nums):
+                cut = min(len(nums), start + room)
+                batch.append((owner if isinstance(owner, int) else owner[start:cut], nums[start:cut], cut == len(nums)))
+                room -= cut - start
+                start = cut
+                if not room:
+                    _write_batch(n, den, batch, texts, parts)
+                    batch, room = [], JSON_BATCH_ROWS
+        if batch:
+            _write_batch(n, den, batch, texts, parts)
     for i in arrays:
-        texts[i] = "[" + "".join(parts[i]) + "]"
+        texts[i] = "[" + "".join(parts.get(i, ())) + "]"
     return texts
 
 
-def _encode_batch(ctx: CyclotomicContext, batch, parts: dict):
-    """Append to parts[i] the text of the rows of each (i, nums, den, whether they end value i) run of a batch.
+def _write_batch(n: int, den: int, batch, texts: list, parts: dict):
+    """Write the (owner, nums, whether they end the value) runs of one batch over den: one gather, one join per value.
 
-    Every row is followed by ", " unless it ends its value, and each run is
-    one join of the string pieces.
+    An int owner is a CycArray value, whose text so far is appended to
+    parts[owner]; a list owner names the one-entry value of each row.
     """
-    owners, blocks, dens, ends = zip(*batch)
-    lengths = [len(b) for b in blocks]
-    pieces = _entry_pieces(ctx, np.concatenate(blocks), np.repeat(int_array(dens, max(dens)), lengths))
+    owners, blocks, ends = zip(*batch)
+    lengths = np.array([len(b) for b in blocks])
     stops = np.cumsum(lengths)
-    pieces[:, -1] = ", "
-    pieces[stops[np.array(ends)] - 1, -1] = ""
-    for i, start, stop in zip(owners, (stops - lengths).tolist(), stops.tolist()):
-        parts[i].append("".join(pieces[start:stop].ravel().tolist()))
-
-
-def _entry_pieces(ctx: CyclotomicContext, nums: np.ndarray, dens: np.ndarray) -> np.ndarray:
-    """Row i of nums over dens[i] as the string pieces of its JSON text, in a row of 2 phi + 2; the last, for a separator after it, is empty.
-
-    The rows are brought to lowest terms in numpy and laid out as
-    {"coeffs": [...], "n": n}, with the quotes and separators inside it as
-    pieces of their own.  An integral entry is then its first coordinate
-    alone, and when every entry is integral a row holds 2 pieces.
-    """
-    nums, dens = _lowest_terms(nums, dens)
-    integral = (dens == 1) & ~(nums[:, 1:] != 0).any(axis=1)
-    if integral.all():
-        pieces = np.empty((len(nums), 2), dtype=object)
-        pieces[:, 0] = _int_strings(nums[:, 0])
-        pieces[:, 1] = ""
-        return pieces
-    d = ctx.degree
-    pieces = np.empty((len(nums), 2 * d + 2), dtype=object)
-    pieces[:, 0] = '{"coeffs": ["'
-    pieces[:, 1:2 * d:2] = _coeff_strings(nums, dens)
-    pieces[:, 2:2 * d - 1:2] = '", "'
-    pieces[:, 2 * d] = f'"], "n": {ctx.n}}}'
-    pieces[:, -1] = ""
-    if integral.any():
-        first = pieces[integral, 1]
-        pieces[integral] = ""
-        pieces[integral, 0] = first
-    return pieces
+    final = np.repeat(np.array([not isinstance(o, int) for o in owners]), lengths)  # a one-entry value ends at its row
+    final[stops[np.array(ends)] - 1] = True
+    tokens = _entry_tokens(n, den, np.concatenate(blocks), final)
+    for owner, start, stop in zip(owners, (stops - lengths).tolist(), stops.tolist()):
+        if isinstance(owner, int):
+            parts.setdefault(owner, []).append("".join(tokens[start:stop].ravel().tolist()))
+        else:
+            for i, text in zip(owner, map("".join, tokens[start:stop].tolist())):
+                texts[i] = text
 
 
 def _polydivmod(a, b):

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from test_cyclotomic import _encode_reference
 
-from taftdouble.cli import _dumps, main
+import taftdouble.cyclotomic as cyclotomic
+from taftdouble.cli import _certificate_payload, _dumps, main
 from taftdouble.cyclotomic import CycArray, CycNum, make_context
 from taftdouble.spectral import (
     EigIndex,
@@ -40,6 +41,8 @@ def _object_form(x):
         return _encode_reference(x)
     if hasattr(x, "row"):
         return _encode_reference(x.array[x.row])
+    if isinstance(x, np.ndarray):
+        return x.tolist()
     if isinstance(x, dict):
         return {k: _object_form(v) for k, v in x.items()}
     if isinstance(x, list):
@@ -66,6 +69,7 @@ def test_dumps_is_json_dumps_of_the_object_form():
         "\0": CycArray.zeros(ctx, 0),
         "ints": [0, -1, 2**70],
         "one": ctx.one(),
+        "matrices": [np.array([[0, -3, 600], [7, -600, 1]]), np.zeros((2, 0), dtype=np.int64), np.array([[2**70, -1]], dtype=object)],
     }
     want = json.dumps(_object_form(payload), sort_keys=True)
     assert _dumps(payload) == want, _first_difference(_dumps(payload), want)
@@ -143,6 +147,28 @@ def test_spectrum_fusion_and_idempotents_match_the_entrywise_route(n):
         assert got == want, f"{' '.join(argv)}: {_first_difference(got, want)}"
 
 
+@pytest.mark.parametrize("n", [5, 7, 9])
+def test_certificate_residuals_equal_the_per_certificate_products(n):
+    """The residuals of the one stacked product M V are the floats of one M v per certificate, bit for bit."""
+    ws = get_workspace(n)
+    want = []
+    for cert in ws.certs:
+        vr = cert.right.embed()
+        want.append(float(np.max(np.abs(ws.M_numeric @ vr - cert.lam.embed() * vr))))
+    assert [entry["oracle_residual"] for entry in _certificate_payload(n)] == want
+
+
+def test_a_warm_spectrum_writes_every_coefficient_from_the_tables(monkeypatch):
+    """No coordinate of a warm `spectrum --n 9 --fusion --idempotents` is formatted outside the cached token tables."""
+    argv = ["spectrum", "--n", "9", "--fusion", "--idempotents"]
+    want = _cli(argv)
+    formatted = []
+    tokens = cyclotomic._tokens
+    monkeypatch.setattr(cyclotomic, "_tokens", lambda kinds, texts, n: formatted.extend(texts) or tokens(kinds, texts, n))
+    assert _cli(argv) == want
+    assert not formatted
+
+
 def test_coordinates_are_kept_by_the_decomposition(monkeypatch):
     """Radical and idempotent coordinates are computed once per decomposition, and equal the per-call route."""
     n = 5
@@ -164,7 +190,9 @@ def test_coordinates_are_kept_by_the_decomposition(monkeypatch):
 # (1.16 MiB of output): 3.8 MiB measured with batches of JSON_BATCH_ROWS rows,
 # against 10.7 MiB when every row of the payload is encoded in one batch and
 # 10.75 MiB for the per-entry object route.  The bound is the measured peak
-# plus a fixed 2 MiB of headroom.
+# plus a fixed 2 MiB of headroom.  With the coefficient-token tables and one
+# join of the output the peak measured 2.5 MiB (3.6 MiB for the string-piece
+# layout before them, on the same host); the bound is kept.
 PEAK_BOUND = (3.8 + 2.0) * 2**20
 
 

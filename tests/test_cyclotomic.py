@@ -142,13 +142,24 @@ def _reference_text(value):
     return json.dumps(_encode_reference(value), sort_keys=True)
 
 
-_ROW_KINDS = ("raw", "zero", "shared", "integral")
+_ROW_KINDS = ("raw", "zero", "shared", "integral", "bound", "integral-bound")
+
+# coefficients on either side of the token tables' bound and of the smallest table's, within one row
+_BOUND = cyclotomic.TOKEN_BOUND
+_EDGES = [sign * (b + e) for b in (cyclotomic.TOKEN_MIN_BOUND, _BOUND) for sign in (1, -1) for e in (-1, 0, 1)]
 
 
 def _draw_array(data, ctx, den, factor, scale, den_scale, max_size=8):
-    """Negative numerators, zero rows, rows sharing a factor with den, integral rows, strings past the table, object arrays."""
+    """Negative numerators, zero rows, rows sharing a factor with den, integral rows, rows straddling the table bound, object arrays.
+
+    A "bound" row draws every coordinate from TOKEN_BOUND - 1 .. TOKEN_BOUND + 1,
+    TOKEN_MIN_BOUND - 1 .. TOKEN_MIN_BOUND + 1 and their negatives; an "integral-bound" row is integral with a first
+    numerator at the last multiple of den inside the bound or the first past
+    it.  The array holds Python ints when scaled, and when drawn so (then
+    with its small values and integral rows unchanged).
+    """
     d = ctx.degree
-    coeff = st.integers(-12, 12) | st.integers(-10**6, 10**6)
+    coeff = st.integers(-12, 12) | st.sampled_from(_EDGES) | st.integers(-10**6, 10**6)
     rows = []
     for kind in data.draw(st.lists(st.sampled_from(_ROW_KINDS), max_size=max_size)):
         row = data.draw(st.lists(coeff, min_size=d, max_size=d))
@@ -158,9 +169,14 @@ def _draw_array(data, ctx, den, factor, scale, den_scale, max_size=8):
             row = [factor * a for a in row]
         elif kind == "integral":
             row = [den * row[0]] + [0] * (d - 1)
+        elif kind == "bound":
+            row = data.draw(st.lists(st.sampled_from(_EDGES), min_size=d, max_size=d))
+        elif kind == "integral-bound":
+            sign, past = data.draw(st.sampled_from([1, -1])), data.draw(st.booleans())
+            row = [sign * den * (_BOUND // den + past)] + [0] * (d - 1)
         rows.append(row)
     nums = np.array(rows, dtype=np.int64).reshape(len(rows), d)
-    if scale > 1:
+    if scale > 1 or data.draw(st.booleans()):
         nums = nums.astype(object) * scale
     return CycArray(ctx, nums, den * den_scale)
 
@@ -216,6 +232,22 @@ def test_the_batch_budget_is_crossed_at_its_default():
     values.insert(3, ctx.root_power(1) / 7)
     assert sum(map(len, values[:3])) == 2 * budget
     assert json_texts(values) == [_reference_text(v) for v in values]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shape=st.tuples(st.integers(0, 5), st.integers(0, 5)),
+    data=st.data(),
+    python_ints=st.booleans(),
+)
+def test_integer_matrices_are_written_as_json_dumps_of_their_rows(shape, data, python_ints):
+    """Negative, zero and past-the-table entries, empty shapes, and Python ints past int64."""
+    entry = st.integers(-3, 3) | st.sampled_from(_EDGES) | st.integers(-10**9, 10**9)
+    if python_ints:
+        entry = entry | st.integers(-10**30, 10**30)
+    flat = data.draw(st.lists(entry, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    m = np.array(flat, dtype=object if python_ints else np.int64).reshape(shape)
+    assert json_texts([m, m.T]) == [json.dumps(m.tolist()), json.dumps(m.T.tolist())]
 
 
 def test_json_texts_writes_one_field():
