@@ -11,7 +11,8 @@ numeric oracle.
 Vectors over Q(q) are `CycArray`s: an (N, phi(n)) integer numpy array of
 numerators over one common denominator.  Products with integer matrices
 and with a fixed scalar run as integer matrix products, the entrywise
-product `*` is one batched convolution folded back by the rows of q^m, and
+product `*` goes through the multiplication tensor of the power basis
+(or, past float64, is a convolution folded back by the rows of q^m), and
 exact equality is `array_equal` on cross-multiplied numerators.  `CycArray.qpow_blocks`
 stacks a column of coefficients over powers of q, the shape of every
 eigenvector and trace vector downstream.  `gather_products` multiplies
@@ -46,12 +47,21 @@ Python-int arrays, get their tokens from the same statement, filled into the
 gathered array in place.  An integer array is one gather of the integer
 tokens of the tables of n = 1, den = 1.
 
-This module is the one place that chooses between int64 and Python ints
-(dtype=object).  Every exact integer computation of the package runs through
-one of its kernels (`int_matmul`, `sparse_product`, `gather_products`,
-`poly_products`, `segment_sum`, `int_combination`, `int_rows`), which
-bounds every partial sum from the values of its operands and takes int64
-only below INT64_LIMIT = 2^62.
+This module is the one place that chooses the width of exact integer
+arithmetic: float64, int64 or Python ints (dtype=object).  Every exact
+integer computation of the package runs through one of its kernels
+(`int_matmul`, `sparse_product`, `gather_products`, `poly_products`,
+`segment_sum`, `int_combination`, `int_rows`, `CycArray.__mul__`), which
+bounds every partial sum from the values of its operands, and `_width`
+picks from that bound.  A matrix product (`int_matmul` unless a factor is
+a single row or column, `poly_products`, `gather_products` and
+`CycArray.__mul__`) runs in float64 through BLAS below FLOAT64_LIMIT = 2^53
+and returns int64: every partial sum is then an integer below 2^53, which
+float64 holds exactly, so the product is exact in any summation order,
+fused multiply-adds included.  Every kernel runs in int64 below
+INT64_LIMIT = 2^62 and on Python ints from there on.  A long product runs
+as one call per block of rows (`_row_blocks`), which keeps each BLAS call
+on the calling thread and its temporaries small.
 
 Only odd n >= 3 are accepted: the whole construction downstream (the
 Drinfeld double of the Taft algebra and its McKay spectral theory)
@@ -93,11 +103,61 @@ __all__ = [
 # a kernel runs in int64 only when a bound on every partial sum it forms
 # stays below this; otherwise the same kernel runs on Python ints (dtype=object)
 INT64_LIMIT = 1 << 62
+# a matrix-product kernel runs in float64, through BLAS, when its bound stays
+# below this (exact: see the module docstring), and casts its result to int64
+FLOAT64_LIMIT = 1 << 53
+# a product of more multiply-adds than this (rows times inner length times
+# columns) runs as one call per block of rows (`_row_blocks`), each doing at
+# most this many, or two or three rows where one row does more than a third
+# of it.  OpenBLAS 0.3.31 keeps a dgemm of up to about 10^6 multiply-adds on
+# the calling thread and wakes its other threads above that, which cost
+# several ms per call on a loaded 2-core host; the blocks also bound the
+# temporaries
+BLAS_CALL_WORK = 1 << 18
+
+
+def _width(bound, blas: bool = False):
+    """The dtype of a kernel whose partial sums are all bounded by `bound`: float64 for a product through BLAS (`blas`) below FLOAT64_LIMIT, int64 below INT64_LIMIT, Python ints (object) otherwise."""
+    if blas and bound < FLOAT64_LIMIT:
+        return np.float64
+    return np.int64 if bound < INT64_LIMIT else object
 
 
 def int_array(a, bound: int) -> np.ndarray:
     """Integer rows or array as int64 when `bound`, a kernel's bound on what it computes, allows; else as Python ints."""
-    return np.asarray(a, dtype=np.int64 if bound < INT64_LIMIT else object)
+    return np.asarray(a, dtype=_width(bound))
+
+
+def _integer(out: np.ndarray) -> np.ndarray:
+    """A kernel's result as integers: a float64 one, whose entries are exact integers below 2^53, as int64."""
+    return out.astype(np.int64) if out.dtype == np.float64 else out
+
+
+def _row_blocks(rows: int, work: int) -> list[slice]:
+    """range(rows) as the fewest nearly equal blocks of at most BLAS_CALL_WORK // work rows, for a product doing `work` multiply-adds per row.
+
+    No block is a single row (unless rows is 1), even where one row does
+    more than a third of BLAS_CALL_WORK: a single row goes to BLAS as a
+    matrix-vector product, which OpenBLAS threads from 9216 entries on.
+    """
+    count = max(1, min(-(-rows // max(1, BLAS_CALL_WORK // max(1, work))), rows // 2))
+    cuts = [rows * k // count for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+
+
+def _product(a: np.ndarray, b: np.ndarray, integer: bool = False) -> np.ndarray:
+    """a @ b (batch axes allowed), one call per `_row_blocks` block of the rows of a.
+
+    With `integer` a float64 product is cast to int64 block by block as it
+    is written, so no float64 copy of the whole product is made.
+    """
+    if min(a.ndim, b.ndim) < 2 or a.shape[-2] * a.shape[-1] * b.shape[-1] <= BLAS_CALL_WORK:
+        return _integer(a @ b) if integer else a @ b
+    dtype = np.int64 if integer and a.dtype == np.float64 else np.result_type(a, b)
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]), dtype=dtype)
+    for rows in _row_blocks(a.shape[-2], a.shape[-1] * b.shape[-1]):
+        out[..., rows, :] = a[..., rows, :] @ b
+    return out
 
 
 def _array_max(a: np.ndarray) -> int:
@@ -122,9 +182,16 @@ def int_rows(rows) -> np.ndarray:
 
 
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for integer arrays, batch axes allowed; int64 when the largest absolute row sum of a times max |b| < INT64_LIMIT."""
-    bound = _row_sum_max(a) * _array_max(b)
-    return int_array(a, bound) @ int_array(b, bound)
+    """a @ b for integer arrays, batch axes allowed, in the width (`_width`) of its bound: the largest absolute row sum of a times max |b|.
+
+    A product with one row or one column per batch item uses each entry of
+    the other factor once.  There BLAS gains nothing and a float64 copy of
+    that factor costs more time and memory than the product, so it stays on
+    int64 (or Python ints).
+    """
+    blas = a.ndim > 1 and b.ndim > 1 and min(a.shape[-2], b.shape[-1]) > 1
+    width = _width(_row_sum_max(a) * _array_max(b), blas=blas)
+    return _product(np.asarray(a, width), np.asarray(b, width), integer=True)
 
 
 def int_combination(terms) -> np.ndarray:
@@ -171,22 +238,21 @@ def gather_products(a: np.ndarray, b: np.ndarray, tensor: np.ndarray, target: np
     such pairs of factors, gathered pair by pair into (m, size, d).  The
     products are one batched contraction (b through the tensor gives the
     multiplication matrix of each of its rows, one batched matmul applies
-    them to the rows of a) and the gather one unbuffered add.  The result is
-    int64 when the most products gathered into one row, times
-    d^2 max |a| max |b| max |tensor|, stays below INT64_LIMIT, and Python
-    ints otherwise.
+    them to the rows of a) and the gather one unbuffered add, both in the
+    width (`_width`) of the most products gathered into one row times
+    d^2 max |a| max |b| max |tensor|.
     """
     stacked = a.ndim == 3
     a, b = (a, b) if stacked else (a[None], b[None])
-    m, d = len(a), tensor.shape[0]
+    (m, nb, _), d = b.shape, tensor.shape[0]
     hits = int(np.bincount(target.ravel(), minlength=1).max()) if target.size else 0
-    bound = hits * d * d * _array_max(a) * _array_max(b) * _array_max(tensor)
-    a, b, tensor = (int_array(x, bound) for x in (a, b, tensor))
-    by_basis = np.tensordot(b, tensor, axes=([2], [1]))  # [s, j, k] = b_j times basis element k
-    pairs = a @ by_basis.transpose(0, 2, 1, 3).reshape(m, d, b.shape[1] * d)  # [s, i, (j, p)] = a_i b_j
-    out = np.zeros((m * size, d), dtype=pairs.dtype)
+    width = _width(hits * d * d * _array_max(a) * _array_max(b) * _array_max(tensor), blas=True)
+    a, b, tensor = (np.asarray(x, width) for x in (a, b, tensor))
+    by_basis = _product(b.reshape(m * nb, d), tensor.transpose(1, 0, 2).reshape(d, d * d))  # [(s, j), (k, p)] = b_j times basis element k
+    pairs = _product(a, by_basis.reshape(m, nb, d, d).transpose(0, 2, 1, 3).reshape(m, d, nb * d))  # [s, i, (j, p)] = a_i b_j
+    out = np.zeros((m * size, d), dtype=width)
     np.add.at(out, (np.arange(m)[:, None] * size + target.ravel()).ravel(), pairs.reshape(-1, d))
-    out = out.reshape(m, size, d)
+    out = _integer(out).reshape(m, size, d)
     return out if stacked else out[0]
 
 
@@ -196,16 +262,16 @@ def poly_products(a: np.ndarray, b: np.ndarray, tensor: np.ndarray) -> np.ndarra
     Returns (m, La + Lb - 1, d).  For each degree t of a, the multiplication
     matrices of the coefficients a[:, t] (their rows through the tensor) are
     applied to all of b in one batched matmul and added at degree t + 0..Lb-1,
-    so no temporary holds more than one coefficient's products.  int64 under
-    the bound of `gather_products` with min(La, Lb) products per row.
+    so no temporary holds more than one coefficient's products.  The width
+    is that of `gather_products` with min(La, Lb) products per row.
     """
     (m, la, d), lb = a.shape, b.shape[1]
-    bound = min(la, lb) * d * d * _array_max(a) * _array_max(b) * _array_max(tensor)
-    a, b, flat = (int_array(x, bound) for x in (a, b, tensor.reshape(d, d * d)))
-    out = np.zeros((m, la + lb - 1, d), dtype=a.dtype)
+    width = _width(min(la, lb) * d * d * _array_max(a) * _array_max(b) * _array_max(tensor), blas=True)
+    a, b, flat = (np.asarray(x, width) for x in (a, b, tensor.reshape(d, d * d)))
+    out = np.zeros((m, la + lb - 1, d), dtype=width)
     for t in range(la):
-        out[:, t:t + lb] += b @ (a[:, t] @ flat).reshape(m, d, d)
-    return out
+        out[:, t:t + lb] += _product(b, _product(a[:, t], flat).reshape(m, d, d))
+    return _integer(out)
 
 
 def sparse_rows(A: np.ndarray):
@@ -353,9 +419,7 @@ class CyclotomicContext:
         )
         self._qpow_mul_max = _array_max(self._qpow_mul)
         self._mul_tensor = self._qpow_mul[:d]
-        # for entrywise products: window m of a row padded by d - 1 zeros on each
-        # side reads its coefficients m - d + 1 .. m, and row m of the fold is q^m
-        self._conv_windows = np.arange(2 * d - 1)[:, None] + np.arange(d)
+        # for entrywise products: row m of the fold of a convolution is q^m
         self._conv_fold = self._qpow_mul[np.arange(2 * d - 1) % n, 0]
         self._inv_cache: dict[tuple, CycNum] = {}
 
@@ -754,30 +818,38 @@ class CycArray:
     def __mul__(self, other: "CycArray") -> "CycArray":
         """The entrywise product: entry i is entry i of self times entry i of other.
 
-        Each entry is one convolution of the two numerator rows, and its
-        2 phi - 1 coefficients are folded back into the power basis by the
-        rows of q^m.  A short array convolves by one batched product with
-        windows of the zero-padded rows of other; a long one by phi
-        multiply-adds of shifted columns, which keeps its temporaries at the
-        size of the result.
+        The width (`_width`) comes from a bound on every entry's partial sums,
+        phi (2 phi - 1) max |q^m| times the largest numerators of both rows i.
+        In float64 (below 2^53) row i of other goes through the
+        multiplication tensor to its multiplication matrix, (rows, phi) by
+        (phi, phi^2) in one BLAS product per `_row_blocks` block of rows, so
+        the matrices alive at once stay small, and row i of self is
+        contracted with it.  In int64 or on Python ints, where those matrices
+        would cost phi^3 multiply-adds per entry without BLAS, entry i is one
+        convolution of the two rows, phi multiply-adds of shifted columns,
+        whose 2 phi - 1 coefficients are folded back into the power basis by
+        the rows of q^m.
         """
         ctx = self.ctx
         d = ctx.degree
-        # entry i is bounded through the largest numerators of both rows i (in
-        # floating point, which cannot misjudge the factor of 2 below int64's range)
+        # the bound is taken in floating point, which decides both limits
+        # exactly: an integer product of integer factors below 2^53 is exact,
+        # and one at or past a power of two never rounds below it
         pairs = np.abs(self.nums).max(axis=1, initial=0).astype(float) * np.abs(other.nums).max(axis=1, initial=0)
-        bound = d * (2 * d - 1) * float(pairs.max(initial=0)) * ctx._qpow_mul_max
-        a, b = int_array(self.nums, bound), int_array(other.nums, bound)
+        width = _width(d * (2 * d - 1) * float(pairs.max(initial=0)) * ctx._qpow_mul_max, blas=True)
+        a, b = np.asarray(self.nums, width), np.asarray(other.nums, width)
+        if width is np.float64:
+            tensor = np.asarray(ctx._mul_tensor.transpose(1, 0, 2).reshape(d, d * d), width)  # [e, (k, p)]
+            out = np.empty((len(b), d), dtype=np.int64)
+            for rows in _row_blocks(len(b), d ** 3):
+                mats = (b[rows] @ tensor).reshape(-1, d, d)  # [i, k] = b_i times basis element k
+                out[rows] = np.einsum("ik,ikp->ip", a[rows], mats)
+            return CycArray(ctx, out, self.den * other.den)
         # [i, m] = sum over k of a_i[k] b_i[m - k]
-        if len(b) > 32 * d:
-            conv = np.zeros((len(b), 2 * d - 1), dtype=b.dtype)
-            for k in range(d):
-                conv[:, k:k + d] += a[:, k, None] * b
-        else:
-            padded = np.zeros((len(b), 3 * d - 2), dtype=b.dtype)
-            padded[:, d - 1:2 * d - 1] = b
-            conv = (padded[:, ctx._conv_windows] @ a[:, ::-1, None])[:, :, 0]
-        return CycArray(ctx, conv @ int_array(ctx._conv_fold, bound), self.den * other.den)
+        conv = np.zeros((len(b), 2 * d - 1), dtype=width)
+        for k in range(d):
+            conv[:, k:k + d] += a[:, k, None] * b
+        return CycArray(ctx, conv @ np.asarray(ctx._conv_fold, width), self.den * other.den)
 
     def qpow_blocks(self, exps) -> "CycArray":
         """Row l * m + s is row l times q^{exps[s]}, for m = len(exps): each entry stacked over the powers of q.

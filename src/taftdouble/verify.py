@@ -69,7 +69,7 @@ __all__ = [
     "max_n",
 ]
 
-DEFAULT_MAX_N = 13
+DEFAULT_MAX_N = 19
 ORACLE_TOL = 1e-9
 
 # the frozen coefficient table for the block characteristic polynomials,

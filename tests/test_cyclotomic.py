@@ -428,11 +428,12 @@ def test_entrywise_product_past_the_int64_bound_uses_python_ints():
     assert prod.to_list() == [a * b for a, b in zip(vec, other)]
 
 
-@pytest.mark.parametrize("n,big", [(5, 1), (11, 1), (7, 2**61)])
+@pytest.mark.parametrize("n,big", [(11, 1), (13, 1), (7, 2**61)])
 def test_entrywise_product_of_long_arrays_matches_the_short_route(n, big):
-    """Past 32 phi rows the product convolves by shifted columns; it must agree row by row with short products."""
+    """In float64 a long product runs block by block (three blocks of rows here); on Python ints by shifted columns. Both must agree row by row with short products."""
     ctx = make_context(n)
-    size = 32 * ctx.degree + 7
+    size = 2 * (cyclotomic.BLAS_CALL_WORK // ctx.degree ** 3) + 7
+    assert len(cyclotomic._row_blocks(size, ctx.degree ** 3)) == 3
     vec = _random_vector(ctx, size, seed=1000 + n)
     vec = [x * big for x in vec]
     other = _random_vector(ctx, size, seed=1100 + n)

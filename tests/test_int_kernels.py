@@ -1,17 +1,33 @@
-"""The exact integer kernels of `cyclotomic` at their switch from int64 to Python ints.
+"""The exact integer kernels of `cyclotomic` at their switches of width.
 
 Every kernel bounds what it computes from the values of its operands.
 Operands whose bound lies just below 2^62 must give an int64 result,
 operands whose bound is exactly 2^62 a Python-int (dtype=object) result,
 and both must equal a reference computed on Python ints.
+
+The matrix-product kernels (`int_matmul`, `poly_products`,
+`gather_products`, `CycArray.__mul__`) also switch at 2^53: below it they
+multiply in float64 through BLAS (save an `int_matmul` with a single row or
+column per batch item), from it on in int64, and either way return
+integers equal to the Python-int reference.  Each case asserts the
+width taken through a spy on `_width`, the one helper that picks it.  A
+bound of exactly 2^53 caps every result at 2^53, which float64 still holds,
+so a third case, "past", takes operands whose exact result is an odd
+integer above 2^53, which float64 cannot hold.  Over Q(q) a kernel's bound
+carries a factor phi^2 or phi (2 phi - 1); where that rules out 2^53 - 1 or
+2^53 exactly, the case takes the nearest bound the kernel can form on that
+side.
 """
 
 import numpy as np
 import pytest
 
+import taftdouble.cyclotomic as cyclotomic
 from taftdouble.cyclotomic import (
+    FLOAT64_LIMIT,
     INT64_LIMIT,
     INT_TENSOR,
+    CycArray,
     gather_products,
     int_combination,
     int_matmul,
@@ -30,12 +46,12 @@ def _expected_dtype(at_limit):
     return np.dtype(object) if at_limit else np.dtype(np.int64)
 
 
-def _with_row_sum(rng, shape, k, density=1.0):
-    """A random integer array whose largest absolute sum along the last axis is exactly 2^k."""
+def _with_row_sum(rng, shape, total, density=1.0):
+    """A random integer array whose largest absolute sum along the last axis is exactly `total` (at least 3 times its length)."""
     a = rng.integers(-3, 4, shape) * (rng.random(shape) < density)
     sums = np.abs(a).sum(axis=-1)
     top = np.unravel_index(np.argmax(sums), sums.shape) + (0,)
-    a[top] += (1 if a[top] >= 0 else -1) * ((1 << k) - int(sums[top[:-1]]))
+    a[top] += (1 if a[top] >= 0 else -1) * (total - int(sums[top[:-1]]))
     return a
 
 
@@ -59,7 +75,7 @@ def _row_sum_bound(a):
 @pytest.mark.parametrize("batch", [(), (3,)])
 def test_int_matmul_switches_at_the_row_sum_bound(at_limit, batch):
     rng = np.random.default_rng(11)
-    a = _with_row_sum(rng, batch + (5, 7), 6)
+    a = _with_row_sum(rng, batch + (5, 7), 1 << 6)
     b = _with_max(rng, batch + (7, 4), (1 << 56) - (not at_limit))
     assert _row_sum_bound(a) * int(np.abs(b).max()) == INT64_LIMIT - (not at_limit) * 64
     out = int_matmul(a, b)
@@ -70,7 +86,7 @@ def test_int_matmul_switches_at_the_row_sum_bound(at_limit, batch):
 @pytest.mark.parametrize("at_limit", SIDES)
 def test_sparse_product_switches_at_the_row_sum_bound(at_limit):
     rng = np.random.default_rng(12)
-    A = _with_row_sum(rng, (8, 9), 5, density=0.4)
+    A = _with_row_sum(rng, (8, 9), 1 << 5, density=0.4)
     A[3] = 0
     B = _with_max(rng, (9, 3), (1 << 57) - (not at_limit))
     out = sparse_product(sparse_rows(A), B)
@@ -166,3 +182,143 @@ def test_poly_products_switches_at_its_product_bound(at_limit):
     for s in range(3):
         want = [sum(int(a[s, i, 0]) * int(b[s, t - i, 0]) for i in range(4) if 0 <= t - i < 4) for t in range(7)]
         assert out[s, :, 0].tolist() == want
+
+
+
+SIDES53 = ["below", "at", "past"]
+# an odd integer above 2^53, as 3 times an integer float64 holds
+PAST = 3, (FLOAT64_LIMIT + 1) // 3
+
+
+def _split(total):
+    """total as the product of its least divisor from 32 on (or itself) and the cofactor."""
+    least = next((p for p in range(32, 1 << 20) if total % p == 0), total)
+    return least, total // least
+
+
+def _limit_factors(side, step=1):
+    """Two factors whose product times `step` is the largest multiple of `step` below 2^53 ("below") or the least one from 2^53 on ("at")."""
+    return _split((FLOAT64_LIMIT - 1) // step + (side == "at"))
+
+
+@pytest.fixture
+def widths(monkeypatch):
+    """The widths `_width` picks for product kernels (blas=True) while the test runs."""
+    picked, pick = [], cyclotomic._width
+
+    def spy(bound, blas=False):
+        width = pick(bound, blas)
+        if blas:
+            picked.append(width)
+        return width
+
+    monkeypatch.setattr(cyclotomic, "_width", spy)
+    return picked
+
+
+def _check(side, widths, out, reference):
+    """The width taken, and an int64 result equal to the Python-int reference; past 2^53 it holds an odd integer above 2^53, which float64 would round."""
+    assert widths == ([np.float64] if side == "below" else [np.int64])
+    assert out.dtype == np.int64 and np.array_equal(out, reference)
+    if side == "past":
+        top = max(abs(int(x)) for x in np.ravel(reference))
+        assert top > FLOAT64_LIMIT and top % 2 and int(float(top)) != top
+
+
+@pytest.mark.parametrize("side", SIDES53)
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_int_matmul_multiplies_in_float64_below_2_53(side, batch, widths):
+    rng = np.random.default_rng(31)
+    if side == "past":
+        a, b = np.zeros(batch + (2, 3), dtype=np.int64), _with_max(rng, batch + (3, 2), 5)
+        a[..., 0, :2] = 1
+        b[..., 0, 0], b[..., 1, 0] = FLOAT64_LIMIT, 1  # out[..., 0, 0] = 2^53 + 1
+    else:
+        row_sum, top = _limit_factors(side)
+        a, b = _with_row_sum(rng, batch + (5, 7), row_sum), _with_max(rng, batch + (7, 4), top)
+        assert _row_sum_bound(a) * int(np.abs(b).max()) == FLOAT64_LIMIT - (side == "below")
+    _check(side, widths, int_matmul(a, b), _py(a) @ _py(b))
+
+
+@pytest.mark.parametrize("side", SIDES53)
+def test_poly_products_multiplies_in_float64_below_2_53(side, widths):
+    """Integer polynomials; a (3, 4) by b (3, 1) forms one product per coefficient, so the bound is max |a| max |b|."""
+    rng = np.random.default_rng(32)
+    if side == "past":
+        a, b = np.array([[[FLOAT64_LIMIT], [1]]]), np.array([[[1], [1]]])  # degree 1: 2^53 + 1
+    else:
+        top_a, top_b = _limit_factors(side)
+        a, b = _with_max(rng, (3, 4, 1), top_a), _with_max(rng, (3, 1, 1), top_b)
+    (m, la, _), lb = a.shape, b.shape[1]
+    reference = [[[sum(int(a[s, i, 0]) * int(b[s, t - i, 0]) for i in range(la) if 0 <= t - i < lb)] for t in range(la + lb - 1)] for s in range(m)]
+    _check(side, widths, poly_products(a, b, INT_TENSOR), np.array(reference, dtype=object))
+
+
+@pytest.mark.parametrize("side", SIDES53)
+def test_gather_products_over_z_multiplies_in_float64_below_2_53(side, widths):
+    """Integer rows with distinct targets: the bound is max |a| max |b|."""
+    rng = np.random.default_rng(33)
+    if side == "past":
+        a, b = np.array([[FLOAT64_LIMIT], [1]]), np.array([[1]])
+        target = np.zeros((2, 1), dtype=np.int64)  # both products in row 0: 2^53 + 1
+    else:
+        top_a, top_b = _limit_factors(side)
+        a, b = _with_max(rng, (4, 1), top_a), _with_max(rng, (3, 1), top_b)
+        target = np.arange(12).reshape(4, 3)
+    reference = np.zeros((target.size, 1), dtype=object)
+    for i in range(len(a)):
+        for j in range(len(b)):
+            reference[target[i, j], 0] += int(a[i, 0]) * int(b[j, 0])
+    _check(side, widths, gather_products(a, b, INT_TENSOR, target, target.size), reference)
+
+
+@pytest.mark.parametrize("side", SIDES53)
+def test_gather_products_over_q_multiplies_in_float64_below_2_53(side, widths):
+    """At n = 3 (phi = 2, tensor entries of size 1) with distinct targets the bound is 4 max |a| max |b|: 2^53 - 4 below, 2^53 at."""
+    ctx = make_context(3)
+    rng = np.random.default_rng(34)
+    if side == "past":
+        a, b = np.array([[PAST[0], 0]]), np.array([[PAST[1], 0]])  # the rational entry 3 (2^53 + 1) / 3
+    else:
+        top_a, top_b = _limit_factors(side, step=4)
+        a, b = _with_max(rng, (2, 2), top_a), _with_max(rng, (3, 2), top_b)
+    target = np.arange(a.shape[0] * b.shape[0]).reshape(len(a), len(b))
+    T = _py(ctx._mul_tensor)
+    reference = np.array(
+        [[sum(int(a[i, k]) * int(b[j, e]) * T[k, e, p] for k in range(2) for e in range(2)) for p in range(2)] for i in range(len(a)) for j in range(len(b))],
+        dtype=object,
+    )
+    _check(side, widths, gather_products(a, b, ctx._mul_tensor, target, target.size), reference)
+
+
+@pytest.mark.parametrize("side", SIDES53)
+@pytest.mark.parametrize("length", ["short", "long"])
+def test_entrywise_product_multiplies_in_float64_below_2_53(side, length, widths):
+    """At n = 7 (phi = 6, q-power rows of size 1) the bound is 66 times the largest max |a_i| max |b_i|: 2^53 - 8 below, 2^53 + 58 at.
+
+    A short array is one block of rows of the float64 product; a long one is three.
+    """
+    ctx = make_context(7)
+    d = ctx.degree
+    size = 3 if length == "short" else 2 * (cyclotomic.BLAS_CALL_WORK // d**3) + 7
+    assert len(cyclotomic._row_blocks(size, d**3)) == (1 if length == "short" else 3)
+    rng = np.random.default_rng(35)
+    a, b = rng.integers(-3, 4, (size, d)), rng.integers(-3, 4, (size, d))
+    a[-1], b[-1] = 0, 0
+    if side == "past":
+        a[-1, 0], b[-1, 0] = PAST  # the rational entry 3 (2^53 + 1) / 3
+    else:
+        a[-1, 0], b[-1, 0] = _limit_factors(side, step=d * (2 * d - 1))
+    x, y = CycArray(ctx, a, 1), CycArray(ctx, b, 1)
+    reference = np.array([(p * r).num for p, r in zip(x.to_list(), y.to_list())], dtype=object)
+    _check(side, widths, (x * y).nums, reference)
+
+
+@pytest.mark.parametrize("shapes", [((1, 7), (7, 4)), ((5, 7), (7, 1)), ((3, 1, 7), (3, 7, 4))], ids=["row", "column", "batch-rows"])
+def test_int_matmul_keeps_vector_products_off_blas(shapes, widths):
+    """One row or one column per batch item uses each entry of the other factor once: such a product stays int64 below 2^53."""
+    rng = np.random.default_rng(36)
+    a, b = (_with_max(rng, shape, 1000) for shape in shapes)
+    out = int_matmul(a, b)
+    assert widths == [] and out.dtype == np.int64
+    assert np.array_equal(out, _py(a) @ _py(b))

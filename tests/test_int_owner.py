@@ -1,9 +1,10 @@
-"""One owner for the int64-or-Python-int decision.
+"""One owner for the choice of integer width (float64, int64 or Python ints).
 
 `cyclotomic.py` is the only module that chooses an integer dtype: its
 kernels bound their own operands.  Every other module calls them, so none
-may reference `int_array` or `INT64_LIMIT`, ask for an object dtype, or
-carry a look-ahead bound such as `fold_norm` (checked in every module).
+may reference `_width`, `int_array`, `INT64_LIMIT` or `FLOAT64_LIMIT`, ask
+for an object dtype, or carry a look-ahead bound such as `fold_norm`
+(checked in every module).
 """
 
 import ast
@@ -11,7 +12,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "taftdouble"
 OWNER = "cyclotomic.py"
-BOUND_NAMES = {"int_array", "INT64_LIMIT"}
+BOUND_NAMES = {"_width", "int_array", "INT64_LIMIT", "FLOAT64_LIMIT"}
 
 
 def _is_object_dtype(node) -> bool:

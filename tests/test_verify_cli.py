@@ -27,7 +27,7 @@ def test_run_suite_rejects_bad_input():
     with pytest.raises(ValueError, match="odd"):
         run_suite(4)
     with pytest.raises(ValueError, match="odd"):
-        run_suite(15)  # beyond the default bound
+        run_suite(21)  # beyond the default bound
     with pytest.raises(ValueError, match="unknown"):
         run_suite(3, ["nope"])
 
