@@ -59,9 +59,9 @@ a single row or column, `poly_products`, `gather_products` and
 and returns int64: every partial sum is then an integer below 2^53, which
 float64 holds exactly, so the product is exact in any summation order,
 fused multiply-adds included.  Every kernel runs in int64 below
-INT64_LIMIT = 2^62 and on Python ints from there on.  A long product runs
-as one call per block of rows (`_row_blocks`), which keeps each BLAS call
-on the calling thread and its temporaries small.
+INT64_LIMIT = 2^62 and on Python ints from there on.  A long float64
+`int_matmul` or `CycArray.__mul__` runs as one BLAS call per block of rows
+(`_row_blocks`), which keeps its float64 temporaries small.
 
 Only odd n >= 3 are accepted: the whole construction downstream (the
 Drinfeld double of the Taft algebra and its McKay spectral theory)
@@ -106,13 +106,13 @@ INT64_LIMIT = 1 << 62
 # a matrix-product kernel runs in float64, through BLAS, when its bound stays
 # below this (exact: see the module docstring), and casts its result to int64
 FLOAT64_LIMIT = 1 << 53
-# a product of more multiply-adds than this (rows times inner length times
-# columns) runs as one call per block of rows (`_row_blocks`), each doing at
-# most this many, or two or three rows where one row does more than a third
-# of it.  OpenBLAS 0.3.31 keeps a dgemm of up to about 10^6 multiply-adds on
-# the calling thread and wakes its other threads above that, which cost
-# several ms per call on a loaded 2-core host; the blocks also bound the
-# temporaries
+# a float64 product of more multiply-adds than this (rows times inner length
+# times columns) runs as one BLAS call per block of rows (`_row_blocks`), each
+# doing at most this many.  `int_matmul` casts each block into its int64
+# result as it is written: one whole float64 copy (18.8 MB) raised the peak
+# RSS of the n = 19 suite from 168.3 to 172.8 MB.  `CycArray.__mul__` holds
+# the multiplication matrices of one block at a time.  At this size OpenBLAS
+# also keeps each call on the calling thread
 BLAS_CALL_WORK = 1 << 18
 
 
@@ -134,30 +134,10 @@ def _integer(out: np.ndarray) -> np.ndarray:
 
 
 def _row_blocks(rows: int, work: int) -> list[slice]:
-    """range(rows) as the fewest nearly equal blocks of at most BLAS_CALL_WORK // work rows, for a product doing `work` multiply-adds per row.
-
-    No block is a single row (unless rows is 1), even where one row does
-    more than a third of BLAS_CALL_WORK: a single row goes to BLAS as a
-    matrix-vector product, which OpenBLAS threads from 9216 entries on.
-    """
-    count = max(1, min(-(-rows // max(1, BLAS_CALL_WORK // max(1, work))), rows // 2))
+    """range(rows) as the fewest nearly equal blocks of at most BLAS_CALL_WORK // work rows (at least one), for a product doing `work` multiply-adds per row; one block if rows is 0."""
+    count = max(1, -(-rows // max(1, BLAS_CALL_WORK // max(1, work))))
     cuts = [rows * k // count for k in range(count + 1)]
     return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-
-
-def _product(a: np.ndarray, b: np.ndarray, integer: bool = False) -> np.ndarray:
-    """a @ b (batch axes allowed), one call per `_row_blocks` block of the rows of a.
-
-    With `integer` a float64 product is cast to int64 block by block as it
-    is written, so no float64 copy of the whole product is made.
-    """
-    if min(a.ndim, b.ndim) < 2 or a.shape[-2] * a.shape[-1] * b.shape[-1] <= BLAS_CALL_WORK:
-        return _integer(a @ b) if integer else a @ b
-    dtype = np.int64 if integer and a.dtype == np.float64 else np.result_type(a, b)
-    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]), dtype=dtype)
-    for rows in _row_blocks(a.shape[-2], a.shape[-1] * b.shape[-1]):
-        out[..., rows, :] = a[..., rows, :] @ b
-    return out
 
 
 def _array_max(a: np.ndarray) -> int:
@@ -184,14 +164,21 @@ def int_rows(rows) -> np.ndarray:
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for integer arrays, batch axes allowed, in the width (`_width`) of its bound: the largest absolute row sum of a times max |b|.
 
-    A product with one row or one column per batch item uses each entry of
-    the other factor once.  There BLAS gains nothing and a float64 copy of
-    that factor costs more time and memory than the product, so it stays on
-    int64 (or Python ints).
+    A long float64 product is written to its int64 result one block of rows
+    at a time.  A product with one row or one column per batch item uses
+    each entry of the other factor once.  There BLAS gains nothing and a
+    float64 copy of that factor costs more time and memory than the product,
+    so it stays on int64 (or Python ints).
     """
     blas = a.ndim > 1 and b.ndim > 1 and min(a.shape[-2], b.shape[-1]) > 1
     width = _width(_row_sum_max(a) * _array_max(b), blas=blas)
-    return _product(np.asarray(a, width), np.asarray(b, width), integer=True)
+    a, b = np.asarray(a, width), np.asarray(b, width)
+    if width is not np.float64 or a.shape[-2] * a.shape[-1] * b.shape[-1] <= BLAS_CALL_WORK:
+        return _integer(a @ b)
+    out = np.empty(np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1]), dtype=np.int64)
+    for rows in _row_blocks(a.shape[-2], a.shape[-1] * b.shape[-1]):
+        out[..., rows, :] = a[..., rows, :] @ b
+    return out
 
 
 def int_combination(terms) -> np.ndarray:
@@ -248,8 +235,8 @@ def gather_products(a: np.ndarray, b: np.ndarray, tensor: np.ndarray, target: np
     hits = int(np.bincount(target.ravel(), minlength=1).max()) if target.size else 0
     width = _width(hits * d * d * _array_max(a) * _array_max(b) * _array_max(tensor), blas=True)
     a, b, tensor = (np.asarray(x, width) for x in (a, b, tensor))
-    by_basis = _product(b.reshape(m * nb, d), tensor.transpose(1, 0, 2).reshape(d, d * d))  # [(s, j), (k, p)] = b_j times basis element k
-    pairs = _product(a, by_basis.reshape(m, nb, d, d).transpose(0, 2, 1, 3).reshape(m, d, nb * d))  # [s, i, (j, p)] = a_i b_j
+    by_basis = b.reshape(m * nb, d) @ tensor.transpose(1, 0, 2).reshape(d, d * d)  # [(s, j), (k, p)] = b_j times basis element k
+    pairs = a @ by_basis.reshape(m, nb, d, d).transpose(0, 2, 1, 3).reshape(m, d, nb * d)  # [s, i, (j, p)] = a_i b_j
     out = np.zeros((m * size, d), dtype=width)
     np.add.at(out, (np.arange(m)[:, None] * size + target.ravel()).ravel(), pairs.reshape(-1, d))
     out = _integer(out).reshape(m, size, d)
@@ -270,7 +257,7 @@ def poly_products(a: np.ndarray, b: np.ndarray, tensor: np.ndarray) -> np.ndarra
     a, b, flat = (np.asarray(x, width) for x in (a, b, tensor.reshape(d, d * d)))
     out = np.zeros((m, la + lb - 1, d), dtype=width)
     for t in range(la):
-        out[:, t:t + lb] += _product(b, _product(a[:, t], flat).reshape(m, d, d))
+        out[:, t:t + lb] += b @ (a[:, t] @ flat).reshape(m, d, d)
     return _integer(out)
 
 
@@ -824,7 +811,8 @@ class CycArray:
         multiplication tensor to its multiplication matrix, (rows, phi) by
         (phi, phi^2) in one BLAS product per `_row_blocks` block of rows, so
         the matrices alive at once stay small, and row i of self is
-        contracted with it.  In int64 or on Python ints, where those matrices
+        contracted with it; through BLAS this is faster than the convolution
+        below in float64.  In int64 or on Python ints, where those matrices
         would cost phi^3 multiply-adds per entry without BLAS, entry i is one
         convolution of the two rows, phi multiply-adds of shifted columns,
         whose 2 phi - 1 coefficients are folded back into the power basis by

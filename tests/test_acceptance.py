@@ -145,19 +145,18 @@ def test_reports_match_the_frozen_record(n):
     assert got == FROZEN[str(n)]
 
 
-def _large_report(n, monkeypatch):
-    """The full suite at n past the default bound on n, run once for both tests below."""
+def _large_report(n):
+    """The full suite at one of the large n, run once for both tests below."""
     if n not in _LARGE:
-        monkeypatch.setenv("TAFTDOUBLE_MAX_N", str(n))
         _LARGE[n] = run_suite(n)
     return _LARGE[n]
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("n", LARGE_NS)
-def test_suite_at_large_n(n, monkeypatch):
-    """Every check passes, exactly and below the oracle tolerance, past the default bound on n."""
-    report = _large_report(n, monkeypatch)
+def test_suite_at_large_n(n):
+    """Every check passes, exactly and below the oracle tolerance, at n = 15, 17 and 19."""
+    report = _large_report(n)
     assert [c.id for c in report.checks] == check_ids()
     bad = [(c.id, c.status, c.exact, c.oracle_residual) for c in report.checks
            if not (c.status == "pass" and c.exact and c.oracle_residual < ORACLE_TOL)]
@@ -166,7 +165,7 @@ def test_suite_at_large_n(n, monkeypatch):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("n", LARGE_NS)
-def test_large_reports_match_the_frozen_record(n, monkeypatch):
+def test_large_reports_match_the_frozen_record(n):
     """The slow twin of the frozen replay: the full suites at n = 15, 17, 19."""
-    got = {c.id: _frozen_entry(c) for c in _large_report(n, monkeypatch).checks}
+    got = {c.id: _frozen_entry(c) for c in _large_report(n).checks}
     assert got == FROZEN[str(n)]

@@ -240,6 +240,17 @@ def test_int_matmul_multiplies_in_float64_below_2_53(side, batch, widths):
     _check(side, widths, int_matmul(a, b), _py(a) @ _py(b))
 
 
+@pytest.mark.parametrize("batch", [(), (2,)])
+def test_int_matmul_writes_a_long_float64_product_block_by_block(batch, widths):
+    """300 rows of 30 x 40 multiply-adds are two blocks of rows, each cast into the int64 result."""
+    rng = np.random.default_rng(37)
+    a, b = _with_max(rng, batch + (300, 30), 1000), _with_max(rng, batch + (30, 40), 1000)
+    assert len(cyclotomic._row_blocks(300, 30 * 40)) == 2
+    out = int_matmul(a, b)
+    assert widths == [np.float64] and out.dtype == np.int64
+    assert np.array_equal(out, _py(a) @ _py(b))
+
+
 @pytest.mark.parametrize("side", SIDES53)
 def test_poly_products_multiplies_in_float64_below_2_53(side, widths):
     """Integer polynomials; a (3, 4) by b (3, 1) forms one product per coefficient, so the bound is max |a| max |b|."""
