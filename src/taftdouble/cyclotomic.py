@@ -13,17 +13,19 @@ numerators over one common denominator.  Products with integer matrices
 and with a fixed scalar run as integer matrix products, the entrywise
 product `*` goes through the multiplication tensor of the power basis
 (or, past float64, is a convolution folded back by the rows of q^m), and
-exact equality is `array_equal` on cross-multiplied numerators.  `CycArray.qpow_blocks`
-stacks a column of coefficients over powers of q, the shape of every
-eigenvector and trace vector downstream.  `gather_products` multiplies
-every row of one such array with every row of another through the
-multiplication tensor of the power basis in one batched contraction, for
-a whole stack of factor pairs at once, and `poly_products` multiplies
-stacks of polynomials by degree; the Grothendieck-algebra products are
-built on them.  `split_prime(n)` gives a prime p = 1 (mod n) with an
-element of order n in F_p, so q -> omega maps
-Z[q] onto F_p; `reduce_mod_p` takes a numerator array there in one step, and
-ranks are certified on the residues.
+exact equality is `array_equal` on cross-multiplied numerators.
+`CycArray.qpow` is the one statement of multiplication by powers of q (a
+rotation in Z[x]/(x^n - 1), folded back by the table of q^k mod Phi_n,
+which no other module reads): it stacks coefficients over powers of q, the
+shape of every eigenvector and trace vector downstream, and twists every
+component, trace and product.  `gather_products` multiplies every row of
+one such array with every row of another through the multiplication
+tensor in one batched contraction, for a whole stack of factor pairs at
+once, and `poly_products` multiplies stacks of polynomials by degree; the
+Grothendieck-algebra products are built on them.  `split_prime(n)` gives a
+prime p = 1 (mod n) with an element of order n in F_p, so q -> omega maps
+Z[q] onto F_p; `reduce_mod_p` takes a numerator array there in one step,
+and ranks are certified on the residues.
 
 `json_texts(values)` is the batch encoder of the JSON output: the text of
 many CycArrays (a list of entries), CycNums and `ArrayEntry`s (one entry
@@ -51,17 +53,19 @@ This module is the one place that chooses the width of exact integer
 arithmetic: float64, int64 or Python ints (dtype=object).  Every exact
 integer computation of the package runs through one of its kernels
 (`int_matmul`, `sparse_product`, `gather_products`, `poly_products`,
-`segment_sum`, `int_combination`, `int_rows`, `CycArray.__mul__`), which
-bounds every partial sum from the values of its operands, and `_width`
-picks from that bound.  A matrix product (`int_matmul` unless a factor is
-a single row or column, `poly_products`, `gather_products` and
-`CycArray.__mul__`) runs in float64 through BLAS below FLOAT64_LIMIT = 2^53
-and returns int64: every partial sum is then an integer below 2^53, which
-float64 holds exactly, so the product is exact in any summation order,
-fused multiply-adds included.  Every kernel runs in int64 below
-INT64_LIMIT = 2^62 and on Python ints from there on.  A long float64
-`int_matmul` or `CycArray.__mul__` runs as one BLAS call per block of rows
-(`_row_blocks`), which keeps its float64 temporaries small.
+`segment_sum`, `int_combination`, `int_rows`, `CycArray.__mul__`,
+`CycArray.qpow`), which bounds every partial sum from the values of its
+operands (a fixed table of the field by the bound its context took once),
+and `_width` picks from that bound.  A matrix product (`int_matmul` unless
+a factor is a single row or column, `poly_products`, `gather_products`,
+`__mul__` and the fold of `qpow`) runs in float64 through BLAS below
+FLOAT64_LIMIT = 2^53 and returns int64: every partial sum is then an
+integer below 2^53, which float64 holds exactly, so the product is exact in
+any summation order, fused multiply-adds included.  Every kernel runs in
+int64 below INT64_LIMIT = 2^62 and on Python ints from there on.  A long
+float64 `int_matmul` or `__mul__`, and the pairs of `gather_products` and
+the count-space temporary of `qpow` at every width, run one block of rows
+at a time (`_row_blocks`).
 
 Only odd n >= 3 are accepted: the whole construction downstream (the
 Drinfeld double of the Taft algebra and its McKay spectral theory)
@@ -77,6 +81,7 @@ from itertools import chain
 from math import gcd, isqrt, lcm
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "cyclotomic_polynomial",
@@ -112,7 +117,8 @@ FLOAT64_LIMIT = 1 << 53
 # result as it is written: one whole float64 copy (18.8 MB) raised the peak
 # RSS of the n = 19 suite from 168.3 to 172.8 MB.  `CycArray.__mul__` holds
 # the multiplication matrices of one block at a time.  At this size OpenBLAS
-# also keeps each call on the calling thread
+# also keeps each call on the calling thread.  `gather_products` and `qpow` hold
+# at most this many pairs or counts at a time (whole pairs: n = 19 RSS +16 MB)
 BLAS_CALL_WORK = 1 << 18
 
 
@@ -162,7 +168,12 @@ def int_rows(rows) -> np.ndarray:
 
 
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for integer arrays, batch axes allowed, in the width (`_width`) of its bound: the largest absolute row sum of a times max |b|.
+    """a @ b for integer arrays, batch axes allowed, in the width (`_width`) of its bound: the largest absolute row sum of a times max |b|."""
+    return _matmul(a, b, _row_sum_max(a) * _array_max(b))
+
+
+def _matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
+    """a @ b for integer arrays whose partial sums are all bounded by `bound`; a fixed table's share of it is taken once, by its owner.
 
     A long float64 product is written to its int64 result one block of rows
     at a time.  A product with one row or one column per batch item uses
@@ -171,7 +182,7 @@ def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     so it stays on int64 (or Python ints).
     """
     blas = a.ndim > 1 and b.ndim > 1 and min(a.shape[-2], b.shape[-1]) > 1
-    width = _width(_row_sum_max(a) * _array_max(b), blas=blas)
+    width = _width(bound, blas=blas)
     a, b = np.asarray(a, width), np.asarray(b, width)
     if width is not np.float64 or a.shape[-2] * a.shape[-1] * b.shape[-1] <= BLAS_CALL_WORK:
         return _integer(a @ b)
@@ -212,39 +223,44 @@ def reduce_fraction(nums: np.ndarray, den: int) -> tuple[np.ndarray, int]:
     return (nums // g, den // g) if g > 1 else (nums, den)
 
 
-# the multiplication tensor of Z: integer coefficient arrays are arrays with one column
-INT_TENSOR = np.ones((1, 1, 1), dtype=np.int64)
+def _tensor(ctx) -> tuple[np.ndarray, int]:
+    """The multiplication tensor of the coefficients and its largest entry: ctx's over Q(q), Z's (integer rows, one column) for ctx None."""
+    return (np.ones((1, 1, 1), dtype=np.int64), 1) if ctx is None else (ctx._mul_tensor, ctx._mul_tensor_max)
 
 
-def gather_products(a: np.ndarray, b: np.ndarray, tensor: np.ndarray, target: np.ndarray, size: int):
+def gather_products(a: np.ndarray, b: np.ndarray, ctx, target: np.ndarray, size: int):
     """Sums of the products a_i b_j of every row pair, gathered into row target[i, j] of a (size, d) array.
 
-    a (Na, d) and b (Nb, d) are integer coordinate rows and tensor[k, e] holds
-    the coordinates of basis element k times basis element e: ctx._mul_tensor
-    for Q(q), INT_TENSOR for Z.  Stacks a (m, Na, d) and b (m, Nb, d) are m
+    a (Na, d) and b (Nb, d) are integer coordinate rows over ctx's Q(q), or
+    integers (one column) for ctx None; the multiplication tensor of that
+    ring (`_tensor`), tensor[k, e], holds the coordinates of basis element k
+    times basis element e.  Stacks a (m, Na, d) and b (m, Nb, d) are m
     such pairs of factors, gathered pair by pair into (m, size, d).  The
     products are one batched contraction (b through the tensor gives the
     multiplication matrix of each of its rows, one batched matmul applies
-    them to the rows of a) and the gather one unbuffered add, both in the
-    width (`_width`) of the most products gathered into one row times
-    d^2 max |a| max |b| max |tensor|.
+    them to the rows of a, a block of rows at a time) and the gather one
+    unbuffered add per block, both in the width (`_width`) of the most
+    products gathered into one row times d^2 max |a| max |b| max |tensor|.
     """
     stacked = a.ndim == 3
     a, b = (a, b) if stacked else (a[None], b[None])
-    (m, nb, _), d = b.shape, tensor.shape[0]
+    (tensor, top), (m, nb, _) = _tensor(ctx), b.shape
+    d = tensor.shape[0]
     hits = int(np.bincount(target.ravel(), minlength=1).max()) if target.size else 0
-    width = _width(hits * d * d * _array_max(a) * _array_max(b) * _array_max(tensor), blas=True)
+    width = _width(hits * d * d * _array_max(a) * _array_max(b) * top, blas=True)
     a, b, tensor = (np.asarray(x, width) for x in (a, b, tensor))
     by_basis = b.reshape(m * nb, d) @ tensor.transpose(1, 0, 2).reshape(d, d * d)  # [(s, j), (k, p)] = b_j times basis element k
-    pairs = a @ by_basis.reshape(m, nb, d, d).transpose(0, 2, 1, 3).reshape(m, d, nb * d)  # [s, i, (j, p)] = a_i b_j
+    mats = by_basis.reshape(m, nb, d, d).transpose(0, 2, 1, 3).reshape(m, d, nb * d)
+    rows = np.arange(m)[:, None, None] * size + target  # [s, i, j]
     out = np.zeros((m * size, d), dtype=width)
-    np.add.at(out, (np.arange(m)[:, None] * size + target.ravel()).ravel(), pairs.reshape(-1, d))
+    for part in _row_blocks(target.shape[0], nb * d):
+        np.add.at(out, rows[:, part].ravel(), (a[:, part] @ mats).reshape(-1, d))  # [s, i, (j, p)] = a_i b_j
     out = _integer(out).reshape(m, size, d)
     return out if stacked else out[0]
 
 
-def poly_products(a: np.ndarray, b: np.ndarray, tensor: np.ndarray) -> np.ndarray:
-    """The products of m pairs of polynomials: a (m, La, d) and b (m, Lb, d) hold coefficient rows, low degree first.
+def poly_products(a: np.ndarray, b: np.ndarray, ctx) -> np.ndarray:
+    """The products of m pairs of polynomials over ctx's Q(q) (over Z for ctx None): a (m, La, d) and b (m, Lb, d) hold coefficient rows, low degree first.
 
     Returns (m, La + Lb - 1, d).  For each degree t of a, the multiplication
     matrices of the coefficients a[:, t] (their rows through the tensor) are
@@ -252,8 +268,8 @@ def poly_products(a: np.ndarray, b: np.ndarray, tensor: np.ndarray) -> np.ndarra
     so no temporary holds more than one coefficient's products.  The width
     is that of `gather_products` with min(La, Lb) products per row.
     """
-    (m, la, d), lb = a.shape, b.shape[1]
-    width = _width(min(la, lb) * d * d * _array_max(a) * _array_max(b) * _array_max(tensor), blas=True)
+    (m, la, d), lb, (tensor, top) = a.shape, b.shape[1], _tensor(ctx)
+    width = _width(min(la, lb) * d * d * _array_max(a) * _array_max(b) * top, blas=True)
     a, b, flat = (np.asarray(x, width) for x in (a, b, tensor.reshape(d, d * d)))
     out = np.zeros((m, la + lb - 1, d), dtype=width)
     for t in range(la):
@@ -372,11 +388,10 @@ class CyclotomicContext:
         self.phi_n = cyclotomic_polynomial(n)
         self.degree = len(self.phi_n) - 1
         d = self.degree
-        # canonical integer coefficient rows for x^e mod Phi_n, for all exponents
-        # reachable by a product of two reduced elements (e <= 2d-2) or by a
-        # power-of-q shift of a reduced element (e <= d+n-2)
+        # canonical integer coefficient rows for q^e = x^e mod Phi_n, e < n; since
+        # Phi_n divides x^n - 1, row e mod n is that of x^e for every e
         rows = []
-        for e in range(d + max(d, n) - 1):
+        for e in range(n):
             if e < d:
                 row = [0] * d
                 row[e] = 1
@@ -389,25 +404,20 @@ class CyclotomicContext:
                     for j in range(d):
                         row[j] -= top * self.phi_n[j]
             rows.append(row)
-        self._qpow_rows = tuple(tuple(r) for r in rows[:n])
-        # reduction rows for x^{d+j}, consumed by _reduce after convolutions and shifts
-        self._red = tuple(tuple(r) for r in rows[d:])
+        self._qpow_rows = tuple(tuple(r) for r in rows)
         self._zero = CycNum(self, (0,) * d, 1)
         self._one = CycNum(self, (1,) + (0,) * (d - 1), 1)
         self._qtable = tuple(CycNum(self, self._qpow_rows[e], 1) for e in range(n))
         self._unit = [cmath.exp(2j * cmath.pi * e / n) for e in range(d)]
         self._unit_array = np.array(self._unit)
-        # _qpow_mul[e] = mul_matrix(q^e), row k holding the coefficients of q^(e+k);
-        # its first phi slices are the multiplication tensor of the power basis,
-        # _mul_tensor[k, e] = coefficients of q^(k+e), so a numerator vector
-        # contracted against it gives the rows of a multiplication matrix
-        self._qpow_mul = np.array(
-            [[self._qpow_rows[(e + k) % n] for k in range(d)] for e in range(n)], dtype=np.int64
-        )
-        self._qpow_mul_max = _array_max(self._qpow_mul)
-        self._mul_tensor = self._qpow_mul[:d]
-        # for entrywise products: row m of the fold of a convolution is q^m
-        self._conv_fold = self._qpow_mul[np.arange(2 * d - 1) % n, 0]
+        # the fold table, row k = q^k, the multiplication tensor, [k, e] = q^(k+e) (a
+        # numerator vector against it gives a multiplication matrix's rows), and the
+        # fold of a convolution, row m = q^m; the bounds of the tables are taken here
+        self._fold = np.array(self._qpow_rows, dtype=np.int64)
+        self._mul_tensor = self._fold[np.add.outer(np.arange(d), np.arange(d)) % n]
+        self._conv_fold = self._fold[np.arange(2 * d - 1) % n]
+        self._fold_max = _array_max(self._fold)
+        self._mul_tensor_max = _array_max(self._mul_tensor)
         self._inv_cache: dict[tuple, CycNum] = {}
 
     def __repr__(self):
@@ -441,27 +451,20 @@ class CyclotomicContext:
         return self._qtable[e % self.n]
 
     def from_qpowers(self, pairs) -> "CycNum":
-        """Sum of coeff * q^exp over (coeff, exp) pairs with integer coeffs."""
-        acc = [0] * self.degree
-        rows = self._qpow_rows
-        n = self.n
+        """Sum of coeff * q^exp over (coeff, exp) pairs with integer coeffs: the counts of each power, folded (`CycArray.from_qpowers`)."""
+        counts = [0] * self.n
         for coeff, e in pairs:
-            if not coeff:
-                continue
-            row = rows[e % n]
-            for j, r in enumerate(row):
-                if r:
-                    acc[j] += coeff * r
-        return _norm(self, acc, 1)
+            counts[e % self.n] += coeff
+        return CycArray.from_qpowers(self, int_rows([counts]))[0]
 
     def _reduce(self, conv):
-        """Fold an integer convolution (any supported length) back into the power basis."""
+        """Fold an integer convolution (any length) back into the power basis by the rows of q^e."""
         d = self.degree
         low = conv[:d]
         low += [0] * (d - len(low))
         for j, hi in enumerate(conv[d:]):
             if hi:
-                row = self._red[j]
+                row = self._qpow_rows[(d + j) % self.n]
                 for i in range(d):
                     if row[i]:
                         low[i] += hi * row[i]
@@ -479,9 +482,9 @@ class CyclotomicContext:
         return self.mul_matrices(int_rows([c.num]))[0]
 
     def mul_matrices(self, nums: np.ndarray) -> np.ndarray:
-        """The `mul_matrix` of the element with numerators nums[k], for every row k at once (one `int_matmul`)."""
+        """The `mul_matrix` of the element with numerators nums[k], for every row k at once (one integer product)."""
         d = self.degree
-        return int_matmul(nums, self._mul_tensor.reshape(d, d * d)).reshape(-1, d, d)
+        return _matmul(nums, self._mul_tensor.reshape(d, d * d), _row_sum_max(nums) * self._mul_tensor_max).reshape(-1, d, d)
 
 
 @lru_cache(maxsize=None)
@@ -521,9 +524,6 @@ class CycNum:
     def is_zero(self) -> bool:
         return not any(self.num)
 
-    def is_rational(self) -> bool:
-        return not any(self.num[1:])
-
     def __bool__(self):
         return any(self.num)
 
@@ -543,29 +543,22 @@ class CycNum:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def __add__(self, other):
+    def _combine(self, other, sign: int):
+        """self + sign * other, for other a CycNum, an int or a Fraction."""
         ctx = self.ctx
         if isinstance(other, (int, Fraction)):
             other = ctx.from_rational(other)
-        da, db = self.den, other.den
-        if da == db:
-            return _norm(ctx, [a + b for a, b in zip(self.num, other.num)], da)
-        g = gcd(da, db)
-        ma, mb = db // g, da // g
-        return _norm(ctx, [a * ma + b * mb for a, b in zip(self.num, other.num)], da * ma)
+        g = gcd(self.den, other.den)
+        ma, mb = other.den // g, self.den // g * sign
+        return _norm(ctx, [a * ma + b * mb for a, b in zip(self.num, other.num)], self.den * ma)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        ctx = self.ctx
-        if isinstance(other, (int, Fraction)):
-            other = ctx.from_rational(other)
-        da, db = self.den, other.den
-        if da == db:
-            return _norm(ctx, [a - b for a, b in zip(self.num, other.num)], da)
-        g = gcd(da, db)
-        ma, mb = db // g, da // g
-        return _norm(ctx, [a * ma - b * mb for a, b in zip(self.num, other.num)], da * ma)
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -599,7 +592,7 @@ class CycNum:
     __rmul__ = __mul__
 
     def mul_qpow(self, e: int) -> "CycNum":
-        """Multiply by q^e (e any integer)."""
+        """Multiply by q^e (e any integer); a scalar route, as one entry through `CycArray.qpow` takes five times as long."""
         e %= self.ctx.n
         if e == 0:
             return self
@@ -724,7 +717,7 @@ class CycArray:
     @staticmethod
     def from_qpowers(ctx: CyclotomicContext, counts: np.ndarray) -> "CycArray":
         """Entry i is sum_e counts[i, e] q^e over the exponents e = 0..n-1 (an integer array)."""
-        return CycArray(ctx, int_matmul(counts, ctx._qpow_mul[:, 0]), 1)
+        return CycArray(ctx, _matmul(counts, ctx._fold, _row_sum_max(counts) * ctx._fold_max), 1)
 
     @staticmethod
     def concat(ctx: CyclotomicContext, parts) -> "CycArray":
@@ -798,10 +791,6 @@ class CycArray:
         """Every entry times the scalar c."""
         return CycArray(self.ctx, int_matmul(self.nums, self.ctx.mul_matrix(c)), self.den * c.den)
 
-    def times(self, mats: np.ndarray) -> "CycArray":
-        """Entry t times the scalar whose multiplication matrix (as `mul_matrix`) is mats[t]."""
-        return CycArray(self.ctx, int_matmul(self.nums[:, None], mats)[:, 0], self.den)
-
     def __mul__(self, other: "CycArray") -> "CycArray":
         """The entrywise product: entry i is entry i of self times entry i of other.
 
@@ -824,7 +813,7 @@ class CycArray:
         # exactly: an integer product of integer factors below 2^53 is exact,
         # and one at or past a power of two never rounds below it
         pairs = np.abs(self.nums).max(axis=1, initial=0).astype(float) * np.abs(other.nums).max(axis=1, initial=0)
-        width = _width(d * (2 * d - 1) * float(pairs.max(initial=0)) * ctx._qpow_mul_max, blas=True)
+        width = _width(d * (2 * d - 1) * float(pairs.max(initial=0)) * ctx._fold_max, blas=True)
         a, b = np.asarray(self.nums, width), np.asarray(other.nums, width)
         if width is np.float64:
             tensor = np.asarray(ctx._mul_tensor.transpose(1, 0, 2).reshape(d, d * d), width)  # [e, (k, p)]
@@ -839,20 +828,40 @@ class CycArray:
             conv[:, k:k + d] += a[:, k, None] * b
         return CycArray(ctx, conv @ np.asarray(ctx._conv_fold, width), self.den * other.den)
 
-    def qpow_blocks(self, exps) -> "CycArray":
-        """Row l * m + s is row l times q^{exps[s]}, for m = len(exps): each entry stacked over the powers of q.
+    def qpow(self, exps, group: int = 1) -> "CycArray":
+        """Rows times powers of q: exps (B,) or (B, m) holds one exponent, or m, per block of rows (B blocks split the rows evenly).
 
-        One contraction with the slices ctx._qpow_mul[e] = mul_matrix(q^e).
+        Row (i // group) m + s is the sum over the `group` consecutive rows
+        of row i of row i times q^{exps[b, s]}, b the block of row i: B = len
+        for one power per row, B = 1 to stack every row over m powers.  Each
+        row is padded from phi to n coordinates, rotated by e in
+        Z[x]/(x^n - 1) (one index gather), summed with its group there, and
+        folded once by the table of q^k mod Phi_n, one `_row_blocks` block
+        of at most BLAS_CALL_WORK count entries at a time.  The
+        width bounds every partial sum by group times the largest row sum of
+        |self| times the largest entry of the fold table.
         """
-        ctx = self.ctx
-        d = ctx.degree
-        tables = ctx._qpow_mul[np.asarray(exps, dtype=np.int64) % ctx.n]  # [s, k, p]
-        nums = int_matmul(self.nums, tables.transpose(1, 0, 2).reshape(d, -1))  # [i, (s, p)]
-        return CycArray(ctx, nums.reshape(-1, d), self.den)
-
-    def qpow_rows(self, exps) -> "CycArray":
-        """Entry t times q^{exps[t]}: one batched product with the slices ctx._qpow_mul[e] = mul_matrix(q^e)."""
-        return self.times(self.ctx._qpow_mul[np.asarray(exps, dtype=np.int64) % self.ctx.n])
+        ctx, n, d = self.ctx, self.ctx.n, self.ctx.degree
+        exps = np.asarray(exps, dtype=np.int64)
+        exps = exps[:, None] if exps.ndim == 1 else exps
+        (blocks, m), rows = exps.shape, len(self.nums)
+        size = rows // blocks if blocks else 0
+        if blocks * size != rows or rows % group:
+            raise ValueError(f"{rows} rows do not split into {blocks} blocks and groups of {group}")
+        starts = np.repeat(n - exps % n, size, axis=0)  # row i times q^e: coordinates n - e.. of the row written twice
+        width = _width(group * _row_sum_max(self.nums) * ctx._fold_max, blas=True)
+        fold = np.asarray(ctx._fold, width)
+        out = np.empty((rows // group * m, d), dtype=np.int64 if width is not object else object)
+        for part in _row_blocks(rows // group, group * m * n):
+            lo, hi = part.start * group, part.stop * group
+            twice = np.zeros((hi - lo, 2 * n), dtype=width)
+            twice[:, :d] = twice[:, n:n + d] = self.nums[lo:hi]
+            windows = as_strided(twice, (hi - lo, n + 1, n), twice.strides[:1] + twice.strides[1:] * 2, writeable=False)
+            counts = windows[np.arange(hi - lo)[:, None], starts[lo:hi]]  # [i, s, k]
+            if group > 1:
+                counts = counts.reshape(-1, group, m, n).sum(axis=1)
+            out[part.start * m:part.stop * m] = counts.reshape(-1, n) @ fold
+        return CycArray(ctx, out, self.den)
 
     def block_sum(self, size: int) -> "CycArray":
         """Entry i is the sum of entry i of every block of `size` consecutive entries (size 1 sums all)."""

@@ -38,10 +38,10 @@ every relation is an entrywise identity of `CycArray`s, label by label.
 The characters of b^i c^k d^t a^t are sums along the diagonal of d^t a^t,
 whose entries are products of consecutive alphas (the gamma table, built
 once per n by entrywise products).  The diagonal entry j of b^i c^k d^t a^t
-on V(ell, s) is gamma_j q^{(j-1)(i+k) + (1-ell)k + s(i-k)}, so one
-contraction of that table with the powers q^{(j-1)u}, for every u = i + k
+on V(ell, s) is gamma_j q^{(j-1)(i+k) + (1-ell)k + s(i-k)}, so one shift
+of that table by the powers q^{(j-1)u}, summed over j, for every u = i + k
 at once, gives a trace table from which every trace vector downstream is
-gathered and twisted by powers of q, for any number of (i, k) at once.
+gathered and twisted by powers of q (`CycArray.qpow`, like every shift).
 The dense matrices (`action_set`, `character_matrix_route`) are kept as
 independent cross-checks for the tests.
 """
@@ -55,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cyclotomic import CyclotomicContext, CycArray, CycNum, int_combination, int_matmul, make_context, segment_sum
+from .cyclotomic import CyclotomicContext, CycArray, CycNum, int_combination, make_context, segment_sum
 from .polymat import RingMatrix
 
 __all__ = [
@@ -132,7 +132,7 @@ class WeightedShift:
     def diagonal(ctx: CyclotomicContext, exps) -> "WeightedShift":
         """The diagonal operators with entries q^e: row k of the integer array exps is label k."""
         exps = np.asarray(exps, dtype=np.int64)
-        return WeightedShift(0, exps.shape[1], CycArray(ctx, ctx._qpow_mul[exps.ravel() % ctx.n, 0], 1))
+        return WeightedShift(0, exps.shape[1], CycArray.from_list(ctx, [1]).qpow([exps.ravel()]))
 
     def __mul__(self, other: "WeightedShift") -> "WeightedShift":
         """The matrix products, label by label: offsets add, and entry i is diag[i] times other.diag[i - offset]."""
@@ -329,36 +329,26 @@ class DoubleRep:
 
     @cached_property
     def _trace_table(self) -> CycArray:
-        """Row (u n + t) n + ell - 1 is sum_j gamma_j q^{(j-1)u}, for the diagonal gamma of d^t a^t on V(ell, *) (`_gamma_table`).
+        """Row (t n + ell - 1) n + u is sum_j gamma_j q^{(j-1)u}, for the diagonal gamma of d^t a^t on V(ell, *) (`_gamma_table`).
 
-        One contraction of the gamma table with the slices ctx._qpow_mul[(j-1)u],
-        for every u at once.  The trace of b^i c^k d^t a^t on V(ell, s) is row
-        (i + k mod n, t, ell) times q^{(1-ell)k + s(i-k)} (`_twisted`).
+        One `qpow` call for every u at once: row j of each diagonal shifted by
+        (j-1)u and summed over j before the fold.  The trace of b^i c^k d^t a^t
+        on V(ell, s) is row (t, ell, i + k mod n) times q^{(1-ell)k + s(i-k)}
+        (`_twisted`).
         """
-        n, ctx = self.n, self.ctx
-        d = ctx.degree
-        gamma = self._gamma_table
-        u, j = np.ix_(range(n), range(n))
-        tables = ctx._qpow_mul[u * j % n].reshape(n, n * d, d)  # [u, (j, p), r]
-        return CycArray(ctx, int_matmul(gamma.nums.reshape(n * n, n * d), tables).reshape(-1, d), gamma.den)
+        n = self.n
+        return self._gamma_table.qpow(np.tile(np.outer(np.arange(n), np.arange(n)), (n * n, 1)), group=n)
 
     def _twisted(self, values: CycArray, i: np.ndarray, k: np.ndarray) -> CycArray:
-        """Trace vectors from rows of the trace table: entry (ell, s) of vector m is row m n + ell - 1 of values times q^{(1-ell)k_m + s(i_m - k_m)}.
-
-        Every row is multiplied by every power of q once (`qpow_blocks`), and
-        the vectors gather the powers they need.
-        """
-        n, d = self.n, self.ctx.degree
-        powers = values.qpow_blocks(np.arange(n)).nums.reshape(len(i), n, n, d)  # [m, ell, e]
-        m, ell, s = np.ix_(range(len(i)), range(n), range(n))
-        exps = (-ell * k[:, None, None] + s * (i - k)[:, None, None]) % n
-        return CycArray(self.ctx, powers[m, ell, exps].reshape(-1, d), values.den)
+        """Trace vectors from rows of the trace table, by one `qpow` call: entry (ell, s) of vector m is row m n + ell - 1 of values times q^{(1-ell)k_m + s(i_m - k_m)}."""
+        ell, s = np.ix_(range(self.n), range(self.n))
+        return values.qpow((-ell * k[:, None, None] + s * (i - k)[:, None, None]).reshape(-1, self.n))
 
     def trace_vectors_S_at(self, i, k, t) -> CycArray:
         """Simple-module trace vectors of b^i c^k d^t a^t for the pairs of arrays i, k and t, one after another (n^2 entries each)."""
         n = self.n
         i, k, t = (np.asarray(x, dtype=np.int64) for x in (i, k, t))
-        rows = (((i + k) % n * n + t) * n)[:, None] + np.arange(n)
+        rows = (t[:, None] * n + np.arange(n)) * n + ((i + k) % n)[:, None]  # [m, ell]
         return self._twisted(self._trace_table.take(rows.ravel()), i, k)
 
     def trace_vectors_S_sum(self, i, k, coeffs: CycArray) -> CycArray:
@@ -370,7 +360,7 @@ class DoubleRep:
         n, d = self.n, self.ctx.degree
         i, k = np.asarray(i, dtype=np.int64), np.asarray(k, dtype=np.int64)
         m, T = len(i), len(coeffs) // len(i)
-        rows = (((i + k) % n)[:, None, None] * n + np.arange(1, T + 1)[:, None]) * n + np.arange(n)  # [m, t, ell]
+        rows = (np.arange(1, T + 1)[:, None] * n + np.arange(n)) * n + ((i + k) % n)[:, None, None]  # [m, t, ell]
         values = self._trace_table.take(rows.ravel()) * coeffs.take(np.repeat(np.arange(m * T), n))
         sums = segment_sum(values.nums.reshape(m, T, n, d).transpose(1, 0, 2, 3))
         return self._twisted(CycArray(self.ctx, sums.reshape(-1, d), values.den), i, k)
@@ -384,14 +374,14 @@ class DoubleRep:
     def characters_pbw(self, label: SimpleLabel, codes) -> CycArray:
         """Traces of the normal-ordered monomials `codes` on V(ell, s), one entry each.
 
-        a^t b^i c^k d^t has the trace of b^i c^k d^t a^t, row (i + k, t, ell)
+        a^t b^i c^k d^t has the trace of b^i c^k d^t a^t, row (t, ell, i + k)
         of the trace table times q^{(1-ell)k + s(i-k)}; a monomial with
         unequal powers of a and d moves every basis vector, and has trace zero.
         """
         self._check_label(label)
         n, ell, s = self.n, label.ell, label.r
         al, be, ga, de = _decode(n, np.asarray(codes, dtype=np.int64))
-        values = self._trace_table.take(((be + ga) % n * n + al) * n + ell - 1).qpow_rows((1 - ell) * ga + s * (be - ga))
+        values = self._trace_table.take((al * n + ell - 1) * n + (be + ga) % n).qpow((1 - ell) * ga + s * (be - ga))
         return CycArray(self.ctx, values.nums * (al == de)[:, None], values.den)
 
     def character_matrix_route(self, label: SimpleLabel, mono: Monomial) -> CycNum:
@@ -435,7 +425,7 @@ class DoubleRep:
         if (i + k) % n:
             return CycArray.zeros(ctx, n * n)
         values = [ctx.root_power((ell - 1) * i) * (2 * n) for ell in range(1, n)] + [ctx.root_power(-i) * n]
-        return CycArray.from_list(ctx, values).qpow_blocks([2 * r * i for r in range(n)])
+        return CycArray.from_list(ctx, values).qpow([[2 * r * i for r in range(n)]])
 
     # ------------------------------------------------------------------
     # quantum binomials and the PBW algebra
@@ -497,15 +487,15 @@ class DoubleRep:
         ls = np.arange(n, dtype=np.int64)
         level = (ls * big + _encode(n, ls, 0, 0, 0), CycArray.from_list(ctx, [1] * n))  # d^0 a^l = a^l
         levels = [level]
-        qint = np.array([ctx.mul_matrix(ctx.quantum_integer(m)) for m in range(n)])
+        qints = CycArray.from_list(ctx, [ctx.quantum_integer(m) for m in range(n)])
         for _ in range(1, n):
             keys, coeffs = level
             l, codes = np.divmod(keys, big)
             aa, j, _, dd = _decode(n, codes)
             up, low = dd + 1 < n, aa > 0
-            shifted = coeffs.take(up).times(ctx._qpow_mul[(aa + 2 * j)[up] % n])
-            lowered = coeffs.take(low).times(qint[aa[low]])
-            paired = lowered.times(ctx._qpow_mul[(aa - 1)[low] % n])
+            shifted = coeffs.take(up).qpow((aa + 2 * j)[up])
+            lowered = coeffs.take(low) * qints.take(aa[low])
+            paired = lowered.qpow((aa - 1)[low])
             keys = np.concatenate([
                 keys[up] + 1,
                 keys[low] - n**3,
@@ -539,8 +529,7 @@ class DoubleRep:
         keep = (al < n) & (de < n)
         src, rows, aa, j, dd, al, de = (v[keep] for v in (src, rows, aa, j, dd, al, de))
         codes = _encode(n, al, (b1[src] + j + b2[src]) % n, (c1[src] + j + c2[src]) % n, de)
-        exps = (aa * (b1 + c1)[src] + dd * (b2 + c2)[src]) % n
-        return src, codes, table_coeffs.take(rows).times(self.ctx._qpow_mul[exps])
+        return src, codes, table_coeffs.take(rows).qpow(aa * (b1 + c1)[src] + dd * (b2 + c2)[src])
 
     def coproduct_monomial(self, codes) -> tuple[np.ndarray, np.ndarray, CycArray]:
         """Coproducts of a batch of normal-ordered monomials (codes), as (monomial of each term, pair codes, coeffs).

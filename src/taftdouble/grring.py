@@ -46,7 +46,6 @@ import numpy as np
 
 from .chebyshev import BivariatePoly, p_n_bivariate, u_bivariate
 from .cyclotomic import (
-    INT_TENSOR,
     CycArray,
     CyclotomicContext,
     CycNum,
@@ -213,11 +212,10 @@ class GrothRing:
         A, B = a.nums.reshape(-1, N, d), b.nums.reshape(-1, N, d)
         ia, ib = np.flatnonzero(A.any(axis=(0, 2))), np.flatnonzero(B.any(axis=(0, 2)))
         target = (np.add.outer(ia // n, ib // n) % n) * (2 * n - 1) + np.add.outer(ia % n, ib % n)
-        tensor = INT_TENSOR if a.ctx is None else a.ctx._mul_tensor
         size = n * (2 * n - 1)  # rows of an unfolded product: g^i x^m, m < 2n - 1
         per = max(1, N * N // (ia.size * ib.size + 2 * size + 3 * N))
         folded = np.concatenate([
-            _stackwise(self._fold_rows, gather_products(A[s:s + per][:, ia], B[s:s + per][:, ib], tensor, target, size).reshape(-1, d), size)
+            _stackwise(self._fold_rows, gather_products(A[s:s + per][:, ia], B[s:s + per][:, ib], a.ctx, target, size).reshape(-1, d), size)
             for s in range(0, len(A), per)
         ])
         nums, den = reduce_fraction(folded, a.den * b.den)

@@ -28,7 +28,9 @@ x = q^r y by powers of q.  Component elements are integer coefficient
 arrays (`CycArray`, one row per power of x), multiplied a stack of pairs
 at a time (`GrothComponent.mul`); the map to coordinates over
 the simple classes stacks each coefficient over the powers of q in E_{2r}
-(`CycArray.qpow_blocks`) and applies the ring's integer basis conversion.
+and applies the ring's integer basis conversion.  Every multiplication by
+powers of q here (stacks, twists, block polynomials, E_u) is one call of
+the shift kernel `CycArray.qpow`.
 """
 
 from __future__ import annotations
@@ -127,7 +129,7 @@ class SpectralTables:
         self.counts = {"U": U, "L": U - _lag(U, 2), "V": U - _lag(U, 1), "A": A, "S": S}
         self.values = {kind: CycArray.from_qpowers(self.ctx, self.counts[kind].reshape(-1, n)) for kind in "ULV"}
         # row j n + r: lam_{j,r}, the point q^j + q^{-j} (U_1 there) times q^r
-        self.eigenvalues = self.values["U"].take(np.arange(h + 1) * (n + 2) + 1).qpow_blocks(np.arange(n))
+        self.eigenvalues = self.values["U"].take(np.arange(h + 1) * (n + 2) + 1).qpow([np.arange(n)])
         self._stacks: dict[str, list[CycArray]] = {}
         self._block_polys = None
 
@@ -177,16 +179,14 @@ class SpectralTables:
     def stack(self, side: str) -> list[CycArray]:
         """Per r, the side's vectors at r, in the order of `blocks`: each block over q^{+-2sr} (built once).
 
-        One batched contraction for every r: the blocks at r times the slices
-        ctx._qpow_mul[+-2sr] = mul_matrix(q^{+-2sr}), s = 0..n-1.
+        One `qpow` call for every r: the blocks at r, one block of rows, each
+        stacked over the powers q^{+-2sr}, s = 0..n-1.
         """
         if side not in self._stacks:
-            n, d = self.n, self.ctx.degree
-            blocks = self.blocks(side)
-            exps = self.SIDES[side][2] * 2 * np.outer(np.arange(n), np.arange(n))  # [r, s]
-            tables = self.ctx._qpow_mul[exps % n].transpose(0, 2, 1, 3).reshape(n, d, n * d)  # [r, k, (s, p)]
-            nums = int_matmul(blocks.nums.reshape(n, -1, d), tables)  # [r, (i, l), (s, p)]
-            self._stacks[side] = [CycArray(self.ctx, x.reshape(-1, d), blocks.den) for x in nums]
+            n = self.n
+            stacked = self.blocks(side).qpow(self.SIDES[side][2] * 2 * np.outer(np.arange(n), np.arange(n)))  # rows (r, i, l, s)
+            size = len(stacked) // n
+            self._stacks[side] = [stacked.take(slice(r * size, (r + 1) * size)) for r in range(n)]
         return self._stacks[side]
 
     def eigvec(self, family: str, idx: EigIndex) -> CycArray:
@@ -215,19 +215,22 @@ class SpectralTables:
         The elimination recursion is the bivariate one with D specialized to
         q^k, u_m = t u_{m-1} - q^k u_{m-2} (u_0 = 1, u_1 = t), then
         t u_{n-1} - 2 q^k u_{n-2} - 2, run on an (n, n + 1, phi) integer array
-        for every k at once: the product with q^k is one batched product with
-        the slices ctx._qpow_mul[k] = mul_matrix(q^k).
+        for every k at once: the product with q^k is one `qpow` call, block k
+        of the rows times q^k.
         """
         if self._block_polys is None:
-            n, d = self.n, self.ctx.degree
-            qk = self.ctx._qpow_mul  # [k] multiplies by q^k
+            n, ctx, d = self.n, self.ctx, self.ctx.degree
+
+            def times_qk(u):
+                return CycArray(ctx, u.reshape(-1, d), 1).qpow(np.arange(n)).nums.reshape(u.shape)
+
             u_prev, u_cur = np.zeros((2, n, n + 1, d), dtype=np.int64)
             u_prev[:, 0, 0], u_cur[:, 1, 0] = 1, 1
             for _ in range(2, n):
-                u_prev, u_cur = u_cur, int_combination([(1, _times_t(u_cur)), (-1, int_matmul(u_prev, qk))])
+                u_prev, u_cur = u_cur, int_combination([(1, _times_t(u_cur)), (-1, times_qk(u_prev))])
             two = np.zeros_like(u_cur)
             two[:, 0, 0] = 2
-            polys = int_combination([(1, _times_t(u_cur)), (-2, int_matmul(u_prev, qk)), (-1, two)])
+            polys = int_combination([(1, _times_t(u_cur)), (-2, times_qk(u_prev)), (-1, two)])
             self._block_polys = CycArray(self.ctx, polys.reshape(-1, d), 1)
         return self._block_polys
 
@@ -323,7 +326,7 @@ def block_matrices(n: int) -> CycArray:
     2 at column 0 and 2 q^k at column n - 2 (the generic determinant route).
     """
     ctx = make_context(n)
-    qk = ctx._qpow_mul[:, 0]  # row k: the coefficients of q^k
+    qk = CycArray.from_list(ctx, [1]).qpow([np.arange(n)]).nums  # row k: the coefficients of q^k
     nums = np.zeros((n, n, n, ctx.degree), dtype=np.int64)  # [k, i, l]
     i = np.arange(1, n - 1)
     nums[:, np.arange(n - 1), np.arange(1, n), 0] = 1
@@ -413,13 +416,13 @@ class GrothComponent:
 
     def twist(self, a: CycArray, shift: int) -> CycArray:
         """The component-0 array (or stack) a carried here: row t of each element times q^{-r(t + shift)}."""
-        return a.qpow_rows(-self.r * (np.arange(len(a)) % self.dec.n + shift))
+        return a.qpow(-self.r * (np.arange(len(a)) % self.dec.n + shift))
 
     @property
     def scalars(self) -> CycArray:
         """xi, theta_1..theta_h, nu_1..nu_h of this component, as one array."""
         h = self.dec.tab.h
-        return self.dec.scalars.qpow_rows(-self.r * np.repeat([1, 2, 3], [1, h, h]))
+        return self.dec.scalars.qpow(-self.r * np.repeat([1, 2, 3], [1, h, h]))
 
     @property
     def xi(self) -> CycNum:
@@ -453,15 +456,16 @@ class GrothComponent:
         """The products a_s b_s of two stacks of m component arrays (a stack of one is one product).
 
         The coefficient products gathered by degree (`poly_products`), then
-        x^m = q^{rm} y^m for m >= n, folded mod p_0 by the shared integer
-        fold, and y^t = q^{-rt} x^t.
+        x^m = q^{rm} y^m for m >= n (one `qpow` call, block m - n of the rows
+        times q^{rm}), folded mod p_0 by the shared integer fold, and
+        y^t = q^{-rt} x^t (one more `qpow` call).
         """
-        dec, n, d, qpow = self.dec, self.dec.n, self.ctx.degree, self.ctx._qpow_mul
-        wide = poly_products(a.nums.reshape(-1, n, d), b.nums.reshape(-1, n, d), self.ctx._mul_tensor)
+        ctx, n, d = self.ctx, self.dec.n, self.ctx.degree
+        wide = poly_products(a.nums.reshape(-1, n, d), b.nums.reshape(-1, n, d), ctx)
         m = len(wide)
-        high = int_matmul(wide[:, n:].transpose(1, 0, 2), qpow[self.r * np.arange(n, 2 * n - 1) % n])  # [s, item]
-        folded = int_matmul(dec.fold[:, n:], high.reshape(n - 1, m * d)).reshape(n, m, d)  # [t, item]
-        low = int_matmul(folded, qpow[-self.r * np.arange(n) % n]).transpose(1, 0, 2)
+        high = CycArray(ctx, wide[:, n:].transpose(1, 0, 2).reshape(-1, d), 1).qpow(self.r * np.arange(n, 2 * n - 1))  # rows (s, item)
+        folded = CycArray(ctx, int_matmul(self.dec.fold[:, n:], high.nums.reshape(n - 1, m * d)).reshape(-1, d), 1)  # rows (t, item)
+        low = folded.qpow(-self.r * np.arange(n)).nums.reshape(n, m, d).transpose(1, 0, 2)
         nums = int_combination([(1, wide[:, :n]), (1, low)])
         return CycArray(self.ctx, nums.reshape(-1, d), a.den * b.den).reduced()
 
@@ -473,7 +477,7 @@ class GrothComponent:
         over those powers, transposed, then the integer basis conversion.
         """
         n, d, ring = self.dec.n, self.ctx.degree, self.dec.ring
-        grid = a.qpow_blocks([-2 * self.r * v for v in range(n)]).nums  # row (s, t, v)
+        grid = a.qpow([[-2 * self.r * v for v in range(n)]]).nums  # row (s, t, v)
         rows = grid.reshape(-1, n, n, d).transpose(0, 2, 1, 3).reshape(-1, d)
         return ring.poly_to_simple(PolyPres(ring, rows, a.den * n, self.ctx))
 
@@ -529,9 +533,8 @@ class GrothDecomposition:
     def e_idempotents(self) -> PolyPres:
         """E_u = (1/n) sum of q^{-uv} g^v for u = 0..n-1, as a stack of n presentation elements over Q(q)."""
         ctx, n = self.ctx, self.n
-        u, v = np.ix_(range(n), range(n))
         nums = np.zeros((n, n, n, ctx.degree), dtype=np.int64)  # [u, v, x, p]
-        nums[:, :, 0] = ctx._qpow_mul[-u * v % n, 0]
+        nums[:, :, 0] = CycArray.from_list(ctx, [1]).qpow([-np.outer(np.arange(n), np.arange(n)).ravel()]).nums.reshape(n, n, -1)
         return PolyPres(self.ring, nums.reshape(-1, ctx.degree), n, ctx)
 
     def _coords(self, elems, js) -> dict[EigIndex, CycArray]:
@@ -576,7 +579,7 @@ class GrothDecomposition:
         c = CycArray(ctx, segment_sum((elems * right).nums, np.arange(m) * size), right.den)
         poly = ring.simple_to_poly(elems)
         squares = ring.poly_to_simple(ring.mul(poly, poly))
-        expected = CycArray(ctx, elems.times(ctx.mul_matrices(c.nums)[np.repeat(np.arange(m), size)]).nums, c.den)
+        expected = elems * c.take(np.repeat(np.arange(m), size))  # over c.den, as elems are over 1
         c = CycArray.concat(ctx, [CycArray(ctx, c.nums[s:s + 1], c.den * dens[s]) for s in range(m)])
         return c.reduced(), ~squares.mismatches(expected, size)
 

@@ -599,11 +599,9 @@ def check_grouplike_traces(ws: Workspace):
     right = CycArray.concat(ctx, [stack.take(slice(0, (h + 1) * size)) for stack in tab.stack("right")])  # (r, j) major
     # the character of V(ell, s) is the eigenvalue of its McKay matrix on the family,
     # which is its value at s = 0 times q^{2sr}
-    closed = CycArray.concat(ctx, [
-        CycArray.from_list(ctx, [tab.general_eigenvalue(EigIndex(j, r), ell, 0) for j in range(h + 1) for ell in range(1, n + 1)])
-        .qpow_blocks([2 * s * r for s in range(n)])
-        for r in range(n)
-    ])
+    closed = CycArray.from_list(
+        ctx, [tab.general_eigenvalue(EigIndex(j, r), ell, 0) for r in range(n) for j in range(h + 1) for ell in range(1, n + 1)]
+    ).qpow(2 * np.outer(np.arange(n), np.arange(n)))  # block r over q^{2sr}
     top = label_index(n, SimpleLabel(n, 0))
     for i in range(n):
         traces = _vectors(ws.grouplike_traces, [i * n + k for k in range(n)], size)
@@ -900,7 +898,7 @@ def _certify_grouplike_idempotents(dec):
             a, b = int(u[bad.argmax()]), int(v[bad.argmax()])
             raise CheckFailure(f"E_{a} is not idempotent" if a == b else f"E_{a} E_{b} != 0")
     shifted = np.roll(E.nums.reshape(n, n, n, -1), 1, axis=1).reshape(E.nums.shape)  # g E_u: the g-index moves by one
-    bad = CycArray(dec.ctx, shifted, E.den).mismatches(_items(E).qpow_rows(np.repeat(np.arange(n), size)), size)
+    bad = CycArray(dec.ctx, shifted, E.den).mismatches(_items(E).qpow(np.arange(n)), size)
     _require(not bad.any(), f"g E_{bad.argmax()} != q^{bad.argmax()} E_{bad.argmax()}")
 
 
@@ -996,15 +994,14 @@ def check_grothendieck_idempotents(ws: Workspace):
             _require(comp.thetas[1] == ctx.root_power(r) * (-3), "theta != -3 q^r at n=3")
             _require(comp.nus[1] == ctx.one(), "nu != 1 at n=3")
 
-    # numeric oracle on the algebra level: e^2 - e for one idempotent
-    coords = idem_coords[EigIndex(0, 0)]
-    un = coords.embed()
-    square = np.zeros(n * n, dtype=complex)
-    labels = all_labels(n)
-    for pos in np.flatnonzero(coords.nums.any(axis=1)):
-        lab = labels[pos]
-        square += un[pos] * (un @ ring.mckay_matrix(lab.ell, lab.r).astype(complex))
-    oracle.vec_residual(np.abs(square - un))
+    # numeric oracle on the algebra level: e^2 - e for one idempotent, in complex arithmetic from
+    # the integer products of simple classes.  [V(l, r)][V(ell, s)] is base_products(ell)[l - 1]
+    # with every twist moved by r + s, so the twists convolve: a product of DFTs over them
+    un = idem_coords[EigIndex(0, 0)].embed()
+    base = np.fft.fft(np.stack([ring.base_products(ell) for ell in range(1, n + 1)]).reshape(n, n, n, n), axis=3)  # [ell, l, m, k]
+    spec = np.fft.fft(un.reshape(n, n), axis=1)  # [l, k]
+    square = np.fft.ifft(np.einsum("lk,ek,elmk->mk", spec, spec, base), axis=1)
+    oracle.vec_residual(np.abs(square.ravel() - un))
     return oracle.residual, {"radical": rad_count, "idempotents": len(idem_coords)}
 
 

@@ -8,8 +8,10 @@ Results are computed once per (n, check) and shared across criteria, so the
 whole gate stays within a few minutes for the default n set.
 
 `tests/data/suite_reports.json` freezes every check's status, `exact` flag
-and detail at n = 3..19 (written by `tests/record_reports.py`); the same
-cached results, and the full suites at n = 15..19, are replayed against it.
+and detail at n = 3..21 (written by `tests/record_reports.py`); the same
+cached results, and the full suites at n = 15..21, are replayed against it.
+n = 21 lies past the default bound of `TAFTDOUBLE_MAX_N`, which the slow
+tests raise while they run.
 """
 
 import json
@@ -20,7 +22,7 @@ import pytest
 from taftdouble.verify import CHECKS, ORACLE_TOL, check_ids, run_suite
 
 DEFAULT_NS = (3, 5, 7, 9, 11, 13)
-LARGE_NS = (15, 17, 19)
+LARGE_NS = (15, 17, 19, 21)
 FROZEN = json.loads((Path(__file__).resolve().parent / "data" / "suite_reports.json").read_text())
 
 _RESULTS: dict = {}
@@ -145,8 +147,9 @@ def test_reports_match_the_frozen_record(n):
     assert got == FROZEN[str(n)]
 
 
-def _large_report(n):
-    """The full suite at one of the large n, run once for both tests below."""
+def _large_report(n, monkeypatch):
+    """The full suite at one of the large n, run once for both tests below, with TAFTDOUBLE_MAX_N raised to admit it."""
+    monkeypatch.setenv("TAFTDOUBLE_MAX_N", str(max(LARGE_NS)))
     if n not in _LARGE:
         _LARGE[n] = run_suite(n)
     return _LARGE[n]
@@ -154,9 +157,9 @@ def _large_report(n):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("n", LARGE_NS)
-def test_suite_at_large_n(n):
-    """Every check passes, exactly and below the oracle tolerance, at n = 15, 17 and 19."""
-    report = _large_report(n)
+def test_suite_at_large_n(n, monkeypatch):
+    """Every check passes, exactly and below the oracle tolerance, at n = 15, 17, 19 and 21."""
+    report = _large_report(n, monkeypatch)
     assert [c.id for c in report.checks] == check_ids()
     bad = [(c.id, c.status, c.exact, c.oracle_residual) for c in report.checks
            if not (c.status == "pass" and c.exact and c.oracle_residual < ORACLE_TOL)]
@@ -165,7 +168,7 @@ def test_suite_at_large_n(n):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("n", LARGE_NS)
-def test_large_reports_match_the_frozen_record(n):
-    """The slow twin of the frozen replay: the full suites at n = 15, 17, 19."""
-    got = {c.id: _frozen_entry(c) for c in _large_report(n).checks}
+def test_large_reports_match_the_frozen_record(n, monkeypatch):
+    """The slow twin of the frozen replay: the full suites at n = 15, 17, 19 and 21."""
+    got = {c.id: _frozen_entry(c) for c in _large_report(n, monkeypatch).checks}
     assert got == FROZEN[str(n)]

@@ -401,12 +401,12 @@ def test_qpow_blocks_multiplies_each_row_by_each_power(n):
     ctx = make_context(n)
     vec = _random_vector(ctx, 4, seed=500 + n)
     exps = [0, 1, -2, n + 3, 5 * n - 1]
-    stacked = CycArray.from_list(ctx, vec).qpow_blocks(exps)
+    stacked = CycArray.from_list(ctx, vec).qpow([exps])  # one block of every row
     assert stacked.to_list() == [x.mul_qpow(e) for x in vec for e in exps]
-    # slice e of the table is mul_matrix(q^e), and the multiplication tensor is its first phi slices
-    for e in range(n):
-        assert np.array_equal(ctx._qpow_mul[e], ctx.mul_matrix(ctx.root_power(e)))
-    assert np.array_equal(ctx._mul_tensor, ctx._qpow_mul[: ctx.degree])
+    # row e of slice k of the multiplication tensor is q^(k+e), read through the complex embedding
+    images = CycArray(ctx, ctx._mul_tensor.reshape(-1, ctx.degree), 1).embed().reshape(ctx.degree, ctx.degree)
+    k, e = np.indices(images.shape)
+    assert np.allclose(images, np.exp(2j * np.pi * (k + e) / n))
 
 
 @pytest.mark.parametrize("n", [3, 5, 11])

@@ -26,7 +26,6 @@ import taftdouble.cyclotomic as cyclotomic
 from taftdouble.cyclotomic import (
     FLOAT64_LIMIT,
     INT64_LIMIT,
-    INT_TENSOR,
     CycArray,
     gather_products,
     int_combination,
@@ -149,7 +148,7 @@ def test_gather_products_switches_at_its_product_bound(at_limit):
     rng = np.random.default_rng(15)
     a = _with_max(rng, (4, 1), 1 << 29)
     b = _with_max(rng, (4, 1), (1 << 29) - (not at_limit))
-    out = gather_products(a, b, INT_TENSOR, np.zeros((4, 4), dtype=np.int64), 2)
+    out = gather_products(a, b, None, np.zeros((4, 4), dtype=np.int64), 2)
     assert out.dtype == _expected_dtype(at_limit)
     assert out.tolist() == [[sum(int(x) * int(y) for x in a[:, 0] for y in b[:, 0])], [0]]
 
@@ -162,7 +161,7 @@ def test_gather_products_over_q_switches_at_its_product_bound(at_limit):
     a = _with_max(rng, (2, 2), 1 << 30)
     b = _with_max(rng, (3, 2), (1 << 30) - (not at_limit))
     target = np.arange(6).reshape(2, 3)
-    out = gather_products(a, b, ctx._mul_tensor, target, 6)
+    out = gather_products(a, b, ctx, target, 6)
     assert out.dtype == _expected_dtype(at_limit)
     T = _py(ctx._mul_tensor)
     for i in range(2):
@@ -177,7 +176,7 @@ def test_poly_products_switches_at_its_product_bound(at_limit):
     rng = np.random.default_rng(18)
     a = _with_max(rng, (3, 4, 1), 1 << 30)
     b = _with_max(rng, (3, 4, 1), (1 << 30) - (not at_limit))
-    out = poly_products(a, b, INT_TENSOR)
+    out = poly_products(a, b, None)
     assert out.dtype == _expected_dtype(at_limit)
     for s in range(3):
         want = [sum(int(a[s, i, 0]) * int(b[s, t - i, 0]) for i in range(4) if 0 <= t - i < 4) for t in range(7)]
@@ -262,7 +261,7 @@ def test_poly_products_multiplies_in_float64_below_2_53(side, widths):
         a, b = _with_max(rng, (3, 4, 1), top_a), _with_max(rng, (3, 1, 1), top_b)
     (m, la, _), lb = a.shape, b.shape[1]
     reference = [[[sum(int(a[s, i, 0]) * int(b[s, t - i, 0]) for i in range(la) if 0 <= t - i < lb)] for t in range(la + lb - 1)] for s in range(m)]
-    _check(side, widths, poly_products(a, b, INT_TENSOR), np.array(reference, dtype=object))
+    _check(side, widths, poly_products(a, b, None), np.array(reference, dtype=object))
 
 
 @pytest.mark.parametrize("side", SIDES53)
@@ -280,7 +279,7 @@ def test_gather_products_over_z_multiplies_in_float64_below_2_53(side, widths):
     for i in range(len(a)):
         for j in range(len(b)):
             reference[target[i, j], 0] += int(a[i, 0]) * int(b[j, 0])
-    _check(side, widths, gather_products(a, b, INT_TENSOR, target, target.size), reference)
+    _check(side, widths, gather_products(a, b, None, target, target.size), reference)
 
 
 @pytest.mark.parametrize("side", SIDES53)
@@ -299,7 +298,7 @@ def test_gather_products_over_q_multiplies_in_float64_below_2_53(side, widths):
         [[sum(int(a[i, k]) * int(b[j, e]) * T[k, e, p] for k in range(2) for e in range(2)) for p in range(2)] for i in range(len(a)) for j in range(len(b))],
         dtype=object,
     )
-    _check(side, widths, gather_products(a, b, ctx._mul_tensor, target, target.size), reference)
+    _check(side, widths, gather_products(a, b, ctx, target, target.size), reference)
 
 
 @pytest.mark.parametrize("side", SIDES53)
@@ -333,3 +332,68 @@ def test_int_matmul_keeps_vector_products_off_blas(shapes, widths):
     out = int_matmul(a, b)
     assert widths == [] and out.dtype == np.int64
     assert np.array_equal(out, _py(a) @ _py(b))
+
+
+def _qpow_reference(ctx, nums, exps):
+    """Row i of nums times q^{exps[i]}: the product with the multiplication matrix of q^e, on Python ints."""
+    rows = [_py(row) @ _py(ctx.mul_matrix(ctx.root_power(int(e)))) for row, e in zip(nums, exps)]
+    return np.array(rows, dtype=object).reshape(-1, ctx.degree)
+
+
+@pytest.mark.parametrize("n", [3, 9, 11, 15])
+def test_qpow_multiplies_by_the_multiplication_matrix_of_q_e(n, widths):
+    """Per-row, per-block and stacked exponents, negative ones and ones past n, a summed group and an empty array."""
+    ctx = make_context(n)
+    d = ctx.degree
+    rng = np.random.default_rng(40 + n)
+    x = CycArray(ctx, rng.integers(-9, 10, (6, d)), 7)
+    per_row = np.array([-1, n, 3 * n + 2, -2 * n - 5, 0, n - 1])
+    got = x.qpow(per_row)
+    assert got.den == 7 and np.array_equal(got.nums, _qpow_reference(ctx, x.nums, per_row))
+    per_block = np.array([-n - 1, 2 * n + 3])  # two blocks of three rows
+    assert np.array_equal(x.qpow(per_block).nums, _qpow_reference(ctx, x.nums, np.repeat(per_block, 3)))
+    stacked = np.array([[0, -1, n, 5 * n - 2]])  # one block of every row: each row over four powers
+    want = _qpow_reference(ctx, np.repeat(x.nums, 4, axis=0), np.tile(stacked[0], 6))
+    assert np.array_equal(x.qpow(stacked).nums, want)
+    grid = rng.integers(-2 * n, 2 * n, (6, 3))  # three powers per row, summed over pairs of rows
+    want = _qpow_reference(ctx, np.repeat(x.nums, 3, axis=0), grid.ravel()).reshape(3, 2, 3, d).sum(axis=1)
+    assert np.array_equal(x.qpow(grid, group=2).nums, want.reshape(-1, d))
+    empty = CycArray.zeros(ctx, 0)
+    assert empty.qpow([]).nums.shape == (0, d) and empty.qpow([[1, 2, 3]]).nums.shape == (0, d)
+    assert widths == [np.float64] * 6
+    with pytest.raises(ValueError):
+        x.qpow([1, 2, 3, 4])  # four blocks do not split six rows
+
+
+@pytest.mark.parametrize("bound,width", [
+    pytest.param(FLOAT64_LIMIT - 1, np.float64, id="2^53-1"),
+    pytest.param(FLOAT64_LIMIT, np.int64, id="2^53"),
+    pytest.param(INT64_LIMIT - 1, np.int64, id="2^62-1"),
+    pytest.param(INT64_LIMIT, object, id="2^62"),
+])
+def test_qpow_switches_at_its_fold_bound(bound, width, widths):
+    """At n = 3 every coefficient of q^k is 0 or +-1, so the bound of the fold is the largest row sum of |self|."""
+    ctx = make_context(3)
+    assert max(abs(c) for e in range(3) for c in ctx.root_power(e).num) == 1
+    nums = np.array([[bound // 2, bound // 2 - bound], [1, -2]], dtype=np.int64)
+    exps = [1, -5]
+    got = CycArray(ctx, nums, 1).qpow(exps)
+    assert widths == [width]
+    assert got.nums.dtype == (object if width is object else np.int64)
+    assert np.array_equal(got.nums, _qpow_reference(ctx, nums, exps))
+
+
+def test_qpow_builds_a_long_count_array_block_by_block(widths):
+    """Rows whose count-space temporary exceeds one block (`_row_blocks`) give the same products, row by row."""
+    ctx = make_context(11)
+    d = ctx.degree
+    rows = 2 * (cyclotomic.BLAS_CALL_WORK // ctx.n) + 5
+    assert len(cyclotomic._row_blocks(rows, ctx.n)) == 3
+    rng = np.random.default_rng(41)
+    nums, exps = rng.integers(-99, 100, (rows, d)), rng.integers(-50, 50, rows)
+    want = np.zeros_like(nums)
+    for e in range(ctx.n):
+        hit = exps % ctx.n == e
+        want[hit] = nums[hit] @ ctx.mul_matrix(ctx.root_power(e))
+    assert np.array_equal(CycArray(ctx, nums, 1).qpow(exps).nums, want)
+    assert widths == [np.float64]

@@ -3,7 +3,7 @@
 Every eigenvector, fusion eigenvector and trace vector is built as a
 `CycArray`: the spectral families for every (j, r) at once from integer
 counts of powers of q (`SpectralTables.blocks`), stacked over powers of q
-by `CycArray.qpow_blocks`.  The references below are the earlier
+by `CycArray.qpow`.  The references below are the earlier
 constructions, kept as independent cross-checks: the Chebyshev values by
 the scalar three-term recurrence at each point, the coefficient blocks of
 each (j, r) in `CycNum` arithmetic, and one `mul_qpow` per vector entry.
@@ -218,14 +218,14 @@ def test_trace_vectors_match_the_per_entry_route(n):
 
 
 def test_stacking_past_the_int64_bound_uses_python_ints():
-    """`qpow_blocks`, the stacking step of every family, switches to Python ints on large coefficients."""
+    """`qpow`, the stacking step of every family, switches to Python ints on large coefficients."""
     n = 5
     tab = spectral_tables(n)
     idx = eig_indices(n)[7]
     coeffs = [c * 2**61 for c in gen_right_coeffs(n, idx)]
     big = CycArray.from_list(tab.ctx, coeffs)
     assert big.max_abs() > 2**62
-    stacked = big.qpow_blocks([2 * s * idx.r for s in range(n)])
+    stacked = big.qpow([[2 * s * idx.r for s in range(n)]])
     assert stacked.nums.dtype == object
     assert stacked.to_list() == _stack_reference(coeffs, idx.r, n)
     small = tab.eigvec("gen_right", idx)

@@ -243,6 +243,24 @@ def _bump_component_poly(j, r):
     return wrap
 
 
+def _one_power_too_many(u):
+    """Wrap `verify._items` so that, in its arrays' `qpow`, the rows of block u go one power of q too far."""
+    class Shifted(CycArray):
+        __slots__ = ()
+
+        def qpow(self, exps, group=1):
+            exps = np.array(exps)
+            exps[u] += 1
+            return CycArray.qpow(self, exps, group)
+
+    return lambda fn: lambda p: Shifted(p.ctx, p.nums, p.den)
+
+
+def _bump_trace_table(row):
+    """Replace the cached property `DoubleRep._trace_table` by one whose row `row` is corrupted."""
+    return lambda prop: property(lambda self: _bumped(prop.func(self), row))
+
+
 # check id, owner, attribute, corruption, text the counterexample must carry
 CORRUPTIONS = [
     # at n = 3, row 2 of the left blocks at r = 0 is the Jordan completion at j = 1: entry 8 is its block 2
@@ -269,6 +287,10 @@ CORRUPTIONS = [
     ("charpoly-factorization", SpectralTables, "block_roots", _bump_entry(2 * 2 + 1), "block 2 does not split"),
     ("grothendieck-idempotents", GrothComponent, "g_polys", _bump_component_poly(1, 2), "G F != theta F at (1,2)"),
     ("grothendieck-idempotents", GrothDecomposition, "e_idempotents", _bump_grouplike_idempotent, "E_1 E_0 != 0"),
+    # g E_u = q^u E_u, with block u = 1 of the right side shifted by q^2
+    ("grothendieck-idempotents", verify_mod, "_items", _one_power_too_many(1), "g E_1 != q^1 E_1"),
+    # at n = 3 row (t n + ell - 1) n + u = 4 is t = 0, ell = 2, u = 1: Tr_S(b^0 c^1) is the first trace it enters
+    ("grouplike-traces", DoubleRep, "_trace_table", _bump_trace_table(4), "Tr_S(b^0 c^1) is not the"),
 ]
 
 
