@@ -56,7 +56,13 @@ integer computation of the package runs through one of its kernels
 `segment_sum`, `int_combination`, `int_rows`, `CycArray.__mul__`,
 `CycArray.qpow`), which bounds every partial sum from the values of its
 operands (a fixed table of the field by the bound its context took once),
-and `_width` picks from that bound.  A matrix product (`int_matmul` unless
+and `_width` picks from that bound, once per call.  A bound by row sums of
+|a| (`int_matmul`, `sparse_product`, `mul_matrices`, `from_qpowers`,
+`qpow`) is first the row length times max |a|, read from the largest and
+the least entry with no |a| temporary, and the row sums are taken only when
+that cheap bound does not give the narrowest width (`_row_sum_bound`);
+`__mul__` takes its row maxima only when max |a| max |b| does not give
+float64.  The width is therefore always the exact bound's.  A matrix product (`int_matmul` unless
 a factor is a single row or column, `poly_products`, `gather_products`,
 `__mul__` and the fold of `qpow`) runs in float64 through BLAS below
 FLOAT64_LIMIT = 2^53 and returns int64: every partial sum is then an
@@ -147,18 +153,28 @@ def _row_blocks(rows: int, work: int) -> list[slice]:
 
 
 def _array_max(a: np.ndarray) -> int:
-    """max |a| as a Python int (0 for an empty array)."""
-    return int(np.abs(a).max()) if a.size else 0
+    """max |a| as a Python int (0 for an empty array), from the largest and the least entry: no |a| temporary."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
-def _row_sum_max(a: np.ndarray) -> int:
-    """The largest sum of |a| along the last axis, exactly (0 for an empty array)."""
-    if not a.size:
-        return 0
+def _row_sum_bound(a: np.ndarray, scale: int, limit: int) -> int:
+    """A bound on scale times every sum of |a| along the last axis, exact from `limit` on (0 for an empty array).
+
+    The cheap bound, row length times max |a| times scale, is returned when
+    it is below `limit`, the least bound that does not give a kernel its
+    narrowest width (FLOAT64_LIMIT for a product through BLAS, INT64_LIMIT
+    otherwise); the exact one, the largest row sum times scale, only
+    otherwise.  The kernel's width is therefore the one the exact bound
+    gives, without a row sum where the cheap bound decides it.
+    """
+    top = _array_max(a)
+    cheap = a.shape[-1] * top * scale
+    if cheap < limit:
+        return cheap
     mags = np.abs(a)
-    if a.dtype != object and int(mags.max()) * a.shape[-1] >= 1 << 63:
+    if a.dtype != object and top * a.shape[-1] >= 1 << 63:
         mags = mags.astype(object)  # int64 row sums could wrap
-    return int(mags.sum(axis=-1).max())
+    return int(mags.sum(axis=-1).max()) * scale
 
 
 def int_rows(rows) -> np.ndarray:
@@ -169,11 +185,11 @@ def int_rows(rows) -> np.ndarray:
 
 def int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b for integer arrays, batch axes allowed, in the width (`_width`) of its bound: the largest absolute row sum of a times max |b|."""
-    return _matmul(a, b, _row_sum_max(a) * _array_max(b))
+    return _matmul(a, b, _array_max(b))
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
-    """a @ b for integer arrays whose partial sums are all bounded by `bound`; a fixed table's share of it is taken once, by its owner.
+def _matmul(a: np.ndarray, b: np.ndarray, scale: int) -> np.ndarray:
+    """a @ b for integer arrays with max |b| at most `scale` (a fixed table's, taken once by its owner), in the width of the largest absolute row sum of a times scale (`_row_sum_bound`).
 
     A long float64 product is written to its int64 result one block of rows
     at a time.  A product with one row or one column per batch item uses
@@ -182,7 +198,7 @@ def _matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
     so it stays on int64 (or Python ints).
     """
     blas = a.ndim > 1 and b.ndim > 1 and min(a.shape[-2], b.shape[-1]) > 1
-    width = _width(bound, blas=blas)
+    width = _width(_row_sum_bound(a, scale, FLOAT64_LIMIT if blas else INT64_LIMIT), blas=blas)
     a, b = np.asarray(a, width), np.asarray(b, width)
     if width is not np.float64 or a.shape[-2] * a.shape[-1] * b.shape[-1] <= BLAS_CALL_WORK:
         return _integer(a @ b)
@@ -193,8 +209,14 @@ def _matmul(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
 
 
 def int_combination(terms) -> np.ndarray:
-    """Sum of c * x over pairs of a Python int c and an integer array x; int64 when sum |c| max(1, max |x|) < INT64_LIMIT."""
+    """Sum of c * x over pairs of a Python int c and an integer array x; int64 when sum |c| max(1, max |x|) < INT64_LIMIT.
+
+    A lone int64 term with c = 1 is returned as it is, not copied: a kernel
+    writes int64 only below INT64_LIMIT, and no caller writes into the sum.
+    """
     terms = list(terms)
+    if len(terms) == 1 and terms[0][0] == 1 and terms[0][1].dtype == np.int64:
+        return terms[0][1]
     bound = sum(abs(c) * max(1, _array_max(x)) for c, x in terms)
     first, *rest = (int_array(x, bound) * c for c, x in terms)
     return sum(rest, first)
@@ -295,18 +317,22 @@ def sparse_rows(A: np.ndarray):
 def sparse_product(sparse, B: np.ndarray) -> np.ndarray:
     """A @ B for A given by `sparse_rows`: each row of the product gathers and adds w rows of B.
 
-    The w gathers are added one at a time, so no temporary is larger than the
-    product.  For an integer B the product is int64 when the largest row sum
-    of |vals| times max |B| is below INT64_LIMIT, and Python ints otherwise; a
-    float or complex B is multiplied in its own type.
+    The w gathers are weighed into one reused buffer and added one at a
+    time, so no temporary is larger than the product, and each gather is
+    the only array allocated per nonzero.  For an integer B the product is
+    int64 when the largest row sum of |vals| times max |B| is below
+    INT64_LIMIT (`_row_sum_bound`), and Python ints otherwise; a float or
+    complex B is multiplied in its own type.
     """
     cols, vals = sparse
     if B.dtype.kind not in "fc":
-        bound = _row_sum_max(vals) * _array_max(B)
+        bound = _row_sum_bound(vals, _array_max(B), INT64_LIMIT)
         vals, B = int_array(vals, bound), int_array(B, bound)
     out = np.zeros((len(cols),) + B.shape[1:], dtype=np.result_type(vals, B))
+    term = np.empty_like(out)
     for k in range(cols.shape[1]):
-        out += vals[:, k, None] * B[cols[:, k]]
+        np.multiply(vals[:, k, None], B[cols[:, k]], out=term)
+        out += term
     return out
 
 
@@ -409,7 +435,6 @@ class CyclotomicContext:
         self._one = CycNum(self, (1,) + (0,) * (d - 1), 1)
         self._qtable = tuple(CycNum(self, self._qpow_rows[e], 1) for e in range(n))
         self._unit = [cmath.exp(2j * cmath.pi * e / n) for e in range(d)]
-        self._unit_array = np.array(self._unit)
         # the fold table, row k = q^k, the multiplication tensor, [k, e] = q^(k+e) (a
         # numerator vector against it gives a multiplication matrix's rows), and the
         # fold of a convolution, row m = q^m; the bounds of the tables are taken here
@@ -484,7 +509,7 @@ class CyclotomicContext:
     def mul_matrices(self, nums: np.ndarray) -> np.ndarray:
         """The `mul_matrix` of the element with numerators nums[k], for every row k at once (one integer product)."""
         d = self.degree
-        return _matmul(nums, self._mul_tensor.reshape(d, d * d), _row_sum_max(nums) * self._mul_tensor_max).reshape(-1, d, d)
+        return _matmul(nums, self._mul_tensor.reshape(d, d * d), self._mul_tensor_max).reshape(-1, d, d)
 
 
 @lru_cache(maxsize=None)
@@ -717,7 +742,7 @@ class CycArray:
     @staticmethod
     def from_qpowers(ctx: CyclotomicContext, counts: np.ndarray) -> "CycArray":
         """Entry i is sum_e counts[i, e] q^e over the exponents e = 0..n-1 (an integer array)."""
-        return CycArray(ctx, _matmul(counts, ctx._fold, _row_sum_max(counts) * ctx._fold_max), 1)
+        return CycArray(ctx, _matmul(counts, ctx._fold, ctx._fold_max), 1)
 
     @staticmethod
     def concat(ctx: CyclotomicContext, parts) -> "CycArray":
@@ -775,15 +800,19 @@ class CycArray:
         """Complex images of the entries under q -> exp(2*pi*i/n), bit for bit those of `CycNum.embed`.
 
         As there, each entry is in lowest terms (its row divided by the gcd
-        with den), the terms a_k zeta^k are added in power-basis order (a
-        running sum, never numpy's pairwise one), and the sum is divided by
-        the entry's reduced denominator, the real and the imaginary part
-        apart, as Python divides a complex by an int.
+        with den), the terms a_k zeta^k are added in power-basis order, from
+        zero, and the sum is divided by the entry's reduced denominator, the
+        real and the imaginary part apart, as Python divides a complex by an
+        int.  The sums run one column at a time, so no temporary is larger
+        than a column: float(a_k) times zeta^k is Python's a_k * zeta^k, a
+        complex product with (a_k, 0).
         """
         nums, dens = _lowest_terms(self.nums, int_array([self.den], self.den)) if self.den > 1 else (self.nums, np.ones(1))
-        sums = np.add.accumulate(nums.astype(float) * self.ctx._unit_array, axis=1)[:, -1]
+        sums = np.zeros(len(nums), dtype=complex)
+        for k, unit in enumerate(self.ctx._unit):
+            sums += nums[:, k].astype(float) * unit
         dens = dens.astype(float)
-        out = np.empty(len(sums), dtype=complex)
+        out = np.empty(len(nums), dtype=complex)
         out.real, out.imag = sums.real / dens, sums.imag / dens
         return out
 
@@ -795,7 +824,9 @@ class CycArray:
         """The entrywise product: entry i is entry i of self times entry i of other.
 
         The width (`_width`) comes from a bound on every entry's partial sums,
-        phi (2 phi - 1) max |q^m| times the largest numerators of both rows i.
+        phi (2 phi - 1) max |q^m| times the largest numerators of both rows i;
+        max |self| max |other| stands for that product of row maxima where
+        it already gives float64.
         In float64 (below 2^53) row i of other goes through the
         multiplication tensor to its multiplication matrix, (rows, phi) by
         (phi, phi^2) in one BLAS product per `_row_blocks` block of rows, so
@@ -809,11 +840,14 @@ class CycArray:
         """
         ctx = self.ctx
         d = ctx.degree
-        # the bound is taken in floating point, which decides both limits
-        # exactly: an integer product of integer factors below 2^53 is exact,
-        # and one at or past a power of two never rounds below it
-        pairs = np.abs(self.nums).max(axis=1, initial=0).astype(float) * np.abs(other.nums).max(axis=1, initial=0)
-        width = _width(d * (2 * d - 1) * float(pairs.max(initial=0)) * ctx._fold_max, blas=True)
+        bound = d * (2 * d - 1) * _array_max(self.nums) * _array_max(other.nums) * ctx._fold_max
+        if bound >= FLOAT64_LIMIT:
+            # the row by row bound, taken in floating point, which decides both
+            # limits exactly: an integer product of integer factors below 2^53
+            # is exact, and one at or past a power of two never rounds below it
+            pairs = np.abs(self.nums).max(axis=1, initial=0).astype(float) * np.abs(other.nums).max(axis=1, initial=0)
+            bound = d * (2 * d - 1) * float(pairs.max(initial=0)) * ctx._fold_max
+        width = _width(bound, blas=True)
         a, b = np.asarray(self.nums, width), np.asarray(other.nums, width)
         if width is np.float64:
             tensor = np.asarray(ctx._mul_tensor.transpose(1, 0, 2).reshape(d, d * d), width)  # [e, (k, p)]
@@ -849,7 +883,7 @@ class CycArray:
         if blocks * size != rows or rows % group:
             raise ValueError(f"{rows} rows do not split into {blocks} blocks and groups of {group}")
         starts = np.repeat(n - exps % n, size, axis=0)  # row i times q^e: coordinates n - e.. of the row written twice
-        width = _width(group * _row_sum_max(self.nums) * ctx._fold_max, blas=True)
+        width = _width(_row_sum_bound(self.nums, group * ctx._fold_max, FLOAT64_LIMIT), blas=True)
         fold = np.asarray(ctx._fold, width)
         out = np.empty((rows // group * m, d), dtype=np.int64 if width is not object else object)
         for part in _row_blocks(rows // group, group * m * n):
@@ -896,8 +930,10 @@ class ArrayEntry:
 
 
 def _lowest_terms(nums: np.ndarray, dens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row i of nums over dens[i] (or over dens[0] for every row) with the row and its denominator divided by their gcd."""
-    g = np.gcd(np.gcd.reduce(nums, axis=1), dens)
+    """Row i of nums over dens[i] (or over dens[0] for every row) with the row and its denominator divided by their gcd, taken column by column."""
+    g = np.broadcast_to(dens, len(nums))
+    for k in range(nums.shape[1]):
+        g = np.gcd(g, nums[:, k])
     return nums if (g == 1).all() else nums // g[:, None], dens // g
 
 

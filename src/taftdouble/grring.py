@@ -184,6 +184,7 @@ class GrothRing:
         self._f_seq = [self.from_wide(fs[ell - 1]) for ell in range(1, n + 1)]
         self._base_products: dict[int, np.ndarray] = {}
         self._mpow: list[np.ndarray] = []
+        self._v20_rows: dict[str, tuple] = {}
         self._cartan = None
         self._cartan_kernel = None
 
@@ -316,12 +317,19 @@ class GrothRing:
         """Cached, read-only powers of the McKay matrix of V(2, 0), each one gather-add product with it."""
         if not self._mpow:
             self._mpow = [np.eye(self.n * self.n, dtype=np.int64), self.mckay_matrix(2, 0)]
-        M = self._mpow[1]
         while len(self._mpow) <= k:
-            self._mpow.append(sparse_product(sparse_rows(M), self._mpow[-1]))
+            self._mpow.append(sparse_product(self.mckay_v20_rows("right"), self._mpow[-1]))
         power = self._mpow[k]
         power.flags.writeable = False
         return power
+
+    def mckay_v20_rows(self, side: str) -> tuple:
+        """`sparse_rows` of the McKay matrix of V(2, 0) (side "right") or of its transpose ("left"), each built once: the A of a `relation` on that side."""
+        rows = self._v20_rows.get(side)
+        if rows is None:
+            M = self.mpow(1)
+            rows = self._v20_rows[side] = sparse_rows(M.T if side == "left" else M)
+        return rows
 
     def z_shift(self, mat: np.ndarray, e: int) -> np.ndarray:
         """Left-multiply by the block-diagonal cyclic shift: row (block, p) <- row (block, p+e)."""

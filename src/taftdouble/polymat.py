@@ -370,7 +370,7 @@ def array_rank(a: CycArray, ncols: int) -> int:
     return RingMatrix([entries[i * ncols:(i + 1) * ncols] for i in range(nrows)]).rank_over_field()
 
 
-def relation(M: np.ndarray, vecs: CycArray, lams, side: str, labels, chains: CycArray | None = None) -> float:
+def relation(M: np.ndarray, vecs: CycArray, lams, side: str, labels, chains: CycArray | None = None, sparse=None) -> float:
     """Certify M v_k = lam_k v_k + c_k (side "right") or v_k M = lam_k v_k + c_k (side "left") for a stack of m vectors.
 
     M is an integer numpy array of size N (TypeError otherwise).  vecs holds
@@ -383,9 +383,11 @@ def relation(M: np.ndarray, vecs: CycArray, lams, side: str, labels, chains: Cyc
 
         dl*dc * (A V) == dc * (V Lambda) + dv*dl * C,    A = M (right) or M^T (left),
 
-    A V by one gather-add over the nonzeros of A (`sparse_product`), V Lambda
-    by one batched `int_matmul`, each side by one `int_combination`; each
-    kernel picks int64 or Python ints from its operands.  A mismatch raises
+    A V by one gather-add over the nonzeros of A (`sparse_product`; sparse
+    is their `sparse_rows`, taken here when None, passed in by the owner of
+    a matrix that is certified again and again), V Lambda by one batched
+    `int_matmul`, each side by one `int_combination`; each kernel picks
+    its width from its operands.  A mismatch raises
     CheckFailure with the label of the first failing vector and its first
     failing coordinate; its `vectors` lists every failing position.
 
@@ -406,7 +408,7 @@ def relation(M: np.ndarray, vecs: CycArray, lams, side: str, labels, chains: Cyc
         return 0.0
     dl, dv = lcm(*(lam.den for lam in lams)), vecs.den
     dc = 1 if chains is None else chains.den
-    sparse = sparse_rows(A)
+    sparse = sparse_rows(A) if sparse is None else sparse
     V = vecs.nums.reshape(m, N, d)
     AV = sparse_product(sparse, V.transpose(1, 0, 2).reshape(N, m * d)).reshape(N, m, d).transpose(1, 0, 2)
     lam_nums = int_rows([a * (dl // lam.den) for a in lam.num] for lam in lams)

@@ -414,9 +414,12 @@ class GrothComponent:
         self.ctx = dec.ctx
         self.r = r
 
-    def twist(self, a: CycArray, shift: int) -> CycArray:
-        """The component-0 array (or stack) a carried here: row t of each element times q^{-r(t + shift)}."""
-        return a.qpow(-self.r * (np.arange(len(a)) % self.dec.n + shift))
+    def twist(self, elems: list[CycArray], shift: int) -> list[CycArray]:
+        """The component-0 arrays elems carried here, each over its own denominator: row t of each times q^{-r(t + shift)}, all in one `qpow` call."""
+        n = self.dec.n
+        nums = np.concatenate([e.nums for e in elems])
+        twisted = CycArray(self.ctx, nums, 1).qpow(-self.r * (np.arange(len(nums)) % n + shift)).nums
+        return [CycArray(self.ctx, twisted[k * n:(k + 1) * n], e.den) for k, e in enumerate(elems)]
 
     @property
     def scalars(self) -> CycArray:
@@ -441,16 +444,16 @@ class GrothComponent:
     @property
     def f_polys(self) -> list[CycArray]:
         """F_j = p_r / (x - lam_{j,r}) as component arrays."""
-        return [self.twist(f, 1) for f in self.dec.f_polys]
+        return self.twist(self.dec.f_polys, 1)
 
     @property
     def g_polys(self) -> list:
         """G_j = F_j / (x - lam_{j,r}) for j >= 1 as component arrays (None at j = 0)."""
-        return [None] + [self.twist(g, 2) for g in self.dec.g_polys[1:]]
+        return [None] + self.twist(self.dec.g_polys[1:], 2)
 
     def idempotent_polys(self) -> list[CycArray]:
         """xi^{-1} F_0 followed by G'_j = (G_j - (nu_j / theta_j) F_j) / theta_j, idempotent in this component."""
-        return [self.twist(e, 0) for e in self.dec.idempotents]
+        return self.twist(self.dec.idempotents, 0)
 
     def mul(self, a: CycArray, b: CycArray) -> CycArray:
         """The products a_s b_s of two stacks of m component arrays (a stack of one is one product).

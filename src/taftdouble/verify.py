@@ -197,13 +197,17 @@ class Workspace:
                 head = stack.nums[:(h + 1) * n * n]
                 chains = CycArray(self.ctx, np.concatenate([np.zeros_like(head), head[n * n:]]), stack.den)
                 try:
-                    residuals.append(relation(self.M, stack, lams, side, [f"{side} {i}" for i in idx], chains))
+                    residuals.append(self.relation(stack, lams, side, [f"{side} {i}" for i in idx], chains))
                 except CheckFailure as failure:
                     failed.update(idx[k] for k in failure.vectors)
         for c in out:
             c.exact = c.index not in failed
         self.cert_residual = float("inf") if failed else max(residuals)
         return out
+
+    def relation(self, vecs: CycArray, lams, side: str, labels, chains: CycArray | None = None) -> float:
+        """`relation` against the McKay matrix M of V(2, 0), through the ring's sparse form of M (or of M^T, on the left), built once."""
+        return relation(self.M, vecs, lams, side, labels, chains, self.ring.mckay_v20_rows(side))
 
     @cached_property
     def dec(self):
@@ -621,7 +625,7 @@ def check_grouplike_traces(ws: Workspace):
             if (i + k) % n:
                 _require(not traces.nums[k * size + top:(k + 1) * size].any(), f"Tr_S(b^{i} c^{k}) does not vanish on V(n, .)")
         lams = [tab.lam(x) for x in idx]
-        oracle.see(relation(ws.M, traces, lams, "right", [f"Tr_S(b^{i} c^{k}) eigen" for k in range(n)]))
+        oracle.see(ws.relation(traces, lams, "right", [f"Tr_S(b^{i} c^{k}) eigen" for k in range(n)]))
     dims = CycArray.from_list(ctx, ws.ring.dim_simple_vector())
     _require(ws.grouplike_traces.take(slice(0, size)) == dims, "Tr_S(1) is not the dimension vector")
     return oracle.residual, {"pairs": n * n}
@@ -672,7 +676,7 @@ def check_generalized_traces(ws: Workspace):
     Each i's combinations, for every k, come from one contraction
     (`gen_trace_combinations`), and are certified by one `relation` call.
     """
-    n, rep, Mi, ctx = ws.n, ws.rep, ws.M, ws.ctx
+    n, rep, ctx = ws.n, ws.rep, ws.ctx
     oracle = Oracle()
     size = n * n
     rnd = _rng("generalized-traces", n)
@@ -683,7 +687,7 @@ def check_generalized_traces(ws: Workspace):
             _require(coeffs[-1] == ctx.one(), "the top coefficient must be 1")
         # (M - lam) v lies on the line through the eigenvector t, and (M - lam) t = 0
         lines = _vectors(ws.grouplike_traces, [i * n + k for k in ks], size)
-        scaled, chain = _on_line(Mi, combos, lams, "right", lines)
+        scaled, chain = _on_line(ws.M, combos, lams, "right", lines)
         vecs, chains, lams = [scaled, lines], [chain, CycArray.zeros(ctx, len(lines))], list(lams) * 2
         labels = [f"residual off the eigenline at ({i},{k})" for k in ks]
         labels += [f"(M - lam)^2 does not annihilate at ({i},{k})" for k in ks]
@@ -697,7 +701,7 @@ def check_generalized_traces(ws: Workspace):
                 chains.append(steps.take(slice((l - 1) * size, l * size)).scaled(coeff))
                 lams.append(ctx.root_power(l + i) + ctx.root_power(-l - k))
                 labels.append(f"stepdown identity at ({i},{k}), l={l}")
-        oracle.see(relation(Mi, CycArray.concat(ctx, vecs), lams, "right", labels, CycArray.concat(ctx, chains)))
+        oracle.see(ws.relation(CycArray.concat(ctx, vecs), lams, "right", labels, CycArray.concat(ctx, chains)))
     return oracle.residual, {"pairs": n * n - n}
 
 
@@ -707,7 +711,7 @@ def check_projective_trace_table(ws: Workspace):
     oracle = Oracle()
     rows = {i: rep.trace_vector_P(i, -i) for i in range(n)}
     lams = [ctx.root_power(-i) * 2 for i in range(n)]  # the trace of b^i c^{-i} on the dual of V(2,0)
-    oracle.see(relation(ws.M, CycArray.concat(ctx, list(rows.values())), lams, "left", [f"Tr_P eigen at i={i}" for i in range(n)]))
+    oracle.see(ws.relation(CycArray.concat(ctx, list(rows.values())), lams, "left", [f"Tr_P eigen at i={i}" for i in range(n)]))
     units = {}
     for i, w in rows.items():
         units[i] = dec.idempotent_coords[EigIndex(0, (-i) % n)]
@@ -792,8 +796,8 @@ def check_mckay_closed_form(ws: Workspace):
     svec = ring.dim_simple_vector()
     pvec = ring.dim_projective_vector()
     two = ctx.from_rational(2)
-    oracle.see(relation(ws.M, CycArray.from_list(ctx, svec), [two], "right", ["dimension vector"]))
-    oracle.see(relation(ws.M, CycArray.from_list(ctx, pvec), [two], "left", ["projective dimension vector"]))
+    oracle.see(ws.relation(CycArray.from_list(ctx, svec), [two], "right", ["dimension vector"]))
+    oracle.see(ws.relation(CycArray.from_list(ctx, pvec), [two], "left", ["projective dimension vector"]))
     _require(sum(a * b for a, b in zip(pvec, svec)) == n**4, "dimension pairing misses the basis count")
 
     rnd = _rng("mckay-commute", n)
@@ -956,7 +960,7 @@ def check_grothendieck_idempotents(ws: Workspace):
         chains += [zero, chain]
         lams += [tab.lam(x) for x in idx]
         labels += [f"idempotent at {tuple(x)} leaves the generalized eigenspace" for x in idx]
-        oracle.see(relation(ws.M, CycArray.concat(ctx, vecs), lams, "left", labels, CycArray.concat(ctx, chains)))
+        oracle.see(ws.relation(CycArray.concat(ctx, vecs), lams, "left", labels, CycArray.concat(ctx, chains)))
 
     # the two integer basis conversions are inverse to each other, so both are bijective
     _require(
@@ -1013,13 +1017,14 @@ def check_fusion_matrix(ws: Workspace):
     Nr = build_fusion_from_rules(n)
     _require(np.array_equal(Nr, build_fusion_blockform(n)), "rule-built fusion matrix differs from the block pattern")
     _require(len(Nr) == n * (h + 1) == n * (n + 1) // 2, f"fusion matrix has {len(Nr)} rows")
+    sparse = {"right": sparse_rows(Nr), "left": sparse_rows(Nr.T)}
     lams = []
     for r in range(n):  # the stacks at r hold the vectors at (j, r), j = 0..h
         idx = [EigIndex(j, r) for j in range(h + 1)]
         lams_r = [tab.lam(i) for i in idx]
         lams += lams_r
         for side in ("right", "left"):
-            oracle.see(relation(Nr, tab.stack(f"fusion_{side}")[r], lams_r, side, [f"fusion {i}" for i in idx]))
+            oracle.see(relation(Nr, tab.stack(f"fusion_{side}")[r], lams_r, side, [f"fusion {i}" for i in idx], None, sparse[side]))
     for a in range(len(lams)):
         for b in range(a):
             _require(lams[a] != lams[b], "fusion eigenvalues are not simple")
@@ -1070,10 +1075,11 @@ def check_dual_pairing(ws: Workspace):
         _require(array_rank(pairing, n) == n, f"pairing block degenerate at r={r}")
     C = ring.cartan_matrix()
     Q = ring.projective_mckay(2, 0)
+    Q_rows = sparse_rows(Q)
     for r, stack in enumerate(tab.stack("right")):  # C v for the eigenvectors at r, vectors 0..h of the stack
         idx = [EigIndex(j, r) for j in range(tab.h + 1)]
         cv = CycArray(ctx, int_matmul(C, stack.nums[:len(idx) * n * n].reshape(len(idx), n * n, -1)).reshape(-1, ctx.degree), stack.den)
-        oracle.see(relation(Q, cv, [tab.lam(i) for i in idx], "right", [f"C v projective-side eigen at {i}" for i in idx]))
+        oracle.see(relation(Q, cv, [tab.lam(i) for i in idx], "right", [f"C v projective-side eigen at {i}" for i in idx], None, Q_rows))
     return oracle.residual, {"blocks": n}
 
 

@@ -1,6 +1,6 @@
 """Record the frozen suite reports that `tests/test_acceptance.py` replays.
 
-For every odd n from 3 to 21 this runs the whole suite once, in a fresh
+For every odd n from 3 to 23 this runs the whole suite once, in a fresh
 process per n, and writes each check's `status`, `exact` flag and `detail`
 to `tests/data/suite_reports.json`.  Run it from the repository root:
 
@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 OUT = Path(__file__).resolve().parent / "data" / "suite_reports.json"
-NS = tuple(range(3, 22, 2))
+NS = tuple(range(3, 24, 2))
 
 
 def report_entries(n: int) -> dict:

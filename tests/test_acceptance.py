@@ -8,10 +8,10 @@ Results are computed once per (n, check) and shared across criteria, so the
 whole gate stays within a few minutes for the default n set.
 
 `tests/data/suite_reports.json` freezes every check's status, `exact` flag
-and detail at n = 3..21 (written by `tests/record_reports.py`); the same
-cached results, and the full suites at n = 15..21, are replayed against it.
-n = 21 lies past the default bound of `TAFTDOUBLE_MAX_N`, which the slow
-tests raise while they run.
+and detail at n = 3..23 (written by `tests/record_reports.py`); the same
+cached results, and the full suites at n = 15..23, are replayed against it.
+n = 21 and 23 lie past the default bound of `TAFTDOUBLE_MAX_N`, which the
+slow tests raise while they run.
 """
 
 import json
@@ -22,7 +22,7 @@ import pytest
 from taftdouble.verify import CHECKS, ORACLE_TOL, check_ids, run_suite
 
 DEFAULT_NS = (3, 5, 7, 9, 11, 13)
-LARGE_NS = (15, 17, 19, 21)
+LARGE_NS = (15, 17, 19, 21, 23)
 FROZEN = json.loads((Path(__file__).resolve().parent / "data" / "suite_reports.json").read_text())
 
 _RESULTS: dict = {}
@@ -158,7 +158,7 @@ def _large_report(n, monkeypatch):
 @pytest.mark.slow
 @pytest.mark.parametrize("n", LARGE_NS)
 def test_suite_at_large_n(n, monkeypatch):
-    """Every check passes, exactly and below the oracle tolerance, at n = 15, 17, 19 and 21."""
+    """Every check passes, exactly and below the oracle tolerance, at n = 15, 17, 19, 21 and 23."""
     report = _large_report(n, monkeypatch)
     assert [c.id for c in report.checks] == check_ids()
     bad = [(c.id, c.status, c.exact, c.oracle_residual) for c in report.checks
@@ -169,6 +169,6 @@ def test_suite_at_large_n(n, monkeypatch):
 @pytest.mark.slow
 @pytest.mark.parametrize("n", LARGE_NS)
 def test_large_reports_match_the_frozen_record(n, monkeypatch):
-    """The slow twin of the frozen replay: the full suites at n = 15, 17, 19 and 21."""
+    """The slow twin of the frozen replay: the full suites at n = 15, 17, 19, 21 and 23."""
     got = {c.id: _frozen_entry(c) for c in _large_report(n, monkeypatch).checks}
     assert got == FROZEN[str(n)]

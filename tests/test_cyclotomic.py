@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import taftdouble.cyclotomic as cyclotomic
 from taftdouble.cyclotomic import (
+    INT64_LIMIT,
     CycArray,
     CycNum,
     cyclotomic_polynomial,
@@ -488,3 +489,48 @@ def test_from_qpowers_sums_the_counted_powers():
     counts = np.array([[1, 0, 2, 0, 0, 0, 0, 0, -1], [0] * 9, [1] * 9])
     got = CycArray.from_qpowers(ctx, counts).to_list()
     assert got == [ctx.from_qpowers([(1, 0), (2, 2), (-1, 8)]), ctx.zero(), ctx.from_qpowers((1, e) for e in range(9))]
+
+
+def _embedding_cases(ctx, rng):
+    """CycArrays over den 1 and over dens > 1, with rows that share a factor f or all of den with it, a zero row and negative numerators; in int64 and on Python ints."""
+    d = ctx.degree
+    cases = []
+    for den, f in ((1, 1), (3 * ctx.n, 3), (15 << 40, 5 << 20), (3 * (2**70 + 1), 3)):
+        nums = rng.integers(-10**6, 10**6, (4 * ctx.n, d)).astype(object)
+        nums[1] = 0
+        nums[2] *= f
+        nums[3] = [-den * k for k in range(1, d + 1)]  # integral entries
+        if den < INT64_LIMIT:
+            cases.append(CycArray(ctx, nums.astype(np.int64), den))
+        else:
+            nums[4, 0] = -(2**65 + 1)
+        cases.append(CycArray(ctx, nums, den))
+    return cases
+
+
+@pytest.mark.parametrize("n", [3, 11, 15])
+def test_array_embedding_is_the_entrywise_embedding_value_for_value(n):
+    """`CycArray.embed` sums each entry column by column; every complex image equals `CycNum.embed` of the canonical entry, bit for bit."""
+    ctx = make_context(n)
+    for v in _embedding_cases(ctx, np.random.default_rng(60 + n)):
+        got = v.embed()
+        want = np.array([x.embed() for x in v.to_list()], dtype=complex)
+        assert got.shape == (len(v),)
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("n", [3, 11, 15])
+def test_concat_and_same_fractions_leave_their_inputs_alone(n):
+    """Neither returns an array that shares memory with an input, nor writes into one; a lone int64 input is read, not copied, by `int_combination`."""
+    ctx = make_context(n)
+    parts = _embedding_cases(ctx, np.random.default_rng(70 + n))[:4]
+    before = [p.nums.copy() for p in parts]
+    for group in ([parts[0]], [parts[0], parts[1]], parts[2:], parts):
+        joined = CycArray.concat(ctx, group)
+        assert not any(np.shares_memory(joined.nums, p.nums) for p in parts)
+        assert joined.to_list() == [x for p in group for x in p.to_list()]
+    for a, b in ((parts[0], parts[0]), (parts[0], parts[1]), (parts[2], parts[3])):
+        assert cyclotomic.same_fractions(a.nums, a.den, b.nums, b.den) == (a.to_list() == b.to_list())
+    assert all(np.array_equal(p.nums, x) and p.nums.dtype == x.dtype for p, x in zip(parts, before))
+    lone = parts[0].nums
+    assert cyclotomic.int_combination([(1, lone)]) is lone

@@ -397,3 +397,116 @@ def test_qpow_builds_a_long_count_array_block_by_block(widths):
         want[hit] = nums[hit] @ ctx.mul_matrix(ctx.root_power(e))
     assert np.array_equal(CycArray(ctx, nums, 1).qpow(exps).nums, want)
     assert widths == [np.float64]
+
+
+# Cheap bounds first.  Each kernel bounds a row by its length times max |a|
+# before it takes exact row sums (or row maxima), and takes them only where
+# that cheap bound does not already give its narrowest width: float64 for a
+# product through BLAS, int64 otherwise.  The operands below have a cheap
+# bound at (or just past) the limit and an exact one below it ("cheap"), or
+# exact bounds at or past it too ("past"); the width must be the exact
+# bound's either way, picked by one `_width` call.
+
+CHEAP_SIDES = ["cheap", "past"]
+
+
+def _peaked(shape, top, side):
+    """Rows of small entries; the first row holds `top` once ("cheap": its row sum stays near top) or in every column ("past")."""
+    a = np.ones(shape, dtype=np.int64)
+    a[..., 0, :] = 0
+    a[..., 0, 0] = top
+    if side == "past":
+        a[..., 0, :] = top
+    return a
+
+
+@pytest.mark.parametrize("side", CHEAP_SIDES)
+def test_int_matmul_takes_row_sums_only_past_the_cheap_float64_bound(side, widths):
+    """8 columns of at most 2^30 times max |b| = 2^20: the cheap bound is 2^53; row 0's sum is 2^30 ("cheap") or 2^33 ("past")."""
+    rng = np.random.default_rng(51)
+    a, b = _peaked((3, 8), 1 << 30, side), _with_max(rng, (8, 4), 1 << 20)
+    assert a.shape[-1] * int(np.abs(a).max()) * int(np.abs(b).max()) == FLOAT64_LIMIT
+    assert (_row_sum_bound(a) * int(np.abs(b).max()) < FLOAT64_LIMIT) == (side == "cheap")
+    out = int_matmul(a, b)
+    assert widths == [np.float64 if side == "cheap" else np.int64]
+    assert out.dtype == np.int64 and np.array_equal(out, _py(a) @ _py(b))
+
+
+@pytest.mark.parametrize("side", CHEAP_SIDES)
+def test_int_matmul_off_blas_takes_row_sums_only_past_the_cheap_int64_bound(side, widths):
+    """One row of 8 columns, max |a| = 2^40, max |b| = 2^19: the cheap bound is 2^62; the row sum times max |b| is 2^59 or 2^62."""
+    rng = np.random.default_rng(52)
+    a, b = _peaked((1, 8), 1 << 40, side), _with_max(rng, (8, 4), 1 << 19)
+    assert a.shape[-1] * int(np.abs(a).max()) * int(np.abs(b).max()) == INT64_LIMIT
+    out = int_matmul(a, b)
+    assert widths == []
+    assert out.dtype == _expected_dtype(side == "past") and np.array_equal(out, _py(a) @ _py(b))
+
+
+@pytest.mark.parametrize("side", CHEAP_SIDES)
+def test_sparse_product_takes_row_sums_only_past_the_cheap_int64_bound(side):
+    """Rows of at most 4 nonzeros, max |vals| = 2^40, max |B| = 2^20: the cheap bound is 2^62; row 0 holds 2^40 and three 1s, or four 2^40s."""
+    rng = np.random.default_rng(53)
+    A = np.zeros((5, 9), dtype=np.int64)
+    A[:, :4] = 1
+    A[0, :4] = [1 << 40] + ([1] * 3 if side == "cheap" else [1 << 40] * 3)
+    A[2, 1] = 0
+    B = _with_max(rng, (9, 3), 1 << 20)
+    sparse = sparse_rows(A)
+    assert sparse[1].shape[1] * int(np.abs(A).max()) * int(np.abs(B).max()) == INT64_LIMIT
+    out = sparse_product(sparse, B)
+    assert out.dtype == _expected_dtype(side == "past") and np.array_equal(out, _py(A) @ _py(B))
+
+
+@pytest.mark.parametrize("side", CHEAP_SIDES)
+def test_mul_matrices_take_row_sums_only_past_the_cheap_float64_bound(side, widths):
+    """At n = 5 (phi = 4, tensor entries of size 1) numerators up to 2^51 give the cheap bound 2^53; row 0 sums to 2^51 or 2^53."""
+    ctx = make_context(5)
+    d = ctx.degree
+    assert ctx._mul_tensor_max == 1
+    nums = _peaked((3, d), 1 << 51, side)
+    out = ctx.mul_matrices(nums)
+    assert widths == [np.float64 if side == "cheap" else np.int64]
+    want = (_py(nums) @ _py(ctx._mul_tensor.reshape(d, d * d))).reshape(-1, d, d)
+    assert out.dtype == np.int64 and np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("side", CHEAP_SIDES)
+def test_from_qpowers_takes_row_sums_only_past_the_cheap_float64_bound(side, widths):
+    """At n = 5 (fold entries of size 1) counts up to ceil(2^53 / 5) give a cheap bound just past 2^53; row 0 sums to that count or to 5 times it."""
+    ctx = make_context(5)
+    assert ctx._fold_max == 1
+    top = -(-FLOAT64_LIMIT // 5)
+    counts = _peaked((3, 5), top, side)
+    out = CycArray.from_qpowers(ctx, counts)
+    assert widths == [np.float64 if side == "cheap" else np.int64]
+    want = _py(counts) @ _py(ctx._fold)
+    assert out.nums.dtype == np.int64 and np.array_equal(out.nums, want)
+
+
+@pytest.mark.parametrize("side", CHEAP_SIDES)
+def test_qpow_takes_row_sums_only_past_the_cheap_float64_bound(side, widths):
+    """At n = 5 (phi = 4, fold entries of size 1) numerators up to 2^51 give the cheap bound 2^53; row 0 sums to 2^51 or 2^53."""
+    ctx = make_context(5)
+    nums = _peaked((3, ctx.degree), 1 << 51, side)
+    exps = [1, -2, 7]
+    out = CycArray(ctx, nums, 1).qpow(exps)
+    assert widths == [np.float64 if side == "cheap" else np.int64]
+    assert out.nums.dtype == np.int64 and np.array_equal(out.nums, _qpow_reference(ctx, nums, exps))
+
+
+@pytest.mark.parametrize("side", CHEAP_SIDES)
+def test_entrywise_product_takes_row_maxima_only_past_the_cheap_float64_bound(side, widths):
+    """At n = 5 the bound is 28 times the largest max |a_i| max |b_i|: a's peak 2^47 and b's peak 2^47 sit in different rows ("cheap", 28 * 2^47 < 2^53) or b is 2^6 beside a's peak ("past", 28 * 2^53)."""
+    ctx = make_context(5)
+    d = ctx.degree
+    a, b = np.ones((3, d), dtype=np.int64), np.ones((3, d), dtype=np.int64)
+    a[0, 0], b[1, 0] = 1 << 47, 1 << 47
+    if side == "past":
+        b[0] = [1 << 6, 0, 0, 0]
+    assert d * (2 * d - 1) * int(np.abs(a).max()) * int(np.abs(b).max()) * ctx._fold_max >= FLOAT64_LIMIT
+    x, y = CycArray(ctx, a, 1), CycArray(ctx, b, 1)
+    out = x * y
+    assert widths == [np.float64 if side == "cheap" else np.int64]
+    want = np.array([(p * r).num for p, r in zip(x.to_list(), y.to_list())], dtype=object)
+    assert out.nums.dtype == np.int64 and np.array_equal(out.nums, want)

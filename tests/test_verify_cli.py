@@ -256,6 +256,22 @@ def _one_power_too_many(u):
     return lambda fn: lambda p: Shifted(p.ctx, p.nums, p.den)
 
 
+def _bump_matrix(row, col):
+    """Wrap a method returning an integer matrix so that its entry (row, col) is raised by 1, in a copy."""
+    def wrap(fn):
+        def corrupted(*args):
+            M = fn(*args).copy()
+            M[row, col] += 1
+            return M
+        return corrupted
+    return wrap
+
+
+def _bump_coords(index, pos):
+    """Replace the cached property `GrothDecomposition.idempotent_coords` by one whose coordinates at `index` have entry pos corrupted."""
+    return lambda prop: property(lambda self: {k: _bumped(v, pos) if k == index else v for k, v in prop.func(self).items()})
+
+
 def _bump_trace_table(row):
     """Replace the cached property `DoubleRep._trace_table` by one whose row `row` is corrupted."""
     return lambda prop: property(lambda self: _bumped(prop.func(self), row))
@@ -291,6 +307,13 @@ CORRUPTIONS = [
     ("grothendieck-idempotents", verify_mod, "_items", _one_power_too_many(1), "g E_1 != q^1 E_1"),
     # at n = 3 row (t n + ell - 1) n + u = 4 is t = 0, ell = 2, u = 1: Tr_S(b^0 c^1) is the first trace it enters
     ("grouplike-traces", DoubleRep, "_trace_table", _bump_trace_table(4), "Tr_S(b^0 c^1) is not the"),
+    # one entry of M_{V(3,1)}, which no earlier requirement of these two checks reads: coproduct-trace
+    # samples V(3,1) at n = 3, and V(3,1) is the dual of V(3,0), so QC = CM fails first at V(3,0)
+    ("cartan-structure", GrothRing, "mckay_matrix", _only_at((3, 1), _bump_matrix(0, 0)), "QC = CM fails for V(3,0)"),
+    ("coproduct-trace", GrothRing, "mckay_matrix", _only_at((3, 1), _bump_matrix(0, 0)), "trace identity failed for (0, 0, 1, 0) against V(3, 1)"),
+    # the idempotent at (0, 2) is the one Tr_P(b^1 c^-1) must be proportional to
+    ("projective-trace-table", GrothDecomposition, "idempotent_coords", _bump_coords(EigIndex(0, 2), 0),
+     "Tr_P(b^1c^-1) not proportional to the idempotent"),
 ]
 
 
@@ -307,7 +330,7 @@ def test_ported_checks_fail_on_one_corrupted_coefficient(monkeypatch, fresh_tabl
     monkeypatch.setattr(verify_mod, "_WORKSPACES", {})
     monkeypatch.setattr(owner, attr, corrupt(getattr(owner, attr)))
     result = run_suite(3, [cid]).checks[0]
-    assert result.status == "fail", result
+    assert result.id == cid and result.status == "fail", result
     assert text in result.detail["counterexample"]
 
 
