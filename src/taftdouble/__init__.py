@@ -1,8 +1,8 @@
 """Exact spectral theory of McKay matrices for the Drinfeld double of the Taft algebra."""
 
 from .cyclotomic import CycNum, CyclotomicContext, cyclotomic_polynomial, make_context
-from .polymat import RingMatrix, RingPoly
-from .chebyshev import cheb_eval, cheb_poly, p_n_bivariate, p_n_factor_check, u_bivariate
+from .polymat import RingMatrix
+from .chebyshev import cheb_poly, p_n_bivariate, p_n_factor_check, u_bivariate
 from .dnrep import DoubleRep, Monomial, PbwElement, SimpleLabel, all_labels, double_rep, label_index
 from .grring import GrothRing, PolyPres, groth_ring
 from .spectral import (
@@ -27,8 +27,6 @@ __all__ = [
     "cyclotomic_polynomial",
     "make_context",
     "RingMatrix",
-    "RingPoly",
-    "cheb_eval",
     "cheb_poly",
     "p_n_bivariate",
     "p_n_factor_check",

@@ -9,33 +9,41 @@ recursions are then
     L:  L_0 = 2,  L_1 = t,      L_k = t*L_{k-1} - L_{k-2}      (so L_k(x+1/x) = x^k + x^-k)
     V:  V_0 = 1,  V_1 = t - 1,  V_k = t*V_{k-1} - V_{k-2}      (third kind, V_k = U_k - U_{k-1})
 
-together with the bivariate family U_k(t, D) (same recursion with D in
-place of the constant) and the degree-n combination
+`cheb_poly` returns the coefficients, low degree first, as a tuple of
+Python ints from the recursion on lists.  The bivariate family U_k(t, D)
+(same recursion with D in place of the constant) and the degree-n
+combination
 
     p_n(t, D) = t*U_{n-1}(t,D) - 2*D*U_{n-2}(t,D) - 2,
 
-which is the characteristic polynomial of each n x n block of the
-conjugated McKay matrix of the two-dimensional module.
+the characteristic polynomial of each n x n block of the conjugated McKay
+matrix of the two-dimensional module, are read-only integer tables indexed
+[t-degree, D-degree], built by the integer kernels of `cyclotomic`
+(`int_rows`, `int_combination`), so a coefficient past int64 is a Python
+int.  The recursion is the production route; the `math.comb` closed forms
+(`u_bivariate_closed`, `p_n_bivariate_closed`) are its cross-checks.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import zip_longest
 from math import comb
 
-from .polymat import RingPoly
+import numpy as np
+
+from .cyclotomic import int_combination, int_rows, poly_products, segment_sum
 
 __all__ = [
     "CHEB_KINDS",
     "cheb_poly",
-    "cheb_eval",
     "u_bivariate",
     "u_bivariate_closed",
     "p_n_bivariate",
     "p_n_bivariate_closed",
     "p_n_monic",
     "p_n_factor_check",
-    "bivariate_to_poly",
+    "placed",
 ]
 
 CHEB_KINDS = ("U", "W", "L", "V")
@@ -49,8 +57,8 @@ _SEEDS = {
 
 
 @lru_cache(maxsize=None)
-def cheb_poly(kind: str, k: int) -> RingPoly:
-    """Integer polynomial of the requested family and degree k >= 0, by the recursion run upward."""
+def cheb_poly(kind: str, k: int) -> tuple[int, ...]:
+    """Integer coefficients, low degree first, of the requested family at degree k >= 0, by the recursion run upward."""
     if kind not in CHEB_KINDS:
         raise ValueError(f"unknown Chebyshev kind {kind!r}, expected one of {CHEB_KINDS}")
     if k < 0:
@@ -58,125 +66,76 @@ def cheb_poly(kind: str, k: int) -> RingPoly:
     if kind == "W":
         if k == 0:
             return cheb_poly("U", 0)
-        return cheb_poly("U", k) + cheb_poly("U", k - 1)
+        return tuple(a + b for a, b in zip_longest(cheb_poly("U", k), cheb_poly("U", k - 1), fillvalue=0))
     prev, cur = _SEEDS[kind]
     if k == 0:
-        return RingPoly(prev)
+        return tuple(prev)
     for _ in range(k - 1):
         # c_{m+1} = t c_m - c_{m-1}: the coefficients of c_m one degree up, minus those of c_{m-1}
         prev, cur = cur, [a - b for a, b in zip([0] + cur, prev + [0] * (len(cur) + 1 - len(prev)))]
-    return RingPoly(cur)
+    return tuple(cur)
 
 
-def cheb_eval(kind: str, k: int, point):
-    """Exact evaluation at a point of any commutative ring (runs the recursion at the point)."""
-    if kind == "W":
-        if k == 0:
-            return point * 0 + 1
-        return cheb_eval("U", k, point) + cheb_eval("U", k - 1, point)
-    c0, c1 = _SEEDS[kind]
-    one = point * 0 + 1
-    prev = c0[0] * one
-    if k == 0:
-        return prev
-    cur = RingPoly(c1).eval(point)
-    for _ in range(k - 1):
-        prev, cur = cur, point * cur - prev
-    return cur
+def placed(table: np.ndarray, shape: tuple, dt: int = 0, dd: int = 0) -> np.ndarray:
+    """The table of t^dt D^dd times a table, in zeros of the given shape."""
+    out = np.zeros(shape, dtype=table.dtype)
+    out[dt:dt + table.shape[0], dd:dd + table.shape[1]] = table
+    return out
 
 
-class BivariatePoly:
-    """Sparse integer polynomial in t and D, keyed by (t-degree, D-degree)."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms = {k: v for k, v in (terms or {}).items() if v}
-
-    def __eq__(self, other):
-        return isinstance(other, BivariatePoly) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return BivariatePoly(out)
-
-    def __sub__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) - v
-        return BivariatePoly(out)
-
-    def mul_t(self):
-        return BivariatePoly({(td + 1, dd): v for (td, dd), v in self.terms.items()})
-
-    def mul_d(self):
-        return BivariatePoly({(td, dd + 1): v for (td, dd), v in self.terms.items()})
-
-    def scale(self, c: int):
-        return BivariatePoly({k: c * v for k, v in self.terms.items()})
-
-    def __repr__(self):
-        parts = [f"{v}*t^{td}*D^{dd}" for (td, dd), v in sorted(self.terms.items())]
-        return "BivariatePoly(" + " + ".join(parts) + ")" if parts else "BivariatePoly(0)"
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
 
 
 @lru_cache(maxsize=None)
-def u_bivariate(k: int) -> BivariatePoly:
-    """U_k(t, D) by the recursion U_k = t*U_{k-1} - D*U_{k-2}."""
+def u_bivariate(k: int) -> np.ndarray:
+    """U_k(t, D) by the recursion U_k = t*U_{k-1} - D*U_{k-2}: a cached read-only (k + 1, k // 2 + 1) table."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0:
-        return BivariatePoly({(0, 0): 1})
-    if k == 1:
-        return BivariatePoly({(1, 0): 1})
-    return u_bivariate(k - 1).mul_t() - u_bivariate(k - 2).mul_d()
+    if k < 2:
+        return _read_only(int_rows([[1]] if k == 0 else [[0], [1]]))
+    shape = (k + 1, k // 2 + 1)
+    return _read_only(int_combination([(1, placed(u_bivariate(k - 1), shape, dt=1)), (-1, placed(u_bivariate(k - 2), shape, dd=1))]))
 
 
-def u_bivariate_closed(k: int) -> BivariatePoly:
-    """The closed form sum over j of (-1)^j C(k-j, j) t^{k-2j} D^j."""
-    return BivariatePoly(
-        {(k - 2 * j, j): (-1) ** j * comb(k - j, j) for j in range(k // 2 + 1)}
-    )
+def u_bivariate_closed(k: int) -> np.ndarray:
+    """The closed form sum over j of (-1)^j C(k-j, j) t^{k-2j} D^j, as a table like `u_bivariate`'s."""
+    rows = [[0] * (k // 2 + 1) for _ in range(k + 1)]
+    for j in range(k // 2 + 1):
+        rows[k - 2 * j][j] = (-1) ** j * comb(k - j, j)
+    return _read_only(int_rows(rows))
 
 
-def p_n_bivariate(n: int) -> BivariatePoly:
-    """p_n(t, D) = t*U_{n-1} - 2 D U_{n-2} - 2, for odd n >= 3."""
+def p_n_bivariate(n: int) -> np.ndarray:
+    """p_n(t, D) = t*U_{n-1} - 2 D U_{n-2} - 2, for odd n >= 3: a read-only (n + 1, n // 2 + 1) table."""
     if n < 3 or n % 2 == 0:
         raise ValueError("n must be odd and >= 3")
-    out = u_bivariate(n - 1).mul_t() - u_bivariate(n - 2).mul_d().scale(2)
-    return out - BivariatePoly({(0, 0): 2})
+    shape = (n + 1, n // 2 + 1)
+    return _read_only(int_combination([
+        (1, placed(u_bivariate(n - 1), shape, dt=1)), (-2, placed(u_bivariate(n - 2), shape, dd=1)), (-2, placed(int_rows([[1]]), shape)),
+    ]))
 
 
-def p_n_bivariate_closed(n: int) -> BivariatePoly:
-    """Closed form: sum over i of (-1)^i (n/(n-i)) C(n-i, i) D^i t^{n-2i}, minus 2."""
-    terms = {}
+def p_n_bivariate_closed(n: int) -> np.ndarray:
+    """Closed form: sum over i of (-1)^i (n/(n-i)) C(n-i, i) D^i t^{n-2i}, minus 2, as a table like `p_n_bivariate`'s."""
+    rows = [[0] * (n // 2 + 1) for _ in range(n + 1)]
     for i in range(n // 2 + 1):
         num = n * comb(n - i, i)
         if num % (n - i):
             raise ArithmeticError("coefficient n/(n-i)*C(n-i,i) is not integral")
-        terms[(n - 2 * i, i)] = (-1) ** i * (num // (n - i))
-    terms[(0, 0)] = terms.get((0, 0), 0) - 2
-    return BivariatePoly(terms)
+        rows[n - 2 * i][i] = (-1) ** i * (num // (n - i))
+    rows[0][0] -= 2
+    return _read_only(int_rows(rows))
 
 
-def bivariate_to_poly(b: BivariatePoly, d_value, zero=0) -> RingPoly:
-    """Specialize D to a ring element, producing a polynomial in t over that ring."""
-    max_t = max((td for (td, _dd) in b.terms), default=-1)
-    coeffs = [zero] * (max_t + 1)
-    for (td, dd), v in b.terms.items():
-        coeffs[td] = coeffs[td] + v * d_value**dd
-    return RingPoly(coeffs, zero)
-
-
-def p_n_monic(n: int) -> RingPoly:
-    """p_n(t) over the integers (the D = 1 specialization)."""
-    return bivariate_to_poly(p_n_bivariate(n), 1)
+def p_n_monic(n: int) -> np.ndarray:
+    """p_n(t) over the integers (the D = 1 specialization): the sums of the rows of the table, low degree first."""
+    return _read_only(segment_sum(p_n_bivariate(n).T))
 
 
 def p_n_factor_check(n: int) -> bool:
-    """Exact polynomial identity p_n(t) = (t - 2) * W_h(t)^2 with n = 2h + 1."""
-    h = (n - 1) // 2
-    w = cheb_poly("W", h)
-    return p_n_monic(n) == RingPoly([-2, 1]) * w * w
+    """Exact polynomial identity p_n(t) = (t - 2) * W_h(t)^2 with n = 2h + 1, multiplied by `poly_products`."""
+    w = int_rows([c] for c in cheb_poly("W", (n - 1) // 2))[None]
+    split = poly_products(int_rows([[-2], [1]])[None], poly_products(w, w, None), None)
+    return np.array_equal(split[0, :, 0], p_n_monic(n))

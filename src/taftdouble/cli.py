@@ -271,13 +271,13 @@ def cmd_cheb(args) -> int:
     if args.k < 0:
         print("error: --k must be >= 0", file=sys.stderr)
         return 2
-    poly = cheb_poly(args.kind, args.k)
+    coeffs = cheb_poly(args.kind, args.k)
     if args.format == "json":
-        print(json.dumps({"kind": args.kind, "k": args.k, "coeffs": poly.coeffs}))
+        print(json.dumps({"kind": args.kind, "k": args.k, "coeffs": coeffs}))
     else:
         print(f"{args.kind}_{args.k}(t), coefficients by ascending degree:")
-        width = max((len(str(c)) for c in poly.coeffs), default=1)
-        for deg, c in enumerate(poly.coeffs):
+        width = max((len(str(c)) for c in coeffs), default=1)
+        for deg, c in enumerate(coeffs):
             print(f"  t^{deg:<3d} {str(c).rjust(width)}")
     return 0
 

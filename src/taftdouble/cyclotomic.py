@@ -4,9 +4,12 @@ An element is stored as an integer numerator vector of length phi(n) over
 the power basis 1, q, ..., q^{phi(n)-1} together with one positive common
 denominator, always reduced modulo the n-th cyclotomic polynomial and
 normalized (the gcd of all numerators and the denominator is 1), so
-equality is component-wise.  Everything is exact; floating point enters
-only through the complex embedding, which serves as an independent
-numeric oracle.
+equality is component-wise.  The inverse of x is the product of its
+Galois conjugates sigma_k(x) (q -> q^k for the units k != 1 mod n, all
+through one `CycArray.from_qpowers` call) divided by the norm, their
+product with x, which must be rational (`CycNum.inverse`).  Everything is
+exact; floating point enters only through the complex embedding, which
+serves as an independent numeric oracle.
 
 Vectors over Q(q) are `CycArray`s: an (N, phi(n)) integer numpy array of
 numerators over one common denominator.  Products with integer matrices
@@ -84,7 +87,7 @@ import cmath
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -629,29 +632,29 @@ class CycNum:
         return _norm(self.ctx, self.ctx._reduce(conv), self.den)
 
     def inverse(self) -> "CycNum":
-        """Multiplicative inverse via the extended Euclidean algorithm against Phi_n."""
+        """Multiplicative inverse by the Galois norm: x^{-1} = prod_{k != 1} sigma_k(x) / N(x), sigma_k(q) = q^k for the units k mod n.
+
+        A norm that is not rational raises ArithmeticError.
+        """
         if not self:
             raise ZeroDivisionError("inverse of zero in Q(q)")
-        cache = self.ctx._inv_cache
+        ctx = self.ctx
+        cache = ctx._inv_cache
         key = (self.num, self.den)
         hit = cache.get(key)
         if hit is not None:
             return hit
-        # r0 = Phi_n, r1 = self; track t with t*self = r (mod Phi_n)
-        r0 = [Fraction(c) for c in self.ctx.phi_n]
-        r1 = list(self.coeffs)
-        t0, t1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            while r1 and not r1[-1]:
-                r1.pop()
-            if len(r1) == 1:
-                inv_c = 1 / r1[0]
-                result = self.ctx.from_coeffs([c * inv_c for c in t1])
-                break
-            q, r = _polydivmod(r0, r1)
-            t_new = _polysub(t0, _polymul(q, t1))
-            r0, r1 = r1, r
-            t0, t1 = t1, t_new
+        n = ctx.n
+        units = [k for k in range(2, n) if gcd(k, n) == 1]
+        counts = [[0] * n for _ in units]
+        for row, k in zip(counts, units):
+            for e, a in enumerate(self.num):
+                row[k * e % n] = a
+        conj = prod(CycArray.from_qpowers(ctx, int_rows(counts)).to_list(), start=ctx._one)
+        norm = conj * CycNum(ctx, self.num, 1)
+        if any(norm.num[1:]):
+            raise ArithmeticError(f"the norm of {self!r} is not rational: {norm!r}")
+        result = conj * Fraction(self.den * norm.den, norm.num[0])
         if len(cache) < 4096:
             cache[key] = result
         return result
@@ -1109,35 +1112,3 @@ def _write_batch(n: int, den: int, batch, texts: list, parts: dict):
         else:
             for i, text in zip(owner, map("".join, tokens[start:stop].tolist())):
                 texts[i] = text
-
-
-def _polydivmod(a, b):
-    """Division with remainder for Fraction coefficient lists (b trimmed, nonzero)."""
-    a = list(a)
-    db = len(b) - 1
-    lead = b[db]
-    q = [Fraction(0)] * (max(len(a) - db, 0))
-    for i in range(len(a) - db - 1, -1, -1):
-        c = a[i + db] / lead
-        if c:
-            q[i] = c
-            for j, bj in enumerate(b):
-                a[i + j] -= c * bj
-    return q, a[:db]
-
-
-def _polymul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
-
-
-def _polysub(a, b):
-    out = list(a) + [Fraction(0)] * (len(b) - len(a))
-    for j, bj in enumerate(b):
-        out[j] -= bj
-    return out
-

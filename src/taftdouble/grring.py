@@ -17,15 +17,25 @@ with m n^2 rows, and every operation below takes stacks: a single element
 is a stack of one.  The products of two stacks, pair by pair, are one
 batched pairwise product of the rows that are nonzero anywhere in the
 stacks, through the multiplication tensor (`cyclotomic.gather_products`;
-integer classes use the 1x1x1 tensor), gathered by (i1 + i2 mod n,
-k1 + k2), and one integer matrix product that keeps x^m, m < n, and
-rewrites x^m, m >= n, through the relation.  A stack runs in passes of
-whole elements whose rows in flight (row pairs, gathered and folded rows)
-number at most n^4, the pairs of one dense product, so its temporaries
-stay those of one product at a time.  The conversions to and from the
-basis of simple classes are fixed integer n^2 x n^2 matrices.  Every
-integer product here runs through a kernel of `cyclotomic`, which bounds
-it by the operands it receives and chooses int64 or Python ints.
+integer classes use the 1x1x1 tensor), gathered into the wide row
+(k1 + k2) n + (i1 + i2 mod n), and one integer matrix product, the fold,
+that keeps x^m, m < n, and rewrites x^m, m >= n, through the relation.  A
+stack runs in passes of whole elements whose rows in flight (row pairs,
+gathered and folded rows) number at most n^4, the pairs of one dense
+product, so its temporaries stay those of one product at a time.  The
+conversions to and from the basis of simple classes are fixed integer
+n^2 x n^2 matrices.  Every integer product here runs through a kernel of
+`cyclotomic`, which bounds it by the operands it receives and chooses
+int64 or Python ints.
+
+The ring's read-only tables are built from the `chebyshev` tables by
+array operations: `x_powers[m]` is x^m reduced, m < 2n - 1 (x^n is
+x^n - p_n(x, g), then x^m = x x^{m-1}), column m n + i of the fold is its
+twist g^i x^m, and column (ell - 1) n + r of `to_poly_matrix` is
+g^r f_{ell-1}.
+`to_simple_matrix` comes from its own back-substitution of x^k through the
+f_d, monic in x, never as an inverse of `to_poly_matrix`;
+grothendieck-idempotents certifies that the two are inverse.
 
 All tensor-product multiplicities are computed by multiplying in this
 presentation and converting back to the basis of simple classes; the
@@ -44,7 +54,7 @@ from math import comb
 
 import numpy as np
 
-from .chebyshev import BivariatePoly, p_n_bivariate, u_bivariate
+from .chebyshev import p_n_bivariate, placed, u_bivariate
 from .cyclotomic import (
     CycArray,
     CyclotomicContext,
@@ -66,9 +76,15 @@ from .polymat import RingMatrix, rank_mod_p
 __all__ = ["PolyPres", "GrothRing", "groth_ring"]
 
 
-def _gx_terms(b: BivariatePoly) -> dict:
-    """A polynomial in (t, D) as {(g_pow, x_pow): int}, for t = x and D = g."""
-    return {(dd, td): v for (td, dd), v in b.terms.items()}
+def _twisted(elems: np.ndarray) -> np.ndarray:
+    """[g, x, i, r]: the coefficient of g^g x^x in g^r times element i of a stack elems[i, g, x] (g^n = 1)."""
+    n = elems.shape[1]
+    return elems[:, (np.arange(n)[None, :] - np.arange(n)[:, None]) % n].transpose(2, 3, 0, 1)
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
 
 
 class PolyPres:
@@ -135,53 +151,38 @@ class GrothRing:
 
     def __init__(self, ctx: CyclotomicContext):
         self.ctx = ctx
-        self.n = ctx.n
-        n = self.n
-        # f_0 .. f_{n-1} and the relation as unreduced {(g_pow, x_pow): int} dicts
-        fs = [_gx_terms(u_bivariate(k)) for k in range(n)]
-        self._f_wide = fs
-        self._relation = _gx_terms(p_n_bivariate(n))
-        # reduction tables: x^m for m = n .. 2n-2 as reduced dicts
-        lead = {k: v for k, v in self._relation.items() if k[1] < n}
-        xred = {n: {k: -v for k, v in lead.items()}}
-        for m in range(n + 1, 2 * n - 1):
-            nxt = {}
-            for (g, x), v in xred[m - 1].items():
-                if x + 1 < n:
-                    nxt[(g, x + 1)] = nxt.get((g, x + 1), 0) + v
-                else:
-                    for (g2, x2), r in xred[n].items():
-                        key = ((g + g2) % n, x2)
-                        nxt[key] = nxt.get(key, 0) + v * r
-            xred[m] = {k: v for k, v in nxt.items() if v}
-        self._xred = xred
-        # the fold as one integer matrix on the wide rows g*(2n-1) + m: g^g x^m passes
-        # through for m < n, and column g*(2n-1) + m, m >= n, holds it in the basis
-        fold = np.zeros((n * n, n * (2 * n - 1)), dtype=np.int64)
-        gs, xs = np.divmod(np.arange(n * n), n)
-        fold[gs * n + xs, gs * (2 * n - 1) + xs] = 1
-        for m in range(n, 2 * n - 1):
-            for g in range(n):
-                for (g2, x2), r in xred[m].items():
-                    fold[(g + g2) % n * n + x2, g * (2 * n - 1) + m] += r
-        self._fold_rows = sparse_rows(fold)
+        self.n = n = ctx.n
+        # f_0 .. f_{n-1} as a stack [ell - 1, g, x] of presentation elements (tables [x, g], transposed)
+        fs = np.stack([placed(u_bivariate(k), (n, n)).T for k in range(n)])
+        # x^n = x^n - p_n(x, g); x^m = x * x^{m-1} for m = n + 1 .. 2n - 2 moves every x-degree
+        # up by one, and its coefficient c of g^g x^n becomes c times column g of g_xn
+        xs = [int_combination([(-1, placed(p_n_bivariate(n)[:n], (n, n)).T)])]
+        g_xn = _twisted(xs[0][None]).reshape(n * n, n)
+        for _ in range(n + 1, 2 * n - 1):
+            up = np.zeros_like(xs[-1])
+            up[:, 1:] = xs[-1][:, :-1]
+            xs.append(int_combination([(1, up), (1, int_matmul(g_xn, xs[-1][:, -1:]).reshape(n, n))]))
+        # x_powers[m] is x^m in the basis for m < 2n - 1, and the fold's column m*n + g, on the
+        # wide rows, its twist g^g x^m
+        self.x_powers = _read_only(np.concatenate([np.eye(n, n * n, dtype=np.int64).reshape(n, n, n), np.stack(xs)]))
+        self._fold_rows = sparse_rows(_twisted(self.x_powers).reshape(n * n, -1))
         # basis conversions as integer matrices: column (ell-1)*n + r of to_poly_matrix is
         # g^r f_{ell-1}; column i*n + k of to_simple_matrix is g^i x^k over the simple classes
-        to_poly = np.zeros((n * n, n * n), dtype=np.int64)
-        for idx in range(n * n):
-            ell, r = idx // n + 1, idx % n
-            for (g, x), v in fs[ell - 1].items():
-                to_poly[(g + r) % n * n + x, idx] += v
-        to_simple = np.zeros((n * n, n * n), dtype=np.int64)
-        for k in range(n):
-            for ell, gvec in self._expand_xk(k):
-                for gi in range(n):
-                    for gj, c in enumerate(gvec):
-                        to_simple[(ell - 1) * n + (gi + gj) % n, gi * n + k] += c
+        to_poly = _read_only(_twisted(fs).reshape(n * n, n * n))
+        # back-substitution of x^k, k < n, through the f_d (monic in x; columns g^r f_d of
+        # to_poly), for d = n-1 .. 0: row r of block d, the coefficient of g^r x^d left over,
+        # is the coefficient of g^r f_d
+        resid, blocks = np.eye(n * n, n, dtype=np.int64), [None] * n
+        for d in range(n - 1, -1, -1):
+            blocks[d] = resid[d::n]
+            resid = int_combination([(1, resid), (-1, int_matmul(to_poly[:, d * n:(d + 1) * n], blocks[d]))])
+        if resid.any():
+            raise ArithmeticError("x^k expansion left a residue")
+        # g^i x^k = sum of coefficient [ell-1, r, k] times g^(r + i) f_{ell-1}: rows (ell-1, r + i), columns (i, k)
         self.to_poly_matrix = to_poly
-        self.to_simple_matrix = to_simple
-        self._to_poly_rows, self._to_simple_rows = sparse_rows(to_poly), sparse_rows(to_simple)
-        self._f_seq = [self.from_wide(fs[ell - 1]) for ell in range(1, n + 1)]
+        self.to_simple_matrix = _read_only(_twisted(np.stack(blocks).transpose(2, 1, 0)).transpose(1, 0, 3, 2).reshape(n * n, n * n))
+        self._to_poly_rows, self._to_simple_rows = sparse_rows(to_poly), sparse_rows(self.to_simple_matrix)
+        self._f_seq = PolyPres(self, to_poly[:, ::n].T.reshape(-1, 1))  # the stack f_0 .. f_{n-1}
         self._base_products: dict[int, np.ndarray] = {}
         self._mpow: list[np.ndarray] = []
         self._v20_rows: dict[str, tuple] = {}
@@ -191,13 +192,10 @@ class GrothRing:
     # ------------------------------------------------------------------
     # presentation arithmetic
 
-    def from_wide(self, d) -> PolyPres:
-        """Reduce an unrestricted {(g_pow, x_pow): int} dict into the presentation."""
-        n = self.n
-        wide = [[0] for _ in range(n * (2 * n - 1))]
-        for (g, x), v in d.items():
-            wide[g % n * (2 * n - 1) + x][0] += v
-        return PolyPres(self, sparse_product(self._fold_rows, int_rows(wide)))
+    def from_wide(self, table: np.ndarray) -> PolyPres:
+        """Reduce a polynomial in x and g into the presentation: a table [x-degree, g-degree], as the `chebyshev` tables (t = x, D = g), of x-degree below 2n - 1 and g-degree below n."""
+        wide = placed(table, (2 * self.n - 1, self.n))  # row m*n + g: g^g x^m
+        return PolyPres(self, sparse_product(self._fold_rows, wide.reshape(-1, 1)))
 
     def mul(self, a: PolyPres, b: PolyPres) -> PolyPres:
         """The products a_s b_s of two stacks of m elements, on the rows nonzero anywhere in each stack.
@@ -212,8 +210,8 @@ class GrothRing:
         n, N, d = self.n, self.n**2, a.nums.shape[1]
         A, B = a.nums.reshape(-1, N, d), b.nums.reshape(-1, N, d)
         ia, ib = np.flatnonzero(A.any(axis=(0, 2))), np.flatnonzero(B.any(axis=(0, 2)))
-        target = (np.add.outer(ia // n, ib // n) % n) * (2 * n - 1) + np.add.outer(ia % n, ib % n)
-        size = n * (2 * n - 1)  # rows of an unfolded product: g^i x^m, m < 2n - 1
+        target = np.add.outer(ia % n, ib % n) * n + np.add.outer(ia // n, ib // n) % n
+        size = n * (2 * n - 1)  # rows of an unfolded product: g^g x^m, m < 2n - 1
         per = max(1, N * N // (ia.size * ib.size + 2 * size + 3 * N))
         folded = np.concatenate([
             _stackwise(self._fold_rows, gather_products(A[s:s + per][:, ia], B[s:s + per][:, ib], a.ctx, target, size).reshape(-1, d), size)
@@ -222,25 +220,6 @@ class GrothRing:
         nums, den = reduce_fraction(folded, a.den * b.den)
         return PolyPres(self, nums, den, a.ctx)
 
-    def _expand_xk(self, k: int):
-        """Back-substitute x^k through the monic-in-x basis polynomials f_0..f_{n-1}."""
-        n = self.n
-        resid = [[0] * n for _ in range(k + 1)]  # resid[x][g]
-        resid[k][0] = 1
-        out = []
-        for d in range(k, -1, -1):
-            gvec = list(resid[d])
-            if any(gvec):
-                out.append((d + 1, gvec))
-                for (g2, x2), r in self._f_wide[d].items():
-                    for g in range(n):
-                        c = gvec[g]
-                        if c:
-                            resid[x2][(g + g2) % n] -= c * r
-        if any(any(row) for row in resid):
-            raise ArithmeticError("x^k expansion left a residue")
-        return out
-
     # ------------------------------------------------------------------
     # basis conversions
 
@@ -248,11 +227,7 @@ class GrothRing:
         """The class of V(ell, 0) as the presentation polynomial f_{ell-1}(x, g)."""
         if not 1 <= ell <= self.n:
             raise ValueError(f"ell must lie in 1..{self.n}")
-        return self._f_seq[ell - 1]
-
-    def minimal_relation(self) -> dict:
-        """The defining relation f_n - g f_{n-2} - 2 as an unreduced dict (monic, x-degree n)."""
-        return dict(self._relation)
+        return self._f_seq.take([ell - 1])
 
     def simple_to_poly(self, coeffs) -> PolyPres:
         """Linear map from coefficient vectors over the simple basis, n^2 entries each (a stack when longer).
@@ -284,11 +259,8 @@ class GrothRing:
         """Row l - 1 is [V(l, 0)][V(ell, 0)] in the simple basis, for l = 1..n: one cached, read-only int64 array from one stacked product."""
         got = self._base_products.get(ell)
         if got is None:
-            n = self.n
-            classes = PolyPres(self, np.concatenate([f.nums for f in self._f_seq]))
-            got = np.array(self.poly_to_simple(self.mul(classes, classes.take([ell - 1] * n))), dtype=np.int64).reshape(n, n * n)
-            got.flags.writeable = False
-            self._base_products[ell] = got
+            n, fs = self.n, self._f_seq
+            got = self._base_products[ell] = _read_only(np.array(self.poly_to_simple(self.mul(fs, fs.take([ell - 1] * n))), dtype=np.int64).reshape(n, n * n))
         return got
 
     def multiply_simples(self, lab1: SimpleLabel, lab2: SimpleLabel) -> list[int]:
@@ -319,9 +291,7 @@ class GrothRing:
             self._mpow = [np.eye(self.n * self.n, dtype=np.int64), self.mckay_matrix(2, 0)]
         while len(self._mpow) <= k:
             self._mpow.append(sparse_product(self.mckay_v20_rows("right"), self._mpow[-1]))
-        power = self._mpow[k]
-        power.flags.writeable = False
-        return power
+        return _read_only(self._mpow[k])
 
     def mckay_v20_rows(self, side: str) -> tuple:
         """`sparse_rows` of the McKay matrix of V(2, 0) (side "right") or of its transpose ("left"), each built once: the A of a `relation` on that side."""
@@ -369,8 +339,7 @@ class GrothRing:
                 else:
                     C[i, i] = 2
                     C[i, label_index(n, SimpleLabel(n - lab.ell, (lab.r + lab.ell) % n))] = 2
-            C.flags.writeable = False
-            self._cartan = C
+            self._cartan = _read_only(C)
         return self._cartan
 
     def cartan_kernel(self) -> tuple[np.ndarray, bool, bool]:

@@ -1,8 +1,8 @@
-"""Dense polynomials over a generic commutative ring, matrices over a field, and the relation kernel.
+"""Matrices over a field, ranks, and the relation kernel.
 
-`RingPoly` adds, multiplies and evaluates; it carries the integer Chebyshev
-polynomials.  The block polynomials over Q(q) are integer arrays, divided
-and evaluated in `spectral` for every block at once.
+Polynomials are coefficient arrays throughout: the integer Chebyshev
+tables of `chebyshev`, and the block polynomials over Q(q), divided and
+evaluated in `spectral` for every block at once.
 
 Integer matrices (McKay, Cartan, fusion) are int64 numpy arrays
 throughout; they have a few nonzeros per row, so their products with
@@ -28,7 +28,7 @@ import numpy as np
 
 from .cyclotomic import CycArray, CycNum, int_combination, int_matmul, int_rows, reduce_mod_p, sparse_product, sparse_rows, split_prime
 
-__all__ = ["RingPoly", "RingMatrix", "rank_mod_p", "array_rank", "CheckFailure", "relation"]
+__all__ = ["RingMatrix", "rank_mod_p", "array_rank", "CheckFailure", "relation"]
 
 
 class CheckFailure(AssertionError):
@@ -40,78 +40,6 @@ class CheckFailure(AssertionError):
     """
 
     vectors = ()
-
-
-class RingPoly:
-    """Polynomial with coefficients in a commutative ring, low degree first.
-
-    Trailing zeros are trimmed on construction, so degree bookkeeping is
-    consistent after every operation.  The additive identity of the ring
-    must be supplied (0, Fraction(0), or ctx.zero()).
-    """
-
-    __slots__ = ("coeffs", "zero")
-
-    def __init__(self, coeffs, zero=0):
-        coeffs = list(coeffs)
-        while coeffs and not coeffs[-1]:
-            coeffs.pop()
-        self.coeffs = coeffs
-        self.zero = zero
-
-    def degree(self) -> int:
-        """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __getitem__(self, k):
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else self.zero
-
-    def __eq__(self, other):
-        return isinstance(other, RingPoly) and self.coeffs == other.coeffs
-
-    def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RingPoly(
-            [self[k] + other[k] for k in range(n)], self.zero
-        )
-
-    def __sub__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return RingPoly([self[k] - other[k] for k in range(n)], self.zero)
-
-    def __neg__(self):
-        return RingPoly([-c for c in self.coeffs], self.zero)
-
-    def __mul__(self, other):
-        if not isinstance(other, RingPoly):
-            return RingPoly([c * other for c in self.coeffs], self.zero)
-        if self.is_zero() or other.is_zero():
-            return RingPoly([], self.zero)
-        out = [self.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] = out[i + j] + a * b
-        return RingPoly(out, self.zero)
-
-    __rmul__ = __mul__
-
-    def eval(self, point):
-        """Horner evaluation; the point may live in a larger ring than the coefficients."""
-        acc = point * 0
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "RingPoly(0)"
-        parts = [f"({c})*t^{k}" for k, c in enumerate(self.coeffs) if c]
-        return "RingPoly(" + " + ".join(parts) + ")"
 
 
 def rank_mod_p(m: np.ndarray, p: int) -> int:
@@ -326,8 +254,8 @@ class RingMatrix:
             basis.append(v)
         return basis
 
-    def char_poly_small(self) -> RingPoly:
-        """det(t*I - M) for dimension <= 32, by the trace recursion (exact, division by integers only)."""
+    def char_poly_small(self) -> list:
+        """The coefficients of det(t*I - M), low degree first, for dimension <= 32, by the trace recursion (exact, division by integers only)."""
         n = self.nrows
         if n != self.ncols:
             raise ValueError("characteristic polynomial of a non-square matrix")
@@ -347,7 +275,7 @@ class RingMatrix:
             coeffs.append(ck)
             if k < n:
                 Mk = AM + ident.scalar_mul(ck)
-        return RingPoly(list(reversed(coeffs)), zero)
+        return coeffs[::-1]
 
     def __repr__(self):
         return f"RingMatrix({self.nrows}x{self.ncols})"

@@ -42,7 +42,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .chebyshev import p_n_bivariate, p_n_monic
-from .cyclotomic import CycArray, CycNum, int_combination, int_matmul, int_rows, make_context, poly_products, segment_sum
+from .cyclotomic import CycArray, CycNum, int_combination, int_matmul, make_context, poly_products, segment_sum
 from .dnrep import double_rep
 from .grring import PolyPres, groth_ring
 
@@ -500,20 +500,15 @@ class GrothDecomposition:
         self.tab = tab = spectral_tables(n)
         self.ring = groth_ring(n)
         self.ctx = ctx = tab.ctx
-        p_n = p_n_bivariate(n)
-        off = sorted(ab for ab in p_n.terms if ab[0] + 2 * ab[1] not in (0, n))
+        off = [(int(a), int(b)) for a, b in np.argwhere(p_n_bivariate(n)) if a + 2 * b not in (0, n)]
         if off:
             raise ArithmeticError(f"terms t^a D^b of p_{n} with a + 2b not in (0, {n}): {off}")
-        fold = [[int(t == m) for m in range(2 * n - 1)] for t in range(n)]
-        for m in range(n, 2 * n - 1):
-            for (_g, t), c in self.ring._xred[m].items():
-                fold[t][m] += c
-        self.fold = int_rows(fold)
+        self.fold = segment_sum(self.ring.x_powers.transpose(1, 2, 0))  # [x, m]: x^m at g = 1, summed over g
         self.components = [GrothComponent(self, r) for r in range(n)]
         h, d = tab.h, ctx.degree
         lams = tab.eigenvalues.take(np.arange(h + 1) * n).nums  # lam_{j,0}
         modulus = np.zeros((h + 1, n + 1, d), dtype=np.int64)
-        modulus[:, :, 0] = p_n_monic(n).coeffs
+        modulus[:, :, 0] = p_n_monic(n)
         f, rem = divide_by_linear(ctx, modulus, lams)
         g, rem2 = divide_by_linear(ctx, f[1:], lams[1:])
         bad = np.flatnonzero(rem.any(axis=1) | np.concatenate([[False], rem2.any(axis=1)]))

@@ -28,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chebyshev import bivariate_to_poly, cheb_poly, p_n_bivariate, p_n_bivariate_closed, p_n_factor_check
+from .chebyshev import cheb_poly, p_n_bivariate, p_n_bivariate_closed, p_n_factor_check, p_n_monic
 from .cyclotomic import CycArray, CycNum, int_combination, int_matmul, make_context, segment_sum, sparse_product, sparse_rows
 from .dnrep import (
     PbwElement,
@@ -307,12 +307,12 @@ def _first_block(got: np.ndarray, want: np.ndarray):
 
 
 def _specialized(ctx, p) -> np.ndarray:
-    """p(t, D) at D = q^k for every k: an (n, deg + 1, phi) integer array, [k, a] the coefficient of t^a."""
+    """A table p[t-degree, D-degree] at D = q^k for every k: an (n, deg + 1, phi) integer array, [k, a] the coefficient of t^a."""
     n = ctx.n
-    counts = np.zeros((n, max(a for a, _ in p.terms) + 1, n), dtype=np.int64)
+    counts = np.zeros((n, len(p), n), dtype=np.int64)
     k = np.arange(n)
-    for (a, b), c in p.terms.items():
-        counts[k, a, k * b % n] += c
+    for a, b in np.argwhere(p):
+        counts[k, a, k * b % n] += p[a, b]
     return CycArray.from_qpowers(ctx, counts.reshape(-1, n)).nums.reshape(n, -1, ctx.degree)
 
 
@@ -390,8 +390,9 @@ def check_charpoly_table(ws: Workspace):
     oracle = Oracle()
     p = p_n_bivariate(n)
     if n in P_TABLE:
-        _require(p.terms == P_TABLE[n], f"p_{n} differs from the frozen coefficient table")
-    _require(p == p_n_bivariate_closed(n), "recursion and closed form disagree")
+        terms = {(int(a), int(b)): int(p[a, b]) for a, b in np.argwhere(p)}
+        _require(terms == P_TABLE[n], f"p_{n} differs from the frozen coefficient table")
+    _require(np.array_equal(p, p_n_bivariate_closed(n)), "recursion and closed form disagree")
     d = ctx.degree
     polys = tab.block_polys().nums.reshape(n, n + 1, d)
     bad = _first_block(polys, _specialized(ctx, p))
@@ -418,10 +419,10 @@ def check_charpoly_factorization(ws: Workspace):
     oracle = Oracle()
     h, d = (n - 1) // 2, ctx.degree
     _require(p_n_factor_check(n), "integer factorization identity failed")
-    w = cheb_poly("W", h)
+    w, p = cheb_poly("W", h), p_n_monic(n).tolist()
     for t in (Fraction(3, 10), Fraction(-17, 10), Fraction(5, 2)):
-        lhs = bivariate_to_poly(p_n_bivariate(n), 1).eval(t)
-        rhs = (t - 2) * w.eval(t) ** 2
+        lhs = sum(c * t**a for a, c in enumerate(p))
+        rhs = (t - 2) * sum(c * t**a for a, c in enumerate(w)) ** 2
         oracle.see(abs(float(lhs - rhs)))
     polys = tab.block_polys().nums.reshape(n, n + 1, d)
     roots = tab.block_roots().nums.reshape(n, h + 1, d)

@@ -14,11 +14,14 @@ n = 21 and 23 lie past the default bound of `TAFTDOUBLE_MAX_N`, which the
 slow tests raise while they run.
 """
 
+import gc
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
+import taftdouble.verify as verify_mod
 from taftdouble.verify import CHECKS, ORACLE_TOL, check_ids, run_suite
 
 DEFAULT_NS = (3, 5, 7, 9, 11, 13)
@@ -147,11 +150,27 @@ def test_reports_match_the_frozen_record(n):
     assert got == FROZEN[str(n)]
 
 
+def _release_caches():
+    """Drop every workspace and empty every functools cache of the package's modules, found by their `cache_clear`."""
+    verify_mod._WORKSPACES.clear()
+    for name, module in list(sys.modules.items()):
+        if name == "taftdouble" or name.startswith("taftdouble."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    gc.collect()  # the workspaces hold reference cycles (a decomposition and its components)
+
+
 def _large_report(n, monkeypatch):
-    """The full suite at one of the large n, run once for both tests below, with TAFTDOUBLE_MAX_N raised to admit it."""
+    """The full suite at one of the large n, run once for both tests below, with TAFTDOUBLE_MAX_N raised to admit it.
+
+    Only the report is kept: the workspace and the cached tables of n are
+    released once it is made, so one large n at a time is alive.
+    """
     monkeypatch.setenv("TAFTDOUBLE_MAX_N", str(max(LARGE_NS)))
     if n not in _LARGE:
         _LARGE[n] = run_suite(n)
+        _release_caches()
     return _LARGE[n]
 
 

@@ -79,6 +79,37 @@ def test_invert_zero_raises():
         ctx.zero().inverse()
 
 
+@pytest.mark.parametrize("n", range(3, 24, 2))
+def test_inverse_by_the_norm(n):
+    """x x^{-1} = 1 for the quantum integers, for 1 - q^k and for random elements with 40-bit coefficients."""
+    ctx = make_context(n)
+    rnd = random.Random(n)
+    elems = [ctx.quantum_integer(m) for m in range(1, n)]
+    elems += [ctx.one() - ctx.root_power(k) for k in range(1, n)]
+    elems += [ctx.from_coeffs([Fraction(rnd.randint(-2**40, 2**40), rnd.randint(1, 2**40)) for _ in range(ctx.degree)]) for _ in range(3)]
+    for x in elems:
+        ctx._inv_cache.clear()
+        assert x * x.inverse() == ctx.one()
+
+
+def test_a_wrong_conjugate_breaks_the_rational_norm(monkeypatch):
+    """The norm of a numerator times its corrupted conjugates is not rational: ArithmeticError, never a wrong inverse."""
+    ctx = make_context(7)
+    x = ctx.from_coeffs([1, 2, 0, -3, 0, 5])
+    from_qpowers = CycArray.from_qpowers
+
+    def corrupted(ctx, counts):
+        out = from_qpowers(ctx, counts)
+        nums = out.nums.copy()
+        nums[0, 1] += 1
+        return CycArray(ctx, nums, out.den)
+
+    ctx._inv_cache.clear()
+    monkeypatch.setattr(CycArray, "from_qpowers", staticmethod(corrupted))
+    with pytest.raises(ArithmeticError, match="not rational"):
+        x.inverse()
+
+
 def test_division_and_pow():
     ctx = make_context(7)
     x = ctx.from_coeffs([Fraction(1, 2), 3, Fraction(-2, 5), 0, 1, 0])

@@ -1,8 +1,8 @@
 """The integer-array products of the Grothendieck algebra against the scalar routes they replaced.
 
 `_presentation_mul_reference` is the presentation product entry by entry
-(CycNum or int coefficients, x^m folded through the ring's reduction
-table), and `_component_mul_reference` is the RingPoly product followed by
+(CycNum or int coefficients, x^m folded through the ring's table of
+reduced powers of x), and `_component_mul_reference` is the RingPoly product followed by
 division with remainder by the block polynomial p_n(x, q^{2r}), built
 directly rather than twisted from component 0.  Both are kept here as
 independent cross-checks of `GrothRing.mul` and `GrothComponent.mul`.
@@ -14,14 +14,13 @@ import numpy as np
 import pytest
 
 import taftdouble.verify as verify_mod
-from taftdouble.chebyshev import bivariate_to_poly, p_n_bivariate, p_n_monic
+from taftdouble.chebyshev import p_n_bivariate, p_n_monic
 from taftdouble.cyclotomic import CycArray, make_context
 from taftdouble.grring import GrothRing, PolyPres, groth_ring
-from taftdouble.polymat import RingPoly
 from taftdouble.spectral import GrothComponent, groth_decomposition
 from taftdouble.verify import run_suite
 
-from polynomial_reference import component_array, poly_divmod
+from polynomial_reference import RingPoly, component_array, poly_divmod, specialized
 
 
 def _grid(p: PolyPres):
@@ -48,15 +47,16 @@ def _presentation_mul_reference(ring: GrothRing, a: PolyPres, b: PolyPres):
         for g in range(n):
             v = tmp[x][g]
             if v:
-                for (g2, x2), r in ring._xred[x].items():
-                    tmp[x2][(g + g2) % n] = tmp[x2][(g + g2) % n] + v * r
+                reduced = np.roll(ring.x_powers[x], g, axis=0)  # g^g x^x over the basis, [g2, x2]
+                for g2, x2 in np.argwhere(reduced).tolist():
+                    tmp[x2][g2] = tmp[x2][g2] + v * int(reduced[g2, x2])
     return [[tmp[x][g] for x in range(n)] for g in range(n)]
 
 
 def _component_mul_reference(comp: GrothComponent, a: CycArray, b: CycArray) -> CycArray:
     """The product by RingPoly multiplication and division with remainder by p_n(x, q^{2r})."""
     ctx = comp.ctx
-    modulus = bivariate_to_poly(p_n_bivariate(ctx.n), ctx.root_power(2 * comp.r), ctx.zero())
+    modulus = specialized(p_n_bivariate(ctx.n), ctx.root_power(2 * comp.r), ctx.zero())
     rem = poly_divmod(RingPoly(a.to_list(), ctx.zero()) * RingPoly(b.to_list(), ctx.zero()), modulus)[1]
     return component_array(comp, rem)
 
@@ -136,7 +136,7 @@ def test_random_elements_with_denominators_match_the_references():
 @pytest.mark.parametrize("n", [3, 5, 9, 11, 15])
 def test_the_shared_fold_reduces_powers_modulo_p_n_at_d_1(n):
     """Column m of the fold is x^m mod p_n(x, 1) over the x^t, t < n."""
-    fold, p0 = groth_decomposition(n).fold, p_n_monic(n)
+    fold, p0 = groth_decomposition(n).fold, RingPoly(p_n_monic(n).tolist())
     assert fold.shape == (n, 2 * n - 1)
     for m in range(2 * n - 1):
         rem = poly_divmod(RingPoly([0] * m + [1]), p0)[1]

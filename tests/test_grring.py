@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from taftdouble.chebyshev import p_n_bivariate_closed, u_bivariate_closed
+from taftdouble.cyclotomic import make_context
 from taftdouble.dnrep import SimpleLabel, all_labels, label_index
-from taftdouble.grring import _gx_terms, groth_ring
+from taftdouble.grring import groth_ring
 from taftdouble.polymat import RingMatrix
 from taftdouble.spectral import build_mckay_blockform
+
+from polynomial_reference import RingPoly, poly_divmod, specialized
 
 
 def tensor_rule(n, l1, r1, l2, r2):
@@ -19,50 +22,68 @@ def tensor_rule(n, l1, r1, l2, r2):
     return out
 
 
+def _wide(terms: dict, n: int) -> np.ndarray:
+    """The table [x-degree, g-degree] of x-degree below 2n - 1 of {(g_pow, x_pow): int}."""
+    out = np.zeros((2 * n - 1, n), dtype=np.int64)
+    for (g, x), v in terms.items():
+        out[x, g] += v
+    return out
+
+
 def test_f_sequence():
     ring = groth_ring(5)
-    assert ring.f_seq(1) == ring.from_wide({(0, 0): 1})
-    assert ring.f_seq(2) == ring.from_wide({(0, 1): 1})
-    assert ring.f_seq(3) == ring.from_wide({(0, 2): 1, (1, 0): -1})
+    assert ring.f_seq(1) == ring.from_wide(_wide({(0, 0): 1}, 5))
+    assert ring.f_seq(2) == ring.from_wide(_wide({(0, 1): 1}, 5))
+    assert ring.f_seq(3) == ring.from_wide(_wide({(0, 2): 1, (1, 0): -1}, 5))
     for ell in range(1, 6):
-        assert ring.f_seq(ell) == ring.from_wide(_gx_terms(u_bivariate_closed(ell - 1)))
+        assert ring.f_seq(ell) == ring.from_wide(u_bivariate_closed(ell - 1))
     with pytest.raises(ValueError):
         ring.f_seq(6)
 
 
-def test_minimal_relation():
-    ring3 = groth_ring(3)
-    assert ring3.minimal_relation() == {(0, 3): 1, (1, 1): -3, (0, 0): -2}
-    ring11 = groth_ring(11)
-    assert ring11.minimal_relation() == {
-        (0, 11): 1, (1, 9): -11, (2, 7): 44, (3, 5): -77,
-        (4, 3): 55, (5, 1): -11, (0, 0): -2,
-    }
+def test_relation_vanishes_in_the_ring():
+    relation = _wide({(0, 11): 1, (1, 9): -11, (2, 7): 44, (3, 5): -77, (4, 3): 55, (5, 1): -11, (0, 0): -2}, 11)
+    assert np.array_equal(relation[:12, :6], p_n_bivariate_closed(11))
     for n in (3, 5, 7, 9, 11):
         ring = groth_ring(n)
-        assert ring.minimal_relation() == _gx_terms(p_n_bivariate_closed(n))
-        assert ring.from_wide(ring.minimal_relation()).is_zero()
+        assert ring.from_wide(p_n_bivariate_closed(n)).is_zero()
+        assert not ring.from_wide(u_bivariate_closed(n)).is_zero()
 
 
-def test_relation_specializes_to_block_polynomial():
-    from taftdouble.chebyshev import p_n_monic
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_powers_of_x_are_reduced_modulo_the_relation(n):
+    """`x_powers[m]` is x^m modulo p_n(x, g), and the fold reduces g^g x^m to its twist by g.
 
-    for n in (3, 5, 7):
-        ring = groth_ring(n)
-        rel = ring.minimal_relation()
-        # g -> 1 column sums recover the one-variable polynomial
-        coeffs = [0] * (n + 1)
-        for (_g, x), v in rel.items():
-            coeffs[x] += v
-        assert coeffs == p_n_monic(n).coeffs + [0] * (n + 1 - len(p_n_monic(n).coeffs))
+    At every g = q^j (which separates Z[g]/(g^n - 1)), x^m mod p_n(x, q^j)
+    comes from division with remainder over Q(q).
+    """
+    ring, ctx = groth_ring(n), make_context(n)
+    zero, one = ctx.zero(), ctx.one()
+    for j in range(n):
+        gj = ctx.root_power(j)
+        modulus = specialized(p_n_bivariate_closed(n), gj, zero)
+        for m in range(2 * n - 1):
+            got = RingPoly([sum((int(ring.x_powers[m, g, x]) * gj**g for g in range(n)), zero) for x in range(n)], zero)
+            assert got == poly_divmod(RingPoly([zero] * m + [one], zero), modulus)[1]
+    for m in range(2 * n - 1):
+        for g in range(n):
+            got = ring.from_wide(_wide({(g, m): 1}, n)).nums.reshape(n, n)
+            assert np.array_equal(got, np.roll(ring.x_powers[m], g, axis=0))
+
+
+def test_ring_tables_are_read_only():
+    ring = groth_ring(5)
+    for table in (ring.x_powers, ring.to_poly_matrix, ring.to_simple_matrix):
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] += 1
 
 
 def test_basis_conversions():
     ring = groth_ring(5)
     vec = [0] * 25
     vec[label_index(5, SimpleLabel(2, 3))] = 1
-    assert ring.simple_to_poly(vec) == ring.from_wide({(3, 1): 1})
-    unit = ring.from_wide({(0, 0): 1})
+    assert ring.simple_to_poly(vec) == ring.from_wide(_wide({(3, 1): 1}, 5))
+    unit = ring.from_wide(_wide({(0, 0): 1}, 5))
     out = ring.poly_to_simple(unit)
     expect = [0] * 25
     expect[label_index(5, SimpleLabel(1, 0))] = 1

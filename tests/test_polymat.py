@@ -8,10 +8,10 @@ from taftdouble.cyclotomic import (
     CycArray, int_combination, make_context, reduce_mod_p, sparse_product, sparse_rows, split_prime,
 )
 from taftdouble.grring import groth_ring
-from taftdouble.polymat import CheckFailure, RingMatrix, RingPoly, array_rank, rank_mod_p, relation
+from taftdouble.polymat import CheckFailure, RingMatrix, array_rank, rank_mod_p, relation
 from taftdouble.spectral import EigIndex, build_fusion_from_rules, certificates, groth_decomposition, spectral_tables
 
-from polynomial_reference import poly_derivative, poly_divmod, poly_gcd, poly_monic
+from polynomial_reference import RingPoly, poly_derivative, poly_divmod, poly_gcd, poly_monic
 
 
 def test_poly_arithmetic():
@@ -76,7 +76,7 @@ def test_matrix_identities():
         assert a * RingMatrix.identity(3) == a
     z = RingMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     assert z**3 == RingMatrix.identity(3)
-    assert z.char_poly_small() == RingPoly([Fraction(-1), 0, 0, Fraction(1)], Fraction(0))
+    assert z.char_poly_small() == [Fraction(-1), 0, 0, Fraction(1)]
 
 
 def test_pow_matches_repeated_products():
@@ -141,7 +141,7 @@ def test_char_poly_over_cyclotomic_entries():
     m = RingMatrix([[q, ctx.zero()], [ctx.zero(), q * q]])
     cp = m.char_poly_small()
     # (t - q)(t - q^2) = t^2 + t + 1 since q + q^2 = -1, q^3 = 1
-    assert cp == RingPoly([ctx.one(), ctx.one(), ctx.one()], ctx.zero())
+    assert cp == [ctx.one(), ctx.one(), ctx.one()]
 
 
 def _bump(vec: CycArray, pos, amount=1) -> CycArray:

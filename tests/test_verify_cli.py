@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import taftdouble.chebyshev as chebyshev
 import taftdouble.verify as verify_mod
 from taftdouble.cli import main
 from taftdouble.cyclotomic import CycArray, make_context, sparse_product, sparse_rows
@@ -317,6 +318,53 @@ CORRUPTIONS = [
 ]
 
 
+def test_charpoly_table_fails_on_one_wrong_coefficient_of_the_recursion(monkeypatch):
+    """At n = 15, past P_TABLE, one wrong coefficient of U_14(t, D) makes p_15 of the recursion differ from the closed form."""
+    assert 15 not in verify_mod.P_TABLE
+    monkeypatch.setenv("TAFTDOUBLE_MAX_N", "15")
+    ws = verify_mod.Workspace(15)
+    ws.tab  # built before the defect, so no cached table sees it
+    monkeypatch.setattr(verify_mod, "_WORKSPACES", {15: ws})
+    u_bivariate = chebyshev.u_bivariate
+
+    def wrong(k):
+        table = u_bivariate(k)
+        if k == 14:
+            table = table.copy()
+            table[10, 2] += 1
+        return table
+
+    monkeypatch.setattr(chebyshev, "u_bivariate", wrong)
+    result = run_suite(15, ["charpoly-table"]).checks[0]
+    assert result.status == "fail" and "recursion and closed form disagree" in result.detail["counterexample"], result
+
+
+def test_charpoly_factorization_fails_on_one_wrong_coefficient_of_w(monkeypatch):
+    """One wrong coefficient of W_1 breaks p_3 = (t - 2) W_1^2 in the integer identity itself."""
+    monkeypatch.setattr(verify_mod, "_WORKSPACES", {})
+    cheb_poly = chebyshev.cheb_poly
+
+    def wrong(kind, k):
+        coeffs = cheb_poly(kind, k)
+        return (coeffs[0] + 1,) + coeffs[1:] if (kind, k) == ("W", 1) else coeffs
+
+    monkeypatch.setattr(chebyshev, "cheb_poly", wrong)
+    result = run_suite(3, ["charpoly-factorization"]).checks[0]
+    assert result.status == "fail" and "integer factorization identity failed" in result.detail["counterexample"], result
+
+
+def test_grothendieck_idempotents_fails_on_one_wrong_entry_of_to_simple(monkeypatch):
+    """One wrong entry of the ring's to_simple_matrix, the table the check multiplies, breaks to_simple to_poly = I."""
+    ring = groth_ring(3)
+    bad = ring.to_simple_matrix.copy()
+    bad[4, 4] += 1
+    monkeypatch.setattr(ring, "to_simple_matrix", bad)
+    monkeypatch.setattr(verify_mod, "_WORKSPACES", {})
+    result = run_suite(3, ["grothendieck-idempotents"]).checks[0]
+    assert result.status == "fail", result
+    assert "the basis conversions are not inverse to each other" in result.detail["counterexample"]
+
+
 @pytest.fixture
 def fresh_tables():
     """An empty `spectral_tables` cache before and after: each instance builds its families once, from `blocks`."""
@@ -545,6 +593,7 @@ def test_every_check_survives_python_O():
     script = """
 import sys
 assert sys.flags.optimize == 1
+import taftdouble.chebyshev as chebyshev
 import taftdouble.verify as verify
 from taftdouble.cyclotomic import CycArray
 from taftdouble.grring import GrothRing, groth_ring
@@ -573,13 +622,18 @@ def wrong_value_at_v20(self, idx, ell, s):
     val = general_eigenvalue(self, idx, ell, s)
     return val + 1 if (ell, s) == (2, 0) else val
 
+def wrong_w(kind, k):
+    coeffs = cheb_poly(kind, k)
+    return (coeffs[0] + 1,) + coeffs[1:] if (kind, k) == ("W", 1) else coeffs
+
+cheb_poly = chebyshev.cheb_poly
 gen_trace_combinations = verify.gen_trace_combinations
 general_eigenvalue = SpectralTables.general_eigenvalue
 p_table = {**verify.P_TABLE, 3: {**verify.P_TABLE[3], (0, 0): -3}}
 rows_n3 = {**verify.TABLE_N3_ROWS, 0: [(7, 0)] + verify.TABLE_N3_ROWS[0][1:]}
 DEFECTS = {
     "charpoly-table": (verify, "P_TABLE", p_table),
-    "charpoly-factorization": (verify, "p_n_factor_check", lambda n: False),
+    "charpoly-factorization": (chebyshev, "cheb_poly", wrong_w),
     "grouplike-traces": (SpectralTables, "general_eigenvalue", wrong_value_at_v20),
     "spectral-certificates": (verify, "build_mckay_blockform", bumped_matrix(verify.build_mckay_blockform)),
     "generalized-traces": (verify, "gen_trace_combinations", wrong_top_gamma),
